@@ -14,7 +14,6 @@ import csv
 import json
 import os
 import sys
-import urllib.request
 
 from . import power, ra, solver
 from .errors import CapacityError, ConsistencyError, GraphPowerError, InputError
@@ -38,9 +37,12 @@ def _max_order() -> int:
     if raw is None:
         return DEFAULT_MAX_ORDER
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise InputError(f"GRAPHPOWER_MAX_ORDER={raw!r} is not an integer")
+    if cap <= 0:
+        raise InputError(f"GRAPHPOWER_MAX_ORDER={raw!r} must be positive")
+    return cap
 
 
 def _emit(payload) -> None:
@@ -94,19 +96,17 @@ def cmd_ra_check(args) -> int:
 def cmd_ra_gra(args) -> int:
     g = _graph_arg(args.graph, args.reduce)
     group = parse_group_spec(args.group)
-    cap = _max_order()
-    gp = power.graph_power(group, g, max_order=cap)
-    index = power.ra_index(group, g, max_order=cap, power=gp)
-    from .groups import abelianization, derived_subgroup
-    ab_order = power.abelian_power_order(abelianization(group), ra.activation_matrix(g))
+    gp = power.graph_power(group, g, max_order=_max_order())
+    ab_order, comm, full = power._orders(group, g, gp)
+    index = full // comm
     payload = {
         "graph": graph6_encode(g),
         "group": group.name,
         "orders": {
             "graph_power": gp.order(),
             "abelian_power": ab_order,
-            "comm": power.comm_intersection_order(group, g, power=gp),
-            "full_commutator_power": derived_subgroup(group).order() ** g.n,
+            "comm": comm,
+            "full_commutator_power": full,
         },
         "ra_index": index,
         "g_ra": index == 1,
@@ -118,9 +118,8 @@ def cmd_ra_gra(args) -> int:
 def cmd_ra_chain(args) -> int:
     g = _graph_arg(args.graph, args.reduce)
     group = parse_group_spec(args.group)
-    cap = _max_order()
-    report = power.chain_report(group, g, max_order=cap)
-    index = power.ra_index(group, g, max_order=cap)
+    report = power.chain_report(group, g, max_order=_max_order())
+    index = report.full_commutator_power // report.comm
     payload = report.to_json()
     payload["graph"] = graph6_encode(g)
     payload["ra_index"] = index
@@ -175,32 +174,26 @@ def _oeis_crosscheck(path: str, report) -> bool:
     return ok
 
 
-def fetch_oeis_bfile(sequence: str, dest: str) -> str:
-    """Download an OEIS b-file (network helper; never used by the tests)."""
-    url = f"https://oeis.org/{sequence}/b{sequence[1:]}.txt"
-    with urllib.request.urlopen(url) as resp:
-        data = resp.read().decode("utf-8")
-    with open(dest, "w", encoding="utf-8") as fh:
-        fh.write(data)
-    return dest
-
-
 def _parse_target(raw: str, n: int):
     text = raw.strip()
     if text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as fh:
-            text = fh.read().strip()
+        try:
+            with open(text[1:], "r", encoding="utf-8") as fh:
+                text = fh.read().strip()
+        except (OSError, ValueError) as exc:
+            raise InputError(f"cannot read target file {text[1:]!r}: {exc}")
     if text.startswith("{"):
         try:
             obj = json.loads(text)
-            items = [(int(k), v) for k, v in obj.items()]
-        except ValueError as exc:
+            items = [(int(k), tuple(int(x) for x in val) if isinstance(val, list) else int(val))
+                     for k, val in obj.items()]
+        except (ValueError, TypeError, RecursionError) as exc:
             raise InputError(f"bad JSON target: {exc}")
         target = [None] * n
         for v, val in items:
             if not 0 <= v < n:
                 raise InputError(f"target vertex {v} outside 0..{n - 1}")
-            target[v] = tuple(int(x) for x in val) if isinstance(val, list) else int(val)
+            target[v] = val
         k = None
         for t in target:
             if isinstance(t, tuple):

@@ -19,7 +19,6 @@ from typing import Optional, Sequence
 
 from .errors import (
     DomainMismatch,
-    InvalidParameter,
     SearchBoundExceeded,
     SpecParseError,
     UnsupportedParameter,
@@ -153,13 +152,11 @@ def direct_product(*groups: FiniteGroup) -> FiniteGroup:
     gens = []
     offset = 0
     for g in groups:
-        before, after = offset, degree - offset - g.degree
         for gen in g.generators:
-            image = list(range(before)) + [before + x for x in gen.image] \
-                + list(range(before + g.degree, degree))
+            image = list(range(offset)) + [offset + x for x in gen.image] \
+                + list(range(offset + g.degree, degree))
             gens.append(Perm(image))
         offset += g.degree
-        _ = after
     name = "x".join(g.name for g in groups)
     return FiniteGroup(name, degree, gens)
 
@@ -181,16 +178,6 @@ def make_group(kind: str, *params) -> FiniteGroup:
     if kind not in table:
         raise UnsupportedParameter(f"unknown group kind {kind!r}")
     return table[kind](*params)
-
-
-_SPEC_PREFIX = {
-    "C": cyclic,
-    "D": dihedral,
-    "S": symmetric,
-    "A": alternating,
-    "H": heisenberg,
-    "St": None,
-}
 
 
 def parse_group_spec(text: str) -> FiniteGroup:
@@ -291,13 +278,6 @@ class AbelianInvariants:
             if self._derived.contains(g * rep.inverse()):
                 return vec
         raise DomainMismatch("element not in the group")
-
-    def coset_representative(self, coords: Sequence[int]) -> Perm:
-        want = tuple(c % f for c, f in zip(coords, self.factors))
-        for rep, vec in zip(self._coset_reps, self._coset_vectors):
-            if vec == want:
-                return rep
-        raise InvalidParameter(f"no coset with coordinates {coords}")
 
 
 def abelianization(group: FiniteGroup) -> AbelianInvariants:

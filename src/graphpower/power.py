@@ -23,10 +23,10 @@ from math import gcd
 from typing import Optional, Sequence
 
 from .errors import ConsistencyError, DimensionMismatch, SearchBoundExceeded
-from .graphs import Graph, closed_neighborhood
+from .graphs import Graph
 from .groups import FiniteGroup, AbelianInvariants, abelianization, derived_subgroup
-from .perm import DEFAULT_MAX_ORDER, Perm, PermGroup, derived_subgroup_of, normal_closure
-from .ra import activation_matrix, ra_matrix
+from .perm import DEFAULT_MAX_ORDER, Perm, PermGroup, derived_subgroup_of
+from .ra import _intersection_rows, activation_matrix, ra_matrix
 from .zlinalg import IntMat, rank_mod_p, snf_divisors
 
 ClickVector = tuple
@@ -94,18 +94,18 @@ def power_click(group: FiniteGroup, g: Perm, clicks: Sequence[int]) -> StateVect
 
 
 class PowerSubgroup:
-    """A subgroup of G^n generated by power vectors."""
+    """A subgroup of G^n, held as a permutation group on n blocks of G's
+    domain."""
 
-    def __init__(self, group: FiniteGroup, n: int, generators: Sequence[StateVector],
-                 max_order: Optional[int] = DEFAULT_MAX_ORDER):
+    def __init__(self, group: FiniteGroup, n: int, perm_group: PermGroup):
         self.group = group
         self.n = n
-        self.generators = tuple(generators)
-        self.perm_group = PermGroup(
-            n * group.degree,
-            [s.as_perm() for s in self.generators],
-            max_order=max_order,
-        )
+        self.perm_group = perm_group
+
+    @property
+    def generators(self) -> tuple:
+        return tuple(state_from_perm(self.group, self.n, p)
+                     for p in self.perm_group.generators)
 
     def order(self) -> int:
         return self.perm_group.order()
@@ -121,30 +121,19 @@ class PowerSubgroup:
 
     def derived(self, max_order: Optional[int] = DEFAULT_MAX_ORDER) -> "PowerSubgroup":
         """Commutator subgroup, via normal closure of generator commutators."""
-        sub = derived_subgroup_of(
-            self.perm_group.degree,
-            [s.as_perm() for s in self.generators],
-            max_order=max_order,
-        )
-        return _wrap_perm_subgroup(self, sub)
+        sub = derived_subgroup_of(self.perm_group.degree, self.perm_group.generators,
+                                  max_order=max_order)
+        return PowerSubgroup(self.group, self.n, sub)
 
     def __repr__(self):
         return f"PowerSubgroup({self.group.name}^{self.n}, order={self.order()})"
 
 
-class _WrappedPowerSubgroup(PowerSubgroup):
-    """PowerSubgroup view over an already-built PermGroup."""
-
-    def __init__(self, group, n, generators, perm_group):
-        self.group = group
-        self.n = n
-        self.generators = tuple(generators)
-        self.perm_group = perm_group
-
-
-def _wrap_perm_subgroup(parent: PowerSubgroup, sub: PermGroup) -> PowerSubgroup:
-    gens = [state_from_perm(parent.group, parent.n, p) for p in sub.generators]
-    return _WrappedPowerSubgroup(parent.group, parent.n, gens, sub)
+def _generated(group: FiniteGroup, n: int, states: Sequence[StateVector],
+               max_order: Optional[int]) -> PowerSubgroup:
+    """The subgroup of G^n generated by `states`."""
+    return PowerSubgroup(group, n, PermGroup(n * group.degree, [s.as_perm() for s in states],
+                                             max_order=max_order))
 
 
 def matrix_power(group: FiniteGroup, matrix, *,
@@ -177,7 +166,7 @@ def matrix_power(group: FiniteGroup, matrix, *,
             if key not in seen and not state.is_identity():
                 seen.add(key)
                 gens.append(state)
-    return PowerSubgroup(group, n, gens, max_order=max_order)
+    return _generated(group, n, gens, max_order)
 
 
 def graph_power(group: FiniteGroup, graph: Graph, *,
@@ -205,50 +194,56 @@ def abelian_power_order(invariants, matrix) -> int:
     return total
 
 
-def comm_intersection_order(group: FiniteGroup, graph: Graph, *,
-                            max_order: Optional[int] = DEFAULT_MAX_ORDER,
-                            power: Optional[PowerSubgroup] = None) -> int:
-    """|Comm(G, graph)| = |G^graph| / |(G^Ab)^graph|, exact via the natural
-    projection onto the abelianized power."""
-    gp = power if power is not None else graph_power(group, graph, max_order=max_order)
+def _orders(group: FiniteGroup, graph: Graph, power: PowerSubgroup) -> tuple:
+    """(|(G^Ab)^graph|, |Comm(G, graph)|, |[G,G]|^n) for the built G^graph.
+
+    Comm is the kernel of the natural projection of G^graph onto the
+    abelianized power, so |G^graph| = |Comm| * |(G^Ab)^graph|; Comm sits
+    inside [G,G]^n, so its order divides |[G,G]|^n and the quotient is the
+    RA index."""
     ab = abelian_power_order(abelianization(group), activation_matrix(graph))
-    total = gp.order()
+    total = power.order()
     if total % ab:
         raise ConsistencyError(
             f"|G^Gamma| = {total} not divisible by abelian part {ab}")
-    return total // ab
+    comm = total // ab
+    full = derived_subgroup(group).order() ** graph.n
+    if full % comm:
+        raise ConsistencyError(f"RA index {full}/{comm} is not an integer")
+    return ab, comm, full
+
+
+def comm_intersection_order(group: FiniteGroup, graph: Graph, *,
+                            max_order: Optional[int] = DEFAULT_MAX_ORDER) -> int:
+    """|Comm(G, graph)| = |G^graph| / |(G^Ab)^graph|, exact via the natural
+    projection onto the abelianized power."""
+    return _orders(group, graph, graph_power(group, graph, max_order=max_order))[1]
 
 
 # -- commutator subgroups ---------------------------------------------------------
 
-def _indicator(graph: Graph, u: int, v: int) -> tuple:
-    inter = closed_neighborhood(graph, u) & closed_neighborhood(graph, v)
-    return tuple(1 if w in inter else 0 for w in range(graph.n))
-
-
-def _comm_generators(group: FiniteGroup, graph: Graph, include_equal: bool,
-                     verify: bool) -> list:
+def _comm_subgroup(group: FiniteGroup, graph: Graph, include_equal: bool,
+                   verify: bool, max_order: Optional[int]) -> PowerSubgroup:
+    """Subgroup generated by the basic commutators [g^u, h^v] over the vertex
+    pairs u < v (u <= v with include_equal): [g,h] spread over B(u) cap B(v)."""
     from .groups import commutator_witnesses
     witnesses = {c: pair for c, pair in commutator_witnesses(group).items()
                  if not c.is_identity()}
     act = activation_matrix(graph)
     gens = []
     seen = set()
-    for u in range(graph.n):
-        vstart = u if include_equal else u + 1
-        for v in range(vstart, graph.n):
-            ind = _indicator(graph, u, v)
-            if not any(ind):
-                continue
-            for c, (g, h) in witnesses.items():
-                state = power_click(group, c, ind)
-                if verify:
-                    _assert_comm_char(group, g, h, act.row(u), act.row(v), state)
-                key = tuple(x.image for x in state.components)
-                if key not in seen:
-                    seen.add(key)
-                    gens.append(state)
-    return gens
+    for (u, v), ind in _intersection_rows(graph, include_equal):
+        if not any(ind):
+            continue
+        for c, (g, h) in witnesses.items():
+            state = power_click(group, c, ind)
+            if verify:
+                _assert_comm_char(group, g, h, act.row(u), act.row(v), state)
+            key = tuple(x.image for x in state.components)
+            if key not in seen:
+                seen.add(key)
+                gens.append(state)
+    return _generated(group, graph.n, gens, max_order)
 
 
 def _assert_comm_char(group: FiniteGroup, g: Perm, h: Perm, row_u, row_v,
@@ -263,15 +258,13 @@ def _assert_comm_char(group: FiniteGroup, g: Perm, h: Perm, row_u, row_v,
 def comm_d(group: FiniteGroup, graph: Graph, *, verify: bool = True,
            max_order: Optional[int] = DEFAULT_MAX_ORDER) -> PowerSubgroup:
     """Subgroup generated by the basic commutators [g^u, h^v] with u != v."""
-    gens = _comm_generators(group, graph, include_equal=False, verify=verify)
-    return PowerSubgroup(group, graph.n, gens, max_order=max_order)
+    return _comm_subgroup(group, graph, False, verify, max_order)
 
 
 def comm_b(group: FiniteGroup, graph: Graph, *, verify: bool = True,
            max_order: Optional[int] = DEFAULT_MAX_ORDER) -> PowerSubgroup:
     """Subgroup generated by all basic commutators [g^u, h^v], u = v allowed."""
-    gens = _comm_generators(group, graph, include_equal=True, verify=verify)
-    return PowerSubgroup(group, graph.n, gens, max_order=max_order)
+    return _comm_subgroup(group, graph, True, verify, max_order)
 
 
 def _central_prime_commutator(group: FiniteGroup) -> Optional[int]:
@@ -291,15 +284,6 @@ def _central_prime_commutator(group: FiniteGroup) -> Optional[int]:
     return p
 
 
-def _pair_indicator_matrix(graph: Graph, include_equal: bool) -> IntMat:
-    rows = []
-    for u in range(graph.n):
-        vstart = u if include_equal else u + 1
-        for v in range(vstart, graph.n):
-            rows.append(_indicator(graph, u, v))
-    return IntMat(rows, cols=graph.n)
-
-
 def comm_b_order(group: FiniteGroup, graph: Graph) -> int:
     """|Comm_b(G, graph)|, via modular rank when [G,G] is central of prime
     order, else by closure."""
@@ -312,24 +296,16 @@ def comm_b_order(group: FiniteGroup, graph: Graph) -> int:
 def comm_d_order(group: FiniteGroup, graph: Graph) -> int:
     p = _central_prime_commutator(group)
     if p is not None:
-        return p ** rank_mod_p(_pair_indicator_matrix(graph, include_equal=False), p)
+        rows = [row for _, row in _intersection_rows(graph, include_equal=False)]
+        return p ** rank_mod_p(IntMat(rows, cols=graph.n), p)
     return comm_d(group, graph, verify=False).order()
 
 
 def derived_of_power(group: FiniteGroup, graph: Graph, *,
-                     max_order: Optional[int] = DEFAULT_MAX_ORDER,
-                     power: Optional[PowerSubgroup] = None) -> PowerSubgroup:
-    """[G^graph, G^graph]: the normal closure of the basic commutators under
-    conjugation by the clicks."""
-    gp = power if power is not None else graph_power(group, graph, max_order=max_order)
-    basics = _comm_generators(group, graph, include_equal=True, verify=False)
-    sub = normal_closure(
-        gp.perm_group.degree,
-        [s.as_perm() for s in gp.generators],
-        [s.as_perm() for s in basics],
-        max_order=max_order,
-    )
-    return _wrap_perm_subgroup(gp, sub)
+                     max_order: Optional[int] = DEFAULT_MAX_ORDER) -> PowerSubgroup:
+    """[G^graph, G^graph]: the normal closure of the commutators of the
+    clicks."""
+    return graph_power(group, graph, max_order=max_order).derived(max_order=max_order)
 
 
 # -- RA verdicts for a fixed group ------------------------------------------------
@@ -343,19 +319,11 @@ def is_g_ra(group: FiniteGroup, graph: Graph, *,
 
 
 def ra_index(group: FiniteGroup, graph: Graph, *,
-             max_order: Optional[int] = DEFAULT_MAX_ORDER,
-             power: Optional[PowerSubgroup] = None) -> int:
+             max_order: Optional[int] = DEFAULT_MAX_ORDER) -> int:
     """Index of Comm(G, graph) in [G,G]^n; equals 1 exactly when the graph is
     G-RA."""
-    gp = power if power is not None else graph_power(group, graph, max_order=max_order)
-    der = derived_subgroup(group)
-    ab = abelian_power_order(abelianization(group), activation_matrix(graph))
-    numerator = der.order() ** graph.n * ab
-    total = gp.order()
-    if numerator % total:
-        raise ConsistencyError(
-            f"RA index {numerator}/{total} is not an integer")
-    return numerator // total
+    _, comm, full = _orders(group, graph, graph_power(group, graph, max_order=max_order))
+    return full // comm
 
 
 @dataclass(frozen=True)
@@ -395,9 +363,8 @@ def chain_report(group: FiniteGroup, graph: Graph, *,
     orders = (
         comm_d_order(group, graph),
         comm_b_order(group, graph),
-        derived_of_power(group, graph, max_order=max_order, power=gp).order(),
-        comm_intersection_order(group, graph, power=gp),
-        derived_subgroup(group).order() ** graph.n,
+        gp.derived(max_order=max_order).order(),
+        *_orders(group, graph, gp)[1:],
     )
     for a, b in zip(orders, orders[1:]):
         if b % a:
@@ -405,10 +372,9 @@ def chain_report(group: FiniteGroup, graph: Graph, *,
     return ChainReport(group.name, graph.n, *orders)
 
 
-def in_comm(group: FiniteGroup, graph: Graph, state: StateVector, *,
-            power: Optional[PowerSubgroup] = None) -> bool:
+def in_comm(group: FiniteGroup, graph: Graph, state: StateVector) -> bool:
     """Membership in Comm(G, graph): in the reachable-state group with every
     coordinate a member of [G, G]."""
-    gp = power if power is not None else graph_power(group, graph)
     der = derived_subgroup(group)
-    return gp.contains(state) and all(der.contains(c) for c in state.components)
+    return graph_power(group, graph).contains(state) and \
+        all(der.contains(c) for c in state.components)

@@ -36,11 +36,9 @@ from .zlinalg import (
     is_prime,
     rank_mod_p,
     snf_divisors,
-    spans_full_lattice,
 )
 
-RA_METHODS = ("snf_full_lattice", "prime_rank_scan", "structural_girth5",
-              "structural_girth4", "census_cache")
+RA_METHODS = ("snf_full_lattice", "prime_rank_scan")
 
 
 def activation_matrix(graph: Graph) -> IntMat:
@@ -53,17 +51,23 @@ def activation_matrix(graph: Graph) -> IntMat:
     return IntMat(rows, cols=graph.n)
 
 
+def _intersection_rows(graph: Graph, include_equal: bool) -> list:
+    """((u, v), indicator of B(u) cap B(v)) for every vertex pair u < v, or
+    u <= v with include_equal, in lexicographic order."""
+    nbhds = [closed_neighborhood(graph, v) for v in range(graph.n)]
+    rows = []
+    for u in range(graph.n):
+        for v in range(u if include_equal else u + 1, graph.n):
+            inter = nbhds[u] & nbhds[v]
+            rows.append(((u, v), tuple(1 if w in inter else 0 for w in range(graph.n))))
+    return rows
+
+
 def ra_matrix(graph: Graph) -> IntMat:
     """One row per unordered vertex pair (u = v included): the indicator of
     B(u) cap B(v). Empty intersections stay as zero rows, so the shape is
     always n(n+1)/2 by n."""
-    nbhds = [closed_neighborhood(graph, v) for v in range(graph.n)]
-    rows = []
-    for u in range(graph.n):
-        for v in range(u, graph.n):
-            inter = nbhds[u] & nbhds[v]
-            rows.append(tuple(1 if w in inter else 0 for w in range(graph.n)))
-    return IntMat(rows, cols=graph.n)
+    return IntMat([row for _, row in _intersection_rows(graph, True)], cols=graph.n)
 
 
 def _prime_factors(n: int) -> list:
@@ -106,11 +110,24 @@ def is_ra(graph: Graph, method: str = "auto") -> RAVerdict:
             "graph has neighborhood-indistinguishable vertices (reduce first)")
     if method not in ("auto", "fast", "full"):
         raise InvalidParameter(f"unknown method {method!r}")
+    divs_a = None if method == "full" else snf_divisors(activation_matrix(graph))
+    return _verdict(graph, divs_a, method)
+
+
+def _spans_full_lattice(divisors: tuple, n: int) -> bool:
+    """Whether a matrix with n columns and these elementary divisors has
+    rows spanning Z^n."""
+    return len(divisors) >= n and all(d == 1 for d in divisors[:n])
+
+
+def _verdict(graph: Graph, divs_a: Optional[tuple], method: str) -> RAVerdict:
+    """The RA verdict of a connected, neighborhood-distinguishable graph with
+    activation divisors divs_a (None for the "full" method, which skips the
+    prime scan)."""
     g6 = graph6_encode(graph)
     n = graph.n
     C = ra_matrix(graph)
-    if method != "full":
-        divs_a = snf_divisors(activation_matrix(graph))
+    if divs_a is not None:
         largest = divs_a[-1] if divs_a else 1
         if largest == 1:
             return RAVerdict(g6, True, "prime_rank_scan",
@@ -130,8 +147,7 @@ def is_ra(graph: Graph, method: str = "auto") -> RAVerdict:
         elif method == "fast":
             raise InvalidParameter("fast path needs a nonzero largest activation divisor")
     divs_c = snf_divisors(C)
-    full = len(divs_c) >= n and all(d == 1 for d in divs_c[:n])
-    if full:
+    if _spans_full_lattice(divs_c, n):
         return RAVerdict(g6, True, "snf_full_lattice",
                          f"divisors {divisor_tuple_str(divs_c[:n])}")
     bad = next((d for d in divs_c[:n] if d != 1), 0)
@@ -331,9 +347,9 @@ def census(max_n: int, allow_eight: bool = False,
                 continue
             distinguishable += 1
             divs = snf_divisors(activation_matrix(g))
-            if spans_full_lattice(activation_matrix(g)):
+            if _spans_full_lattice(divs, n):
                 full += 1
-            verdict = is_ra(g)
+            verdict = _verdict(g, divs, "auto")
             if verdict.ra:
                 ra_count += 1
             rows.append(CensusRow(n, verdict.graph, divs, verdict.ra,

@@ -113,8 +113,6 @@ def _solve_single(A: IntMat, target: Sequence[int], modulus) -> tuple:
         stacked = A
     else:
         r = int(modulus)
-        if r < 2:
-            raise InvalidParameter("moduli must be >= 2")
         extra = [[r if j == i else 0 for j in range(n)] for i in range(n)]
         stacked = IntMat(list(A.row_list()) + extra, cols=n)
     dec = hnf(stacked)
@@ -193,6 +191,8 @@ def solve(graph: Graph, moduli, target) -> Union[Solution, Unsolvable]:
     moduli = tuple(int(r) for r in moduli)
     if not moduli:
         raise InvalidParameter("need at least one modulus")
+    if any(r < 2 for r in moduli):
+        raise InvalidParameter("moduli must be >= 2")
     targets = _normalize_targets(moduli, target, graph.n)
     out = []
     for alpha, r in enumerate(moduli):

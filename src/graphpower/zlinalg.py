@@ -473,10 +473,6 @@ def solve_row_combination(M: IntMat, target: Sequence[int]) -> Optional[tuple]:
     return c
 
 
-def lattice_contains(M: IntMat, target: Sequence[int]) -> bool:
-    return solve_row_combination(M, target) is not None
-
-
 def divisor_tuple_str(divisors: Sequence[int]) -> str:
     """Exponent-compressed rendering, e.g. (1^3, 3) or (1^4, 2, 0^3)."""
     out = []

@@ -247,3 +247,31 @@ def closure_order(degree: int, generators, limit: int = 1 << 21) -> int:
                     nxt.append(y)
         frontier = nxt
     return len(seen)
+
+
+# -- derived subgroup of a graph power --------------------------------------------
+
+def derived_power_order_by_basic_commutators(group, graph) -> int:
+    """|[G^graph, G^graph]| as the normal closure, under conjugation by the
+    clicks, of the basic commutators [g^u, h^v]: the commutator [g, h] placed
+    on every vertex of B(u) cap B(v), u <= v.
+
+    Closed neighborhoods, clicks and commutator values are rebuilt here from
+    the adjacency and the elements of G; only the permutation-group engine
+    (normal closure with Schreier-Sims orders) is shared with the package.
+    """
+    from graphpower.perm import normal_closure
+
+    d, n = group.degree, graph.n
+    ball = [{v} | set(graph.neighbors(v)) for v in range(n)]
+
+    def spread(g, support):
+        return tuple(v * d + (g.image[x] if v in support else x)
+                     for v in range(n) for x in range(d))
+
+    clicks = [spread(g, ball[v]) for v in range(n) for g in group.generators]
+    elems = group.elements()
+    comms = {x * y * x.inverse() * y.inverse() for x in elems for y in elems}
+    basics = {spread(c, ball[u] & ball[v])
+              for u in range(n) for v in range(u, n) for c in comms}
+    return normal_closure(n * d, clicks, sorted(basics), max_order=None).order()

@@ -170,6 +170,31 @@ def test_bad_json_target(capsys):
     assert code == 2
 
 
+def test_solve_zero_modulus(capsys):
+    code, out, err = run(capsys, "solve", "C4", "--moduli", "0", "--target", "1,0,0,0")
+    assert code == 2 and out == "" and ">= 2" in err
+
+
+def test_solve_non_integer_json_value(capsys):
+    nested = '{"0": ' + "[" * 50000 + "]" * 50000 + "}"
+    for target in ('{"0": "abc"}', nested):
+        code, out, err = run(capsys, "solve", "C4", "--moduli", "3", "--target", target)
+        assert code == 2 and out == "" and "bad JSON target" in err
+
+
+def test_solve_missing_target_file(capsys, tmp_path):
+    missing = tmp_path / "missing-target.txt"
+    code, out, err = run(capsys, "solve", "C4", "--moduli", "3", "--target", f"@{missing}")
+    assert code == 2 and out == "" and "cannot read target file" in err
+
+
+def test_nonpositive_max_order(capsys, monkeypatch):
+    for raw in ("0", "-5"):
+        monkeypatch.setenv("GRAPHPOWER_MAX_ORDER", raw)
+        code, out, err = run(capsys, "ra", "chain", "C4", "--group", "D8")
+        assert code == 2 and out == "" and "must be positive" in err
+
+
 def test_hypercube_gen_matches_library(capsys):
     code, out, _ = run(capsys, "graph", "gen", "hypercube", "3", "--format", "graph6")
     assert code == 0
