@@ -174,6 +174,13 @@ def _oeis_crosscheck(path: str, report) -> bool:
     return ok
 
 
+def _exponent(value) -> int:
+    """A JSON target exponent: an integer, not a float or a boolean."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"exponent {value!r} is not an integer")
+    return value
+
+
 def _parse_target(raw: str, n: int):
     text = raw.strip()
     if text.startswith("@"):
@@ -185,8 +192,8 @@ def _parse_target(raw: str, n: int):
     if text.startswith("{"):
         try:
             obj = json.loads(text)
-            items = [(int(k), tuple(int(x) for x in val) if isinstance(val, list) else int(val))
-                     for k, val in obj.items()]
+            items = [(int(k), tuple(_exponent(x) for x in val) if isinstance(val, list)
+                      else _exponent(val)) for k, val in obj.items()]
         except (ValueError, TypeError, RecursionError) as exc:
             raise InputError(f"bad JSON target: {exc}")
         target = [None] * n

@@ -1,12 +1,12 @@
 """Constructive solving over abelian state groups.
 
 States over a sum of cyclic groups Z_{r_1} x ... x Z_{r_k} split into
-independent single-factor problems. Each factor asks for integer click
-multiplicities c with c . A == target (mod r); that is membership of the
-target in the row lattice of A extended by r Z^n, decided by Hermite normal
-form back substitution. The stacked matrix always has full column rank, so
-the candidate solution is unique and each failed exact division names the
-first obstructed pivot, which maps to a vertex.
+independent single-factor problems. Each factor asks for click
+multiplicities c with c . A == target (mod r), or over Z; zlinalg.row_solve
+decides it by echelon form and back substitution, eliminating inside Z/r
+itself. A failed back substitution names the first column j such that no
+reachable state agrees with the target on vertices 0..j; that vertex is the
+witness.
 
 Every returned click vector is re-simulated through power_click before it is
 returned; a mismatch is an internal fault, not a solver answer.
@@ -22,7 +22,7 @@ from .graphs import Graph
 from .groups import cyclic
 from .power import power_click
 from .ra import activation_matrix
-from .zlinalg import IntMat, hnf, mat_vec
+from .zlinalg import hnf, mat_vec, row_solve
 
 INTEGERS = "Z"
 
@@ -75,56 +75,6 @@ def reachability_profile(graph: Graph) -> ReachabilityProfile:
     constrained = tuple((perm[col], val) for _, col, val in pivots if val > 1)
     fixed = graph.n - free - len(constrained)
     return ReachabilityProfile(free, constrained, fixed, perm)
-
-
-def _back_substitute(H: IntMat, target: Sequence[int]):
-    """Unique candidate y with y . H == target, or the first failing column.
-
-    Returns (y, None) on success, (None, column) on failure. Pivot columns
-    determine y exactly (divisibility can fail); non-pivot columns are
-    consistency checks.
-    """
-    n = H.cols
-    y = [0] * H.rows
-    pivot_of_col = {}
-    for i, row in enumerate(H._rows):
-        for j, v in enumerate(row):
-            if v:
-                pivot_of_col[j] = (i, v)
-                break
-    for j in range(n):
-        acc = sum(y[i] * H[i, j] for i in range(H.rows) if y[i])
-        rest = target[j] - acc
-        if j in pivot_of_col:
-            i, p = pivot_of_col[j]
-            if rest % p:
-                return None, j
-            y[i] = rest // p
-        else:
-            if rest:
-                return None, j
-    return y, None
-
-
-def _solve_single(A: IntMat, target: Sequence[int], modulus) -> tuple:
-    """(clicks, failing_column). Clicks has length A.rows."""
-    n = A.cols
-    if modulus == INTEGERS:
-        stacked = A
-    else:
-        r = int(modulus)
-        extra = [[r if j == i else 0 for j in range(n)] for i in range(n)]
-        stacked = IntMat(list(A.row_list()) + extra, cols=n)
-    dec = hnf(stacked)
-    ty = [int(t) for t in target]
-    y, bad_col = _back_substitute(dec.H, ty)
-    if y is None:
-        return None, bad_col
-    coeffs = mat_vec(tuple(y), dec.U)
-    clicks = list(coeffs[:A.rows])
-    if modulus != INTEGERS:
-        clicks = [c % int(modulus) for c in clicks]
-    return tuple(clicks), None
 
 
 def _normalize_targets(moduli, target, n: int) -> list:
@@ -182,7 +132,7 @@ def solve(graph: Graph, moduli, target) -> Union[Solution, Unsolvable]:
     A = activation_matrix(graph)
     if moduli == INTEGERS or moduli == [INTEGERS] or moduli == (INTEGERS,):
         targets = _normalize_targets((INTEGERS,), target, graph.n)
-        clicks, bad = _solve_single(A, targets[0], INTEGERS)
+        clicks, bad = row_solve(A, targets[0])
         if clicks is None:
             return Unsolvable(0, INTEGERS, bad,
                               f"no integer combination reaches vertex {bad}")
@@ -197,7 +147,7 @@ def solve(graph: Graph, moduli, target) -> Union[Solution, Unsolvable]:
     out = []
     for alpha, r in enumerate(moduli):
         tvec = [t % r for t in targets[alpha]]
-        clicks, bad = _solve_single(A, tvec, r)
+        clicks, bad = row_solve(A, tvec, r)
         if clicks is None:
             return Unsolvable(alpha, r, bad,
                               f"factor {alpha} (mod {r}): pivot at vertex {bad} obstructed")

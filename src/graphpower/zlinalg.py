@@ -1,13 +1,15 @@
-"""Exact integer linear algebra over Z.
+"""Exact integer linear algebra over Z and Z/r.
 
 Everything here runs on native Python integers, so intermediate entries may
 grow past machine words without loss. Matrices are immutable; all operations
 return fresh values.
 
-The two workhorses are the Smith normal form (divisor chains, lattice
-membership) and the row Hermite normal form (echelon bases, back
-substitution). Both come with unimodular witnesses; lean divisor-only and
-rank-only paths exist for large inputs where witnesses would be dead weight.
+One elimination kernel, `_echelon`, serves every operation: it puts a row
+lattice (optionally extended by r Z^n, i.e. working in Z/r) into echelon
+form and carries witness columns along. The Hermite normal form adds the
+reduction above each pivot; the Smith normal form alternates the kernel on a
+matrix and its transpose until it is diagonal; rank mod p, the full-lattice
+test and the Diophantine solver read its pivots.
 """
 
 from __future__ import annotations
@@ -126,6 +128,119 @@ def _require_prime(p: int) -> None:
         raise NotPrime(f"{p} is not prime")
 
 
+# -- the echelon kernel -------------------------------------------------------
+
+def _xgcd(a: int, b: int) -> tuple:
+    """(g, s, t) with s*a + t*b == g == gcd(a, b)."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (a, s0, t0) if a >= 0 else (-a, -s0, -t0)
+
+
+def _pivot_row(rows, top, c, r):
+    """A row at or below `top` whose entry in column c is a unit (mod r when
+    r > 0), else one with the smallest nonzero entry, else None."""
+    best = None
+    for i in range(top, len(rows)):
+        v = rows[i][c]
+        if v:
+            if v == 1 or v == -1 or (r and gcd(v, r) == 1):
+                return i
+            if best is None or abs(v) < abs(rows[best][c]):
+                best = i
+    return best
+
+
+def _smallest_gcd_column(rows, top, c, n):
+    """The column in c..n-1 whose entries at or below `top` have the smallest
+    nonzero gcd (the first such), or None when they are all zero."""
+    best = None
+    for k in range(c, n):
+        g = 0
+        for i in range(top, len(rows)):
+            g = gcd(g, rows[i][k])
+            if g == 1:
+                break
+        if g and (best is None or g < best[0]):
+            best = (g, k)
+            if g == 1:
+                break
+    return None if best is None else best[1]
+
+
+def _echelon(rows, n, r=0, perm=None):
+    """Row echelon form, in place, of the lattice spanned by `rows`.
+
+    Only the first n columns are eliminated; any later columns are witness
+    columns that every row operation carries along. Returns the pivot
+    columns: rows[i] has its positive pivot in column pivots[i], zeros to the
+    left of it and in that column below it, and the rows after the last pivot
+    row vanish on the first n columns.
+
+    With r > 0 the lattice also contains r*Z^n. All entries, inputs included,
+    lie in [0, r). Each pivot is combined with r by an extended gcd, so it
+    divides r, and for a pivot g the row (r/g) * pivot row, which vanishes in
+    the pivot column, joins the rows below: the rows below each pivot then
+    span everything in the lattice that vanishes on the pivot columns so far
+    (the Howell property), which back substitution relies on.
+
+    With `perm` a list, each step first moves the remaining column whose
+    entries below the pivots have the smallest nonzero gcd into place and
+    records the swap in perm; gcds never drop during elimination, so the
+    pivots read 1, ..., 1 and then ascend.
+    """
+    pivots = []
+    for c in range(n):
+        top = len(pivots)
+        if top == len(rows):
+            break
+        if perm is not None:
+            k = _smallest_gcd_column(rows, top, c, n)
+            if k is None:
+                break
+            if k != c:
+                for row in rows:
+                    row[c], row[k] = row[k], row[c]
+                perm[c], perm[k] = perm[k], perm[c]
+        # gcd-collect column c into rows[top]
+        while True:
+            i = _pivot_row(rows, top, c, r)
+            if i is None:
+                break
+            rows[top], rows[i] = rows[i], rows[top]
+            p = rows[top]
+            if r:
+                g, s, _ = _xgcd(p[c], r)
+                if s != 1:
+                    p = rows[top] = [s * x % r for x in p]
+                if g > 1:
+                    extra = [r // g * x % r for x in p]
+                    if any(extra[c + 1:n]):
+                        rows.append(extra)
+            elif p[c] < 0:
+                p = rows[top] = [-x for x in p]
+            a = p[c]
+            done = True
+            for k in range(top + 1, len(rows)):
+                row = rows[k]
+                if row[c]:
+                    q = row[c] // a
+                    if q:
+                        if r:
+                            row = rows[k] = [(x - q * y) % r for x, y in zip(row, p)]
+                        else:
+                            row = rows[k] = [x - q * y for x, y in zip(row, p)]
+                    if row[c]:
+                        done = False
+            if done:
+                pivots.append(c)
+                break
+    return pivots
+
+
 # -- Smith normal form --------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -141,139 +256,81 @@ class SNFDecomposition:
         return (self.U @ M @ self.V) == self.D
 
 
-def _min_abs_pivot(a, t, m, n):
-    best = None
-    for i in range(t, m):
-        row = a[i]
-        for j in range(t, n):
-            v = row[j]
-            if v and (best is None or abs(v) < best[0]):
-                best = (abs(v), i, j)
-                if best[0] == 1:
-                    return best[1], best[2]
-    return None if best is None else (best[1], best[2])
+def _transpose(a) -> list:
+    return [list(col) for col in zip(*a)]
 
 
-def _diagonalize(a, m, n, U=None, V=None):
-    """In-place SNF elimination on list-of-lists `a`; witnesses optional."""
-    t = 0
-    while t < min(m, n):
-        piv = _min_abs_pivot(a, t, m, n)
-        if piv is None:
-            break
-        i, j = piv
-        if i != t:
-            a[t], a[i] = a[i], a[t]
+def _smith_chain(d, U=None, V=None) -> None:
+    """Turn the positive diagonal d into a divisor chain in place.
+
+    Each pair (a, b) becomes (g, ab/g) with g = gcd(a, b) = s*a + t*b. With
+    witnesses, rows i, j of U take the left factor [[s, t], [-b/g, a/g]] and
+    columns i, j of V the right factor [[1, -t*b/g], [1, s*a/g]].
+    """
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            a, b = d[i], d[j]
+            if b % a == 0:
+                continue
+            g, s, t = _xgcd(a, b)
+            d[i], d[j] = g, a // g * b
             if U is not None:
-                U[t], U[i] = U[i], U[t]
-        if j != t:
-            for row in a:
-                row[t], row[j] = row[j], row[t]
-            if V is not None:
+                ui, uj = U[i], U[j]
+                U[i] = [s * x + t * y for x, y in zip(ui, uj)]
+                U[j] = [a // g * y - b // g * x for x, y in zip(ui, uj)]
                 for row in V:
-                    row[t], row[j] = row[j], row[t]
-        while True:
-            # clear column t
-            restart = False
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    if q:
-                        _row_sub(a, i, t, q)
-                        if U is not None:
-                            _row_sub(U, i, t, q)
-                    if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-                        if U is not None:
-                            U[t], U[i] = U[i], U[t]
-                        restart = True
-                        break
-            if restart:
-                continue
-            # clear row t
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    if q:
-                        _col_sub(a, j, t, q)
-                        if V is not None:
-                            _col_sub(V, j, t, q)
-                    if a[t][j]:
-                        for row in a:
-                            row[t], row[j] = row[j], row[t]
-                        if V is not None:
-                            for row in V:
-                                row[t], row[j] = row[j], row[t]
-                        restart = True
-                        break
-            if restart:
-                continue
-            break
-        # divisibility sweep: pivot must divide every remaining entry
-        p = a[t][t]
-        offender = None
-        for i in range(t + 1, m):
-            row = a[i]
-            for j in range(t + 1, n):
-                if row[j] % p:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            _row_add(a, t, offender)
-            if U is not None:
-                _row_add(U, t, offender)
-            continue  # redo step t
-        if p < 0:
-            a[t] = [-x for x in a[t]]
-            if U is not None:
-                U[t] = [-x for x in U[t]]
-        t += 1
-
-
-def _row_sub(a, i, t, q):
-    ri, rt = a[i], a[t]
-    a[i] = [x - q * y for x, y in zip(ri, rt)]
-
-
-def _row_add(a, i, k):
-    a[i] = [x + y for x, y in zip(a[i], a[k])]
-
-
-def _col_sub(a, j, t, q):
-    for row in a:
-        row[j] -= q * row[t]
+                    vi, vj = row[i], row[j]
+                    row[i], row[j] = vi + vj, s * a // g * vj - t * b // g * vi
 
 
 def snf(M: IntMat) -> SNFDecomposition:
-    """Smith normal form with unimodular witnesses U, V."""
+    """Smith normal form with unimodular witnesses U, V.
+
+    Echelon passes alternate between the matrix (carrying U) and its
+    transpose (carrying V) until it is diagonal; the diagonal then becomes a
+    divisor chain.
+    """
     m, n = M.rows, M.cols
     a = M.row_list()
-    U = IntMat.identity(m).row_list()
-    V = IntMat.identity(n).row_list()
-    _diagonalize(a, m, n, U, V)
+    left, right = IntMat.identity(m).row_list(), IntMat.identity(n).row_list()
+    flipped = False
+    while True:
+        width = len(right)
+        rows = [x + w for x, w in zip(a, left)]
+        pivots = _echelon(rows, width)
+        a, left = [row[:width] for row in rows], [row[width:] for row in rows]
+        k = len(pivots)
+        if pivots == list(range(k)) and not any(any(a[i][i + 1:]) for i in range(k)):
+            break
+        a, left, right = _transpose(a), _transpose(right), _transpose(left)
+        flipped = not flipped
+    if flipped:
+        a, left, right = _transpose(a), _transpose(right), _transpose(left)
+    d = [a[i][i] for i in range(k)]
+    _smith_chain(d, left, right)
+    for i, x in enumerate(d):
+        a[i][i] = x
     divisors = tuple(a[i][i] for i in range(min(m, n)))
-    return SNFDecomposition(IntMat(U, cols=m), IntMat(a, cols=n), IntMat(V, cols=n), divisors)
+    return SNFDecomposition(IntMat(left, cols=m), IntMat(a, cols=n), IntMat(right, cols=n),
+                            divisors)
 
 
 def snf_divisors(M: IntMat) -> tuple:
-    """Divisor chain only; skips witness bookkeeping and duplicate rows."""
-    seen = set()
-    rows = []
-    for r in M._rows:
-        if r not in seen and any(r):
-            seen.add(r)
-            rows.append(list(r))
-    m, n = len(rows), M.cols
-    if m == 0:
-        return (0,) * min(M.rows, n)
-    _diagonalize(rows, m, n)
-    divs = [rows[i][i] for i in range(min(m, n))]
-    # duplicate and zero rows removed above never carry extra divisors: they
-    # only contribute zeros at the tail of the chain
-    divs += [0] * (min(M.rows, n) - len(divs))
-    return tuple(divs[:min(M.rows, n)])
+    """Divisor chain only; skips witness bookkeeping, duplicate and zero rows
+    (they only add zeros at the tail of the chain)."""
+    rows = [list(r) for r in dict.fromkeys(M._rows) if any(r)]
+    n = M.cols
+    d = []
+    while rows:
+        pivots = _echelon(rows, n)
+        del rows[len(pivots):]
+        if not any(any(row[c + 1:]) for row, c in zip(rows, pivots)):
+            d = [row[c] for row, c in zip(rows, pivots)]
+            break
+        rows = [list(col) for col in zip(*rows) if any(col)]
+        n = len(pivots)
+    _smith_chain(d)
+    return tuple(d + [0] * (min(M.rows, M.cols) - len(d)))
 
 
 # -- Hermite normal form ------------------------------------------------------
@@ -304,80 +361,21 @@ class HNFDecomposition:
         return out
 
 
-def _hnf_core(M: IntMat, nice: bool):
-    m, n = M.rows, M.cols
-    a = M.row_list()
-    U = IntMat.identity(m).row_list()
-    perm = list(range(n))
-    row = 0
-    pos = 0  # next column position to fill
-    while row < m and pos < n:
-        if nice:
-            # choose the remaining column whose entries below `row` have the
-            # smallest nonzero gcd; gcds never drop during elimination, so
-            # the pivot sequence comes out sorted
-            best = None
-            for k in range(pos, n):
-                g = 0
-                for i in range(row, m):
-                    g = gcd(g, a[i][k])
-                    if g == 1:
-                        break
-                if g and (best is None or g < best[0]):
-                    best = (g, k)
-                    if g == 1:
-                        break
-            if best is None:
-                break
-            k = best[1]
-            if k != pos:
-                for r in a:
-                    r[pos], r[k] = r[k], r[pos]
-                perm[pos], perm[k] = perm[k], perm[pos]
-        col = pos
-        # gcd-collect column entries at rows >= row into the pivot slot
-        if not any(a[i][col] for i in range(row, m)):
-            pos += 1
-            continue
-        while True:
-            i_min = min(
-                (i for i in range(row, m) if a[i][col]),
-                key=lambda i: abs(a[i][col]),
-            )
-            if i_min != row:
-                a[row], a[i_min] = a[i_min], a[row]
-                U[row], U[i_min] = U[i_min], U[row]
-            done = True
-            for i in range(row + 1, m):
-                if a[i][col]:
-                    q = a[i][col] // a[row][col]
-                    _row_sub(a, i, row, q)
-                    _row_sub(U, i, row, q)
-                    if a[i][col]:
-                        done = False
-            if done:
-                break
-        if a[row][col] < 0:
-            a[row] = [-x for x in a[row]]
-            U[row] = [-x for x in U[row]]
-        pivot = a[row][col]
-        for i in range(row):
-            q = a[i][col] // pivot
-            if q:
-                _row_sub(a, i, row, q)
-                _row_sub(U, i, row, q)
-        row += 1
-        pos += 1
-    return a, U, perm
-
-
 def hnf(M: IntMat, nice: bool = False) -> HNFDecomposition:
     """Row Hermite normal form; `nice` allows a column permutation that
     front-loads unit pivots and sorts the rest ascending."""
-    a, U, perm = _hnf_core(M, nice)
+    m, n = M.rows, M.cols
+    rows = [list(row) + w for row, w in zip(M._rows, IntMat.identity(m).row_list())]
+    perm = list(range(n)) if nice else None
+    for i, c in enumerate(_echelon(rows, n, perm=perm)):
+        p = rows[i]
+        for k in range(i):
+            q = rows[k][c] // p[c]
+            if q:
+                rows[k] = [x - q * y for x, y in zip(rows[k], p)]
     return HNFDecomposition(
-        IntMat(U, cols=M.rows),
-        IntMat(a, cols=M.cols),
+        IntMat([row[n:] for row in rows], cols=m),
+        IntMat([row[:n] for row in rows], cols=n),
         tuple(perm) if nice else None,
     )
 
@@ -387,43 +385,15 @@ def hnf(M: IntMat, nice: bool = False) -> HNFDecomposition:
 def rank_mod_p(M: IntMat, p: int) -> int:
     """Rank of M over the field with p elements."""
     _require_prime(p)
-    rows = []
-    seen = set()
-    for r in M._rows:
-        rr = tuple(x % p for x in r)
-        if any(rr) and rr not in seen:
-            seen.add(rr)
-            rows.append(list(rr))
-    n = M.cols
-    rank = 0
-    for col in range(n):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], p - 2, p) if p > 2 else rows[rank][col]
-        prow = rows[rank]
-        if inv != 1:
-            prow[:] = [(x * inv) % p for x in prow]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], prow)]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    reduced = dict.fromkeys(tuple(x % p for x in r) for r in M._rows)
+    return len(_echelon([list(r) for r in reduced if any(r)], M.cols, p))
 
 
 def spans_full_lattice(M: IntMat) -> bool:
     """True iff the rows of M generate all of Z^cols."""
-    n = M.cols
-    if n == 0:
-        return True
-    if M.rows < n:
-        return False
-    divs = snf_divisors(M)
-    return len(divs) >= n and all(d == 1 for d in divs[:n])
+    rows = M.row_list()
+    pivots = _echelon(rows, M.cols)
+    return len(pivots) == M.cols and all(rows[i][c] == 1 for i, c in enumerate(pivots))
 
 
 def row_sum_divisibility_certificate(M: IntMat, p: int) -> bool:
@@ -439,37 +409,43 @@ def row_sum_divisibility_certificate(M: IntMat, p: int) -> bool:
 
 # -- Diophantine solving ------------------------------------------------------
 
-def solve_row_combination(M: IntMat, target: Sequence[int]) -> Optional[tuple]:
-    """Integer row vector c with c @ M == target, or None.
+def row_solve(M: IntMat, target: Sequence[int], r: int = 0) -> tuple:
+    """Row vector c with c @ M == target (mod r when r > 0), by echelon form
+    and back substitution.
 
-    Decides membership of `target` in the row lattice of M by Smith normal
-    form back substitution; the returned combination verifies exactly.
+    Returns (c, None), c reduced into [0, r) when r > 0, or (None, j) with j
+    the first column such that no vector of the row lattice (plus r*Z^cols)
+    agrees with `target` on columns 0..j.
     """
     if len(target) != M.cols:
         raise DimensionMismatch(f"target length {len(target)} != cols {M.cols}")
     m, n = M.rows, M.cols
-    if m == 0:
-        return None if any(target) else ()
-    dec = snf(M)
-    k = min(m, n)
-    # c @ M = t  <=>  (c @ Uinv) @ D = t @ V, with z = c @ Uinv supported on
-    # the diagonal part of D
-    tv = mat_vec(tuple(target), dec.V)
-    z = [0] * m
-    for i in range(k):
-        d = dec.divisors[i]
-        if d == 0:
-            if tv[i]:
-                return None
-        else:
-            if tv[i] % d:
-                return None
-            z[i] = tv[i] // d
-    if any(tv[i] for i in range(k, n)):
-        return None
-    c = mat_vec(tuple(z), dec.U)
-    if mat_vec(c, M) != tuple(target):  # pragma: no cover - internal check
-        raise ArithmeticError("SNF back substitution produced a bad witness")
+    rows = [list(row) + w for row, w in zip(M._rows, IntMat.identity(m).row_list())]
+    if r:
+        rows = [[x % r for x in row] for row in rows]
+    pivot_rows = dict(zip(_echelon(rows, n, r), rows))
+    # subtract pivot rows from [target | 0]; the witness part collects -c
+    res = list(target) + [0] * m
+    for j in range(n):
+        rest = res[j] % r if r else res[j]
+        p = pivot_rows.get(j)
+        y, bad = divmod(rest, p[j]) if p else (0, rest)
+        if bad:
+            return None, j
+        if y:
+            res = [x - y * z for x, z in zip(res, p)]
+    return tuple(-x % r if r else -x for x in res[n:]), None
+
+
+def solve_row_combination(M: IntMat, target: Sequence[int]) -> Optional[tuple]:
+    """Integer row vector c with c @ M == target, or None.
+
+    Decides membership of `target` in the row lattice of M; the returned
+    combination verifies exactly.
+    """
+    c, _ = row_solve(M, target)
+    if c is not None and mat_vec(c, M) != tuple(target):  # pragma: no cover - internal check
+        raise ArithmeticError("back substitution produced a bad witness")
     return c
 
 

@@ -9,6 +9,7 @@ when one is wrong.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from math import gcd, factorial
 
@@ -108,6 +109,53 @@ def lattice_member_bruteforce(rows, target, bound: int) -> bool:
         if vec == list(target):
             return True
     return False
+
+
+def rational_rank(rows) -> int:
+    """Rank over Q by Fraction-based elimination."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(rank, len(a)) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        for i in range(rank + 1, len(a)):
+            f = a[i][col] / a[rank][col]
+            a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return rank
+
+
+@lru_cache(maxsize=64)
+def _reachable_mod(rows: tuple, r: int) -> frozenset:
+    n = len(rows[0])
+    return frozenset(
+        tuple(sum(c * row[j] for c, row in zip(coeffs, rows)) % r for j in range(n))
+        for coeffs in product(range(r), repeat=len(rows)))
+
+
+def modular_obstruction_bruteforce(rows, target, r: int):
+    """Enumerate every c in (Z/r)^m. None when some c . rows == target
+    (mod r); otherwise the first column j such that no reachable state
+    agrees with the target on columns 0..j."""
+    n = len(rows[0])
+    reached = _reachable_mod(tuple(map(tuple, rows)), r)
+    goal = tuple(t % r for t in target)
+    if goal in reached:
+        return None
+    return next(j for j in range(n)
+                if not any(s[:j + 1] == goal[:j + 1] for s in reached))
+
+
+def lattice_member_exact(rows, target) -> bool:
+    """Is target in the row lattice L of rows? With d the last nonzero
+    gcd-of-minors divisor of L, target is in L exactly when it lies in the
+    rational span of L and in L + d Z^n (decided exhaustively mod d)."""
+    nonzero = [d for d in minors_divisors(rows) if d]
+    if rational_rank(list(rows) + [list(target)]) != len(nonzero):
+        return False
+    return modular_obstruction_bruteforce(rows, target, nonzero[-1] if nonzero else 1) is None
 
 
 # -- labeled-graph census oracles -------------------------------------------------

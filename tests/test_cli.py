@@ -177,7 +177,8 @@ def test_solve_zero_modulus(capsys):
 
 def test_solve_non_integer_json_value(capsys):
     nested = '{"0": ' + "[" * 50000 + "]" * 50000 + "}"
-    for target in ('{"0": "abc"}', nested):
+    for target in ('{"0": "abc"}', nested, '{"0": 1.5}', '{"1": true}',
+                   '{"0": 1.5, "1": true}', '{"0": [1, 2.0]}', '{"0": [false, 1]}'):
         code, out, err = run(capsys, "solve", "C4", "--moduli", "3", "--target", target)
         assert code == 2 and out == "" and "bad JSON target" in err
 

@@ -14,9 +14,9 @@ from graphpower.solver import (
     solvable_iff_lights_out,
     solve,
 )
-from graphpower.zlinalg import mat_vec, solve_row_combination, spans_full_lattice
+from graphpower.zlinalg import mat_vec, spans_full_lattice
 
-from oracles import gfp_solvable
+from oracles import gfp_solvable, lattice_member_exact, modular_obstruction_bruteforce
 
 
 def test_grid_all_ones_mod2():
@@ -56,12 +56,27 @@ def test_reachability_profiles():
 def test_solve_matches_lattice_membership_over_z():
     rng = random.Random(11)
     for g in [cycle(4), path(5), star(3), cycle(6)]:
-        A = activation_matrix(g)
+        A = activation_matrix(g).row_list()
         for _ in range(25):
             target = tuple(rng.randint(-4, 4) for _ in range(g.n))
             res = solve(g, INTEGERS, list(target))
-            member = solve_row_combination(A, target) is not None
-            assert isinstance(res, Solution) == member
+            assert isinstance(res, Solution) == lattice_member_exact(A, target)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 6])
+def test_modular_solve_matches_bruteforce(r):
+    rng = random.Random(r)
+    graphs = [g for n in range(1, 5) for g in enumerate_connected_graphs(n)]
+    for g in graphs + [cycle(5), path(5)]:
+        A = activation_matrix(g).row_list()
+        for _ in range(24):
+            target = [rng.randrange(r) for _ in range(g.n)]
+            res = solve(g, (r,), target)
+            bad = modular_obstruction_bruteforce(A, target, r)
+            if bad is None:
+                assert isinstance(res, Solution)
+            else:
+                assert isinstance(res, Unsolvable) and res.vertex == bad
 
 
 def test_factor_independence():

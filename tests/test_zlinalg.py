@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphpower.errors import NotPrime
+from graphpower.graphs import grid, relabel
+from graphpower.ra import activation_matrix
 from graphpower.zlinalg import (
     IntMat,
     divisor_tuple_str,
@@ -15,10 +17,16 @@ from graphpower.zlinalg import (
     snf_divisors,
     solve_row_combination,
     spans_full_lattice,
+    row_solve,
     row_sum_divisibility_certificate,
 )
 
-from oracles import det_exact, lattice_member_bruteforce, minors_divisors
+from oracles import (
+    det_exact,
+    lattice_member_bruteforce,
+    minors_divisors,
+    modular_obstruction_bruteforce,
+)
 
 A_C4 = IntMat([[1, 1, 0, 1], [1, 1, 1, 0], [0, 1, 1, 1], [1, 0, 1, 1]])
 A_P3 = IntMat([[1, 1, 0], [1, 1, 1], [0, 1, 1]])
@@ -65,6 +73,17 @@ def test_snf_divisors_with_duplicate_and_zero_rows():
     assert snf_divisors(mat) == snf(mat).divisors == minors_divisors(mat.row_list())
     tall = IntMat([[3, 3], [3, 3], [3, 3]])
     assert snf_divisors(tall) == snf(tall).divisors == (3, 0)
+
+
+def test_snf_divisors_invariant_under_relabeling():
+    # the divisor chain is a graph invariant; under this relabeling of
+    # grid16x16 smallest-entry SNF pivoting runs for minutes, so the test
+    # also bounds the elimination's coefficient growth
+    perm = list(range(256))
+    random.Random(1002).shuffle(perm)
+    mat = activation_matrix(relabel(grid(16, 16), perm))
+    assert divisor_tuple_str(snf_divisors(mat)) == \
+        "(1^248, 2^3, 134, 536^2, 5576008, 2280587272)"
 
 
 def test_snf_identity_witnesses():
@@ -125,11 +144,9 @@ def test_hnf_shape_and_lattice(rows):
     # zero rows come last
     nonzero = [any(row) for row in dec.H.row_list()]
     assert nonzero == sorted(nonzero, reverse=True)
-    # same row lattice both ways
-    for row in mat._rows:
-        assert solve_row_combination(dec.H, row) is not None
-    for row in dec.H._rows:
-        assert solve_row_combination(mat, row) is not None
+    # same row lattice: H's rows lie in it (U is integral) and the index is 1
+    # (equal gcd-of-minors chains)
+    assert minors_divisors(dec.H.row_list()) == minors_divisors(rows)
 
 
 @settings(max_examples=60, deadline=None)
@@ -216,6 +233,21 @@ def test_solve_row_combination_agrees_with_bruteforce(rows, target):
         assert mat_vec(c, mat) == tuple(target)
     else:
         assert not lattice_member_bruteforce(rows, tuple(target), 3)
+
+
+def test_row_solve_mod_r_matches_bruteforce():
+    # composite moduli exercise the rows (r/g) * pivot row that keep the
+    # echelon form complete modulo r
+    rng = random.Random(1)
+    for _ in range(400):
+        r = rng.choice([2, 3, 4, 6, 8, 9, 12])
+        m, n = rng.randint(1, 3), rng.randint(1, 4)
+        rows = [[rng.randint(-r, 2 * r) for _ in range(n)] for _ in range(m)]
+        target = [rng.randrange(r) for _ in range(n)]
+        c, bad = row_solve(IntMat(rows), target, r)
+        assert bad == modular_obstruction_bruteforce(rows, target, r)
+        if c is not None:
+            assert [x % r for x in mat_vec(c, IntMat(rows))] == target
 
 
 def test_divisor_tuple_str():
