@@ -181,9 +181,10 @@ def _echelon(rows, n, r=0, perm=None):
     row vanish on the first n columns.
 
     With r > 0 the lattice also contains r*Z^n. All entries, inputs included,
-    lie in [0, r). Each pivot is combined with r by an extended gcd, so it
-    divides r, and for a pivot g the row (r/g) * pivot row, which vanishes in
-    the pivot column, joins the rows below: the rows below each pivot then
+    lie in [0, r). Each pivot row is scaled by a unit mod r, chosen from the
+    extended gcd of the pivot and r, so the pivot divides r; for a pivot g
+    the row (r/g) * pivot row, which vanishes in the pivot column, joins the
+    rows below: the rows below each pivot then
     span everything in the lattice that vanishes on the pivot columns so far
     (the Howell property), which back substitution relies on.
 
@@ -214,6 +215,10 @@ def _echelon(rows, n, r=0, perm=None):
             p = rows[top]
             if r:
                 g, s, _ = _xgcd(p[c], r)
+                # s is a unit mod r/g; shift it to a unit mod r so that
+                # scaling the row keeps the lattice
+                while gcd(s, r) != 1:
+                    s += r // g
                 if s != 1:
                     p = rows[top] = [s * x % r for x in p]
                 if g > 1:
@@ -283,30 +288,39 @@ def _smith_chain(d, U=None, V=None) -> None:
                     row[i], row[j] = vi + vj, s * a // g * vj - t * b // g * vi
 
 
-def snf(M: IntMat) -> SNFDecomposition:
-    """Smith normal form with unimodular witnesses U, V.
+def _smith_passes(a, n, left=None, right=None) -> tuple:
+    """Echelon passes that alternate between the rows a (n columns) and
+    their transpose until a is diagonal; returns (diagonal, a, left, right).
 
-    Echelon passes alternate between the matrix (carrying U) and its
-    transpose (carrying V) until it is diagonal; the diagonal then becomes a
-    divisor chain.
+    With witnesses, left and right are U and V as row lists: a row operation
+    on the transpose is a column operation, so they swap roles at each flip
+    and come back in the input orientation. Without them, the rows after the
+    pivots are dropped after each pass (they only add zeros to the chain).
     """
-    m, n = M.rows, M.cols
-    a = M.row_list()
-    left, right = IntMat.identity(m).row_list(), IntMat.identity(n).row_list()
     flipped = False
     while True:
-        width = len(right)
-        rows = [x + w for x, w in zip(a, left)]
-        pivots = _echelon(rows, width)
-        a, left = [row[:width] for row in rows], [row[width:] for row in rows]
+        rows = a if left is None else [x + w for x, w in zip(a, left)]
+        pivots = _echelon(rows, n)
         k = len(pivots)
+        if left is None:
+            a = rows[:k]
+        else:
+            a, left = [row[:n] for row in rows], [row[n:] for row in rows]
         if pivots == list(range(k)) and not any(any(a[i][i + 1:]) for i in range(k)):
             break
+        n, a, flipped = len(a), _transpose(a), not flipped
+        if left is not None:
+            left, right = _transpose(right), _transpose(left)
+    if flipped and left is not None:
         a, left, right = _transpose(a), _transpose(right), _transpose(left)
-        flipped = not flipped
-    if flipped:
-        a, left, right = _transpose(a), _transpose(right), _transpose(left)
-    d = [a[i][i] for i in range(k)]
+    return [a[i][i] for i in range(k)], a, left, right
+
+
+def snf(M: IntMat) -> SNFDecomposition:
+    """Smith normal form with unimodular witnesses U, V."""
+    m, n = M.rows, M.cols
+    d, a, left, right = _smith_passes(M.row_list(), n, IntMat.identity(m).row_list(),
+                                      IntMat.identity(n).row_list())
     _smith_chain(d, left, right)
     for i, x in enumerate(d):
         a[i][i] = x
@@ -318,17 +332,7 @@ def snf(M: IntMat) -> SNFDecomposition:
 def snf_divisors(M: IntMat) -> tuple:
     """Divisor chain only; skips witness bookkeeping, duplicate and zero rows
     (they only add zeros at the tail of the chain)."""
-    rows = [list(r) for r in dict.fromkeys(M._rows) if any(r)]
-    n = M.cols
-    d = []
-    while rows:
-        pivots = _echelon(rows, n)
-        del rows[len(pivots):]
-        if not any(any(row[c + 1:]) for row, c in zip(rows, pivots)):
-            d = [row[c] for row, c in zip(rows, pivots)]
-            break
-        rows = [list(col) for col in zip(*rows) if any(col)]
-        n = len(pivots)
+    d = _smith_passes([list(r) for r in dict.fromkeys(M._rows) if any(r)], M.cols)[0]
     _smith_chain(d)
     return tuple(d + [0] * (min(M.rows, M.cols) - len(d)))
 

@@ -63,7 +63,7 @@ def test_solve_matches_lattice_membership_over_z():
             assert isinstance(res, Solution) == lattice_member_exact(A, target)
 
 
-@pytest.mark.parametrize("r", [2, 3, 4, 6])
+@pytest.mark.parametrize("r", [2, 3, 4, 6, 10])
 def test_modular_solve_matches_bruteforce(r):
     rng = random.Random(r)
     graphs = [g for n in range(1, 5) for g in enumerate_connected_graphs(n)]

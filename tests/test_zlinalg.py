@@ -237,17 +237,28 @@ def test_solve_row_combination_agrees_with_bruteforce(rows, target):
 
 def test_row_solve_mod_r_matches_bruteforce():
     # composite moduli exercise the rows (r/g) * pivot row that keep the
-    # echelon form complete modulo r
+    # echelon form complete modulo r; 10 and 20 give gcd cofactors that are
+    # not units modulo r
     rng = random.Random(1)
     for _ in range(400):
-        r = rng.choice([2, 3, 4, 6, 8, 9, 12])
+        r = rng.choice([2, 3, 4, 6, 8, 9, 10, 12, 20])
         m, n = rng.randint(1, 3), rng.randint(1, 4)
         rows = [[rng.randint(-r, 2 * r) for _ in range(n)] for _ in range(m)]
         target = [rng.randrange(r) for _ in range(n)]
+        if rng.random() < 0.5:  # a reachable target
+            coeffs = [rng.randrange(r) for _ in range(m)]
+            target = [x % r for x in mat_vec(coeffs, IntMat(rows))]
         c, bad = row_solve(IntMat(rows), target, r)
         assert bad == modular_obstruction_bruteforce(rows, target, r)
         if c is not None:
             assert [x % r for x in mat_vec(c, IntMat(rows))] == target
+
+
+def test_row_solve_mod_r_scales_pivot_rows_by_units():
+    # xgcd(4, 10) gives the cofactor -2; scaling the row (4, 1) by it would
+    # leave only the multiples of (2, 8), which miss (4, 1) itself
+    assert row_solve(IntMat([[4, 1]]), [4, 1], 10) == ((1,), None)
+    assert row_solve(IntMat([[8, 1]]), [8, 1], 20) == ((1,), None)
 
 
 def test_divisor_tuple_str():
