@@ -23,8 +23,15 @@ from .errors import (
 
 CONNECTED_GRAPH_COUNTS = (1, 1, 2, 6, 21, 112, 853, 11117)  # n = 1..8
 
-# branch-and-bound canonical labeling is exponential in the worst case; this
-# library only needs it at enumeration scale
+# size caps checked before any vertex or edge storage is allocated; far above
+# the largest graph the library is used on (grid20x20: 400 vertices, 760 edges)
+MAX_VERTICES = 4096
+MAX_EDGES = 65536
+
+# individualization-refinement visits a handful of search nodes per graph at
+# enumeration scale (K16 takes one path per level), but some highly regular
+# graphs still need exponentially many; this library needs certificates only
+# at enumeration scale
 _CERTIFICATE_MAX_N = 16
 
 
@@ -36,6 +43,8 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple], labels: Optional[Sequence[str]] = None):
         if n < 1:
             raise InvalidParameter("graphs need at least one vertex")
+        if n > MAX_VERTICES:
+            raise LimitExceeded(f"{n} vertices exceed the cap of {MAX_VERTICES}")
         canon = set()
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -43,6 +52,8 @@ class Graph:
             if u == v:
                 raise SelfLoopRejected(f"self-loop at {u}")
             canon.add((u, v) if u < v else (v, u))
+            if len(canon) > MAX_EDGES:
+                raise LimitExceeded(f"more than {MAX_EDGES} edges exceed the cap")
         self.n = n
         self.edges = frozenset(canon)
         self.labels = tuple(labels) if labels is not None else None
@@ -98,28 +109,33 @@ def closed_neighborhood(g: Graph, v: int) -> frozenset:
 
 def path(n: int) -> Graph:
     _at_least(n, 1, "path")
+    _check_size("path", n, n - 1)
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle(n: int) -> Graph:
     _at_least(n, 3, "cycle")
+    _check_size("cycle", n, n)
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete(n: int) -> Graph:
     _at_least(n, 1, "complete")
+    _check_size("complete", n, n * (n - 1) // 2)
     return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def complete_bipartite(m: int, n: int) -> Graph:
     _at_least(m, 1, "complete_bipartite")
     _at_least(n, 1, "complete_bipartite")
+    _check_size("complete_bipartite", m + n, m * n)
     return Graph(m + n, [(i, m + j) for i in range(m) for j in range(n)])
 
 
 def star(n: int) -> Graph:
     """Star with n leaves (n+1 vertices, hub 0)."""
     _at_least(n, 1, "star")
+    _check_size("star", n + 1, n)
     return Graph(n + 1, [(0, i) for i in range(1, n + 1)])
 
 
@@ -127,13 +143,19 @@ def hypercube(d: int) -> Graph:
     """d-cube on the d-bit strings in binary order."""
     if d < 0:
         raise InvalidParameter("hypercube needs d >= 0")
+    if d >= MAX_VERTICES.bit_length():
+        raise LimitExceeded(f"hypercube {d} has 2^{d} vertices, over the cap of {MAX_VERTICES}")
     n = 1 << d
+    _check_size("hypercube", n, d * n // 2)
     return Graph(max(n, 1), [(v, v ^ (1 << b)) for v in range(n) for b in range(d) if v < v ^ (1 << b)])
 
 
 def folded_cube(d: int) -> Graph:
     """(d-1)-cube with every pair of antipodal vertices joined."""
     _at_least(d, 2, "folded_cube")
+    if d > MAX_VERTICES.bit_length():
+        raise LimitExceeded(f"folded_cube {d} has 2^{d - 1} vertices, over the cap of {MAX_VERTICES}")
+    _check_size("folded_cube", 1 << (d - 1), d << (d - 2))
     base = hypercube(d - 1)
     n = base.n
     extra = [(v, v ^ (n - 1)) for v in range(n) if v < v ^ (n - 1)]
@@ -143,6 +165,7 @@ def folded_cube(d: int) -> Graph:
 def wheel(n: int) -> Graph:
     """Wheel on n vertices: hub n-1 joined to the cycle 0..n-2."""
     _at_least(n, 4, "wheel")
+    _check_size("wheel", n, 2 * (n - 1))
     rim = [(i, (i + 1) % (n - 1)) for i in range(n - 1)]
     spokes = [(i, n - 1) for i in range(n - 1)]
     return Graph(n, rim + spokes)
@@ -151,6 +174,7 @@ def wheel(n: int) -> Graph:
 def grid(m: int, k: int) -> Graph:
     _at_least(m, 1, "grid")
     _at_least(k, 1, "grid")
+    _check_size("grid", m * k, m * (k - 1) + (m - 1) * k)
     edges = []
     for i in range(m):
         for j in range(k):
@@ -165,6 +189,7 @@ def tadpole(m: int, k: int) -> Graph:
     """Cycle on m vertices with a pendant path of k extra vertices at vertex 0."""
     _at_least(m, 3, "tadpole")
     _at_least(k, 1, "tadpole")
+    _check_size("tadpole", m + k, m + k)
     edges = [(i, (i + 1) % m) for i in range(m)]
     prev = 0
     for t in range(k):
@@ -183,6 +208,7 @@ def petersen() -> Graph:
 def triangle_strip(n: int) -> Graph:
     """Vertices 0..n-1 with triangles 012, 123, ..., (n-3)(n-2)(n-1)."""
     _at_least(n, 3, "triangle_strip")
+    _check_size("triangle_strip", n, 2 * n - 3)
     edges = [(i, i + 1) for i in range(n - 1)] + [(i, i + 2) for i in range(n - 2)]
     return Graph(n, edges)
 
@@ -215,6 +241,12 @@ def make_family(family: str, *params: int) -> Graph:
 def _at_least(value: int, minimum: int, family: str) -> None:
     if value < minimum:
         raise InvalidParameter(f"{family} parameter {value} below minimum {minimum}")
+
+
+def _check_size(family: str, vertices: int, edges: int) -> None:
+    if vertices > MAX_VERTICES or edges > MAX_EDGES:
+        raise LimitExceeded(f"{family} would have {vertices} vertices and {edges} edges; "
+                            f"the caps are {MAX_VERTICES} and {MAX_EDGES}")
 
 
 # -- classification -----------------------------------------------------------
@@ -387,56 +419,185 @@ def relabel(g: Graph, perm: Sequence[int]) -> Graph:
 
 # -- canonical labeling and isomorph-free enumeration --------------------------
 
-def canonical_form(g: Graph) -> tuple:
-    """(certificate, placement) where certificate is the lexicographically
-    smallest column-code sequence over all vertex orderings and placement[i]
-    is the original vertex put at position i.
+def _refine(masks: tuple, cells: list, stack: list, ncells: int) -> int:
+    """Refine an ordered partition of ncells cells, in place, to the
+    coarsest equitable one finer than it; return its number of cells.
 
-    Column code at position j packs the adjacency bits of the new vertex to
-    positions 0..j-1, earliest position most significant; comparing code
-    sequences equals comparing the packed upper-triangle bit string.
+    cells[s] is the vertex bitmask of the cell that starts at position s and
+    0 at the other positions of a cell; stack holds the start positions of
+    the splitter cells. Each cell is split by the number of neighbours its
+    vertices have in a splitter, pieces ordered by that count, so the result
+    does not depend on vertex labels.
+    """
+    n = len(cells)
+    queued = set(stack)
+    while stack and ncells < n:
+        start = stack.pop()
+        queued.discard(start)
+        w = cells[start]
+        single = masks[w.bit_length() - 1] if not w & (w - 1) else None
+        s = 0
+        while s < n:
+            x = cells[s]
+            size = x.bit_count()
+            if size == 1:
+                s += 1
+                continue
+            if single is not None:
+                pieces = [p for p in (x & ~single, x & single) if p]
+            else:
+                groups = {}
+                y = x
+                while y:
+                    b = y & -y
+                    k = (masks[b.bit_length() - 1] & w).bit_count()
+                    groups[k] = groups.get(k, 0) | b
+                    y ^= b
+                pieces = [groups[k] for k in sorted(groups)]
+            if len(pieces) > 1:
+                sizes = [p.bit_count() for p in pieces]
+                # a queued cell needs every piece queued; otherwise the
+                # largest piece is implied by the others (Hopcroft)
+                skip = 0 if s in queued else sizes.index(max(sizes))
+                pos = s
+                for i, p in enumerate(pieces):
+                    cells[pos] = p
+                    if i != skip and pos not in queued:
+                        stack.append(pos)
+                        queued.add(pos)
+                    pos += sizes[i]
+                ncells += len(pieces) - 1
+            s += size
+    return ncells
+
+
+def _column_codes(masks: tuple, order: Sequence[int]) -> tuple:
+    """Code of each position j: the adjacency bits of order[j] to order[0..j-1],
+    earliest position most significant."""
+    codes = []
+    for j, v in enumerate(order):
+        mv = masks[v]
+        code = 0
+        for u in order[:j]:
+            code = (code << 1) | (mv >> u & 1)
+        codes.append(code)
+    return tuple(codes)
+
+
+def _canonical_search(g: Graph) -> tuple:
+    """(certificate, placement, automorphism generators) by
+    individualization-refinement.
+
+    The root partition is the equitable refinement of the unit partition.
+    A node individualizes each vertex of its first smallest non-singleton
+    cell in turn and refines; a leaf is a discrete partition, read as a
+    vertex order and scored by its column codes. A leaf that scores like the
+    first or the best leaf gives an automorphism (old order -> new order).
+    A child whose orbit, under the automorphisms found so far that fix the
+    node's individualized vertices, holds an explored child is skipped, and
+    after such a leaf the search returns to the node where its path left the
+    equivalent leaf's path, whose subtree there mirrors one already searched
+    (McKay 1981). The automorphisms found generate the automorphism group.
     """
     n = g.n
     if n > _CERTIFICATE_MAX_N:
         raise LimitExceeded(f"canonical labeling capped at {_CERTIFICATE_MAX_N} vertices")
     masks = g._masks
-    best: Optional[list] = None
-    best_perm: Optional[list] = None
-    perm: list = []
-    codes: list = []
+    gens: list = []
+    first = best = None  # (codes, order, individualized vertices)
+    individualized: list = []
 
-    def extend(depth: int, tight: bool) -> None:
-        nonlocal best, best_perm
-        if depth == n:
-            if best is None or codes < best:
-                best = codes.copy()
-                best_perm = perm.copy()
-            return
-        options = []
-        for v in range(n):
-            if v in perm:
-                continue
-            mv = masks[v]
-            code = 0
-            for u in perm:
-                code = (code << 1) | (mv >> u & 1)
-            options.append((code, v))
-        options.sort()
-        for code, v in options:
-            if best is not None and tight:
-                if code > best[depth]:
-                    break  # sorted: everything after is larger too
-                child_tight = code == best[depth]
-            else:
-                child_tight = False
-            perm.append(v)
-            codes.append(code)
-            extend(depth + 1, child_tight if best is not None else True)
-            perm.pop()
-            codes.pop()
+    def common_depth(other: list) -> int:
+        d = 0
+        for a, b in zip(individualized, other):
+            if a != b:
+                break
+            d += 1
+        return d
 
-    extend(0, True)
-    return (n, tuple(best)), best_perm
+    def leaf(cells: list) -> int:
+        nonlocal first, best
+        order = [c.bit_length() - 1 for c in cells]
+        codes = _column_codes(masks, order)
+        if first is None:
+            first = best = (codes, order, individualized.copy())
+            return n
+        jump = n
+        for codes0, order0, path0 in ((first,) if best is first else (first, best)):
+            if codes == codes0:
+                aut = [0] * n
+                for u, v in zip(order0, order):
+                    aut[u] = v
+                gens.append(tuple(aut))
+                jump = min(jump, common_depth(path0))
+        if codes < best[0]:
+            best = (codes, order, individualized.copy())
+        return jump
+
+    def search(cells: list, ncells: int) -> int:
+        """Search the subtree under this node; return the depth to resume at."""
+        if ncells == n:
+            return leaf(cells)
+        target, tsize, s = 0, n + 1, 0
+        while s < n:
+            size = cells[s].bit_count()
+            if 1 < size < tsize:
+                target, tsize = s, size
+            s += size
+        depth = len(individualized)
+        x = cells[target]
+        explored = 0
+        y = x
+        while y:
+            b = y & -y
+            y ^= b
+            v = b.bit_length() - 1
+            if explored:
+                fixing = [a for a in gens if all(a[u] == u for u in individualized)]
+                orbit, frontier = b, [v]
+                for u in frontier:
+                    for a in fixing:
+                        w = a[u]
+                        if not orbit >> w & 1:
+                            orbit |= 1 << w
+                            frontier.append(w)
+                if orbit & explored:
+                    continue
+            explored |= b
+            child = cells.copy()
+            child[target] = b
+            child[target + 1] = x ^ b
+            individualized.append(v)
+            jump = search(child, _refine(masks, child, [target], ncells + 1))
+            individualized.pop()
+            if jump < depth:
+                return jump
+        return depth
+
+    cells = [0] * n
+    cells[0] = (1 << n) - 1
+    search(cells, _refine(masks, cells, [0], 1))
+    return (n, best[0]), best[1], gens
+
+
+def canonical_form(g: Graph) -> tuple:
+    """(certificate, placement) where placement[i] is the original vertex put
+    at position i.
+
+    The certificate is (n, codes) for the smallest code sequence over the
+    leaves of the individualization-refinement tree (see _canonical_search);
+    the tree depends only on the isomorphism class, so isomorphic graphs get
+    equal certificates. The column code at position j packs the adjacency
+    bits of the vertex placed there to positions 0..j-1, earliest position
+    most significant, so comparing code sequences equals comparing the
+    packed upper-triangle bit string, and relabel(g, placement) has exactly
+    these codes. A graph whose own labeling already scores the minimum gets
+    the identity placement.
+    """
+    cert, placement, _ = _canonical_search(g)
+    if _column_codes(g._masks, range(g.n)) == cert[1]:
+        placement = list(range(g.n))
+    return cert, placement
 
 
 def canonical_certificate(g: Graph) -> tuple:
@@ -458,25 +619,65 @@ def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
     on n vertices, by vertex augmentation from canonical (n-1)-vertex parents.
 
     Every connected graph has a non-cut vertex, so augmenting each parent by
-    one new vertex with every nonempty neighbor set reaches every class.
-    Capped at n = 8 (desk scale)."""
+    one new vertex with every nonempty neighbor set reaches every class; a
+    set of certificates keeps one child per class. Capped at n = 8 (desk
+    scale)."""
     if n < 1:
         raise InvalidParameter("n must be positive")
     if n > 8:
         raise LimitExceeded("enumeration capped at 8 vertices")
+    for g, _ in _augmented_classes(n):
+        yield g
+
+
+def _augmented_classes(n: int) -> Iterator[tuple]:
+    """(representative, automorphism generators on its labels) per class.
+
+    Neighbor sets in one orbit of the parent's automorphism group give
+    isomorphic children, so only the first set of each orbit is tried."""
     if n == 1:
-        yield Graph(1, [])
+        yield Graph(1, []), []
         return
     seen = set()
-    for parent in enumerate_connected_graphs(n - 1):
+    for parent, parent_gens in _augmented_classes(n - 1):
         base_edges = list(parent.edges)
-        for mask in range(1, 1 << (n - 1)):
-            edges = base_edges + [(u, n - 1) for u in range(n - 1) if mask >> u & 1]
-            child = Graph(n, edges)
-            cert, perm = canonical_form(child)
+        for mask in _subset_orbit_representatives(n - 1, parent_gens):
+            child = Graph(n, base_edges + [(u, n - 1) for u in range(n - 1) if mask >> u & 1])
+            cert, placement, gens = _canonical_search(child)
             if cert not in seen:
                 seen.add(cert)
-                yield relabel(child, perm)
+                position = [0] * n
+                for i, v in enumerate(placement):
+                    position[v] = i
+                yield (relabel(child, placement),
+                       [tuple(position[a[v]] for v in placement) for a in gens])
+
+
+def _subset_orbit_representatives(m: int, gens: list) -> Iterator[int]:
+    """The smallest bitmask of each orbit of the nonempty subsets of 0..m-1
+    under the group generated by gens."""
+    images = [[1 << a[u] for u in range(m)] for a in gens]
+    if not images:
+        yield from range(1, 1 << m)
+        return
+    seen = bytearray(1 << m)
+    for mask in range(1, 1 << m):
+        if seen[mask]:
+            continue
+        yield mask
+        seen[mask] = 1
+        stack = [mask]
+        while stack:
+            x = stack.pop()
+            for img in images:
+                y, z = 0, x
+                while z:
+                    b = z & -z
+                    y |= img[b.bit_length() - 1]
+                    z ^= b
+                if not seen[y]:
+                    seen[y] = 1
+                    stack.append(y)
 
 
 # -- graph6, DOT, JSON --------------------------------------------------------

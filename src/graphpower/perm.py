@@ -318,34 +318,6 @@ class PermGroup:
         return f"PermGroup(degree={self.degree}, order={self.order()})"
 
 
-def closure_elements(degree: int, generators: Iterable, limit: int = 1 << 20) -> set:
-    """Plain breadth-first closure, independent of the stabilizer chain.
-
-    Used as a cross-check oracle for PermGroup orders.
-    """
-    identity = tuple(range(degree))
-    gens = []
-    for g in generators:
-        img = g.image if isinstance(g, Perm) else tuple(g)
-        if len(img) != degree:
-            raise DomainMismatch("degree mismatch")
-        gens.append(img)
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = _compose(x, g)
-                if y not in seen:
-                    if len(seen) >= limit:
-                        raise LimitExceeded(f"closure exceeded {limit} elements")
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return seen
-
-
 def normal_closure(degree: int, ambient_gens: Sequence, sub_gens: Sequence,
                    max_order: Optional[int] = DEFAULT_MAX_ORDER) -> PermGroup:
     """Smallest subgroup containing sub_gens and closed under conjugation by

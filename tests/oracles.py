@@ -277,8 +277,9 @@ def connected_counts_by_euler_transform(max_n: int) -> list:
 
 # -- plain closure for subgroup orders --------------------------------------------
 
-def closure_order(degree: int, generators, limit: int = 1 << 21) -> int:
-    """Breadth-first closure size over raw image tuples."""
+def closure_elements(degree: int, generators, limit: int = 1 << 21) -> set:
+    """Every element of the generated group, as image tuples, by
+    breadth-first closure independent of the stabilizer chain."""
     gens = [tuple(g.image) if hasattr(g, "image") else tuple(g) for g in generators]
     identity = tuple(range(degree))
     seen = {identity}
@@ -294,7 +295,60 @@ def closure_order(degree: int, generators, limit: int = 1 << 21) -> int:
                     seen.add(y)
                     nxt.append(y)
         frontier = nxt
-    return len(seen)
+    return seen
+
+
+def closure_order(degree: int, generators, limit: int = 1 << 21) -> int:
+    return len(closure_elements(degree, generators, limit))
+
+
+# -- canonical labeling by branch and bound ------------------------------------
+
+def canonical_certificate_bruteforce(g) -> tuple:
+    """(n, codes): the smallest column-code sequence over all vertex orders.
+
+    The code at position j packs the adjacency bits of the vertex placed
+    there to positions 0..j-1, earliest position most significant. A plain
+    branch-and-bound over vertex orders, sorted by code, that abandons a
+    prefix once its codes exceed the best; on K_n it visits all n! orders.
+    """
+    n = g.n
+    masks = [0] * n
+    for u, v in g.edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    best = None
+    perm, codes = [], []
+
+    def extend(depth: int, tight: bool) -> None:
+        nonlocal best
+        if depth == n:
+            if best is None or codes < best:
+                best = codes.copy()
+            return
+        options = []
+        for v in range(n):
+            if v in perm:
+                continue
+            code = 0
+            for u in perm:
+                code = (code << 1) | (masks[v] >> u & 1)
+            options.append((code, v))
+        options.sort()
+        for code, v in options:
+            child_tight = True
+            if best is not None:
+                if tight and code > best[depth]:
+                    break
+                child_tight = tight and code == best[depth]
+            perm.append(v)
+            codes.append(code)
+            extend(depth + 1, child_tight)
+            perm.pop()
+            codes.pop()
+
+    extend(0, True)
+    return n, tuple(best)
 
 
 # -- derived subgroup of a graph power --------------------------------------------

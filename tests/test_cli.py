@@ -196,6 +196,16 @@ def test_nonpositive_max_order(capsys, monkeypatch):
         assert code == 2 and out == "" and "must be positive" in err
 
 
+def test_oversized_graphs_exit_capacity(capsys, tmp_path):
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"n": 1000000000, "edges": []}')
+    for spec in ("Q30", "K100000", "grid100000x100000", f"@{huge}"):
+        code, out, err = run(capsys, "graph", "classify", spec)
+        assert code == 3 and out == "" and "cap" in err
+    code, out, err = run(capsys, "graph", "gen", "hypercube", "30")
+    assert code == 3 and out == ""
+
+
 def test_hypercube_gen_matches_library(capsys):
     code, out, _ = run(capsys, "graph", "gen", "hypercube", "3", "--format", "graph6")
     assert code == 0

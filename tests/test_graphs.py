@@ -14,7 +14,10 @@ from graphpower.errors import (
     SpecParseError,
 )
 from graphpower.graphs import (
+    MAX_EDGES,
+    MAX_VERTICES,
     Graph,
+    _canonical_search,
     build_graph,
     canonical_certificate,
     canonical_form,
@@ -47,7 +50,13 @@ from graphpower.graphs import (
     wheel,
 )
 
-from oracles import connected_classes_bruteforce, connected_counts_by_euler_transform
+from graphpower.perm import PermGroup
+
+from oracles import (
+    canonical_certificate_bruteforce,
+    connected_classes_bruteforce,
+    connected_counts_by_euler_transform,
+)
 
 
 def random_graph(draw):
@@ -220,6 +229,101 @@ def test_enumerate_yields_connected_nonisomorphic_canonical():
         next(enumerate_connected_graphs(9))
     with pytest.raises(InvalidParameter):
         next(enumerate_connected_graphs(0))
+
+
+def _identity_codes(g):
+    return tuple(sum(g.has_edge(i, j) << (j - 1 - i) for i in range(j)) for j in range(g.n))
+
+
+def test_canonical_form_matches_bruteforce_oracle():
+    rng = random.Random(11)
+    pool = []
+    for n in range(1, 7):
+        for g in enumerate_connected_graphs(n):
+            pool.append(g)
+            for _ in range(3):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                pool.append(relabel(g, perm))
+            if n > 1:
+                i, j = sorted(rng.sample(range(n), 2))
+                pool.append(Graph(n, g.edges ^ {(i, j)}))
+    # G(n, 1/2): the oracle visits all n! orders of an empty or complete graph
+    for _ in range(300):
+        n = rng.randint(2, 9)
+        g = Graph(n, [(i, j) for j in range(n) for i in range(j) if rng.random() < 0.5])
+        perm = list(range(n))
+        rng.shuffle(perm)
+        pool.extend([g, relabel(g, perm)])
+    ours, theirs = {}, {}
+    for g in pool:
+        cert, placement = canonical_form(g)
+        oracle = canonical_certificate_bruteforce(g)
+        # equal certificates exactly when the oracle's are equal
+        assert ours.setdefault(cert, oracle) == oracle
+        assert theirs.setdefault(oracle, cert) == cert
+        assert cert == (g.n, _identity_codes(relabel(g, placement)))
+
+
+def _cayley_z4z4(steps):
+    def index(a, b):
+        return 4 * (a % 4) + b % 4
+    return Graph(16, [(index(a, b), index(a + x, b + y))
+                      for a in range(4) for b in range(4) for x, y in steps])
+
+
+def test_automorphism_generators():
+    for n in range(1, 7):
+        for g in enumerate_connected_graphs(n):
+            for a in _canonical_search(g)[2]:
+                assert {tuple(sorted((a[u], a[v]))) for u, v in g.edges} == g.edges
+    for g, order in ((complete(6), 720), (cycle(8), 16), (petersen(), 120), (hypercube(3), 48)):
+        gens = _canonical_search(g)[2]
+        for a in gens:
+            assert {tuple(sorted((a[u], a[v]))) for u, v in g.edges} == g.edges
+        assert PermGroup(g.n, gens).order() == order
+    # one path per level instead of the 16! orders a plain search visits
+    assert canonical_certificate(complete(16)) == (16, tuple((1 << j) - 1 for j in range(16)))
+
+
+def test_canonical_form_on_symmetric_graphs():
+    # the 4x4 rook's graph and the Shrikhande graph share the parameters
+    # (16, 6, 2, 2) of a strongly regular graph but are not isomorphic
+    rook = _cayley_z4z4([(d, 0) for d in (1, 2, 3)] + [(0, d) for d in (1, 2, 3)])
+    shrikhande = _cayley_z4z4([(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)])
+    paley13 = Graph(13, [(i, j) for i in range(13) for j in range(i + 1, 13)
+                         if (j - i) % 13 in (1, 3, 4, 9, 10, 12)])
+    fixtures = ((petersen(), 120), (hypercube(4), 384), (complete_bipartite(4, 4), 1152),
+                (cycle(12), 24), (grid(4, 4), 8), (rook, 1152), (shrikhande, 192),
+                (paley13, 78), (folded_cube(5), 1920))
+    rng = random.Random(5)
+    certs = set()
+    for g, order in fixtures:
+        cert = canonical_certificate(g)
+        certs.add(cert)
+        for _ in range(10):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            h = relabel(g, perm)
+            got, placement, gens = _canonical_search(h)
+            assert got == cert
+            assert got == (h.n, _identity_codes(relabel(h, placement)))
+            assert PermGroup(h.n, gens, max_order=None).order() == order
+    assert len(certs) == len(fixtures)
+
+
+def test_size_caps():
+    with pytest.raises(LimitExceeded):
+        Graph(MAX_VERTICES + 1, [])
+    with pytest.raises(LimitExceeded):
+        Graph(400, ((i, j) for j in range(400) for i in range(j)))
+    assert hypercube(12).n == MAX_VERTICES
+    assert len(complete(362).edges) <= MAX_EDGES
+    for build in (lambda: hypercube(13), lambda: folded_cube(14), lambda: complete(363),
+                  lambda: grid(65, 64), lambda: path(MAX_VERTICES + 1),
+                  lambda: complete_bipartite(2, 40000), lambda: star(MAX_VERTICES)):
+        with pytest.raises(LimitExceeded):
+            build()
 
 
 @settings(max_examples=40, deadline=None)

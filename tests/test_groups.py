@@ -17,9 +17,9 @@ from graphpower.groups import (
     subgroup_order_and_membership,
     symmetric,
 )
-from graphpower.perm import Perm, PermGroup, closure_elements
+from graphpower.perm import Perm, PermGroup
 
-from oracles import closure_order
+from oracles import closure_elements, closure_order
 
 
 def quaternion_group() -> FiniteGroup:
