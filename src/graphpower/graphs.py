@@ -315,26 +315,33 @@ def is_connected(g: Graph) -> bool:
 def girth(g: Graph) -> float:
     """Length of a shortest cycle; inf for forests.
 
-    For each edge, the shortest cycle through it is 1 + the distance between
-    its endpoints with the edge removed. Quadratic, fine at desk scale.
+    One breadth-first search per vertex s: a non-tree edge ab closes a walk
+    through s of length d(a) + d(b) + 1, which holds a cycle at most that
+    long and equals the girth when s lies on a shortest cycle. A search
+    stops at the depth where no shorter cycle can close, and the scan stops
+    once a triangle is found.
     """
     best = math.inf
-    for u, v in g.edges:
+    for s in range(g.n):
+        if best == 3:
+            break
         dist = [-1] * g.n
-        dist[u] = 0
-        frontier = [u]
-        while frontier and dist[v] < 0:
+        parent = [-1] * g.n
+        dist[s] = 0
+        frontier = [s]
+        depth = 0
+        while frontier and 2 * depth + 1 < best:
             nxt = []
             for a in frontier:
                 for b in g._adj[a]:
-                    if a == u and b == v:
-                        continue
                     if dist[b] < 0:
-                        dist[b] = dist[a] + 1
+                        dist[b] = depth + 1
+                        parent[b] = a
                         nxt.append(b)
+                    elif b != parent[a]:
+                        best = min(best, depth + dist[b] + 1)
             frontier = nxt
-        if dist[v] >= 0:
-            best = min(best, dist[v] + 1)
+            depth += 1
     return best
 
 
@@ -777,17 +784,17 @@ def from_json(obj: dict) -> Graph:
 # -- CLI graph mini-language ---------------------------------------------------
 
 _SPEC_PATTERNS = [
-    (re.compile(r"^P(\d+)$"), lambda m: path(int(m.group(1)))),
-    (re.compile(r"^C(\d+)$"), lambda m: cycle(int(m.group(1)))),
-    (re.compile(r"^K(\d+)$"), lambda m: complete(int(m.group(1)))),
-    (re.compile(r"^K(\d+),(\d+)$"), lambda m: complete_bipartite(int(m.group(1)), int(m.group(2)))),
-    (re.compile(r"^St(\d+)$"), lambda m: star(int(m.group(1)))),
-    (re.compile(r"^Q(\d+)$"), lambda m: hypercube(int(m.group(1)))),
-    (re.compile(r"^FQ(\d+)$"), lambda m: folded_cube(int(m.group(1)))),
-    (re.compile(r"^W(\d+)$"), lambda m: wheel(int(m.group(1)))),
-    (re.compile(r"^T(\d+),(\d+)$"), lambda m: tadpole(int(m.group(1)), int(m.group(2)))),
-    (re.compile(r"^TS(\d+)$"), lambda m: triangle_strip(int(m.group(1)))),
-    (re.compile(r"^grid(\d+)x(\d+)$"), lambda m: grid(int(m.group(1)), int(m.group(2)))),
+    (re.compile(r"^P(\d+)$"), path),
+    (re.compile(r"^C(\d+)$"), cycle),
+    (re.compile(r"^K(\d+)$"), complete),
+    (re.compile(r"^K(\d+),(\d+)$"), complete_bipartite),
+    (re.compile(r"^St(\d+)$"), star),
+    (re.compile(r"^Q(\d+)$"), hypercube),
+    (re.compile(r"^FQ(\d+)$"), folded_cube),
+    (re.compile(r"^W(\d+)$"), wheel),
+    (re.compile(r"^T(\d+),(\d+)$"), tadpole),
+    (re.compile(r"^TS(\d+)$"), triangle_strip),
+    (re.compile(r"^grid(\d+)x(\d+)$"), grid),
 ]
 
 
@@ -820,7 +827,11 @@ def parse_graph_spec(token: str) -> Graph:
         m = pattern.match(tok)
         if m:
             try:
-                return builder(m)
+                params = [int(x) for x in m.groups()]
+            except ValueError as exc:  # past sys.get_int_max_str_digits()
+                raise SpecParseError(tok, "number too long") from exc
+            try:
+                return builder(*params)
             except InvalidParameter as exc:
                 raise SpecParseError(tok, str(exc)) from exc
     raise SpecParseError(tok, "unrecognized graph spec")

@@ -193,7 +193,10 @@ def parse_group_spec(text: str) -> FiniteGroup:
         letter = part[:1]
         if letter not in ("C", "D", "S", "A", "H") or not part[1:].isdigit():
             raise SpecParseError(part, "unrecognized group token")
-        n = int(part[1:])
+        try:
+            n = int(part[1:])
+        except ValueError as exc:  # past sys.get_int_max_str_digits(), or a digit int() refuses
+            raise SpecParseError(part, "bad group order") from exc
         builder = {"C": cyclic, "D": dihedral, "S": symmetric,
                    "A": alternating, "H": heisenberg}[letter]
         try:

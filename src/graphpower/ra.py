@@ -3,9 +3,9 @@
 A graph is RA when the coordinatewise commutator subgroup of every graph
 power is the full [G,G]^n. That holds exactly when the intersection matrix
 (rows: indicator vectors of pairwise closed-neighborhood intersections)
-spans the full integer lattice, so the verdict is a Smith normal form
-computation, with a cheaper modular-rank scan over the primes dividing the
-largest activation divisor as a fast path.
+spans the full integer lattice, so the verdict is that theorem itself: one
+echelon pass over Z gives the index of the row lattice, and the graph is RA
+when it is 1.
 
 Structural sufficient conditions (girth at least 5, girth-4 shapes, complete
 bipartite shapes) are reported as advisory hints; the lattice test stays the
@@ -30,15 +30,9 @@ from .graphs import (
     is_connected,
     is_neighborhood_distinguishable,
 )
-from .zlinalg import (
-    IntMat,
-    divisor_tuple_str,
-    is_prime,
-    rank_mod_p,
-    snf_divisors,
-)
+from .zlinalg import IntMat, is_prime, lattice_index, rank_mod_p, snf_divisors
 
-RA_METHODS = ("snf_full_lattice", "prime_rank_scan")
+RA_METHODS = ("full_lattice",)
 
 
 def activation_matrix(graph: Graph) -> IntMat:
@@ -70,18 +64,13 @@ def ra_matrix(graph: Graph) -> IntMat:
     return IntMat([row for _, row in _intersection_rows(graph, True)], cols=graph.n)
 
 
-def _prime_factors(n: int) -> list:
-    out = []
+def _smallest_prime_factor(n: int) -> int:
     d = 2
     while d * d <= n:
         if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
+            return d
         d += 1
-    if n > 1:
-        out.append(n)
-    return out
+    return n
 
 
 @dataclass(frozen=True)
@@ -96,66 +85,25 @@ class RAVerdict:
                 "method": self.method, "witness": self.witness}
 
 
-def is_ra(graph: Graph, method: str = "auto") -> RAVerdict:
+def is_ra(graph: Graph) -> RAVerdict:
     """Decide the RA property for a connected, neighborhood-distinguishable
-    graph.
-
-    method: "auto" tries the prime scan and falls back to the full lattice
-    test; "fast" and "full" force one path (used for cross-checking).
-    """
+    graph: it is RA exactly when the rows of its intersection matrix span
+    Z^n, i.e. their lattice has index 1. Otherwise the witness is the
+    smallest prime dividing the index, over which the matrix loses rank, or
+    the rank deficiency when the index is 0."""
     if not is_connected(graph):
         raise PreconditionViolated("graph must be connected (reduce components first)")
     if not is_neighborhood_distinguishable(graph):
         raise PreconditionViolated(
             "graph has neighborhood-indistinguishable vertices (reduce first)")
-    if method not in ("auto", "fast", "full"):
-        raise InvalidParameter(f"unknown method {method!r}")
-    divs_a = None if method == "full" else snf_divisors(activation_matrix(graph))
-    return _verdict(graph, divs_a, method)
-
-
-def _spans_full_lattice(divisors: tuple, n: int) -> bool:
-    """Whether a matrix with n columns and these elementary divisors has
-    rows spanning Z^n."""
-    return len(divisors) >= n and all(d == 1 for d in divisors[:n])
-
-
-def _verdict(graph: Graph, divs_a: Optional[tuple], method: str) -> RAVerdict:
-    """The RA verdict of a connected, neighborhood-distinguishable graph with
-    activation divisors divs_a (None for the "full" method, which skips the
-    prime scan)."""
-    g6 = graph6_encode(graph)
-    n = graph.n
-    C = ra_matrix(graph)
-    if divs_a is not None:
-        largest = divs_a[-1] if divs_a else 1
-        if largest == 1:
-            return RAVerdict(g6, True, "prime_rank_scan",
-                             "activation divisors all 1; nothing to test")
-        if largest > 1:
-            primes = _prime_factors(largest)
-            failing = None
-            for p in primes:
-                if rank_mod_p(C, p) < n:
-                    failing = p
-                    break
-            if failing is None:
-                return RAVerdict(g6, True, "prime_rank_scan",
-                                 "full rank mod " + ",".join(map(str, primes)))
-            if method == "fast":
-                return RAVerdict(g6, False, "prime_rank_scan", f"prime {failing}")
-        elif method == "fast":
-            raise InvalidParameter("fast path needs a nonzero largest activation divisor")
-    divs_c = snf_divisors(C)
-    if _spans_full_lattice(divs_c, n):
-        return RAVerdict(g6, True, "snf_full_lattice",
-                         f"divisors {divisor_tuple_str(divs_c[:n])}")
-    bad = next((d for d in divs_c[:n] if d != 1), 0)
-    if bad == 0:
+    index = lattice_index(ra_matrix(graph))
+    if index == 1:
+        witness = "lattice index 1"
+    elif index == 0:
         witness = "zero divisor (rank deficient)"
     else:
-        witness = f"prime {_prime_factors(bad)[0]}"
-    return RAVerdict(g6, False, "snf_full_lattice", witness)
+        witness = f"prime {_smallest_prime_factor(index)}"
+    return RAVerdict(graph6_encode(graph), index == 1, "full_lattice", witness)
 
 
 def heisenberg_ra(graph: Graph, p: int) -> bool:
@@ -348,9 +296,9 @@ def census(max_n: int, allow_eight: bool = False,
                 continue
             distinguishable += 1
             divs = snf_divisors(activation_matrix(g))
-            if _spans_full_lattice(divs, n):
+            if all(d == 1 for d in divs):
                 full += 1
-            verdict = _verdict(g, divs, "auto")
+            verdict = is_ra(g)
             if verdict.ra:
                 ra_count += 1
             rows.append(CensusRow(n, verdict.graph, divs, verdict.ra,

@@ -8,8 +8,9 @@ itself. A failed back substitution names the first column j such that no
 reachable state agrees with the target on vertices 0..j; that vertex is the
 witness.
 
-Every returned click vector is re-simulated through power_click before it is
-returned; a mismatch is an internal fault, not a solver answer.
+Every returned click vector is checked before it is returned: clicks . A
+must equal the target (mod r for a cyclic factor); a mismatch is an internal
+fault, not a solver answer.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ from typing import Sequence, Union
 
 from .errors import ConsistencyError, DimensionMismatch, InvalidParameter
 from .graphs import Graph
-from .groups import cyclic
-from .power import power_click
 from .ra import activation_matrix
 from .zlinalg import hnf, mat_vec, row_solve
 
@@ -97,28 +96,6 @@ def _normalize_targets(moduli, target, n: int) -> list:
     return per_factor
 
 
-def _verify_clicks(graph: Graph, modulus, clicks, target) -> None:
-    A = activation_matrix(graph)
-    if modulus == INTEGERS:
-        reached = mat_vec(tuple(clicks), A)
-        if tuple(reached) != tuple(int(t) for t in target):
-            raise ConsistencyError("integer clicks do not reproduce the target")
-        return
-    r = int(modulus)
-    group = cyclic(r)
-    g = group.generators[0]
-    state = [group.identity()] * graph.n
-    for v, c in enumerate(clicks):
-        if c % r == 0:
-            continue
-        click = power_click(group, g ** int(c), A.row(v))
-        state = [s * t for s, t in zip(state, click.components)]
-    rotate = {g ** e: e for e in range(r)}
-    for v, s in enumerate(state):
-        if rotate[s] != int(target[v]) % r:
-            raise ConsistencyError(f"clicks do not reproduce the target at vertex {v}")
-
-
 def solve(graph: Graph, moduli, target) -> Union[Solution, Unsolvable]:
     """Find clicks reaching `target` over the given cyclic factors.
 
@@ -129,29 +106,29 @@ def solve(graph: Graph, moduli, target) -> Union[Solution, Unsolvable]:
     Factors solve independently. The result is a Solution with one click
     vector per factor, or an Unsolvable naming the first obstructed pivot.
     """
-    A = activation_matrix(graph)
     if moduli == INTEGERS or moduli == [INTEGERS] or moduli == (INTEGERS,):
-        targets = _normalize_targets((INTEGERS,), target, graph.n)
-        clicks, bad = row_solve(A, targets[0])
-        if clicks is None:
-            return Unsolvable(0, INTEGERS, bad,
-                              f"no integer combination reaches vertex {bad}")
-        _verify_clicks(graph, INTEGERS, clicks, targets[0])
-        return Solution((INTEGERS,), (clicks,))
-    moduli = tuple(int(r) for r in moduli)
-    if not moduli:
-        raise InvalidParameter("need at least one modulus")
-    if any(r < 2 for r in moduli):
-        raise InvalidParameter("moduli must be >= 2")
+        moduli = (INTEGERS,)
+    else:
+        moduli = tuple(int(r) for r in moduli)
+        if not moduli:
+            raise InvalidParameter("need at least one modulus")
+        if any(r < 2 for r in moduli):
+            raise InvalidParameter("moduli must be >= 2")
+    A = activation_matrix(graph)
     targets = _normalize_targets(moduli, target, graph.n)
     out = []
-    for alpha, r in enumerate(moduli):
-        tvec = [t % r for t in targets[alpha]]
+    for alpha, modulus in enumerate(moduli):
+        r = 0 if modulus == INTEGERS else modulus  # Z is r = 0, as in row_solve
+        tvec = [t % r for t in targets[alpha]] if r else targets[alpha]
         clicks, bad = row_solve(A, tvec, r)
         if clicks is None:
-            return Unsolvable(alpha, r, bad,
-                              f"factor {alpha} (mod {r}): pivot at vertex {bad} obstructed")
-        _verify_clicks(graph, r, clicks, tvec)
+            detail = (f"factor {alpha} (mod {r}): pivot at vertex {bad} obstructed" if r
+                      else f"no integer combination reaches vertex {bad}")
+            return Unsolvable(alpha, modulus, bad, detail)
+        reached = mat_vec(clicks, A)
+        for v, (x, t) in enumerate(zip(reached, tvec)):
+            if (x % r if r else x) != t:
+                raise ConsistencyError(f"clicks do not reproduce the target at vertex {v}")
         out.append(clicks)
     return Solution(moduli, tuple(out))
 

@@ -8,8 +8,9 @@ One elimination kernel, `_echelon`, serves every operation: it puts a row
 lattice (optionally extended by r Z^n, i.e. working in Z/r) into echelon
 form and carries witness columns along. The Hermite normal form adds the
 reduction above each pivot; the Smith normal form alternates the kernel on a
-matrix and its transpose until it is diagonal; rank mod p, the full-lattice
-test and the Diophantine solver read its pivots.
+matrix and its transpose until it is diagonal; rank mod p, the lattice index
+(and with it the full-lattice test) and the Diophantine solver read its
+pivots.
 """
 
 from __future__ import annotations
@@ -393,11 +394,22 @@ def rank_mod_p(M: IntMat, p: int) -> int:
     return len(_echelon([list(r) for r in reduced if any(r)], M.cols, p))
 
 
+def lattice_index(M: IntMat) -> int:
+    """Index of the row lattice of M in Z^cols: the product of its echelon
+    pivots, or 0 when its rank is below cols. Skips duplicate and zero rows."""
+    rows = [list(r) for r in dict.fromkeys(M._rows) if any(r)]
+    pivots = _echelon(rows, M.cols)
+    if len(pivots) < M.cols:
+        return 0
+    index = 1
+    for i, c in enumerate(pivots):
+        index *= rows[i][c]
+    return index
+
+
 def spans_full_lattice(M: IntMat) -> bool:
     """True iff the rows of M generate all of Z^cols."""
-    rows = M.row_list()
-    pivots = _echelon(rows, M.cols)
-    return len(pivots) == M.cols and all(rows[i][c] == 1 for i, c in enumerate(pivots))
+    return lattice_index(M) == 1
 
 
 def row_sum_divisibility_certificate(M: IntMat, p: int) -> bool:

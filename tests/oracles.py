@@ -127,6 +127,36 @@ def rational_rank(rows) -> int:
     return rank
 
 
+def nonsingular_row_subset(rows) -> list:
+    """A maximal linearly independent subset of rows, greedily in order:
+    each row is reduced over Q against the rows kept so far (each of which
+    vanishes on the earlier pivots) and kept when something is left."""
+    basis = {}  # pivot column -> reduced row
+    kept = []
+    for row in rows:
+        v = [Fraction(x) for x in row]
+        for c, b in basis.items():
+            if v[c]:
+                f = v[c] / b[c]
+                v = [x - f * y for x, y in zip(v, b)]
+        pivot = next((c for c, x in enumerate(v) if x), None)
+        if pivot is not None:
+            basis[pivot] = v
+            kept.append(list(row))
+    return kept
+
+
+def prime_factors(n: int) -> list:
+    n, out, d = abs(n), [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] if n > 1 else out
+
+
 @lru_cache(maxsize=64)
 def _reachable_mod(rows: tuple, r: int) -> frozenset:
     n = len(rows[0])
@@ -156,6 +186,32 @@ def lattice_member_exact(rows, target) -> bool:
     if rational_rank(list(rows) + [list(target)]) != len(nonzero):
         return False
     return modular_obstruction_bruteforce(rows, target, nonzero[-1] if nonzero else 1) is None
+
+
+# -- girth ----------------------------------------------------------------------
+
+def girth_per_edge(g) -> float:
+    """Length of a shortest cycle (inf for forests): for each edge uv, the
+    shortest cycle through it is 1 + the distance from u to v without it."""
+    adj = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    best = float("inf")
+    for u, v in g.edges:
+        dist = {u: 0}
+        frontier = [u]
+        while frontier and v not in dist:
+            nxt = []
+            for a in frontier:
+                for b in adj[a]:
+                    if b not in dist and (a, b) != (u, v):
+                        dist[b] = dist[a] + 1
+                        nxt.append(b)
+            frontier = nxt
+        if v in dist:
+            best = min(best, dist[v] + 1)
+    return best
 
 
 # -- labeled-graph census oracles -------------------------------------------------

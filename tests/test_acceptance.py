@@ -221,7 +221,7 @@ def test_criterion_11_solver_end_to_end():
             g = rng.choice(graphs)
             r = rng.choice([2, 3, 4, 5])
             target = [rng.randrange(r) for _ in range(g.n)]
-            solve(g, (r,), target)  # re-simulation inside raises on any mismatch
+            solve(g, (r,), target)  # the clicks . A check inside raises on any mismatch
             checked += 1
         for _ in range(20):
             target = [rng.randint(-4, 4) for _ in range(4)]

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 
+from graphpower import solver
 from graphpower.cli import main
 from graphpower.graphs import graph6_decode, cycle, hypercube, is_isomorphic
 from graphpower.schemas import (
@@ -204,6 +205,21 @@ def test_oversized_graphs_exit_capacity(capsys, tmp_path):
         assert code == 3 and out == "" and "cap" in err
     code, out, err = run(capsys, "graph", "gen", "hypercube", "30")
     assert code == 3 and out == ""
+
+
+def test_oversized_spec_numbers_are_input_errors(capsys):
+    # int() refuses strings past 4300 digits; that must not end in a traceback
+    code, out, err = run(capsys, "graph", "classify", "Q" + "9" * 5000)
+    assert code == 2 and out == "" and "number too long" in err
+    code, out, err = run(capsys, "ra", "gra", "C4", "--group", "C" + "9" * 5000)
+    assert code == 2 and out == "" and "bad group order" in err
+
+
+def test_solve_consistency_fault_exits_4(capsys, monkeypatch):
+    monkeypatch.setattr(solver, "row_solve", lambda M, target, r=0: ((0,) * M.rows, None))
+    for moduli in ("Z", "3"):
+        code, out, err = run(capsys, "solve", "C4", "--moduli", moduli, "--target", "1,1,1,0")
+        assert code == 4 and out == "" and "consistency" in err
 
 
 def test_hypercube_gen_matches_library(capsys):

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +32,7 @@ from graphpower.graphs import (
     enumerate_connected_graphs,
     folded_cube,
     from_json,
+    girth,
     graph6_decode,
     graph6_encode,
     grid,
@@ -56,6 +58,7 @@ from oracles import (
     canonical_certificate_bruteforce,
     connected_classes_bruteforce,
     connected_counts_by_euler_transform,
+    girth_per_edge,
 )
 
 
@@ -165,6 +168,19 @@ def test_girth5_blocks_square_completion(g):
     has_3path = any(g.degree(v) >= 2 for v in range(g.n))
     if cls.girth >= 5 and has_3path:
         assert not cls.square_completion
+
+
+def test_girth_matches_per_edge_oracle():
+    fixtures = [hypercube(3), hypercube(4), folded_cube(5), petersen(), cycle(3), cycle(12),
+                grid(3, 5), complete_bipartite(3, 4), wheel(6), triangle_strip(6),
+                tadpole(5, 2), star(4), path(6), disjoint_union(cycle(7), cycle(5))]
+    for n in range(1, 8):
+        fixtures.extend(enumerate_connected_graphs(n))
+    for g in fixtures:
+        assert girth(g) == girth_per_edge(g), g
+    start = time.perf_counter()
+    assert girth(complete(362)) == 3
+    assert time.perf_counter() - start < 0.5
 
 
 def test_reduce_indistinguishable():

@@ -31,7 +31,7 @@ from graphpower.ra import (
 )
 from graphpower.zlinalg import divisor_tuple_str, rank_mod_p, snf_divisors
 
-from oracles import gfp_rank
+from oracles import det_exact, gfp_rank, nonsingular_row_subset, prime_factors, rational_rank
 
 
 def eligible(graph):
@@ -83,19 +83,33 @@ def test_is_ra_preconditions():
         is_ra(complete(4))
 
 
-def test_is_ra_fast_and_full_agree():
-    fixtures = [hypercube(3), hypercube(4), cycle(4), cycle(5), petersen(),
-                star(4), tadpole(4, 1), complete_bipartite(2, 3)]
+def test_is_ra_matches_rank_oracle():
+    # the rows of C span Z^n exactly when C has rational rank n and full rank
+    # mod every prime dividing the determinant of n independent rows of C
+    # (their lattice lies inside C's, with index |det|)
+    fixtures = [hypercube(3), hypercube(4), hypercube(5), folded_cube(5), petersen()]
     for n in range(1, 7):
         fixtures.extend(g for g in enumerate_connected_graphs(n) if eligible(g))
     for g in fixtures:
-        full = is_ra(g, method="full")
-        auto = is_ra(g, method="auto")
-        assert full.ra == auto.ra, g
-        divs = snf_divisors(activation_matrix(g))
-        if divs[-1] != 0:
-            fast = is_ra(g, method="fast")
-            assert fast.ra == full.ra
+        n = g.n
+        C = ra_matrix(g)
+        rows = C.row_list()
+        spans = rational_rank(rows) == n and all(
+            gfp_rank(rows, p) == n for p in prime_factors(det_exact(nonsingular_row_subset(rows))))
+        verdict = is_ra(g)
+        assert verdict.ra == spans, g
+        assert verdict.method == "full_lattice"
+        assert verdict.ra == all(d == 1 for d in snf_divisors(C)), g
+        if verdict.witness.startswith("prime "):
+            assert not verdict.ra and gfp_rank(rows, int(verdict.witness[6:])) < n
+        elif not verdict.ra:
+            assert verdict.witness == "zero divisor (rank deficient)"
+            assert rational_rank(rows) < n
+
+
+@pytest.mark.slow
+def test_q8_is_ra():
+    assert is_ra(hypercube(8)).ra
 
 
 def test_heisenberg_ra_fixtures():

@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphpower.errors import DimensionMismatch, InvalidParameter
+from graphpower import solver
+from graphpower.errors import ConsistencyError, DimensionMismatch, InvalidParameter
 from graphpower.graphs import complete, cycle, enumerate_connected_graphs, grid, path, star
 from graphpower.ra import activation_matrix
 from graphpower.solver import (
@@ -147,8 +148,8 @@ def test_solver_input_validation():
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([2, 3, 4, 5]), st.lists(st.integers(0, 4), min_size=4, max_size=4))
 def test_solutions_verify_by_construction(r, target):
-    # solve() re-simulates internally and raises on mismatch; reaching a
-    # Solution therefore certifies the clicks
+    # solve() checks clicks . A against the target and raises on mismatch;
+    # reaching a Solution therefore certifies the clicks
     res = solve(cycle(4), (r,), [t % r for t in target])
     if isinstance(res, Solution):
         clicks = res.clicks[0]
@@ -156,6 +157,13 @@ def test_solutions_verify_by_construction(r, target):
         reached = [sum(c * A[v, w] for v, c in enumerate(clicks)) % r
                    for w in range(4)]
         assert reached == [t % r for t in target]
+
+
+def test_solve_checks_its_clicks(monkeypatch):
+    monkeypatch.setattr(solver, "row_solve", lambda M, target, r=0: ((0,) * M.rows, None))
+    for moduli, target in ((INTEGERS, [1, 1, 1, 0]), ((3,), [1, 0, 0, 0])):
+        with pytest.raises(ConsistencyError):
+            solve(cycle(4), moduli, target)
 
 
 def test_lights_out_wrapper():
