@@ -77,10 +77,7 @@ from .power import (
     comm_b_order,
     comm_d,
     comm_d_order,
-    comm_intersection_order,
-    derived_of_power,
     graph_power,
-    in_comm,
     is_g_ra,
     matrix_power,
     power_click,

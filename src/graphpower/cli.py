@@ -96,14 +96,13 @@ def cmd_ra_check(args) -> int:
 def cmd_ra_gra(args) -> int:
     g = _graph_arg(args.graph, args.reduce)
     group = parse_group_spec(args.group)
-    gp = power.graph_power(group, g, max_order=_max_order())
-    ab_order, comm, full = power._orders(group, g, gp)
+    ab_order, comm, full = power._orders(group, g, max_order=_max_order())
     index = full // comm
     payload = {
         "graph": graph6_encode(g),
         "group": group.name,
         "orders": {
-            "graph_power": gp.order(),
+            "graph_power": ab_order * comm,
             "abelian_power": ab_order,
             "comm": comm,
             "full_commutator_power": full,

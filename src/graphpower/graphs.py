@@ -358,15 +358,18 @@ def is_neighborhood_distinguishable(g: Graph) -> bool:
 
 def has_square_completion(g: Graph) -> bool:
     """Every 3-vertex path u-v-w extends to a 4-cycle through a vertex
-    outside {u, v, w} adjacent to both u and w."""
-    for v in range(g.n):
-        nbrs = sorted(g._adj[v])
-        for a in range(len(nbrs)):
-            for b in range(a + 1, len(nbrs)):
-                u, w = nbrs[a], nbrs[b]
-                common = g._masks[u] & g._masks[w] & ~(1 << v)
-                if common == 0:
-                    return False
+    outside {u, v, w} adjacent to both u and w.
+
+    A path u-v-w has no completion exactly when v is the only common
+    neighbour of u and w, so the property fails iff some pair of vertices has
+    exactly one common neighbour."""
+    masks = g._masks
+    for u in range(g.n):
+        mu = masks[u]
+        for w in range(u + 1, g.n):
+            common = mu & masks[w]
+            if common and not common & (common - 1):
+                return False
     return True
 
 

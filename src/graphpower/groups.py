@@ -1,9 +1,9 @@
 """Finite groups given by permutation generators.
 
 Built-in families: cyclic, dihedral, symmetric, alternating, Heisenberg (the
-unitriangular 3x3 matrices over F_p, realized through the right regular
-representation so one permutation engine serves everything), and direct
-products on disjoint domains.
+unitriangular 3x3 matrices over F_p, realized as affine maps of F_p^2 on p^2
+points so one permutation engine serves everything), and direct products on
+disjoint domains.
 
 The abelianization is computed without coset tables: breadth-first search
 over the cosets of the derived subgroup records one exponent vector per
@@ -122,25 +122,23 @@ def alternating(m: int) -> FiniteGroup:
     return FiniteGroup(f"A{m}", m, gens)
 
 
-def _heisenberg_mult(p, x, y):
-    a, b, c = x
-    d, e, f = y
-    return ((a + d) % p, (b + e) % p, (c + f + a * e) % p)
-
-
 def heisenberg(p: int) -> FiniteGroup:
-    """Heisenberg group over F_p (order p^3) via its right regular
-    representation on p^3 points; generators are the two unitriangular
-    matrices with a = 1 resp. b = 1 and everything else zero."""
+    """Heisenberg group over F_p (order p^3) as the affine maps
+    (x, y) -> (x + a, y + b*x + c) of F_p^2, on p^2 points (point x*p + y).
+
+    The generators (x, y) -> (x + 1, y) and (x, y) -> (x, y + x) play the
+    unitriangular matrices with a = 1 resp. b = 1; the derived subgroup is
+    the center, the translations (x, y) -> (x, y + c).
+
+    The limit p <= 7 stays because `abelianization` tests each new coset
+    against every coset found so far, which is quadratic in |G^Ab| = p^2
+    (`ra gra C5 --group H13` would take about 1.3 s and H17 about 6 s on one
+    2 GHz Xeon core; H7 takes 0.2 s)."""
     if not is_prime(p) or p > 7:
         raise UnsupportedParameter("heisenberg needs a prime p <= 7")
-    triples = [(a, b, c) for a in range(p) for b in range(p) for c in range(p)]
-    index = {t: i for i, t in enumerate(triples)}
-
-    def right_mult(g):
-        return Perm([index[_heisenberg_mult(p, t, g)] for t in triples])
-
-    return FiniteGroup(f"H{p}", p ** 3, [right_mult((1, 0, 0)), right_mult((0, 1, 0))])
+    shift = Perm([((x + 1) % p) * p + y for x in range(p) for y in range(p)])
+    shear = Perm([x * p + (y + x) % p for x in range(p) for y in range(p)])
+    return FiniteGroup(f"H{p}", p * p, [shift, shear])
 
 
 def direct_product(*groups: FiniteGroup) -> FiniteGroup:

@@ -9,6 +9,12 @@ g^x = (g^{x_1}, ..., g^{x_n}).
 G^n is modelled as permutations on n disjoint copies of G's domain, block v
 holding coordinate v, so the subgroup engine provides orders and membership.
 
+Orders follow the paper's reduction: |G^graph| = |Comm| * |(G^Ab)^graph|,
+with Comm = G^graph cap [G,G]^n. The abelian factor is a row-span count mod
+each invariant factor of G^Ab. When the intersection lattice of the graph is
+Z^n, [G,G]^n <= G^graph, so Comm = [G,G]^n and no subgroup is built; on
+other graphs |G^graph| comes from Schreier-Sims under the order cap.
+
 For 0/1 matrices, clicking with G's generators suffices: components multiply
 coordinatewise there, so a click by an arbitrary g is the product of clicks
 by the letters of a word for g. General integer rows lose that identity and
@@ -19,19 +25,26 @@ constructions enumerate G (which must be small).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Optional, Sequence
 
-from .errors import ConsistencyError, DimensionMismatch, SearchBoundExceeded
+from .errors import ConsistencyError, DimensionMismatch, LimitExceeded, SearchBoundExceeded
 from .graphs import Graph
 from .groups import FiniteGroup, AbelianInvariants, abelianization, derived_subgroup
 from .perm import DEFAULT_MAX_ORDER, Perm, PermGroup, derived_subgroup_of
 from .ra import _intersection_rows, activation_matrix, ra_matrix
-from .zlinalg import IntMat, rank_mod_p, snf_divisors
+from .zlinalg import IntMat, lattice_index, rank_mod_p, span_order_mod
 
 ClickVector = tuple
 
 _ALL_ELEMENT_CLICK_BOUND = 512
+
+# The RA test builds the n(n+1)/2 x n intersection matrix and eliminates it
+# over Z. It runs while the matrix has at most this many entries (Q8: 8.4
+# million, about 3 s; Q9: 67 million, well over) and stops once its row
+# operations have rewritten this many entries (dense graphs of 80 vertices
+# pass it through entry growth). Past either bound the orders take the closure
+# path, which stops at the order cap instead of exhausting time or memory.
+RA_TEST_BUDGET = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -178,46 +191,54 @@ def graph_power(group: FiniteGroup, graph: Graph, *,
 # -- abelian side ---------------------------------------------------------------
 
 def abelian_power_order(invariants, matrix) -> int:
-    """|(Z_{r_1} x ... x Z_{r_k})^M| computed factor by factor from the
-    divisor chain of M: each cyclic factor Z_r contributes
-    prod_i r / gcd(d_i, r). No group enumeration happens."""
+    """|(Z_{r_1} x ... x Z_{r_k})^M|: each cyclic factor Z_r contributes the
+    size of the row span of M mod r. No group enumeration happens."""
     factors = invariants.factors if isinstance(invariants, AbelianInvariants) else tuple(invariants)
     mat = matrix if isinstance(matrix, IntMat) else IntMat(matrix)
-    divs = snf_divisors(mat)
     total = 1
     for r in factors:
-        r = int(r)
-        if r < 1:
-            raise DimensionMismatch("moduli must be >= 1")
-        for d in divs:
-            total *= r // gcd(d, r) if d else 1
+        total *= span_order_mod(mat, int(r))
     return total
 
 
-def _orders(group: FiniteGroup, graph: Graph, power: PowerSubgroup) -> tuple:
-    """(|(G^Ab)^graph|, |Comm(G, graph)|, |[G,G]|^n) for the built G^graph.
+def _lattice_is_full(graph: Graph) -> bool:
+    """Whether the intersection rows span Z^n; False without an answer once
+    the test passes RA_TEST_BUDGET."""
+    n = graph.n
+    if n * n * (n + 1) // 2 > RA_TEST_BUDGET:
+        return False
+    try:
+        return lattice_index(ra_matrix(graph), budget=RA_TEST_BUDGET) == 1
+    except LimitExceeded:
+        return False
+
+
+def _orders(group: FiniteGroup, graph: Graph, *,
+            max_order: Optional[int] = DEFAULT_MAX_ORDER,
+            power: Optional[PowerSubgroup] = None) -> tuple:
+    """(|(G^Ab)^graph|, |Comm(G, graph)|, |[G,G]|^n); |G^graph| is the
+    product of the first two.
 
     Comm is the kernel of the natural projection of G^graph onto the
     abelianized power, so |G^graph| = |Comm| * |(G^Ab)^graph|; Comm sits
     inside [G,G]^n, so its order divides |[G,G]|^n and the quotient is the
-    RA index."""
+    RA index. Without a built `power`, a graph whose intersection lattice is
+    Z^n takes the closed form Comm = [G,G]^n; any other graph builds G^graph
+    under max_order."""
+    full = derived_subgroup(group).order() ** graph.n
+    if power is None and not _lattice_is_full(graph):
+        power = graph_power(group, graph, max_order=max_order)
     ab = abelian_power_order(abelianization(group), activation_matrix(graph))
+    if power is None:
+        return ab, full, full
     total = power.order()
     if total % ab:
         raise ConsistencyError(
             f"|G^Gamma| = {total} not divisible by abelian part {ab}")
     comm = total // ab
-    full = derived_subgroup(group).order() ** graph.n
     if full % comm:
         raise ConsistencyError(f"RA index {full}/{comm} is not an integer")
     return ab, comm, full
-
-
-def comm_intersection_order(group: FiniteGroup, graph: Graph, *,
-                            max_order: Optional[int] = DEFAULT_MAX_ORDER) -> int:
-    """|Comm(G, graph)| = |G^graph| / |(G^Ab)^graph|, exact via the natural
-    projection onto the abelianized power."""
-    return _orders(group, graph, graph_power(group, graph, max_order=max_order))[1]
 
 
 # -- commutator subgroups ---------------------------------------------------------
@@ -301,13 +322,6 @@ def comm_d_order(group: FiniteGroup, graph: Graph) -> int:
     return comm_d(group, graph, verify=False).order()
 
 
-def derived_of_power(group: FiniteGroup, graph: Graph, *,
-                     max_order: Optional[int] = DEFAULT_MAX_ORDER) -> PowerSubgroup:
-    """[G^graph, G^graph]: the normal closure of the commutators of the
-    clicks."""
-    return graph_power(group, graph, max_order=max_order).derived(max_order=max_order)
-
-
 # -- RA verdicts for a fixed group ------------------------------------------------
 
 def is_g_ra(group: FiniteGroup, graph: Graph, *,
@@ -322,7 +336,7 @@ def ra_index(group: FiniteGroup, graph: Graph, *,
              max_order: Optional[int] = DEFAULT_MAX_ORDER) -> int:
     """Index of Comm(G, graph) in [G,G]^n; equals 1 exactly when the graph is
     G-RA."""
-    _, comm, full = _orders(group, graph, graph_power(group, graph, max_order=max_order))
+    _, comm, full = _orders(group, graph, max_order=max_order)
     return full // comm
 
 
@@ -364,17 +378,10 @@ def chain_report(group: FiniteGroup, graph: Graph, *,
         comm_d_order(group, graph),
         comm_b_order(group, graph),
         gp.derived(max_order=max_order).order(),
-        *_orders(group, graph, gp)[1:],
+        *_orders(group, graph, power=gp)[1:],
     )
     for a, b in zip(orders, orders[1:]):
         if b % a:
             raise ConsistencyError(f"chain orders {orders} violate divisibility")
     return ChainReport(group.name, graph.n, *orders)
 
-
-def in_comm(group: FiniteGroup, graph: Graph, state: StateVector) -> bool:
-    """Membership in Comm(G, graph): in the reachable-state group with every
-    coordinate a member of [G, G]."""
-    der = derived_subgroup(group)
-    return graph_power(group, graph).contains(state) and \
-        all(der.contains(c) for c in state.components)

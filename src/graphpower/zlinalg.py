@@ -8,9 +8,9 @@ One elimination kernel, `_echelon`, serves every operation: it puts a row
 lattice (optionally extended by r Z^n, i.e. working in Z/r) into echelon
 form and carries witness columns along. The Hermite normal form adds the
 reduction above each pivot; the Smith normal form alternates the kernel on a
-matrix and its transpose until it is diagonal; rank mod p, the lattice index
-(and with it the full-lattice test) and the Diophantine solver read its
-pivots.
+matrix and its transpose until it is diagonal; rank mod p, the size of a row
+span mod r, the lattice index (and with it the full-lattice test) and the
+Diophantine solver read its pivots.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
-from .errors import DimensionMismatch, NotPrime
+from .errors import DimensionMismatch, LimitExceeded, NotPrime
 
 
 class IntMat:
@@ -172,7 +172,7 @@ def _smallest_gcd_column(rows, top, c, n):
     return None if best is None else best[1]
 
 
-def _echelon(rows, n, r=0, perm=None):
+def _echelon(rows, n, r=0, perm=None, budget=None):
     """Row echelon form, in place, of the lattice spanned by `rows`.
 
     Only the first n columns are eliminated; any later columns are witness
@@ -193,6 +193,9 @@ def _echelon(rows, n, r=0, perm=None):
     entries below the pivots have the smallest nonzero gcd into place and
     records the swap in perm; gcds never drop during elimination, so the
     pivots read 1, ..., 1 and then ascend.
+
+    With `budget` set, the row operations may rewrite at most that many
+    entries in all; the one that would pass it raises LimitExceeded.
     """
     pivots = []
     for c in range(n):
@@ -235,6 +238,10 @@ def _echelon(rows, n, r=0, perm=None):
                 if row[c]:
                     q = row[c] // a
                     if q:
+                        if budget is not None:
+                            budget -= len(p)
+                            if budget < 0:
+                                raise LimitExceeded("echelon work exceeds its budget")
                         if r:
                             row = rows[k] = [(x - q * y) % r for x, y in zip(row, p)]
                         else:
@@ -387,18 +394,38 @@ def hnf(M: IntMat, nice: bool = False) -> HNFDecomposition:
 
 # -- modular rank and lattice predicates --------------------------------------
 
+def _echelon_mod(M: IntMat, r: int) -> tuple:
+    """(rows, pivots) of the Howell form mod r of M's distinct nonzero rows."""
+    rows = [list(row) for row in dict.fromkeys(tuple(x % r for x in row) for row in M._rows)
+            if any(row)]
+    return rows, _echelon(rows, M.cols, r)
+
+
 def rank_mod_p(M: IntMat, p: int) -> int:
     """Rank of M over the field with p elements."""
     _require_prime(p)
-    reduced = dict.fromkeys(tuple(x % p for x in r) for r in M._rows)
-    return len(_echelon([list(r) for r in reduced if any(r)], M.cols, p))
+    return len(_echelon_mod(M, p)[1])
 
 
-def lattice_index(M: IntMat) -> int:
+def span_order_mod(M: IntMat, r: int) -> int:
+    """Number of vectors in the row span of M in (Z/r)^cols: the product of
+    r / pivot over the Howell form mod r, whose pivots divide r."""
+    if r < 1:
+        raise DimensionMismatch("moduli must be >= 1")
+    rows, pivots = _echelon_mod(M, r)
+    order = 1
+    for i, c in enumerate(pivots):
+        order *= r // rows[i][c]
+    return order
+
+
+def lattice_index(M: IntMat, budget: Optional[int] = None) -> int:
     """Index of the row lattice of M in Z^cols: the product of its echelon
-    pivots, or 0 when its rank is below cols. Skips duplicate and zero rows."""
+    pivots, or 0 when its rank is below cols. Skips duplicate and zero rows.
+    A `budget` caps the entries the elimination may rewrite (LimitExceeded
+    past it)."""
     rows = [list(r) for r in dict.fromkeys(M._rows) if any(r)]
-    pivots = _echelon(rows, M.cols)
+    pivots = _echelon(rows, M.cols, budget=budget)
     if len(pivots) < M.cols:
         return 0
     index = 1

@@ -158,7 +158,8 @@ def prime_factors(n: int) -> list:
 
 
 @lru_cache(maxsize=64)
-def _reachable_mod(rows: tuple, r: int) -> frozenset:
+def reachable_mod(rows: tuple, r: int) -> frozenset:
+    """Every c . rows mod r over c in (Z/r)^m."""
     n = len(rows[0])
     return frozenset(
         tuple(sum(c * row[j] for c, row in zip(coeffs, rows)) % r for j in range(n))
@@ -170,7 +171,7 @@ def modular_obstruction_bruteforce(rows, target, r: int):
     (mod r); otherwise the first column j such that no reachable state
     agrees with the target on columns 0..j."""
     n = len(rows[0])
-    reached = _reachable_mod(tuple(map(tuple, rows)), r)
+    reached = reachable_mod(tuple(map(tuple, rows)), r)
     goal = tuple(t % r for t in target)
     if goal in reached:
         return None
@@ -433,3 +434,76 @@ def derived_power_order_by_basic_commutators(group, graph) -> int:
     basics = {spread(c, ball[u] & ball[v])
               for u in range(n) for v in range(u, n) for c in comms}
     return normal_closure(n * d, clicks, sorted(basics), max_order=None).order()
+
+
+# -- group powers by the routes the closed forms replaced --------------------------
+
+def abelian_power_order_by_snf(factors, rows) -> int:
+    """|(Z_{r_1} x ... x Z_{r_k})^M| from the Smith divisors d_i of M over Z:
+    each cyclic factor Z_r contributes prod_i r / gcd(d_i, r), a zero
+    divisor contributing 1. Shares only the SNF with the package."""
+    from graphpower.zlinalg import IntMat, snf_divisors
+
+    divs = snf_divisors(IntMat(rows, cols=len(rows[0]) if rows else 0))
+    total = 1
+    for r in factors:
+        for d in divs:
+            total *= r // gcd(d, r) if d else 1
+    return total
+
+
+def comm_order_by_closure(group, graph) -> int:
+    """|Comm(G, graph)| = |G^graph| / |(G^Ab)^graph|, with G^graph built by
+    Schreier-Sims without an order cap and the abelian factor from the SNF."""
+    from graphpower.groups import abelianization
+    from graphpower.power import graph_power
+
+    n = graph.n
+    rows = [[1 if w == v or w in graph.neighbors(v) else 0 for w in range(n)]
+            for v in range(n)]
+    total = graph_power(group, graph, max_order=None).order()
+    ab = abelian_power_order_by_snf(abelianization(group).factors, rows)
+    assert total % ab == 0
+    return total // ab
+
+
+def in_comm(group, graph, state) -> bool:
+    """Membership in Comm(G, graph): in the reachable-state group with every
+    coordinate a member of [G, G]."""
+    from graphpower.groups import derived_subgroup
+    from graphpower.power import graph_power
+
+    der = derived_subgroup(group)
+    return graph_power(group, graph).contains(state) and \
+        all(der.contains(c) for c in state.components)
+
+
+def heisenberg_regular(p: int):
+    """Heisenberg group over F_p through its right regular representation on
+    the p^3 triples (a, b, c), (a, b, c)(d, e, f) = (a + d, b + e, c + f + ae);
+    generators (1, 0, 0) and (0, 1, 0)."""
+    from graphpower.groups import FiniteGroup
+    from graphpower.perm import Perm
+
+    triples = list(product(range(p), repeat=3))
+    index = {t: i for i, t in enumerate(triples)}
+
+    def right_mult(g):
+        d, e, f = g
+        return Perm([index[(a + d) % p, (b + e) % p, (c + f + a * e) % p]
+                     for a, b, c in triples])
+
+    return FiniteGroup(f"H{p}", p ** 3, [right_mult((1, 0, 0)), right_mult((0, 1, 0))])
+
+
+# -- square completion ------------------------------------------------------------
+
+def square_completion_by_paths(g) -> bool:
+    """Every 3-vertex path u-v-w has a fourth vertex adjacent to u and w,
+    checked path by path."""
+    nbrs = [set(g.neighbors(v)) for v in range(g.n)]
+    for v in range(g.n):
+        for u, w in combinations(sorted(nbrs[v]), 2):
+            if not (nbrs[u] & nbrs[w]) - {v}:
+                return False
+    return True

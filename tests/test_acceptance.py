@@ -30,8 +30,6 @@ from graphpower.power import (
     StateVector,
     comm_b,
     comm_d,
-    comm_intersection_order,
-    derived_of_power,
     graph_power,
     matrix_power,
     ra_index,
@@ -49,6 +47,7 @@ from graphpower.solver import INTEGERS, Solution, Unsolvable, reachability_profi
 from graphpower.zlinalg import divisor_tuple_str, snf_divisors
 
 from oracles import (
+    comm_order_by_closure,
     connected_classes_bruteforce,
     connected_counts_by_euler_transform,
     derived_power_order_by_basic_commutators,
@@ -199,8 +198,8 @@ def test_criterion_10_derived_equals_comm():
         for n in range(1, 6):
             for g in enumerate_connected_graphs(n):
                 for group in groups:
-                    derived = derived_of_power(group, g, max_order=None)
-                    comm = comm_intersection_order(group, g, max_order=None)
+                    derived = graph_power(group, g, max_order=None).derived(max_order=None)
+                    comm = comm_order_by_closure(group, g)
                     assert derived.order() == comm, (group.name, g)
                     oracle = derived_power_order_by_basic_commutators(group, g)
                     assert derived.order() == oracle, (group.name, g)

@@ -2,7 +2,7 @@ import csv
 import io
 import json
 
-from graphpower import solver
+from graphpower import power, solver
 from graphpower.cli import main
 from graphpower.graphs import graph6_decode, cycle, hypercube, is_isomorphic
 from graphpower.schemas import (
@@ -96,9 +96,41 @@ def test_ra_chain(capsys):
 
 
 def test_ra_gra_capacity_exit(capsys, monkeypatch):
+    # Q3 is not RA (intersection lattice index 2), so its orders need G^Q3
     monkeypatch.setenv("GRAPHPOWER_MAX_ORDER", "100")
-    code, _, err = run(capsys, "ra", "gra", "C5", "--group", "S4")
-    assert code == 3 and "exceeds cap" in err
+    code, out, err = run(capsys, "ra", "gra", "Q3", "--group", "D8")
+    assert code == 3 and "exceeds cap" in err and out == ""
+
+
+def test_ra_gra_closed_form_above_the_cap(capsys, monkeypatch):
+    # on RA graphs |G^graph| = |[G,G]|^n |(G^Ab)^graph| needs no closure
+    monkeypatch.setenv("GRAPHPOWER_MAX_ORDER", "100")
+    code, out, _ = run(capsys, "ra", "gra", "C5", "--group", "S4")
+    assert code == 0
+    payload = json.loads(out)
+    validate(payload, GROUP_REPORT_SCHEMA)
+    assert payload["orders"]["graph_power"] == 7962624 == 24 ** 5
+    assert payload["ra_index"] == 1 and payload["g_ra"] is True
+    monkeypatch.delenv("GRAPHPOWER_MAX_ORDER")
+    for graph, group, order in [("petersen", "S4", 1981355655168), ("C5", "H7", 4747561509943)]:
+        code, out, _ = run(capsys, "ra", "gra", graph, "--group", group)
+        assert code == 0 and json.loads(out)["orders"]["graph_power"] == order
+
+
+def test_ra_chain_capacity_exit(capsys):
+    # the chain needs [G^graph, G^graph], so it still builds H7^C5 = 7^15
+    code, out, err = run(capsys, "ra", "chain", "C5", "--group", "H7")
+    assert code == 3 and out == "" and "exceeds cap" in err
+
+
+def test_ra_gra_over_the_ra_test_budget_takes_the_closure(capsys, monkeypatch):
+    monkeypatch.setattr(power, "RA_TEST_BUDGET", 74)  # C5 needs 5 * 15 = 75 entries
+    monkeypatch.setenv("GRAPHPOWER_MAX_ORDER", "100")
+    code, out, err = run(capsys, "ra", "gra", "C5", "--group", "S4")
+    assert code == 3 and out == "" and "exceeds cap" in err
+    monkeypatch.setattr(power, "RA_TEST_BUDGET", 1000)
+    code, out, _ = run(capsys, "ra", "gra", "C5", "--group", "S4")
+    assert code == 0 and json.loads(out)["orders"]["graph_power"] == 24 ** 5
 
 
 def test_bad_group_spec(capsys):

@@ -34,6 +34,7 @@ from graphpower.graphs import (
     from_json,
     girth,
     graph6_decode,
+    has_square_completion,
     graph6_encode,
     grid,
     hypercube,
@@ -59,6 +60,7 @@ from oracles import (
     connected_classes_bruteforce,
     connected_counts_by_euler_transform,
     girth_per_edge,
+    square_completion_by_paths,
 )
 
 
@@ -180,6 +182,23 @@ def test_girth_matches_per_edge_oracle():
         assert girth(g) == girth_per_edge(g), g
     start = time.perf_counter()
     assert girth(complete(362)) == 3
+    assert time.perf_counter() - start < 0.5
+
+
+def test_square_completion_matches_path_oracle():
+    fixtures = [hypercube(3), hypercube(4), folded_cube(5), petersen(), cycle(4), cycle(6),
+                grid(3, 5), complete_bipartite(3, 4), complete_bipartite(2, 3), wheel(6),
+                complete(5), star(4), path(6), disjoint_union(cycle(4), complete(4))]
+    for n in range(1, 8):
+        fixtures.extend(enumerate_connected_graphs(n))
+    verdicts = set()
+    for g in fixtures:
+        verdict = has_square_completion(g)
+        assert verdict == square_completion_by_paths(g), g
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+    start = time.perf_counter()
+    assert classify(complete(362)).square_completion
     assert time.perf_counter() - start < 0.5
 
 

@@ -19,7 +19,10 @@ from graphpower.groups import (
 )
 from graphpower.perm import Perm, PermGroup
 
-from oracles import closure_elements, closure_order
+from graphpower.graphs import cycle, hypercube
+from graphpower.power import graph_power
+
+from oracles import closure_elements, closure_order, heisenberg_regular
 
 
 def quaternion_group() -> FiniteGroup:
@@ -104,12 +107,44 @@ def test_heisenberg_properties():
     assert {g.order() for g in h5.elements()} == {1, 5}
 
 
-@pytest.mark.slow
 def test_heisenberg_seven():
     h7 = heisenberg(7)
+    assert h7.degree == 49
     assert h7.order() == 343
     assert {g.order() for g in h7.elements()} == {1, 7}
     assert abelianization(h7).factors == (7, 7)
+
+
+def _element_orders(group):
+    return sorted(g.order() for g in group.elements())
+
+
+def _same_group_data(affine, regular):
+    assert affine.order() == regular.order()
+    assert _element_orders(affine) == _element_orders(regular)
+    assert derived_subgroup(affine).order() == derived_subgroup(regular).order()
+    assert abelianization(affine).factors == abelianization(regular).factors
+
+
+def test_heisenberg_matches_regular_representation():
+    # the affine maps on p^2 points against the right regular representation
+    # on p^3 points: same group data and the same graph-power orders
+    for p in (2, 3, 5, 7):
+        affine, regular = heisenberg(p), heisenberg_regular(p)
+        assert affine.degree == p * p and regular.degree == p ** 3
+        _same_group_data(affine, regular)
+        graphs = (cycle(4), cycle(5), hypercube(3)) if p < 7 else (cycle(4),)
+        for graph in graphs:
+            assert graph_power(affine, graph, max_order=None).order() == \
+                graph_power(regular, graph, max_order=None).order()
+
+
+@pytest.mark.slow
+def test_heisenberg_seven_power_on_c5_matches_regular_representation():
+    # Schreier-Sims on the 1715-point regular representation takes about 6 s
+    # here (and about 16 s on Q3, which is left out)
+    assert graph_power(heisenberg(7), cycle(5), max_order=None).order() == \
+        graph_power(heisenberg_regular(7), cycle(5), max_order=None).order() == 7 ** 15
 
 
 def test_derived_subgroup_fixtures():

@@ -1,8 +1,21 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphpower.errors import CapacityExceeded, SearchBoundExceeded
-from graphpower.graphs import complete, cycle, disjoint_union, hypercube, path, star
+from graphpower import power
+from graphpower.graphs import (
+    build_graph,
+    complete,
+    cycle,
+    disjoint_union,
+    enumerate_connected_graphs,
+    hypercube,
+    path,
+    petersen,
+    star,
+)
 from graphpower.groups import (
     abelianization,
     alternating,
@@ -21,20 +34,17 @@ from graphpower.power import (
     comm_b_order,
     comm_d,
     comm_d_order,
-    comm_intersection_order,
-    derived_of_power,
     graph_power,
     identity_state,
-    in_comm,
     is_g_ra,
     matrix_power,
     power_click,
     ra_index,
 )
-from graphpower.ra import activation_matrix
-from graphpower.zlinalg import IntMat, hnf
+from graphpower.ra import activation_matrix, ra_matrix
+from graphpower.zlinalg import IntMat, hnf, lattice_index
 
-from oracles import closure_order
+from oracles import abelian_power_order_by_snf, closure_order, comm_order_by_closure, in_comm
 
 D8 = dihedral(8)
 R, S = D8.generators
@@ -162,9 +172,80 @@ def test_abelian_power_order_fixtures():
 
 
 def test_comm_intersection_order_fixtures():
-    assert comm_intersection_order(D8, hypercube(3)) == 128
-    assert comm_intersection_order(cyclic(6), cycle(4)) == 1
-    assert comm_intersection_order(D8, cycle(4)) == 16
+    for group, graph, comm in [(D8, hypercube(3), 128), (cyclic(6), cycle(4), 1),
+                               (D8, cycle(4), 16)]:
+        assert power._orders(group, graph)[1] == comm
+        assert comm_order_by_closure(group, graph) == comm
+
+
+def test_closed_form_matches_schreier_sims():
+    # On a graph whose intersection lattice is Z^n, _orders answers by the
+    # closed form Comm = [G,G]^n without building G^graph; on the others it
+    # builds G^graph. Both must match an uncapped Schreier-Sims build.
+    groups = [D8, symmetric(3), symmetric(4), alternating(4), heisenberg(3)]
+    graphs = [g for n in range(1, 7) for g in enumerate_connected_graphs(n)]
+    closed = 0
+    for graph in graphs + [hypercube(3)]:
+        full_lattice = lattice_index(ra_matrix(graph)) == 1
+        closed += full_lattice
+        for group in groups:
+            ab, comm, full = power._orders(group, graph, max_order=None)
+            assert full == derived_subgroup(group).order() ** graph.n
+            assert ab == abelian_power_order_by_snf(abelianization(group).factors,
+                                                    activation_matrix(graph).row_list())
+            assert comm == comm_order_by_closure(group, graph), (group.name, graph.edges)
+            if full_lattice:
+                assert comm == full
+    assert closed >= 20
+    # Q3 has intersection lattice index 2, and over D8 its Comm has index 2 too
+    assert power._orders(D8, hypercube(3)) == (256, 128, 256)
+
+
+def test_closed_form_builds_no_subgroup(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("G^graph built on an RA graph")
+    monkeypatch.setattr(power, "graph_power", refuse)
+    assert power._orders(symmetric(4), petersen()) == (32, 12 ** 10, 12 ** 10)
+    assert ra_index(heisenberg(7), cycle(5)) == 1
+    with pytest.raises(AssertionError):
+        power._orders(D8, hypercube(3))
+
+
+def _dense_graph(n, seed):
+    rng = random.Random(seed)
+    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                           if rng.random() < 0.5])
+
+
+def test_ra_test_budget_falls_back_to_closure(monkeypatch):
+    # a dense graph whose 40 * 820 intersection matrix fits a budget of 40000
+    # but whose elimination over Z does not: the test gives up, the closure runs
+    dense = _dense_graph(40, 7)
+    assert lattice_index(ra_matrix(dense)) == 1
+    ab, comm, full = power._orders(symmetric(3), dense, max_order=100)
+    assert comm == full == 3 ** 40
+    monkeypatch.setattr(power, "RA_TEST_BUDGET", 40000)
+    with pytest.raises(CapacityExceeded):
+        power._orders(symmetric(3), dense, max_order=100)
+    monkeypatch.setattr(power, "RA_TEST_BUDGET", 0)
+    assert power._orders(symmetric(4), cycle(5)) == (32, 12 ** 5, 12 ** 5)
+    with pytest.raises(CapacityExceeded):
+        power._orders(symmetric(4), cycle(5), max_order=100)
+
+
+def test_abelian_count_mod_r_matches_snf_formula():
+    rng = random.Random(20261018)
+    for _ in range(1500):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+        r = rng.randint(1, 36)
+        assert abelian_power_order((r,), rows) == abelian_power_order_by_snf((r,), rows), (rows, r)
+    for n in range(1, 7):
+        for graph in enumerate_connected_graphs(n):
+            rows = activation_matrix(graph).row_list()
+            for factors in [(r,) for r in range(1, 37)] + [(2, 6, 12)]:
+                assert abelian_power_order(factors, rows) == \
+                    abelian_power_order_by_snf(factors, rows)
 
 
 def test_comm_d_comm_b_fixtures():
@@ -189,8 +270,8 @@ def test_comm_orders_fast_path_matches_closure():
 def test_derived_of_power_fixtures():
     h2 = heisenberg(2)
     q3 = hypercube(3)
-    assert derived_of_power(h2, q3).order() == comm_b_order(h2, q3)
-    assert derived_of_power(cyclic(5), cycle(5)).order() == 1
+    assert graph_power(h2, q3).derived().order() == comm_b_order(h2, q3)
+    assert graph_power(cyclic(5), cycle(5)).derived().order() == 1
 
 
 def test_is_g_ra_and_ra_index():

@@ -3,19 +3,21 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphpower.errors import NotPrime
+from graphpower.errors import DimensionMismatch, LimitExceeded, NotPrime
 from graphpower.graphs import grid, relabel
 from graphpower.ra import activation_matrix
 from graphpower.zlinalg import (
     IntMat,
     divisor_tuple_str,
     hnf,
+    lattice_index,
     mat_vec,
     parse_divisor_tuple,
     rank_mod_p,
     snf,
     snf_divisors,
     solve_row_combination,
+    span_order_mod,
     spans_full_lattice,
     row_solve,
     row_sum_divisibility_certificate,
@@ -26,6 +28,7 @@ from oracles import (
     lattice_member_bruteforce,
     minors_divisors,
     modular_obstruction_bruteforce,
+    reachable_mod,
 )
 
 A_C4 = IntMat([[1, 1, 0, 1], [1, 1, 1, 0], [0, 1, 1, 1], [1, 0, 1, 1]])
@@ -252,6 +255,29 @@ def test_row_solve_mod_r_matches_bruteforce():
         assert bad == modular_obstruction_bruteforce(rows, target, r)
         if c is not None:
             assert [x % r for x in mat_vec(c, IntMat(rows))] == target
+
+
+def test_span_order_mod_matches_enumeration():
+    rng = random.Random(2)
+    for _ in range(300):
+        r = rng.choice([1, 2, 3, 4, 6, 8, 9, 10, 12, 20])
+        m, n = rng.randint(1, 3), rng.randint(1, 4)
+        rows = [[rng.randint(-r, 2 * r) for _ in range(n)] for _ in range(m)]
+        assert span_order_mod(IntMat(rows), r) == len(reachable_mod(tuple(map(tuple, rows)), r))
+    # the pivot 4 of (4, 1) mod 10 is no unit; its row still spans 10 vectors
+    assert span_order_mod(IntMat([[4, 1]]), 10) == 10
+    assert span_order_mod(IntMat([[2, 0], [0, 2]]), 4) == 4
+    with pytest.raises(DimensionMismatch):
+        span_order_mod(IntMat([[1]]), 0)
+
+
+def test_lattice_index_work_budget():
+    # one row operation rewrites the three entries of (1, 1, 1)
+    m = IntMat([[1, 1, 1], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert lattice_index(m) == 1
+    assert lattice_index(m, budget=100) == 1
+    with pytest.raises(LimitExceeded):
+        lattice_index(m, budget=2)
 
 
 def test_row_solve_mod_r_scales_pivot_rows_by_units():
