@@ -54,16 +54,13 @@ from .groups import (
     FiniteGroup,
     abelianization,
     alternating,
-    commutator_set,
     cyclic,
     derived_subgroup,
     dihedral,
     direct_product,
-    has_faithful_abelian_generators,
     heisenberg,
     make_group,
     parse_group_spec,
-    subgroup_order_and_membership,
     symmetric,
 )
 from .perm import Perm, PermGroup

@@ -128,7 +128,7 @@ def cmd_ra_chain(args) -> int:
 
 
 def cmd_ra_census(args) -> int:
-    report = ra.census(args.max_n, allow_eight=args.allow_eight)
+    report = ra.census(args.max_n)
     writer = csv.writer(sys.stdout)
     writer.writerow(["n", "graph6", "divisors", "ra", "method", "witness"])
     for row in report.rows:
@@ -305,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_chain.set_defaults(func=cmd_ra_chain)
     p_census = ra_sub.add_parser("census", help="CSV census of small graphs")
     p_census.add_argument("--max-n", type=int, required=True)
-    p_census.add_argument("--allow-eight", action="store_true")
     p_census.add_argument("--oeis", help="local OEIS b-file to cross-check counts")
     p_census.set_defaults(func=cmd_ra_census)
 

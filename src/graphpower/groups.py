@@ -15,7 +15,7 @@ a projection map.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import (
     DomainMismatch,
@@ -206,24 +206,6 @@ def parse_group_spec(text: str) -> FiniteGroup:
 
 # -- subgroups, commutators, abelianization -------------------------------------
 
-def subgroup_order_and_membership(gens: Sequence[Perm], degree: Optional[int] = None,
-                                  max_order: Optional[int] = None) -> PermGroup:
-    """Subgroup generated by `gens`, with exact order and membership.
-
-    An empty generator list gives the trivial subgroup; its domain size must
-    then be passed explicitly."""
-    if not gens:
-        if degree is None:
-            raise DomainMismatch("empty generator list needs an explicit degree")
-        return PermGroup(degree, [], max_order=max_order)
-    inferred = gens[0].degree
-    if degree is not None and degree != inferred:
-        raise DomainMismatch(f"declared degree {degree} != generator degree {inferred}")
-    if any(g.degree != inferred for g in gens):
-        raise DomainMismatch("generators act on different domains")
-    return PermGroup(inferred, gens, max_order=max_order)
-
-
 def derived_subgroup(group: FiniteGroup) -> PermGroup:
     """Commutator subgroup, as the normal closure of generator-pair
     commutators."""
@@ -234,11 +216,6 @@ def derived_subgroup(group: FiniteGroup) -> PermGroup:
             group._derived = derived_subgroup_of(
                 group.degree, group.generators, max_order=None)
     return group._derived
-
-
-def commutator_set(group: FiniteGroup, bound: int = ELEMENT_SEARCH_BOUND) -> set:
-    """The set { [x, y] : x, y in G } (not the generated subgroup)."""
-    return set(commutator_witnesses(group, bound))
 
 
 def commutator_witnesses(group: FiniteGroup, bound: int = ELEMENT_SEARCH_BOUND) -> dict:
@@ -328,77 +305,3 @@ def abelianization(group: FiniteGroup) -> AbelianInvariants:
         full = mat_vec(vec, dec.V)
         proj_vectors.append(tuple(full[i] % divisors[i] for i in keep))
     return AbelianInvariants(factors, group, tuple(reps), tuple(proj_vectors), derived)
-
-
-def _vector_order(vec: tuple, factors: tuple) -> int:
-    from math import gcd, lcm
-    return lcm(1, *(r // gcd(v, r) for v, r in zip(vec, factors)))
-
-
-def _span(vectors, factors: tuple) -> set:
-    zero = (0,) * len(factors)
-    span = {zero}
-    for y in vectors:
-        frontier = list(span)
-        while frontier:
-            nxt = []
-            for v in frontier:
-                w = tuple((a + b) % r for a, b, r in zip(v, y, factors))
-                if w not in span:
-                    span.add(w)
-                    nxt.append(w)
-            frontier = nxt
-    return span
-
-
-def has_faithful_abelian_generators(group: FiniteGroup,
-                                    bound: int = ELEMENT_SEARCH_BOUND):
-    """Whether some invariant-factor decomposition of G/[G,G] admits, for
-    each factor r, a standard-generator representative whose order in G is
-    exactly r.
-
-    The decomposition is not unique, so this searches for any basis of the
-    abelianization whose classes have the invariant factors as orders and
-    whose representatives have those same orders in G. Returns
-    (True, witnesses) or (False, None)."""
-    inv = abelianization(group)
-    if not inv.factors:
-        return True, ()
-    if group.order() > bound:
-        raise SearchBoundExceeded(f"|{group.name}| = {group.order()} > {bound}")
-    factors = inv.factors
-    # one candidate element per abelianization class and factor: order in G
-    # and order of the class both equal to the factor
-    by_class = {}
-    for g in group.elements(bound):
-        vec = inv.project(g)
-        best = by_class.setdefault(vec, {})
-        o = g.order()
-        if o not in best:
-            best[o] = g
-    candidates = []
-    for r in factors:
-        cands = []
-        for vec, elems in by_class.items():
-            if _vector_order(vec, factors) == r and r in elems:
-                cands.append((vec, elems[r]))
-        candidates.append(cands)
-
-    witness = []
-
-    def extend(alpha: int, span: set) -> bool:
-        if alpha == len(factors):
-            return True
-        for vec, elem in candidates[alpha]:
-            accumulated = _span([w for w, _ in witness] + [vec], factors)
-            if len(accumulated) != factors[alpha] * len(span):
-                continue  # the new class meets the chosen span: sum not direct
-            witness.append((vec, elem))
-            if extend(alpha + 1, accumulated):
-                return True
-            witness.pop()
-        return False
-
-    if extend(0, {(0,) * len(factors)}):
-        return True, tuple(elem for _, elem in witness)
-    return False, None

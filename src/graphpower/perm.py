@@ -1,15 +1,14 @@
 """Permutations and strong-generating-set machinery.
 
 Permutations act on 0..degree-1 and compose left to right: (p * q) sends i to
-q[p[i]]. PermGroup keeps a base and stabilizer chain built by an incremental
-Schreier-Sims pass (seeded with a few random subproducts, then verified
-deterministically), giving exact orders and fast membership for the subgroup
-scales this package needs (orders up to ~2^30 on a few hundred points).
+q[p[i]]. PermGroup keeps a base and stabilizer chain built by one deterministic
+incremental Schreier-Sims pass, giving exact orders and fast membership for
+the subgroup scales this package needs (orders up to ~2^30 on a few hundred
+points).
 """
 
 from __future__ import annotations
 
-import random
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
@@ -145,33 +144,21 @@ class PermGroup:
     """
 
     def __init__(self, degree: int, generators: Iterable = (),
-                 max_order: Optional[int] = DEFAULT_MAX_ORDER,
-                 seed_rounds: int = 8):
+                 max_order: Optional[int] = DEFAULT_MAX_ORDER):
         self.degree = degree
         self._identity = tuple(range(degree))
         self.max_order = max_order
         self._levels: list[_Level] = []
-        self._gens: list[tuple] = []
-        raw = []
+        raw = {}
         for g in generators:
             img = g.image if isinstance(g, Perm) else tuple(g)
             if len(img) != degree:
                 raise DomainMismatch(f"generator degree {len(img)} != {degree}")
-            if img != self._identity and img not in raw:
-                raw.append(img)
-        for img in raw:
-            self._gens.append(img)
+            raw[img] = None
+        raw.pop(self._identity, None)
+        self._gens: list[tuple] = list(raw)
+        for img in self._gens:
             self._add_gen(img)
-        if seed_rounds and len(raw) > 1:
-            rng = random.Random(0xC0FFEE)
-            pool = list(raw)
-            for _ in range(seed_rounds * len(raw)):
-                a = rng.randrange(len(pool))
-                b = rng.randrange(len(pool))
-                w = _compose(pool[a], pool[b])
-                pool[a] = w
-                if w != self._identity:
-                    self._add_gen(w)
         self._complete()
 
     # -- chain construction ----------------------------------------------
@@ -187,10 +174,10 @@ class PermGroup:
             g = _compose(g, t_inv)
         return g, len(self._levels)
 
-    def _add_gen(self, g: tuple) -> bool:
+    def _add_gen(self, g: tuple) -> None:
         h, j = self._strip(g)
         if h == self._identity:
-            return False
+            return
         if j == len(self._levels):
             point = next(i for i, x in enumerate(h) if x != i)
             self._levels.append(_Level(point, self._identity))
@@ -198,7 +185,6 @@ class PermGroup:
         for lvl in range(j + 1):
             self._extend_level(self._levels[lvl], h)
         self._check_capacity()
-        return True
 
     def _extend_level(self, level: _Level, new_gen: tuple) -> None:
         level.gens.append(new_gen)
@@ -230,35 +216,18 @@ class PermGroup:
             raise CapacityExceeded(bound, self.max_order)
 
     def _complete(self) -> None:
-        identity = self._identity
+        """Sift Schreier generators until none is pending, each one from the
+        deepest level that has a pending pair."""
         while True:
-            idx = None
-            for i in range(len(self._levels) - 1, -1, -1):
-                lv = self._levels[i]
-                if lv.ptr < len(lv.pairs):
-                    idx = i
-                    break
-            if idx is None:
+            level = next((lv for lv in reversed(self._levels)
+                          if lv.ptr < len(lv.pairs)), None)
+            if level is None:
                 return
-            level = self._levels[idx]
-            while level.ptr < len(level.pairs):
-                pt, s = level.pairs[level.ptr]
-                level.ptr += 1
-                u = level.orbit[pt]
-                target = s[pt]
-                schreier = _compose(_compose(u, s), level.inv[target])
-                if schreier == identity:
-                    continue
-                if self._add_gen(schreier):
-                    deeper = any(
-                        lv.ptr < len(lv.pairs) for lv in self._levels[idx + 1:]
-                    )
-                    if deeper:
-                        break  # restart at the deepest pending level
-            else:
-                continue
-            # broke out to service a deeper level
-            continue
+            pt, s = level.pairs[level.ptr]
+            level.ptr += 1
+            schreier = _compose(_compose(level.orbit[pt], s), level.inv[s[pt]])
+            if schreier != self._identity:
+                self._add_gen(schreier)
 
     # -- queries ------------------------------------------------------------
 
@@ -341,12 +310,13 @@ def normal_closure(degree: int, ambient_gens: Sequence, sub_gens: Sequence,
 def derived_subgroup_of(degree: int, generators: Sequence,
                         max_order: Optional[int] = DEFAULT_MAX_ORDER) -> PermGroup:
     """Commutator subgroup of the group generated by `generators`: the normal
-    closure of the generator-pair commutators."""
+    closure of the commutators over unordered generator pairs ([b,a] is the
+    inverse of [a,b], so one of the two suffices)."""
     gens = [g.image if isinstance(g, Perm) else tuple(g) for g in generators]
-    comms = []
-    for a in gens:
-        for b in gens:
-            c = _compose(_compose(_compose(a, b), _inverse(a)), _inverse(b))
-            if c != tuple(range(degree)) and c not in comms:
-                comms.append(c)
-    return normal_closure(degree, gens, comms, max_order=max_order)
+    invs = [_inverse(a) for a in gens]
+    comms = {}
+    for i, (a, ai) in enumerate(zip(gens, invs)):
+        for b, bi in zip(gens[i + 1:], invs[i + 1:]):
+            comms[_compose(_compose(_compose(a, b), ai), bi)] = None
+    comms.pop(tuple(range(degree)), None)
+    return normal_closure(degree, gens, list(comms), max_order=max_order)

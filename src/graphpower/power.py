@@ -31,20 +31,12 @@ from .errors import ConsistencyError, DimensionMismatch, LimitExceeded, SearchBo
 from .graphs import Graph
 from .groups import FiniteGroup, AbelianInvariants, abelianization, derived_subgroup
 from .perm import DEFAULT_MAX_ORDER, Perm, PermGroup, derived_subgroup_of
-from .ra import _intersection_rows, activation_matrix, ra_matrix
-from .zlinalg import IntMat, lattice_index, rank_mod_p, span_order_mod
+from .ra import _intersection_rows, _ra_lattice_index, activation_matrix, ra_matrix
+from .zlinalg import IntMat, rank_mod_p, span_order_mod
 
 ClickVector = tuple
 
 _ALL_ELEMENT_CLICK_BOUND = 512
-
-# The RA test builds the n(n+1)/2 x n intersection matrix and eliminates it
-# over Z. It runs while the matrix has at most this many entries (Q8: 8.4
-# million, about 3 s; Q9: 67 million, well over) and stops once its row
-# operations have rewritten this many entries (dense graphs of 80 vertices
-# pass it through entry growth). Past either bound the orders take the closure
-# path, which stops at the order cap instead of exhausting time or memory.
-RA_TEST_BUDGET = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -201,18 +193,6 @@ def abelian_power_order(invariants, matrix) -> int:
     return total
 
 
-def _lattice_is_full(graph: Graph) -> bool:
-    """Whether the intersection rows span Z^n; False without an answer once
-    the test passes RA_TEST_BUDGET."""
-    n = graph.n
-    if n * n * (n + 1) // 2 > RA_TEST_BUDGET:
-        return False
-    try:
-        return lattice_index(ra_matrix(graph), budget=RA_TEST_BUDGET) == 1
-    except LimitExceeded:
-        return False
-
-
 def _orders(group: FiniteGroup, graph: Graph, *,
             max_order: Optional[int] = DEFAULT_MAX_ORDER,
             power: Optional[PowerSubgroup] = None) -> tuple:
@@ -223,11 +203,16 @@ def _orders(group: FiniteGroup, graph: Graph, *,
     abelianized power, so |G^graph| = |Comm| * |(G^Ab)^graph|; Comm sits
     inside [G,G]^n, so its order divides |[G,G]|^n and the quotient is the
     RA index. Without a built `power`, a graph whose intersection lattice is
-    Z^n takes the closed form Comm = [G,G]^n; any other graph builds G^graph
-    under max_order."""
+    Z^n takes the closed form Comm = [G,G]^n; any other graph, and any graph
+    past ra.RA_TEST_BUDGET, builds G^graph under max_order."""
     full = derived_subgroup(group).order() ** graph.n
-    if power is None and not _lattice_is_full(graph):
-        power = graph_power(group, graph, max_order=max_order)
+    if power is None:
+        try:
+            closed_form = _ra_lattice_index(graph) == 1
+        except LimitExceeded:  # past RA_TEST_BUDGET: no answer, take the closure
+            closed_form = False
+        if not closed_form:
+            power = graph_power(group, graph, max_order=max_order)
     ab = abelian_power_order(abelianization(group), activation_matrix(graph))
     if power is None:
         return ab, full, full

@@ -97,9 +97,6 @@ class IntMat:
             cols=other.cols,
         )
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self._rows for x in row)
-
 
 def mat_vec(vec: Sequence[int], mat: IntMat) -> tuple:
     """Row vector times matrix."""

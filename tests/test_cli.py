@@ -2,7 +2,9 @@ import csv
 import io
 import json
 
-from graphpower import power, solver
+import pytest
+
+from graphpower import ra, solver
 from graphpower.cli import main
 from graphpower.graphs import graph6_decode, cycle, hypercube, is_isomorphic
 from graphpower.schemas import (
@@ -124,13 +126,27 @@ def test_ra_chain_capacity_exit(capsys):
 
 
 def test_ra_gra_over_the_ra_test_budget_takes_the_closure(capsys, monkeypatch):
-    monkeypatch.setattr(power, "RA_TEST_BUDGET", 74)  # C5 needs 5 * 15 = 75 entries
+    monkeypatch.setattr(ra, "RA_TEST_BUDGET", 74)  # C5 needs 5 * 15 = 75 entries
     monkeypatch.setenv("GRAPHPOWER_MAX_ORDER", "100")
     code, out, err = run(capsys, "ra", "gra", "C5", "--group", "S4")
     assert code == 3 and out == "" and "exceeds cap" in err
-    monkeypatch.setattr(power, "RA_TEST_BUDGET", 1000)
+    monkeypatch.setattr(ra, "RA_TEST_BUDGET", 1000)
     code, out, _ = run(capsys, "ra", "gra", "C5", "--group", "S4")
     assert code == 0 and json.loads(out)["orders"]["graph_power"] == 24 ** 5
+
+
+def test_ra_check_past_the_ra_test_budget_exits_3(capsys, monkeypatch):
+    # Q5: a 528 x 32 intersection matrix (16896 entries) whose elimination
+    # over Z rewrites between 50000 and 100000 entries
+    monkeypatch.setattr(ra, "RA_TEST_BUDGET", 16895)
+    code, out, err = run(capsys, "ra", "check", "Q5")
+    assert code == 3 and out == "" and "16896" in err and "16895" in err
+    monkeypatch.setattr(ra, "RA_TEST_BUDGET", 50000)
+    code, out, err = run(capsys, "ra", "check", "Q5")
+    assert code == 3 and out == "" and "50000" in err
+    monkeypatch.setattr(ra, "RA_TEST_BUDGET", 100000)
+    code, out, _ = run(capsys, "ra", "check", "Q5")
+    assert code == 0 and json.loads(out)["ra"] is False
 
 
 def test_bad_group_spec(capsys):
@@ -156,6 +172,14 @@ def test_census_csv_and_oeis(capsys, tmp_path):
     bad.write_text("1 1\n2 0\n3 1\n4 3\n5 12\n")
     code, _, err = run(capsys, "ra", "census", "--max-n", "5", "--oeis", str(bad))
     assert code == 4 and "MISMATCH" in err
+
+
+def test_census_past_eight_vertices_exits_3(capsys):
+    code, out, err = run(capsys, "ra", "census", "--max-n", "9")
+    assert code == 3 and out == "" and "261080" in err
+    with pytest.raises(SystemExit) as exc:  # argparse rejects the removed option
+        main(["ra", "census", "--max-n", "5", "--allow-eight"])
+    assert exc.value.code == 2 and capsys.readouterr().out == ""
 
 
 def test_solve_solvable(capsys):

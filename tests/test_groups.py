@@ -5,19 +5,17 @@ from graphpower.groups import (
     FiniteGroup,
     abelianization,
     alternating,
-    commutator_set,
+    commutator_witnesses,
     cyclic,
     derived_subgroup,
     dihedral,
     direct_product,
-    has_faithful_abelian_generators,
     heisenberg,
     make_group,
     parse_group_spec,
-    subgroup_order_and_membership,
     symmetric,
 )
-from graphpower.perm import Perm, PermGroup
+from graphpower.perm import Perm, PermGroup, derived_subgroup_of
 
 from graphpower.graphs import cycle, hypercube
 from graphpower.power import graph_power
@@ -169,6 +167,9 @@ def test_abelianization_fixtures():
     assert abelianization(cyclic(12)).factors == (12,)
     assert abelianization(direct_product(cyclic(2), cyclic(4))).factors == (2, 4)
     assert abelianization(alternating(4)).factors == (3,)
+    q8 = quaternion_group()
+    assert q8.order() == 8
+    assert abelianization(q8).factors == (2, 2)
 
 
 def test_abelianization_order_and_projection():
@@ -188,25 +189,23 @@ def test_abelianization_order_and_projection():
 
 def test_commutator_set_fixtures():
     d8 = dihedral(8)
-    cs = commutator_set(d8)
+    cs = set(commutator_witnesses(d8))
     r = d8.generators[0]
     assert cs == {d8.identity(), r * r}
     s3 = symmetric(3)
-    assert len(commutator_set(s3)) == 3  # the alternating subgroup
-    assert commutator_set(cyclic(6)) == {cyclic(6).identity()}
+    assert len(set(commutator_witnesses(s3))) == 3  # the alternating subgroup
+    assert set(commutator_witnesses(cyclic(6))) == {cyclic(6).identity()}
 
 
 def test_subgroup_order_and_membership():
     s4 = symmetric(4)
-    sub = subgroup_order_and_membership(list(s4.generators))
+    sub = PermGroup(4, list(s4.generators))
     assert sub.order() == 24
     assert sub.contains(Perm.from_cycles(4, (0, 1, 2)))
-    trivial = subgroup_order_and_membership([], degree=5)
+    trivial = PermGroup(5, [])
     assert trivial.order() == 1
     with pytest.raises(DomainMismatch):
-        subgroup_order_and_membership([])
-    with pytest.raises(DomainMismatch):
-        subgroup_order_and_membership([Perm([1, 0]), Perm([0, 1, 2])])
+        PermGroup(2, [Perm([1, 0]), Perm([0, 1, 2])])
 
 
 def test_subgroup_order_on_cycle_click_generators():
@@ -216,7 +215,7 @@ def test_subgroup_order_on_cycle_click_generators():
     gp = graph_power(symmetric(4), cycle(5))
     clicks = [s.as_perm() for s in gp.generators]
     assert len(clicks) == 10
-    sub = subgroup_order_and_membership(clicks, max_order=None)
+    sub = PermGroup(5 * 4, clicks, max_order=None)
     assert sub.order() == 24 ** 5 == 7962624
 
 
@@ -227,7 +226,7 @@ def test_subgroup_membership_matches_closure():
     elems = s5.elements()
     for _ in range(5):
         gens = [rng.choice(elems) for _ in range(2)]
-        sub = subgroup_order_and_membership(gens)
+        sub = PermGroup(5, gens)
         closure = closure_elements(5, gens)
         assert sub.order() == len(closure)
         for _ in range(10):
@@ -244,17 +243,82 @@ def test_permgroup_base_and_elements():
     assert PermGroup(3, []).order() == 1
 
 
-def test_faithful_abelian_generators():
-    ok, witness = has_faithful_abelian_generators(dihedral(8))
-    assert ok and [w.order() for w in witness] == [2, 2]
-    assert has_faithful_abelian_generators(heisenberg(2))[0]
-    assert has_faithful_abelian_generators(heisenberg(3))[0]
-    assert has_faithful_abelian_generators(symmetric(4))[0]
-    assert has_faithful_abelian_generators(cyclic(9))[0]
-    q8 = quaternion_group()
-    assert q8.order() == 8
-    assert abelianization(q8).factors == (2, 2)
-    assert has_faithful_abelian_generators(q8) == (False, None)
+def _random_generating_set(rng, blocks: tuple, pad: bool) -> list:
+    """Random generators on consecutive blocks of the given sizes. Each one
+    applies a single random permutation to a random set of equal-size blocks,
+    as a click does to the coordinates of G^n. With `pad`, a duplicate, the
+    identity and a product of two generators join them, in random order."""
+    starts = [sum(blocks[:k]) for k in range(len(blocks))]
+    gens = []
+    for _ in range(rng.randint(2, 4)):
+        size = rng.choice(blocks)
+        same = [k for k, b in enumerate(blocks) if b == size]
+        moved = [k for k in same if rng.random() < 0.5] or [rng.choice(same)]
+        perm = list(range(size))
+        rng.shuffle(perm)
+        img = list(range(sum(blocks)))
+        for k in moved:
+            img[starts[k]:starts[k] + size] = [starts[k] + x for x in perm]
+        gens.append(Perm(img))
+    if pad:
+        gens += [rng.choice(gens), Perm.identity(sum(blocks)), rng.choice(gens) * rng.choice(gens)]
+    rng.shuffle(gens)
+    return gens
+
+
+def _generated_by(degree: int, elements) -> set:
+    """closure_elements of `elements`, closing again only after an element
+    that the closure so far does not reach."""
+    gens, reached = [], {tuple(range(degree))}
+    for x in elements:
+        if x.image not in reached:
+            gens.append(x)
+            reached = closure_elements(degree, gens)
+    return reached
+
+
+def test_permgroup_with_redundant_generators_matches_closure():
+    import random
+    rng = random.Random(3)
+    for blocks in [(5,), (6,), (7,), (3, 3), (4, 4), (2, 2, 3), (4, 4, 4), (3,) * 5]:
+        degree = sum(blocks)
+        for _ in range(10):
+            gens = _random_generating_set(rng, blocks, pad=True)
+            group = PermGroup(degree, gens)
+            closure = closure_elements(degree, gens)
+            assert group.order() == len(closure)
+            assert sorted(g.image for g in group.generators) == \
+                sorted({g.image for g in gens} - {tuple(range(degree))})
+            for _ in range(50):
+                img = list(range(degree))
+                rng.shuffle(img)
+                assert group.contains(Perm(img)) == (tuple(img) in closure)
+            for x in list(closure)[:50]:
+                assert group.contains(Perm(x))
+
+
+def test_derived_subgroup_of_matches_commutator_closure():
+    # [G,G] is generated by the [x, s] with x in G and s a generator:
+    # g[x,s]g^-1 = [gx,s][g,s]^-1 makes that subgroup normal, and modulo it
+    # every generator is central, so the quotient is abelian. Where |G| <= 120
+    # the closure of all commutators [x, y] checks that oracle too. Half the
+    # sets are unpadded: a duplicate or a product can stand in for a
+    # generator that the commutator pairs leave out.
+    import random
+    rng = random.Random(2)
+    for blocks in [(5,), (6,), (7,), (2, 3), (2, 2, 2), (3, 3), (2, 2, 3), (3, 4)]:
+        degree = sum(blocks)
+        for _ in range(3):
+            gens = _random_generating_set(rng, blocks, pad=rng.random() < 0.5)
+            elements = [Perm(x) for x in closure_elements(degree, gens)]
+            oracle = _generated_by(degree, [x.commutator(s) for x in elements for s in gens])
+            if len(elements) <= 120:
+                assert oracle == _generated_by(
+                    degree, [x.commutator(y) for x in elements for y in elements])
+            derived = derived_subgroup_of(degree, gens)
+            assert derived.order() == len(oracle)
+            for x in elements:
+                assert derived.contains(x) == (x.image in oracle)
 
 
 def test_element_search_bound():

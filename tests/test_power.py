@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphpower.errors import CapacityExceeded, SearchBoundExceeded
-from graphpower import power
+from graphpower import power, ra
 from graphpower.graphs import (
     build_graph,
     complete,
@@ -224,10 +224,10 @@ def test_ra_test_budget_falls_back_to_closure(monkeypatch):
     assert lattice_index(ra_matrix(dense)) == 1
     ab, comm, full = power._orders(symmetric(3), dense, max_order=100)
     assert comm == full == 3 ** 40
-    monkeypatch.setattr(power, "RA_TEST_BUDGET", 40000)
+    monkeypatch.setattr(ra, "RA_TEST_BUDGET", 40000)
     with pytest.raises(CapacityExceeded):
         power._orders(symmetric(3), dense, max_order=100)
-    monkeypatch.setattr(power, "RA_TEST_BUDGET", 0)
+    monkeypatch.setattr(ra, "RA_TEST_BUDGET", 0)
     assert power._orders(symmetric(4), cycle(5)) == (32, 12 ** 5, 12 ** 5)
     with pytest.raises(CapacityExceeded):
         power._orders(symmetric(4), cycle(5), max_order=100)

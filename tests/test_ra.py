@@ -1,6 +1,6 @@
 import pytest
 
-from graphpower.errors import LimitExceeded, NotPrime, PreconditionViolated, UnsupportedFamily
+from graphpower.errors import InvalidParameter, LimitExceeded, NotPrime, PreconditionViolated, UnsupportedFamily
 from graphpower.graphs import (
     complete,
     complete_bipartite,
@@ -218,16 +218,16 @@ def test_census_to_five():
 
 
 def test_census_limits():
-    with pytest.raises(LimitExceeded):
-        census(8)
-    with pytest.raises(LimitExceeded):
-        census(9, allow_eight=True)
+    with pytest.raises(LimitExceeded, match="261080"):
+        census(9)
+    with pytest.raises(InvalidParameter):
+        census(0)
 
 
 @pytest.mark.slow
 def test_census_eight_finds_the_cube():
     with pytest.warns(UserWarning):
-        report = census(8, allow_eight=True)
+        report = census(8)
     top = report.summaries[7]
     assert top.connected_classes == 11117
     # the cube lives here, so not everything at n = 8 is RA
