@@ -64,6 +64,18 @@ class Graph:
         self._adj = tuple(frozenset(s) for s in adj)
         self._masks = tuple(sum(1 << w for w in s) for s in adj)
 
+    @classmethod
+    def _from_masks(cls, masks: Sequence[int]) -> "Graph":
+        """The unlabeled graph whose vertex v has neighbour bitmask masks[v];
+        the masks must be symmetric and loop-free, which is not checked."""
+        g = cls.__new__(cls)
+        g.n = len(masks)
+        g.labels = None
+        g._masks = tuple(masks)
+        g._adj = tuple(frozenset(_vertices(m)) for m in masks)
+        g.edges = frozenset((u, v) for v, a in enumerate(g._adj) for u in a if u < v)
+        return g
+
     def neighbors(self, v: int) -> frozenset:
         self._check(v)
         return self._adj[v]
@@ -421,10 +433,30 @@ def disjoint_union(a: Graph, b: Graph) -> Graph:
 
 def relabel(g: Graph, perm: Sequence[int]) -> Graph:
     """Relabel so that new vertex i is old vertex perm[i]."""
-    inv = [0] * g.n
+    return Graph._from_masks(_permute_masks(g._masks, _inverse(perm)))
+
+
+def _inverse(perm: Sequence[int]) -> list:
+    inv = [0] * len(perm)
     for i, v in enumerate(perm):
         inv[v] = i
-    return Graph(g.n, [(inv[u], inv[v]) for u, v in g.edges])
+    return inv
+
+
+def _permute_masks(masks: tuple, position: Sequence[int]) -> tuple:
+    """Neighbour masks after moving each vertex v to position[v]."""
+    out = [0] * len(masks)
+    for v, m in enumerate(masks):
+        out[position[v]] = sum(1 << position[w] for w in _vertices(m))
+    return tuple(out)
+
+
+def _vertices(mask: int) -> Iterator[int]:
+    """The set bits of mask, lowest first."""
+    while mask:
+        b = mask & -mask
+        yield b.bit_length() - 1
+        mask ^= b
 
 
 # -- canonical labeling and isomorph-free enumeration --------------------------
@@ -494,9 +526,9 @@ def _column_codes(masks: tuple, order: Sequence[int]) -> tuple:
     return tuple(codes)
 
 
-def _canonical_search(g: Graph) -> tuple:
-    """(certificate, placement, automorphism generators) by
-    individualization-refinement.
+def _canonical_search(n: int, masks: tuple) -> tuple:
+    """(certificate, placement, automorphism generators) of the graph on
+    0..n-1 with neighbour bitmasks `masks`, by individualization-refinement.
 
     The root partition is the equitable refinement of the unit partition.
     A node individualizes each vertex of its first smallest non-singleton
@@ -509,10 +541,8 @@ def _canonical_search(g: Graph) -> tuple:
     equivalent leaf's path, whose subtree there mirrors one already searched
     (McKay 1981). The automorphisms found generate the automorphism group.
     """
-    n = g.n
     if n > _CERTIFICATE_MAX_N:
         raise LimitExceeded(f"canonical labeling capped at {_CERTIFICATE_MAX_N} vertices")
-    masks = g._masks
     gens: list = []
     first = best = None  # (codes, order, individualized vertices)
     individualized: list = []
@@ -604,7 +634,7 @@ def canonical_form(g: Graph) -> tuple:
     these codes. A graph whose own labeling already scores the minimum gets
     the identity placement.
     """
-    cert, placement, _ = _canonical_search(g)
+    cert, placement, _ = _canonical_search(g.n, g._masks)
     if _column_codes(g._masks, range(g.n)) == cert[1]:
         placement = list(range(g.n))
     return cert, placement
@@ -636,30 +666,32 @@ def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
         raise InvalidParameter("n must be positive")
     if n > 8:
         raise LimitExceeded("enumeration capped at 8 vertices")
-    for g, _ in _augmented_classes(n):
-        yield g
+    for masks, _ in _augmented_classes(n):
+        yield Graph._from_masks(masks)
 
 
 def _augmented_classes(n: int) -> Iterator[tuple]:
-    """(representative, automorphism generators on its labels) per class.
+    """(neighbour masks of the representative, automorphism generators on
+    its labels) per class.
 
-    Neighbor sets in one orbit of the parent's automorphism group give
-    isomorphic children, so only the first set of each orbit is tried."""
+    A child is its parent's masks with the new vertex n-1 added to the
+    neighbours it picks. Neighbor sets in one orbit of the parent's
+    automorphism group give isomorphic children, so only the first set of
+    each orbit is tried."""
     if n == 1:
-        yield Graph(1, []), []
+        yield (0,), []
         return
     seen = set()
+    bit = 1 << (n - 1)
     for parent, parent_gens in _augmented_classes(n - 1):
-        base_edges = list(parent.edges)
         for mask in _subset_orbit_representatives(n - 1, parent_gens):
-            child = Graph(n, base_edges + [(u, n - 1) for u in range(n - 1) if mask >> u & 1])
-            cert, placement, gens = _canonical_search(child)
+            child = tuple(m | bit if mask >> u & 1 else m
+                          for u, m in enumerate(parent)) + (mask,)
+            cert, placement, gens = _canonical_search(n, child)
             if cert not in seen:
                 seen.add(cert)
-                position = [0] * n
-                for i, v in enumerate(placement):
-                    position[v] = i
-                yield (relabel(child, placement),
+                position = _inverse(placement)
+                yield (_permute_masks(child, position),
                        [tuple(position[a[v]] for v in placement) for a in gens])
 
 

@@ -31,7 +31,7 @@ from .errors import ConsistencyError, DimensionMismatch, LimitExceeded, SearchBo
 from .graphs import Graph
 from .groups import FiniteGroup, AbelianInvariants, abelianization, derived_subgroup
 from .perm import DEFAULT_MAX_ORDER, Perm, PermGroup, derived_subgroup_of
-from .ra import _intersection_rows, _ra_lattice_index, activation_matrix, ra_matrix
+from .ra import _distinct_rows, _indicator, _intersection_masks, _ra_lattice_index, activation_matrix
 from .zlinalg import IntMat, rank_mod_p, span_order_mod
 
 ClickVector = tuple
@@ -238,9 +238,10 @@ def _comm_subgroup(group: FiniteGroup, graph: Graph, include_equal: bool,
     act = activation_matrix(graph)
     gens = []
     seen = set()
-    for (u, v), ind in _intersection_rows(graph, include_equal):
-        if not any(ind):
+    for (u, v), mask in _intersection_masks(graph, include_equal):
+        if not mask:
             continue
+        ind = _indicator(mask, graph.n)
         for c, (g, h) in witnesses.items():
             state = power_click(group, c, ind)
             if verify:
@@ -295,15 +296,14 @@ def comm_b_order(group: FiniteGroup, graph: Graph) -> int:
     order, else by closure."""
     p = _central_prime_commutator(group)
     if p is not None:
-        return p ** rank_mod_p(ra_matrix(graph), p)
+        return p ** rank_mod_p(IntMat(_distinct_rows(graph, True), cols=graph.n), p)
     return comm_b(group, graph, verify=False).order()
 
 
 def comm_d_order(group: FiniteGroup, graph: Graph) -> int:
     p = _central_prime_commutator(group)
     if p is not None:
-        rows = [row for _, row in _intersection_rows(graph, include_equal=False)]
-        return p ** rank_mod_p(IntMat(rows, cols=graph.n), p)
+        return p ** rank_mod_p(IntMat(_distinct_rows(graph, False), cols=graph.n), p)
     return comm_d(group, graph, verify=False).order()
 
 

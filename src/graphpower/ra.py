@@ -23,66 +23,85 @@ from .errors import InvalidParameter, LimitExceeded, NotPrime, PreconditionViola
 from .graphs import (
     Graph,
     classify,
-    closed_neighborhood,
     distances,
     enumerate_connected_graphs,
     graph6_encode,
     is_connected,
     is_neighborhood_distinguishable,
 )
-from .zlinalg import IntMat, is_prime, lattice_index, rank_mod_p, snf_divisors
+from .zlinalg import IntMat, _row_lattice_index, is_prime, rank_mod_p, snf_divisors
 
 RA_METHODS = ("full_lattice",)
 
-# The RA test builds the n(n+1)/2 x n intersection matrix and eliminates it
-# over Z. It runs while the matrix has at most this many entries (Q8: 8.4
-# million, about 3 s; Q9: 67 million, well over) and stops once its row
-# operations have rewritten this many entries (dense graphs of 80 vertices
-# pass it through entry growth), so it ends in LimitExceeded instead of
-# exhausting time or memory.
+# The RA test eliminates the distinct nonzero rows of the n(n+1)/2 x n
+# intersection matrix over Z. It runs while the full matrix would have at
+# most this many entries (Q8: 8.4 million, under 1 s; Q9: 67 million, over)
+# and stops once its row operations have rewritten this many entries (dense
+# graphs of 80 vertices pass it through entry growth), so it ends in
+# LimitExceeded instead of exhausting time or memory. `ra_matrix`, which
+# materializes every row, stops at the same size.
 RA_TEST_BUDGET = 1 << 24
+
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _indicator(mask: int, n: int) -> tuple:
+    """0/1 vector of length n whose entry w is bit w of mask."""
+    return tuple(format(mask, f"0{n}b")[::-1].encode().translate(_BITS))
+
+
+def _closed_masks(graph: Graph) -> list:
+    """Bitmask of the closed neighborhood B(v) of each vertex v."""
+    return [m | 1 << v for v, m in enumerate(graph._masks)]
+
+
+def _intersection_masks(graph: Graph, include_equal: bool) -> list:
+    """((u, v), bitmask of B(u) cap B(v)) for every vertex pair u < v, or
+    u <= v with include_equal, in lexicographic order."""
+    b = _closed_masks(graph)
+    n = graph.n
+    return [((u, v), b[u] & b[v])
+            for u in range(n) for v in range(u if include_equal else u + 1, n)]
+
+
+def _distinct_rows(graph: Graph, include_equal: bool) -> list:
+    """The distinct nonzero rows of the intersection matrix, as lists, in the
+    order of their first pair: the rows a lattice or a rank depends on."""
+    masks = dict.fromkeys(m for _, m in _intersection_masks(graph, include_equal))
+    masks.pop(0, None)
+    return [list(_indicator(m, graph.n)) for m in masks]
 
 
 def activation_matrix(graph: Graph) -> IntMat:
     """Adjacency plus identity; row v is the indicator of the closed
     neighborhood of v."""
-    rows = []
-    for v in range(graph.n):
-        nbhd = closed_neighborhood(graph, v)
-        rows.append(tuple(1 if w in nbhd else 0 for w in range(graph.n)))
-    return IntMat(rows, cols=graph.n)
+    return IntMat([_indicator(m, graph.n) for m in _closed_masks(graph)], cols=graph.n)
 
 
-def _intersection_rows(graph: Graph, include_equal: bool) -> list:
-    """((u, v), indicator of B(u) cap B(v)) for every vertex pair u < v, or
-    u <= v with include_equal, in lexicographic order."""
-    nbhds = [closed_neighborhood(graph, v) for v in range(graph.n)]
-    rows = []
-    for u in range(graph.n):
-        for v in range(u if include_equal else u + 1, graph.n):
-            inter = nbhds[u] & nbhds[v]
-            rows.append(((u, v), tuple(1 if w in inter else 0 for w in range(graph.n))))
-    return rows
+def _check_ra_matrix_size(n: int) -> None:
+    entries = n * n * (n + 1) // 2
+    if entries > RA_TEST_BUDGET:
+        raise LimitExceeded(f"RA test: the intersection matrix has {entries} entries, "
+                            f"over the budget of {RA_TEST_BUDGET}")
 
 
 def ra_matrix(graph: Graph) -> IntMat:
     """One row per unordered vertex pair (u = v included): the indicator of
     B(u) cap B(v). Empty intersections stay as zero rows, so the shape is
-    always n(n+1)/2 by n."""
-    return IntMat([row for _, row in _intersection_rows(graph, True)], cols=graph.n)
+    always n(n+1)/2 by n. Past RA_TEST_BUDGET entries it raises
+    LimitExceeded instead."""
+    _check_ra_matrix_size(graph.n)
+    return IntMat([_indicator(m, graph.n) for _, m in _intersection_masks(graph, True)],
+                  cols=graph.n)
 
 
 def _ra_lattice_index(graph: Graph) -> int:
     """Index of the row lattice of the intersection matrix in Z^n, under
     RA_TEST_BUDGET; LimitExceeded names the bound and the cap once either
     the matrix size or the elimination work passes it."""
-    n = graph.n
-    entries = n * n * (n + 1) // 2
-    if entries > RA_TEST_BUDGET:
-        raise LimitExceeded(f"RA test: the intersection matrix has {entries} entries, "
-                            f"over the budget of {RA_TEST_BUDGET}")
+    _check_ra_matrix_size(graph.n)
     try:
-        return lattice_index(ra_matrix(graph), budget=RA_TEST_BUDGET)
+        return _row_lattice_index(_distinct_rows(graph, True), graph.n, budget=RA_TEST_BUDGET)
     except LimitExceeded:
         raise LimitExceeded(f"RA test: the elimination over Z rewrites more entries "
                             f"than its budget of {RA_TEST_BUDGET}") from None
@@ -136,7 +155,7 @@ def heisenberg_ra(graph: Graph, p: int) -> bool:
     intersection matrix modulo p."""
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    return rank_mod_p(ra_matrix(graph), p) == graph.n
+    return rank_mod_p(IntMat(_distinct_rows(graph, True), cols=graph.n), p) == graph.n
 
 
 def pqr_criterion(graph: Graph, p: int) -> bool:
@@ -305,7 +324,7 @@ def census(max_n: int, progress=None) -> CensusReport:
             "has 261080 connected classes, against 11117 at n = 8")
     if max_n == 8:
         warnings.warn("census at n = 8 enumerates 11117 graph classes; "
-                      "about 6 s on a 2 GHz Xeon core")
+                      "about 5-7 s on a Xeon core")
     rows = []
     summaries = []
     for n in range(1, max_n + 1):

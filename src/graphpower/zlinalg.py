@@ -421,9 +421,14 @@ def lattice_index(M: IntMat, budget: Optional[int] = None) -> int:
     pivots, or 0 when its rank is below cols. Skips duplicate and zero rows.
     A `budget` caps the entries the elimination may rewrite (LimitExceeded
     past it)."""
-    rows = [list(r) for r in dict.fromkeys(M._rows) if any(r)]
-    pivots = _echelon(rows, M.cols, budget=budget)
-    if len(pivots) < M.cols:
+    return _row_lattice_index([list(r) for r in dict.fromkeys(M._rows) if any(r)],
+                              M.cols, budget)
+
+
+def _row_lattice_index(rows: list, n: int, budget: Optional[int] = None) -> int:
+    """lattice_index of the n-column rows, which it eliminates in place."""
+    pivots = _echelon(rows, n, budget=budget)
+    if len(pivots) < n:
         return 0
     index = 1
     for i, c in enumerate(pivots):

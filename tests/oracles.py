@@ -408,6 +408,58 @@ def canonical_certificate_bruteforce(g) -> tuple:
     return n, tuple(best)
 
 
+# -- intersection matrices and enumeration from edge lists and sets -------------
+
+def activation_rows_by_sets(g) -> list:
+    """Row v: the indicator of {v} together with the neighbours of v, read
+    from the edge list through sets."""
+    ball = _closed_neighborhood_sets(g)
+    return [tuple(1 if w in ball[v] else 0 for w in range(g.n)) for v in range(g.n)]
+
+
+def ra_rows_by_sets(g) -> list:
+    """One row per pair u <= v in lexicographic order: the indicator of
+    B(u) cap B(v), zero rows included."""
+    ball = _closed_neighborhood_sets(g)
+    return [tuple(1 if w in ball[u] & ball[v] else 0 for w in range(g.n))
+            for u in range(g.n) for v in range(u, g.n)]
+
+
+def _closed_neighborhood_sets(g) -> list:
+    ball = [{v} for v in range(g.n)]
+    for u, v in g.edges:
+        ball[u].add(v)
+        ball[v].add(u)
+    return ball
+
+
+def augmented_classes_by_edge_lists(n: int):
+    """(representative, automorphism generators) per class of connected
+    graphs on n vertices by vertex augmentation, each child a `Graph` built
+    from its parent's edge list plus the new vertex's edges, relabeled
+    through its edge list. Shares the canonical search and the orbit
+    representatives of neighbour sets with the package, so its classes,
+    labels and generators must match the package's exactly."""
+    from graphpower.graphs import Graph, _canonical_search, _subset_orbit_representatives
+
+    if n == 1:
+        yield Graph(1, []), []
+        return
+    seen = set()
+    for parent, parent_gens in augmented_classes_by_edge_lists(n - 1):
+        base_edges = list(parent.edges)
+        for mask in _subset_orbit_representatives(n - 1, parent_gens):
+            child = Graph(n, base_edges + [(u, n - 1) for u in range(n - 1) if mask >> u & 1])
+            cert, placement, gens = _canonical_search(child.n, child._masks)
+            if cert not in seen:
+                seen.add(cert)
+                position = [0] * n
+                for i, v in enumerate(placement):
+                    position[v] = i
+                yield (Graph(n, [(position[u], position[v]) for u, v in child.edges]),
+                       [tuple(position[a[v]] for v in placement) for a in gens])
+
+
 # -- derived subgroup of a graph power --------------------------------------------
 
 def derived_power_order_by_basic_commutators(group, graph) -> int:

@@ -18,8 +18,10 @@ from graphpower.graphs import (
     cycle,
     enumerate_connected_graphs,
     folded_cube,
+    graph6_encode,
     grid,
     hypercube,
+    is_neighborhood_distinguishable,
     path,
     petersen,
     star,
@@ -44,9 +46,11 @@ from graphpower.ra import (
     structural_ra_hints,
 )
 from graphpower.solver import INTEGERS, Solution, Unsolvable, reachability_profile, solve
-from graphpower.zlinalg import divisor_tuple_str, snf_divisors
+from graphpower.zlinalg import IntMat, divisor_tuple_str, snf_divisors
 
 from oracles import (
+    activation_rows_by_sets,
+    augmented_classes_by_edge_lists,
     comm_order_by_closure,
     connected_classes_bruteforce,
     connected_counts_by_euler_transform,
@@ -121,6 +125,16 @@ def test_criterion_04_census():
         report = census(7)
         assert report.full_lattice_counts() == (1, 0, 1, 1, 6, 20, 172)
         assert all(row.ra for row in report.rows)
+        # through n = 6, row for row as recomputed from the edge-list enumeration
+        expected = []
+        for n in range(1, 7):
+            for g, _ in augmented_classes_by_edge_lists(n):
+                if is_neighborhood_distinguishable(g):
+                    verdict = is_ra(g)
+                    divs = snf_divisors(IntMat(activation_rows_by_sets(g), cols=n))
+                    expected.append((n, graph6_encode(g), divs, verdict.ra, verdict.witness))
+        assert [(r.n, r.graph6, r.divisors, r.ra, r.witness)
+                for r in report.rows if r.n <= 6] == expected
     _report(4, "census: class counts, full-lattice counts, all RA to n=7", "10min", body)
 
 

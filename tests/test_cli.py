@@ -149,6 +149,15 @@ def test_ra_check_past_the_ra_test_budget_exits_3(capsys, monkeypatch):
     assert code == 0 and json.loads(out)["ra"] is False
 
 
+def test_eldivs_ra_matrix_past_the_ra_test_budget_exits_3(capsys, monkeypatch):
+    code, out, _ = run(capsys, "eldivs", "Q5", "--matrix", "ra")
+    assert code == 0 and out.strip() == "(1^31, 2)"
+    # the 528 x 32 matrix has 16896 entries
+    monkeypatch.setattr(ra, "RA_TEST_BUDGET", 16895)
+    code, out, err = run(capsys, "eldivs", "Q5", "--matrix", "ra")
+    assert code == 3 and out == "" and "16896" in err and "16895" in err
+
+
 def test_bad_group_spec(capsys):
     code, _, err = run(capsys, "ra", "gra", "C4", "--group", "Z9")
     assert code == 2 and "Z9" in err

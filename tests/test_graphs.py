@@ -18,6 +18,7 @@ from graphpower.graphs import (
     MAX_EDGES,
     MAX_VERTICES,
     Graph,
+    _augmented_classes,
     _canonical_search,
     build_graph,
     canonical_certificate,
@@ -56,6 +57,7 @@ from graphpower.graphs import (
 from graphpower.perm import PermGroup
 
 from oracles import (
+    augmented_classes_by_edge_lists,
     canonical_certificate_bruteforce,
     connected_classes_bruteforce,
     connected_counts_by_euler_transform,
@@ -266,6 +268,17 @@ def test_enumerate_yields_connected_nonisomorphic_canonical():
         next(enumerate_connected_graphs(0))
 
 
+def test_enumeration_matches_the_edge_list_oracle():
+    def fields(g):
+        return g.n, g.edges, g.labels, g._adj, g._masks, graph6_encode(g)
+
+    for n in range(1, 8):
+        theirs = list(augmented_classes_by_edge_lists(n))
+        assert [fields(g) for g in enumerate_connected_graphs(n)] == \
+            [fields(g) for g, _ in theirs]
+        assert [gens for _, gens in _augmented_classes(n)] == [gens for _, gens in theirs]
+
+
 def _identity_codes(g):
     return tuple(sum(g.has_edge(i, j) << (j - 1 - i) for i in range(j)) for j in range(g.n))
 
@@ -310,10 +323,10 @@ def _cayley_z4z4(steps):
 def test_automorphism_generators():
     for n in range(1, 7):
         for g in enumerate_connected_graphs(n):
-            for a in _canonical_search(g)[2]:
+            for a in _canonical_search(g.n, g._masks)[2]:
                 assert {tuple(sorted((a[u], a[v]))) for u, v in g.edges} == g.edges
     for g, order in ((complete(6), 720), (cycle(8), 16), (petersen(), 120), (hypercube(3), 48)):
-        gens = _canonical_search(g)[2]
+        gens = _canonical_search(g.n, g._masks)[2]
         for a in gens:
             assert {tuple(sorted((a[u], a[v]))) for u, v in g.edges} == g.edges
         assert PermGroup(g.n, gens).order() == order
@@ -340,7 +353,7 @@ def test_canonical_form_on_symmetric_graphs():
             perm = list(range(g.n))
             rng.shuffle(perm)
             h = relabel(g, perm)
-            got, placement, gens = _canonical_search(h)
+            got, placement, gens = _canonical_search(h.n, h._masks)
             assert got == cert
             assert got == (h.n, _identity_codes(relabel(h, placement)))
             assert PermGroup(h.n, gens, max_order=None).order() == order

@@ -20,6 +20,7 @@ from graphpower.graphs import (
     wheel,
 )
 from graphpower.ra import (
+    _ra_lattice_index,
     activation_matrix,
     census,
     heisenberg_ra,
@@ -29,9 +30,17 @@ from graphpower.ra import (
     ra_matrix,
     structural_ra_hints,
 )
-from graphpower.zlinalg import divisor_tuple_str, rank_mod_p, snf_divisors
+from graphpower.zlinalg import IntMat, divisor_tuple_str, lattice_index, rank_mod_p, snf_divisors
 
-from oracles import det_exact, gfp_rank, nonsingular_row_subset, prime_factors, rational_rank
+from oracles import (
+    activation_rows_by_sets,
+    det_exact,
+    gfp_rank,
+    nonsingular_row_subset,
+    prime_factors,
+    ra_rows_by_sets,
+    rational_rank,
+)
 
 
 def eligible(graph):
@@ -45,6 +54,17 @@ def test_activation_matrix_fixtures():
     assert activation_matrix(complete(1)).row_list() == [[1]]
     assert activation_matrix(path(3)).row_list() == [
         [1, 1, 0], [1, 1, 1], [0, 1, 1]]
+
+
+def test_matrices_match_the_set_based_oracle():
+    pool = [g for n in range(1, 7) for g in enumerate_connected_graphs(n)]
+    pool += [hypercube(d) for d in range(3, 7)]
+    pool += [folded_cube(5), grid(8, 8), petersen(), complete_bipartite(7, 8)]
+    for g in pool:
+        assert activation_matrix(g) == IntMat(activation_rows_by_sets(g), cols=g.n)
+        oracle = IntMat(ra_rows_by_sets(g), cols=g.n)
+        assert ra_matrix(g) == oracle
+        assert _ra_lattice_index(g) == lattice_index(oracle)
 
 
 def test_ra_matrix_fixtures():
