@@ -23,7 +23,6 @@ from .errors import (
 )
 from .graphs import (
     Graph,
-    build_graph,
     canonical_certificate,
     classify,
     closed_neighborhood,

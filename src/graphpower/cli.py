@@ -19,6 +19,7 @@ from . import power, ra, solver
 from .errors import CapacityError, ConsistencyError, GraphPowerError, InputError
 from .graphs import (
     FAMILIES,
+    _json_int,
     classify,
     graph6_encode,
     make_family,
@@ -128,6 +129,7 @@ def cmd_ra_chain(args) -> int:
 
 
 def cmd_ra_census(args) -> int:
+    expected = _read_bfile(args.oeis) if args.oeis else None
     report = ra.census(args.max_n)
     writer = csv.writer(sys.stdout)
     writer.writerow(["n", "graph6", "divisors", "ra", "method", "witness"])
@@ -136,28 +138,35 @@ def cmd_ra_census(args) -> int:
                          int(row.ra), row.method, row.witness])
     summary = ",".join(str(s.full_lattice) for s in report.summaries)
     print(f"full-lattice counts: {summary}", file=sys.stderr)
-    if args.oeis:
-        ok = _oeis_crosscheck(args.oeis, report)
-        if not ok:
-            raise ConsistencyError("census disagrees with the OEIS b-file")
+    if expected is not None and not _oeis_crosscheck(expected, report):
+        raise ConsistencyError("census disagrees with the OEIS b-file")
     return 0
 
 
-def _oeis_crosscheck(path: str, report) -> bool:
-    """Compare per-n connected distinguishable counts against a local OEIS
-    b-file (lines of 'n a(n)')."""
+def _read_bfile(path: str) -> dict:
+    """{n: a(n)} from a local OEIS b-file: lines of 'n a(n)', blank lines and
+    '#' comments skipped. An unreadable or malformed file is an InputError."""
     values = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
+            for number, line in enumerate(fh, start=1):
                 parts = line.split()
-                if len(parts) >= 2:
-                    values[int(parts[0])] = int(parts[1])
+                if not parts or parts[0].startswith("#"):
+                    continue
+                try:
+                    n, value = map(int, parts)
+                except ValueError:
+                    raise ValueError(f"line {number} is not 'n a(n)'") from None
+                values[n] = value
     except OSError as exc:
         raise InputError(f"cannot read b-file {path!r}: {exc}")
+    except ValueError as exc:  # a malformed line, or not UTF-8
+        raise InputError(f"bad b-file {path!r}: {exc}")
+    return values
+
+
+def _oeis_crosscheck(values: dict, report) -> bool:
+    """Compare per-n connected distinguishable counts against b-file values."""
     ok = True
     for s in report.summaries:
         if s.n not in values:
@@ -173,13 +182,6 @@ def _oeis_crosscheck(path: str, report) -> bool:
     return ok
 
 
-def _exponent(value) -> int:
-    """A JSON target exponent: an integer, not a float or a boolean."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"exponent {value!r} is not an integer")
-    return value
-
-
 def _parse_target(raw: str, n: int):
     text = raw.strip()
     if text.startswith("@"):
@@ -191,8 +193,8 @@ def _parse_target(raw: str, n: int):
     if text.startswith("{"):
         try:
             obj = json.loads(text)
-            items = [(int(k), tuple(_exponent(x) for x in val) if isinstance(val, list)
-                      else _exponent(val)) for k, val in obj.items()]
+            items = [(int(k), tuple(_json_int(x) for x in val) if isinstance(val, list)
+                      else _json_int(val)) for k, val in obj.items()]
         except (ValueError, TypeError, RecursionError) as exc:
             raise InputError(f"bad JSON target: {exc}")
         target = [None] * n

@@ -10,7 +10,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     IndexOutOfRange,
@@ -20,8 +20,6 @@ from .errors import (
     SelfLoopRejected,
     SpecParseError,
 )
-
-CONNECTED_GRAPH_COUNTS = (1, 1, 2, 6, 21, 112, 853, 11117)  # n = 1..8
 
 # size caps checked before any vertex or edge storage is allocated; far above
 # the largest graph the library is used on (grid20x20: 400 vertices, 760 edges)
@@ -36,80 +34,74 @@ _CERTIFICATE_MAX_N = 16
 
 
 class Graph:
-    """Undirected simple graph on vertices 0..n-1."""
+    """Undirected simple graph on vertices 0..n-1, stored as one neighbour
+    bitmask per vertex: bit w of _masks[v] is set when vw is an edge."""
 
-    __slots__ = ("n", "edges", "labels", "_adj", "_masks")
+    __slots__ = ("n", "_masks")
 
-    def __init__(self, n: int, edges: Iterable[tuple], labels: Optional[Sequence[str]] = None):
+    def __init__(self, n: int, edges: Iterable[tuple]):
+        """Duplicate edges are accepted idempotently; bad indices and
+        self-loops raise."""
         if n < 1:
             raise InvalidParameter("graphs need at least one vertex")
         if n > MAX_VERTICES:
             raise LimitExceeded(f"{n} vertices exceed the cap of {MAX_VERTICES}")
-        canon = set()
+        masks = [0] * n
+        count = 0
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise IndexOutOfRange(f"edge ({u}, {v}) outside 0..{n - 1}")
             if u == v:
                 raise SelfLoopRejected(f"self-loop at {u}")
-            canon.add((u, v) if u < v else (v, u))
-            if len(canon) > MAX_EDGES:
-                raise LimitExceeded(f"more than {MAX_EDGES} edges exceed the cap")
+            if not masks[u] >> v & 1:
+                masks[u] |= 1 << v
+                masks[v] |= 1 << u
+                count += 1
+                if count > MAX_EDGES:
+                    raise LimitExceeded(f"more than {MAX_EDGES} edges exceed the cap")
         self.n = n
-        self.edges = frozenset(canon)
-        self.labels = tuple(labels) if labels is not None else None
-        adj = [set() for _ in range(n)]
-        for u, v in canon:
-            adj[u].add(v)
-            adj[v].add(u)
-        self._adj = tuple(frozenset(s) for s in adj)
-        self._masks = tuple(sum(1 << w for w in s) for s in adj)
+        self._masks = tuple(masks)
 
     @classmethod
     def _from_masks(cls, masks: Sequence[int]) -> "Graph":
-        """The unlabeled graph whose vertex v has neighbour bitmask masks[v];
-        the masks must be symmetric and loop-free, which is not checked."""
+        """The graph whose vertex v has neighbour bitmask masks[v]; the masks
+        must be symmetric and loop-free, which is not checked."""
         g = cls.__new__(cls)
         g.n = len(masks)
-        g.labels = None
         g._masks = tuple(masks)
-        g._adj = tuple(frozenset(_vertices(m)) for m in masks)
-        g.edges = frozenset((u, v) for v, a in enumerate(g._adj) for u in a if u < v)
         return g
+
+    @property
+    def edges(self) -> frozenset:
+        """The edges as pairs (u, v) with u < v."""
+        return frozenset((u, v) for v, m in enumerate(self._masks)
+                         for u in _vertices(m & ((1 << v) - 1)))
 
     def neighbors(self, v: int) -> frozenset:
         self._check(v)
-        return self._adj[v]
+        return frozenset(_vertices(self._masks[v]))
 
     def degree(self, v: int) -> int:
         self._check(v)
-        return len(self._adj[v])
+        return self._masks[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check(u)
         self._check(v)
-        return v in self._adj[u]
+        return bool(self._masks[u] >> v & 1)
 
     def _check(self, v: int) -> None:
         if not 0 <= v < self.n:
             raise IndexOutOfRange(f"vertex {v} outside 0..{self.n - 1}")
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
+        return isinstance(other, Graph) and self._masks == other._masks
 
     def __hash__(self):
-        return hash((self.n, self.edges))
+        return hash(self._masks)
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={sorted(self.edges)})"
-
-
-def build_graph(n: int, edges: Iterable[tuple], labels=None) -> Graph:
-    """Build a graph from explicit edges.
-
-    Duplicate edges are accepted idempotently (the edge set is a set); bad
-    indices and self-loops raise.
-    """
-    return Graph(n, edges, labels)
 
 
 def closed_neighborhood(g: Graph, v: int) -> frozenset:
@@ -168,10 +160,9 @@ def folded_cube(d: int) -> Graph:
     if d > MAX_VERTICES.bit_length():
         raise LimitExceeded(f"folded_cube {d} has 2^{d - 1} vertices, over the cap of {MAX_VERTICES}")
     _check_size("folded_cube", 1 << (d - 1), d << (d - 2))
-    base = hypercube(d - 1)
-    n = base.n
-    extra = [(v, v ^ (n - 1)) for v in range(n) if v < v ^ (n - 1)]
-    return Graph(n, list(base.edges) + extra)
+    base = hypercube(d - 1)._masks
+    top = len(base) - 1
+    return Graph._from_masks([m | 1 << (v ^ top) for v, m in enumerate(base)])
 
 
 def wheel(n: int) -> Graph:
@@ -225,29 +216,31 @@ def triangle_strip(n: int) -> Graph:
     return Graph(n, edges)
 
 
+# name -> (builder, CLI shorthand); a shorthand captures one group per
+# builder parameter
 FAMILIES = {
-    "path": (path, 1),
-    "cycle": (cycle, 1),
-    "complete": (complete, 1),
-    "complete_bipartite": (complete_bipartite, 2),
-    "star": (star, 1),
-    "hypercube": (hypercube, 1),
-    "folded_cube": (folded_cube, 1),
-    "wheel": (wheel, 1),
-    "grid": (grid, 2),
-    "tadpole": (tadpole, 2),
-    "petersen": (petersen, 0),
-    "triangle_strip": (triangle_strip, 1),
+    "path": (path, re.compile(r"P(\d+)")),
+    "cycle": (cycle, re.compile(r"C(\d+)")),
+    "complete": (complete, re.compile(r"K(\d+)")),
+    "complete_bipartite": (complete_bipartite, re.compile(r"K(\d+),(\d+)")),
+    "star": (star, re.compile(r"St(\d+)")),
+    "hypercube": (hypercube, re.compile(r"Q(\d+)")),
+    "folded_cube": (folded_cube, re.compile(r"FQ(\d+)")),
+    "wheel": (wheel, re.compile(r"W(\d+)")),
+    "grid": (grid, re.compile(r"grid(\d+)x(\d+)")),
+    "tadpole": (tadpole, re.compile(r"T(\d+),(\d+)")),
+    "petersen": (petersen, re.compile(r"(?ai:petersen)")),
+    "triangle_strip": (triangle_strip, re.compile(r"TS(\d+)")),
 }
 
 
 def make_family(family: str, *params: int) -> Graph:
     if family not in FAMILIES:
         raise InvalidParameter(f"unknown family {family!r}")
-    fn, arity = FAMILIES[family]
-    if len(params) != arity:
-        raise InvalidParameter(f"{family} takes {arity} parameter(s), got {len(params)}")
-    return fn(*params)
+    build, shorthand = FAMILIES[family]
+    if len(params) != shorthand.groups:
+        raise InvalidParameter(f"{family} takes {shorthand.groups} parameter(s), got {len(params)}")
+    return build(*params)
 
 
 def _at_least(value: int, minimum: int, family: str) -> None:
@@ -283,40 +276,23 @@ class Classification:
         }
 
 
-def distances(g: Graph, source: int) -> list:
-    """BFS distances from source; unreachable vertices get -1."""
-    g._check(source)
-    dist = [-1] * g.n
-    dist[source] = 0
-    frontier = [source]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in g._adj[u]:
-                if dist[w] < 0:
-                    dist[w] = dist[u] + 1
-                    nxt.append(w)
-        frontier = nxt
-    return dist
-
-
 def components(g: Graph) -> tuple:
-    seen = [False] * g.n
+    """Vertex tuples of the connected components, each sorted, in order of
+    their lowest vertex: the closure of the lowest unvisited vertex under
+    neighbour masks, one breadth-first layer at a time."""
+    masks = g._masks
     out = []
-    for v in range(g.n):
-        if seen[v]:
-            continue
-        comp = []
-        stack = [v]
-        seen[v] = True
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for w in g._adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        out.append(tuple(sorted(comp)))
+    rest = (1 << g.n) - 1
+    while rest:
+        comp = layer = rest & -rest
+        while layer:
+            reach = 0
+            for v in _vertices(layer):
+                reach |= masks[v]
+            layer = reach & ~comp
+            comp |= layer
+        rest ^= comp
+        out.append(tuple(_vertices(comp)))
     return tuple(out)
 
 
@@ -331,12 +307,12 @@ def girth(g: Graph) -> float:
     through s of length d(a) + d(b) + 1, which holds a cycle at most that
     long and equals the girth when s lies on a shortest cycle. A search
     stops at the depth where no shorter cycle can close, and the scan stops
-    once a triangle is found.
+    at the first triangle. A vertex's neighbours are read from its mask when
+    a search first reaches it, so a dense graph reads only a few masks.
     """
+    adj = [None] * g.n
     best = math.inf
     for s in range(g.n):
-        if best == 3:
-            break
         dist = [-1] * g.n
         parent = [-1] * g.n
         dist[s] = 0
@@ -345,13 +321,17 @@ def girth(g: Graph) -> float:
         while frontier and 2 * depth + 1 < best:
             nxt = []
             for a in frontier:
-                for b in g._adj[a]:
+                if adj[a] is None:
+                    adj[a] = tuple(_vertices(g._masks[a]))
+                for b in adj[a]:
                     if dist[b] < 0:
                         dist[b] = depth + 1
                         parent[b] = a
                         nxt.append(b)
                     elif b != parent[a]:
                         best = min(best, depth + dist[b] + 1)
+                        if best == 3:
+                            return 3
             frontier = nxt
             depth += 1
     return best
@@ -393,7 +373,7 @@ def classify(g: Graph) -> Classification:
         girth=girth(g),
         nbhd_distinguishable=is_neighborhood_distinguishable(g),
         square_completion=has_square_completion(g),
-        degree_sequence=tuple(sorted((len(g._adj[v]) for v in range(g.n)), reverse=True)),
+        degree_sequence=tuple(sorted((m.bit_count() for m in g._masks), reverse=True)),
     )
 
 
@@ -420,10 +400,9 @@ def delete_vertex(g: Graph, v: int) -> Graph:
     g._check(v)
     if g.n == 1:
         raise InvalidParameter("cannot delete the last vertex")
-    keep = [u for u in range(g.n) if u != v]
-    index = {u: i for i, u in enumerate(keep)}
-    edges = [(index[a], index[b]) for a, b in g.edges if a != v and b != v]
-    return Graph(g.n - 1, edges)
+    low = (1 << v) - 1
+    return Graph._from_masks([m & low | m >> 1 & ~low
+                              for u, m in enumerate(g._masks) if u != v])
 
 
 def disjoint_union(a: Graph, b: Graph) -> Graph:
@@ -649,7 +628,7 @@ def canonical_graph(g: Graph) -> Graph:
 
 
 def is_isomorphic(a: Graph, b: Graph) -> bool:
-    if a.n != b.n or len(a.edges) != len(b.edges):
+    if sorted(m.bit_count() for m in a._masks) != sorted(m.bit_count() for m in b._masks):
         return False
     return canonical_certificate(a) == canonical_certificate(b)
 
@@ -800,8 +779,7 @@ def graph6_decode(text: str) -> Graph:
 def to_dot(g: Graph, name: str = "G") -> str:
     lines = [f"graph {name} {{"]
     for v in range(g.n):
-        label = g.labels[v] if g.labels else str(v)
-        lines.append(f'  {v} [label="{label}"];')
+        lines.append(f'  {v} [label="{v}"];')
     for u, v in sorted(g.edges):
         lines.append(f"  {u} -- {v};")
     lines.append("}")
@@ -813,25 +791,27 @@ def to_json(g: Graph) -> dict:
 
 
 def from_json(obj: dict) -> Graph:
-    return Graph(int(obj["n"]), [tuple(e) for e in obj["edges"]])
+    """The graph {"n": n, "edges": [[u, v], ...]}. n and both ends of every
+    edge must be integers, not floats or booleans, and every edge a pair;
+    anything else raises TypeError."""
+    return Graph(_json_int(obj["n"]), (_json_edge(e) for e in obj["edges"]))
+
+
+def _json_int(value) -> int:
+    """A value read from JSON that must be an integer, not a float or a
+    boolean."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
+def _json_edge(edge) -> tuple:
+    if not isinstance(edge, (list, tuple)) or len(edge) != 2:
+        raise TypeError(f"edge {edge!r} is not a pair")
+    return _json_int(edge[0]), _json_int(edge[1])
 
 
 # -- CLI graph mini-language ---------------------------------------------------
-
-_SPEC_PATTERNS = [
-    (re.compile(r"^P(\d+)$"), path),
-    (re.compile(r"^C(\d+)$"), cycle),
-    (re.compile(r"^K(\d+)$"), complete),
-    (re.compile(r"^K(\d+),(\d+)$"), complete_bipartite),
-    (re.compile(r"^St(\d+)$"), star),
-    (re.compile(r"^Q(\d+)$"), hypercube),
-    (re.compile(r"^FQ(\d+)$"), folded_cube),
-    (re.compile(r"^W(\d+)$"), wheel),
-    (re.compile(r"^T(\d+),(\d+)$"), tadpole),
-    (re.compile(r"^TS(\d+)$"), triangle_strip),
-    (re.compile(r"^grid(\d+)x(\d+)$"), grid),
-]
-
 
 def parse_graph_spec(token: str) -> Graph:
     """Parse the CLI graph mini-language.
@@ -843,8 +823,6 @@ def parse_graph_spec(token: str) -> Graph:
     tok = token.strip()
     if not tok:
         raise SpecParseError(token, "empty graph spec")
-    if tok.lower() == "petersen":
-        return petersen()
     if tok.startswith("g6:"):
         try:
             return graph6_decode(tok[3:])
@@ -858,15 +836,15 @@ def parse_graph_spec(token: str) -> Graph:
             raise SpecParseError(tok, f"cannot read file ({exc})") from exc
         except (KeyError, TypeError, ValueError) as exc:
             raise SpecParseError(tok, f"bad graph JSON ({exc})") from exc
-    for pattern, builder in _SPEC_PATTERNS:
-        m = pattern.match(tok)
+    for build, shorthand in FAMILIES.values():
+        m = shorthand.fullmatch(tok)
         if m:
             try:
                 params = [int(x) for x in m.groups()]
             except ValueError as exc:  # past sys.get_int_max_str_digits()
                 raise SpecParseError(tok, "number too long") from exc
             try:
-                return builder(*params)
+                return build(*params)
             except InvalidParameter as exc:
                 raise SpecParseError(tok, str(exc)) from exc
     raise SpecParseError(tok, "unrecognized graph spec")

@@ -23,15 +23,12 @@ from .errors import InvalidParameter, LimitExceeded, NotPrime, PreconditionViola
 from .graphs import (
     Graph,
     classify,
-    distances,
     enumerate_connected_graphs,
     graph6_encode,
     is_connected,
     is_neighborhood_distinguishable,
 )
 from .zlinalg import IntMat, _row_lattice_index, is_prime, rank_mod_p, snf_divisors
-
-RA_METHODS = ("full_lattice",)
 
 # The RA test eliminates the distinct nonzero rows of the n(n+1)/2 x n
 # intersection matrix over Z. It runs while the full matrix would have at
@@ -120,7 +117,7 @@ def _smallest_prime_factor(n: int) -> int:
 class RAVerdict:
     graph: str          # graph6
     ra: bool
-    method: str         # one of RA_METHODS
+    method: str         # "full_lattice"
     witness: str
 
     def to_json(self) -> dict:
@@ -165,19 +162,15 @@ def pqr_criterion(graph: Graph, p: int) -> bool:
     graph is not RA over the Heisenberg group of order p^3."""
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    for v in range(graph.n):
-        if (graph.degree(v) + 1) % p:
-            return False
-    dists = [distances(graph, v) for v in range(graph.n)]
-    for u in range(graph.n):
+    masks = graph._masks
+    if any((m.bit_count() + 1) % p for m in masks):
+        return False
+    # a non-adjacent pair with a common neighbour is exactly a distance-2 pair
+    for u, mu in enumerate(masks):
         for v in range(u + 1, graph.n):
-            common = len(graph.neighbors(u) & graph.neighbors(v))
-            if graph.has_edge(u, v):
-                if (common + 2) % p:
-                    return False
-            elif dists[u][v] == 2:
-                if common % p:
-                    return False
+            common = (mu & masks[v]).bit_count()
+            if (common + 2 if mu >> v & 1 else common) % p:
+                return False
     return True
 
 
@@ -191,26 +184,16 @@ class Hint:
 
 
 def _complete_bipartition(graph: Graph) -> Optional[tuple]:
-    """(m, n) when the graph is a complete bipartite graph, else None."""
-    if not is_connected(graph):
-        return None
-    color = [-1] * graph.n
-    color[0] = 0
-    queue = [0]
-    while queue:
-        u = queue.pop()
-        for w in graph.neighbors(u):
-            if color[w] < 0:
-                color[w] = 1 - color[u]
-                queue.append(w)
-            elif color[w] == color[u]:
-                return None
-    left = [v for v in range(graph.n) if color[v] == 0]
-    right = [v for v in range(graph.n) if color[v] == 1]
-    for u in left:
-        if graph.neighbors(u) != frozenset(right):
-            return None
-    return len(left), len(right)
+    """(m, n) when the graph is the complete bipartite graph K_{m,n}, K1
+    counting as K_{1,0}, else None. The right side is the neighbourhood of
+    vertex 0, and each vertex must be adjacent to exactly the other side."""
+    masks = graph._masks
+    right = masks[0]
+    left = (1 << graph.n) - 1 ^ right
+    if (right or graph.n == 1) and all(m == (left if right >> v & 1 else right)
+                                       for v, m in enumerate(masks)):
+        return left.bit_count(), right.bit_count()
+    return None
 
 
 def structural_ra_hints(graph: Graph) -> list:

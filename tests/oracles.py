@@ -559,3 +559,109 @@ def square_completion_by_paths(g) -> bool:
             if not (nbrs[u] & nbrs[w]) - {v}:
                 return False
     return True
+
+
+# -- graph readers by searches over edge lists -------------------------------------
+
+def _neighbour_sets(g) -> list:
+    nbrs = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return nbrs
+
+
+def components_by_search(g) -> tuple:
+    """Connected components by depth-first search from each unseen vertex."""
+    nbrs = _neighbour_sets(g)
+    seen = [False] * g.n
+    out = []
+    for v in range(g.n):
+        if seen[v]:
+            continue
+        comp = []
+        stack = [v]
+        seen[v] = True
+        while stack:
+            u = stack.pop()
+            comp.append(u)
+            for w in nbrs[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+        out.append(tuple(sorted(comp)))
+    return tuple(out)
+
+
+def delete_vertex_by_edge_map(g, v: int):
+    """The graph without v, the later vertices renumbered down through an
+    index map over the edge list."""
+    from graphpower.graphs import Graph
+
+    index = {u: i for i, u in enumerate(u for u in range(g.n) if u != v)}
+    return Graph(g.n - 1, [(index[a], index[b]) for a, b in g.edges if v not in (a, b)])
+
+
+def reduce_indistinguishable_by_sets(g):
+    """Delete the later vertex of the first pair with equal closed
+    neighbourhoods, pairs in lexicographic order, until none remain."""
+    while True:
+        ball = _closed_neighborhood_sets(g)
+        pair = next(((u, v) for u, v in combinations(range(g.n), 2) if ball[u] == ball[v]), None)
+        if pair is None:
+            return g
+        g = delete_vertex_by_edge_map(g, pair[1])
+
+
+def _distances(nbrs: list, source: int) -> list:
+    dist = [-1] * len(nbrs)
+    dist[source] = 0
+    frontier = [source]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for w in nbrs[u]:
+                if dist[w] < 0:
+                    dist[w] = dist[u] + 1
+                    nxt.append(w)
+        frontier = nxt
+    return dist
+
+
+def pqr_criterion_by_distances(g, p: int) -> bool:
+    """Every degree is -1 mod p, adjacent pairs share -2 mod p common
+    neighbours, and pairs at breadth-first distance 2 share 0 mod p."""
+    nbrs = _neighbour_sets(g)
+    if any((len(s) + 1) % p for s in nbrs):
+        return False
+    dists = [_distances(nbrs, v) for v in range(g.n)]
+    for u, v in combinations(range(g.n), 2):
+        common = len(nbrs[u] & nbrs[v])
+        if dists[u][v] == 1 and (common + 2) % p or dists[u][v] == 2 and common % p:
+            return False
+    return True
+
+
+def complete_bipartition_by_colouring(g):
+    """(m, n) for K_{m,n} (K1 as K_{1,0}), else None: a 2-colouring by
+    search from vertex 0, then every vertex of colour 0 adjacent to exactly
+    the vertices of colour 1."""
+    nbrs = _neighbour_sets(g)
+    colour = [-1] * g.n
+    colour[0] = 0
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for w in nbrs[u]:
+            if colour[w] < 0:
+                colour[w] = 1 - colour[u]
+                stack.append(w)
+            elif colour[w] == colour[u]:
+                return None
+    if -1 in colour:
+        return None
+    left = {v for v in range(g.n) if colour[v] == 0}
+    right = set(range(g.n)) - left
+    if any(nbrs[u] != right for u in left):
+        return None
+    return len(left), len(right)

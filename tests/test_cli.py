@@ -183,6 +183,34 @@ def test_census_csv_and_oeis(capsys, tmp_path):
     assert code == 4 and "MISMATCH" in err
 
 
+def test_census_rejects_a_bad_b_file_before_the_census(capsys, tmp_path):
+    # a malformed line, a file that is not UTF-8, and a directory
+    malformed = tmp_path / "malformed.txt"
+    malformed.write_text("1 1\n2 abc\n")
+    short = tmp_path / "short.txt"
+    short.write_text("1 1\n2\n")
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"1 1\n\xff\xfe 2\n")
+    for path, reason in ((malformed, "line 2"), (short, "line 2"), (binary, "utf-8"),
+                         (tmp_path, "cannot read")):
+        code, out, err = run(capsys, "ra", "census", "--max-n", "5", "--oeis", str(path))
+        assert code == 2 and out == "" and reason in err, (path, err)
+
+
+def test_graph_json_needs_integer_vertices_and_pairs(capsys, tmp_path):
+    spec = tmp_path / "g.json"
+    for text in ('{"n": 4.7, "edges": []}', '{"n": true, "edges": []}',
+                 '{"n": "4", "edges": []}', '{"n": 4, "edges": [[0, true]]}',
+                 '{"n": 4, "edges": [[0, 1.0]]}', '{"n": 4, "edges": [[0, 1, 2]]}',
+                 '{"n": 4, "edges": [3]}'):
+        spec.write_text(text)
+        code, out, err = run(capsys, "graph", "classify", f"@{spec}")
+        assert code == 2 and out == "" and str(spec) in err, text
+    spec.write_text('{"n": 4, "edges": [[0, 1], [3, 2]]}')
+    code, out, _ = run(capsys, "graph", "classify", f"@{spec}")
+    assert code == 0 and json.loads(out)["components"] == [[0, 1], [2, 3]]
+
+
 def test_census_past_eight_vertices_exits_3(capsys):
     code, out, err = run(capsys, "ra", "census", "--max-n", "9")
     assert code == 3 and out == "" and "261080" in err

@@ -14,19 +14,21 @@ from graphpower.errors import (
     SelfLoopRejected,
     SpecParseError,
 )
+from graphpower import ra
 from graphpower.graphs import (
     MAX_EDGES,
     MAX_VERTICES,
+    Classification,
     Graph,
     _augmented_classes,
     _canonical_search,
-    build_graph,
     canonical_certificate,
     canonical_form,
     classify,
     closed_neighborhood,
     complete,
     complete_bipartite,
+    components,
     cycle,
     delete_vertex,
     disjoint_union,
@@ -59,9 +61,14 @@ from graphpower.perm import PermGroup
 from oracles import (
     augmented_classes_by_edge_lists,
     canonical_certificate_bruteforce,
+    complete_bipartition_by_colouring,
+    components_by_search,
     connected_classes_bruteforce,
     connected_counts_by_euler_transform,
+    delete_vertex_by_edge_map,
     girth_per_edge,
+    pqr_criterion_by_distances,
+    reduce_indistinguishable_by_sets,
     square_completion_by_paths,
 )
 
@@ -84,21 +91,21 @@ graphs = st.composite(random_graph)()
 
 
 def test_build_graph_fixtures():
-    p3 = build_graph(3, [(0, 1), (1, 2)])
+    p3 = Graph(3, [(0, 1), (1, 2)])
     assert p3 == path(3)
-    c4 = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    c4 = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     assert c4 == cycle(4)
-    k1 = build_graph(1, [])
+    k1 = Graph(1, [])
     assert k1.n == 1 and not k1.edges
 
 
 def test_build_graph_errors():
     with pytest.raises(IndexOutOfRange):
-        build_graph(3, [(0, 3)])
+        Graph(3, [(0, 3)])
     with pytest.raises(SelfLoopRejected):
-        build_graph(3, [(1, 1)])
+        Graph(3, [(1, 1)])
     # duplicates collapse silently
-    g = build_graph(3, [(0, 1), (1, 0), (0, 1)])
+    g = Graph(3, [(0, 1), (1, 0), (0, 1)])
     assert len(g.edges) == 1
 
 
@@ -127,7 +134,7 @@ def test_hypercube_matches_two_squares_plus_matching():
     adjacency_lists = [[2, 4, 5], [1, 3, 6], [2, 4, 7], [1, 3, 8],
                        [1, 6, 8], [2, 5, 7], [3, 6, 8], [4, 5, 7]]
     edges = [(i, j - 1) for i, nbrs in enumerate(adjacency_lists) for j in nbrs]
-    assert is_isomorphic(hypercube(3), build_graph(8, edges))
+    assert is_isomorphic(hypercube(3), Graph(8, edges))
     q3 = hypercube(3)
     assert closed_neighborhood(q3, 0) == {0, 1, 2, 4}
 
@@ -238,6 +245,66 @@ def test_delete_vertex():
         delete_vertex(complete(1), 0)
 
 
+def test_mask_readers_match_the_edge_list_oracles(monkeypatch):
+    rng = random.Random(29)
+    pool = []
+    for n in range(1, 7):
+        for g in enumerate_connected_graphs(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            pool += [g, relabel(g, perm)]
+    pool += [hypercube(3), hypercube(4), hypercube(5), folded_cube(5), petersen(), star(5),
+             complete_bipartite(3, 4), complete_bipartite(4, 4), grid(4, 5), cycle(6), wheel(6)]
+    shuffled = rng.sample(pool, len(pool))
+    unions = []
+    for a, b in zip(shuffled[::2], shuffled[1::2]):
+        union = disjoint_union(a, b)
+        perm = list(range(union.n))
+        rng.shuffle(perm)
+        unions.append(relabel(union, perm))
+    assert any(len(components(g)) == 2 for g in unions)
+    for g in pool + unions:
+        assert components(g) == components_by_search(g), g
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ra, "_complete_bipartition", complete_bipartition_by_colouring)
+        hints = [ra.structural_ra_hints(g) for g in pool]
+    pqr_verdicts, bipartitions = set(), set()
+    for g, want_hints in zip(pool, hints):
+        listed = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edges]
+        listed += listed[:2]  # duplicates count once
+        rng.shuffle(listed)
+        h = Graph(g.n, listed)
+        assert h == g and hash(h) == hash(g)
+        assert h.edges == {(min(e), max(e)) for e in listed}
+        if listed:
+            assert Graph(g.n, sorted(g.edges)[1:]) != g
+        for v in range(g.n):
+            nbrs = {u for e in listed if v in e for u in e if u != v}
+            assert h.neighbors(v) == nbrs and h.degree(v) == len(nbrs)
+            assert [h.has_edge(v, w) for w in range(g.n)] == [w in nbrs for w in range(g.n)]
+
+        if g.n > 1:
+            for v in range(g.n):
+                assert delete_vertex(g, v) == delete_vertex_by_edge_map(g, v), (g, v)
+        assert reduce_indistinguishable(g) == reduce_indistinguishable_by_sets(g), g
+        comps = components_by_search(g)
+        degrees = sorted((len(g.neighbors(v)) for v in range(g.n)), reverse=True)
+        assert classify(g) == Classification(
+            connected=len(comps) == 1, components=comps, girth=girth_per_edge(g),
+            nbhd_distinguishable=reduce_indistinguishable_by_sets(g).n == g.n,
+            square_completion=square_completion_by_paths(g), degree_sequence=tuple(degrees))
+        for p in (2, 3, 5, 7):
+            verdict = ra.pqr_criterion(g, p)
+            assert verdict == pqr_criterion_by_distances(g, p), (g, p)
+            pqr_verdicts.add(verdict)
+        parts = ra._complete_bipartition(g)
+        assert parts == complete_bipartition_by_colouring(g), g
+        bipartitions.add(parts is not None)
+        assert ra.structural_ra_hints(g) == want_hints, g
+    assert pqr_verdicts == bipartitions == {True, False}
+
+
 def test_enumerate_counts_match_frozen_and_oracles():
     frozen = (1, 1, 2, 6, 21, 112)
     for n, want in enumerate(frozen, start=1):
@@ -270,7 +337,7 @@ def test_enumerate_yields_connected_nonisomorphic_canonical():
 
 def test_enumeration_matches_the_edge_list_oracle():
     def fields(g):
-        return g.n, g.edges, g.labels, g._adj, g._masks, graph6_encode(g)
+        return g.n, g.edges, g._masks, graph6_encode(g)
 
     for n in range(1, 8):
         theirs = list(augmented_classes_by_edge_lists(n))

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from graphpower.errors import CapacityExceeded, SearchBoundExceeded
 from graphpower import power, ra
 from graphpower.graphs import (
-    build_graph,
+    Graph,
     complete,
     cycle,
     disjoint_union,
@@ -213,8 +213,8 @@ def test_closed_form_builds_no_subgroup(monkeypatch):
 
 def _dense_graph(n, seed):
     rng = random.Random(seed)
-    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
-                           if rng.random() < 0.5])
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                     if rng.random() < 0.5])
 
 
 def test_ra_test_budget_falls_back_to_closure(monkeypatch):
