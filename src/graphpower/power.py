@@ -31,8 +31,8 @@ from .errors import ConsistencyError, DimensionMismatch, LimitExceeded, SearchBo
 from .graphs import Graph
 from .groups import FiniteGroup, AbelianInvariants, abelianization, derived_subgroup
 from .perm import DEFAULT_MAX_ORDER, Perm, PermGroup, derived_subgroup_of
-from .ra import _distinct_rows, _indicator, _intersection_masks, _ra_lattice_index, activation_matrix
-from .zlinalg import IntMat, rank_mod_p, span_order_mod
+from .ra import _distinct_rows, _ra_lattice_index, activation_matrix
+from .zlinalg import IntMat, is_prime, rank_mod_p, span_order_mod
 
 ClickVector = tuple
 
@@ -159,19 +159,9 @@ def matrix_power(group: FiniteGroup, matrix, *,
         if group.order() > _ALL_ELEMENT_CLICK_BOUND:
             raise SearchBoundExceeded(
                 f"clicks over all of {group.name} need |G| <= {_ALL_ELEMENT_CLICK_BOUND}")
-        clickers = [g for g in group.elements() if not g.is_identity()]
-    gens = []
-    seen = set()
-    for row in rows:
-        if not any(row):
-            continue
-        for g in clickers:
-            state = power_click(group, g, row)
-            key = tuple(c.image for c in state.components)
-            if key not in seen and not state.is_identity():
-                seen.add(key)
-                gens.append(state)
-    return _generated(group, n, gens, max_order)
+        clickers = group.elements()
+    return _generated(group, n, [power_click(group, g, row)
+                                 for row in rows for g in clickers], max_order)
 
 
 def graph_power(group: FiniteGroup, graph: Graph, *,
@@ -229,49 +219,31 @@ def _orders(group: FiniteGroup, graph: Graph, *,
 # -- commutator subgroups ---------------------------------------------------------
 
 def _comm_subgroup(group: FiniteGroup, graph: Graph, include_equal: bool,
-                   verify: bool, max_order: Optional[int]) -> PowerSubgroup:
+                   max_order: Optional[int]) -> PowerSubgroup:
     """Subgroup generated by the basic commutators [g^u, h^v] over the vertex
-    pairs u < v (u <= v with include_equal): [g,h] spread over B(u) cap B(v)."""
-    from .groups import commutator_witnesses
-    witnesses = {c: pair for c, pair in commutator_witnesses(group).items()
-                 if not c.is_identity()}
-    act = activation_matrix(graph)
-    gens = []
-    seen = set()
-    for (u, v), mask in _intersection_masks(graph, include_equal):
-        if not mask:
-            continue
-        ind = _indicator(mask, graph.n)
-        for c, (g, h) in witnesses.items():
-            state = power_click(group, c, ind)
-            if verify:
-                _assert_comm_char(group, g, h, act.row(u), act.row(v), state)
-            key = tuple(x.image for x in state.components)
-            if key not in seen:
-                seen.add(key)
-                gens.append(state)
-    return _generated(group, graph.n, gens, max_order)
+    pairs u < v (u <= v with include_equal).
+
+    [g^u, h^v] is [g,h] spread over B(u) cap B(v), and for a fixed 0/1 row I
+    the spread d -> d^I is a homomorphism from [G,G] to G^n. The spreads of
+    all commutators over I therefore form the subgroup generated by the
+    spreads of the generators of [G,G], so those suffice, once per distinct
+    intersection row."""
+    der = derived_subgroup(group).generators
+    return _generated(group, graph.n, [power_click(group, d, row)
+                                       for row in _distinct_rows(graph, include_equal)
+                                       for d in der], max_order)
 
 
-def _assert_comm_char(group: FiniteGroup, g: Perm, h: Perm, row_u, row_v,
-                      expected: StateVector) -> None:
-    """[g^u, h^v] must equal [g,h] spread over B(u) cap B(v)."""
-    lhs = power_click(group, g, row_u).as_perm().commutator(
-        power_click(group, h, row_v).as_perm())
-    if lhs != expected.as_perm():
-        raise ConsistencyError("basic commutator does not match its indicator pattern")
-
-
-def comm_d(group: FiniteGroup, graph: Graph, *, verify: bool = True,
+def comm_d(group: FiniteGroup, graph: Graph, *,
            max_order: Optional[int] = DEFAULT_MAX_ORDER) -> PowerSubgroup:
     """Subgroup generated by the basic commutators [g^u, h^v] with u != v."""
-    return _comm_subgroup(group, graph, False, verify, max_order)
+    return _comm_subgroup(group, graph, False, max_order)
 
 
-def comm_b(group: FiniteGroup, graph: Graph, *, verify: bool = True,
+def comm_b(group: FiniteGroup, graph: Graph, *,
            max_order: Optional[int] = DEFAULT_MAX_ORDER) -> PowerSubgroup:
     """Subgroup generated by all basic commutators [g^u, h^v], u = v allowed."""
-    return _comm_subgroup(group, graph, True, verify, max_order)
+    return _comm_subgroup(group, graph, True, max_order)
 
 
 def _central_prime_commutator(group: FiniteGroup) -> Optional[int]:
@@ -281,7 +253,6 @@ def _central_prime_commutator(group: FiniteGroup) -> Optional[int]:
     mod p, so their orders come from a modular rank instead of closure."""
     der = derived_subgroup(group)
     p = der.order()
-    from .zlinalg import is_prime
     if not is_prime(p):
         return None
     for d in der.generators:
@@ -291,20 +262,23 @@ def _central_prime_commutator(group: FiniteGroup) -> Optional[int]:
     return p
 
 
-def comm_b_order(group: FiniteGroup, graph: Graph) -> int:
-    """|Comm_b(G, graph)|, via modular rank when [G,G] is central of prime
-    order, else by closure."""
+def _comm_order(group: FiniteGroup, graph: Graph, include_equal: bool) -> int:
+    """|Comm_b| (include_equal) or |Comm_d|, via modular rank when [G,G] is
+    central of prime order, else by closure."""
     p = _central_prime_commutator(group)
     if p is not None:
-        return p ** rank_mod_p(IntMat(_distinct_rows(graph, True), cols=graph.n), p)
-    return comm_b(group, graph, verify=False).order()
+        return p ** rank_mod_p(IntMat(_distinct_rows(graph, include_equal), cols=graph.n), p)
+    return _comm_subgroup(group, graph, include_equal, DEFAULT_MAX_ORDER).order()
+
+
+def comm_b_order(group: FiniteGroup, graph: Graph) -> int:
+    """|Comm_b(G, graph)|."""
+    return _comm_order(group, graph, True)
 
 
 def comm_d_order(group: FiniteGroup, graph: Graph) -> int:
-    p = _central_prime_commutator(group)
-    if p is not None:
-        return p ** rank_mod_p(IntMat(_distinct_rows(graph, False), cols=graph.n), p)
-    return comm_d(group, graph, verify=False).order()
+    """|Comm_d(G, graph)|."""
+    return _comm_order(group, graph, False)
 
 
 # -- RA verdicts for a fixed group ------------------------------------------------

@@ -61,10 +61,6 @@ class IntMat:
             "entries": [x for row in self._rows for x in row],
         }
 
-    @property
-    def entries(self) -> tuple:
-        return tuple(x for row in self._rows for x in row)
-
     def row(self, i: int) -> tuple:
         return self._rows[i]
 
@@ -84,9 +80,6 @@ class IntMat:
 
     def __repr__(self):
         return f"IntMat({[list(r) for r in self._rows]!r})"
-
-    def transpose(self) -> "IntMat":
-        return IntMat(zip(*self._rows)) if self._rows else IntMat([], cols=0)
 
     def __matmul__(self, other: "IntMat") -> "IntMat":
         if self.cols != other.rows:

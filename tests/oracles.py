@@ -488,6 +488,25 @@ def derived_power_order_by_basic_commutators(group, graph) -> int:
     return normal_closure(n * d, clicks, sorted(basics), max_order=None).order()
 
 
+def basic_commutator_order(group, graph, include_equal: bool) -> int:
+    """|Comm_b| (include_equal) or |Comm_d|: the order of the subgroup of
+    G^n generated by every basic commutator [g^u, h^v], g, h in G, over the
+    vertex pairs u < v (u <= v with include_equal), each one built as the
+    commutator of the two clicks in G^n. Only the click vectors and the
+    permutation product are shared with the package."""
+    from graphpower.power import power_click
+
+    n = graph.n
+    rows = [[1 if w == v or w in graph.neighbors(v) else 0 for w in range(n)]
+            for v in range(n)]
+    elems = group.elements()
+    clicks = [[power_click(group, g, row).as_perm() for g in elems] for row in rows]
+    basics = {x.commutator(y).image
+              for u in range(n) for v in range(u if include_equal else u + 1, n)
+              for x in clicks[u] for y in clicks[v]}
+    return closure_order(n * group.degree, basics)
+
+
 # -- group powers by the routes the closed forms replaced --------------------------
 
 def abelian_power_order_by_snf(factors, rows) -> int:

@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -95,6 +99,19 @@ def test_ra_chain(capsys):
     assert payload["orders"]["comm_d"] == 8
     assert payload["orders"]["comm_b"] == 16
     assert payload["g_ra"] is True
+
+
+def test_ra_chain_on_a_large_group_answers_promptly():
+    # Comm_b and Comm_d come from the generators of [G,G], not from all
+    # |G|^2 commutators, so S7 (|G|^2 = 25401600) answers at once
+    env = {k: v for k, v in os.environ.items() if k != "GRAPHPOWER_MAX_ORDER"}
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "graphpower.cli", "ra", "chain", "P2",
+                           "--group", "S7"], env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["orders"]["comm"] == 2520 and payload["ra_index"] == 2520
 
 
 def test_ra_gra_capacity_exit(capsys, monkeypatch):

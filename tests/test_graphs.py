@@ -192,6 +192,10 @@ def test_girth_matches_per_edge_oracle():
     start = time.perf_counter()
     assert girth(complete(362)) == 3
     assert time.perf_counter() - start < 0.5
+    for forest in [path(4096), star(4095)]:
+        start = time.perf_counter()
+        assert girth(forest) == math.inf
+        assert time.perf_counter() - start < 0.5
 
 
 def test_square_completion_matches_path_oracle():

@@ -44,7 +44,13 @@ from graphpower.power import (
 from graphpower.ra import activation_matrix, ra_matrix
 from graphpower.zlinalg import IntMat, hnf, lattice_index
 
-from oracles import abelian_power_order_by_snf, closure_order, comm_order_by_closure, in_comm
+from oracles import (
+    abelian_power_order_by_snf,
+    basic_commutator_order,
+    closure_order,
+    comm_order_by_closure,
+    in_comm,
+)
 
 D8 = dihedral(8)
 R, S = D8.generators
@@ -260,11 +266,11 @@ def test_comm_d_comm_b_fixtures():
 def test_comm_orders_fast_path_matches_closure():
     for group in [D8, heisenberg(3)]:
         for graph in [cycle(4), path(4), complete(3), star(3)]:
-            assert comm_d(group, graph, verify=False).order() == comm_d_order(group, graph)
-            assert comm_b(group, graph, verify=False).order() == comm_b_order(group, graph)
+            assert comm_d(group, graph).order() == comm_d_order(group, graph)
+            assert comm_b(group, graph).order() == comm_b_order(group, graph)
     # a group whose commutator subgroup is not central takes the closure path
     s4 = symmetric(4)
-    assert comm_b_order(s4, path(3)) == comm_b(s4, path(3), verify=False).order()
+    assert comm_b_order(s4, path(3)) == comm_b(s4, path(3)).order()
 
 
 def test_derived_of_power_fixtures():
@@ -320,9 +326,42 @@ def test_full_power_projects_to_full_abelian():
                     assert ab == inv.order() ** g.n
 
 
-def test_comm_char_verification_runs():
-    comm_d(D8, cycle(4), verify=True)
-    comm_b(symmetric(3), path(3), verify=True)
+def test_basic_commutator_is_its_commutator_spread_over_the_intersection():
+    # [g^u, h^v] = [g,h]^I with I the indicator of B(u) cap B(v)
+    for group, graph in [(D8, cycle(4)), (symmetric(3), path(3))]:
+        act = activation_matrix(graph)
+        elems = group.elements()
+        for u in range(graph.n):
+            for v in range(u, graph.n):
+                both = [a * b for a, b in zip(act.row(u), act.row(v))]
+                for g in elems:
+                    for h in elems:
+                        lhs = power_click(group, g, act.row(u)).as_perm().commutator(
+                            power_click(group, h, act.row(v)).as_perm())
+                        assert lhs == power_click(group, g.commutator(h), both).as_perm()
+
+
+def _assert_comm_subgroups_match_oracle(group, graph):
+    d, b = (basic_commutator_order(group, graph, e) for e in (False, True))
+    assert comm_d(group, graph).order() == comm_d_order(group, graph) == d, (group, graph)
+    assert comm_b(group, graph).order() == comm_b_order(group, graph) == b, (group, graph)
+
+
+def test_comm_subgroups_match_basic_commutator_oracle():
+    for group, max_n in [(D8, 4), (symmetric(3), 4), (alternating(4), 4), (dihedral(10), 4),
+                         (symmetric(4), 3), (heisenberg(3), 3)]:
+        for n in range(1, max_n + 1):
+            for graph in enumerate_connected_graphs(n):
+                _assert_comm_subgroups_match_oracle(group, graph)
+    _assert_comm_subgroups_match_oracle(D8, hypercube(3))
+
+
+@pytest.mark.slow
+def test_comm_subgroups_match_basic_commutator_oracle_to_five_vertices():
+    for group, max_n in [(D8, 5), (symmetric(3), 5), (heisenberg(3), 4)]:
+        for graph in enumerate_connected_graphs(max_n):
+            _assert_comm_subgroups_match_oracle(group, graph)
+    _assert_comm_subgroups_match_oracle(D8, petersen())
 
 
 def test_integer_lattice_coordinate_sum_law():
