@@ -103,14 +103,11 @@ from .solver import (
 from .zlinalg import (
     HNFDecomposition,
     IntMat,
-    SNFDecomposition,
     divisor_table_csv,
     divisor_tuple_str,
     hnf,
     rank_mod_p,
-    snf,
     snf_divisors,
-    solve_row_combination,
     spans_full_lattice,
 )
 

@@ -32,7 +32,7 @@ from .graphs import Graph
 from .groups import FiniteGroup, AbelianInvariants, abelianization, derived_subgroup
 from .perm import DEFAULT_MAX_ORDER, Perm, PermGroup, derived_subgroup_of
 from .ra import _distinct_rows, _ra_lattice_index, activation_matrix
-from .zlinalg import IntMat, is_prime, rank_mod_p, span_order_mod
+from .zlinalg import IntMat, span_order_mod
 
 ClickVector = tuple
 
@@ -246,28 +246,19 @@ def comm_b(group: FiniteGroup, graph: Graph, *,
     return _comm_subgroup(group, graph, True, max_order)
 
 
-def _central_prime_commutator(group: FiniteGroup) -> Optional[int]:
-    """If [G, G] is central of prime order p, return p, else None.
-
-    For such groups the basic-commutator subgroups reduce to row lattices
-    mod p, so their orders come from a modular rank instead of closure."""
-    der = derived_subgroup(group)
-    p = der.order()
-    if not is_prime(p):
-        return None
-    for d in der.generators:
-        for g in group.generators:
-            if d.conjugate(g) != d:
-                return None
-    return p
-
-
 def _comm_order(group: FiniteGroup, graph: Graph, include_equal: bool) -> int:
-    """|Comm_b| (include_equal) or |Comm_d|, via modular rank when [G,G] is
-    central of prime order, else by closure."""
-    p = _central_prime_commutator(group)
-    if p is not None:
-        return p ** rank_mod_p(IntMat(_distinct_rows(graph, include_equal), cols=graph.n), p)
+    """|Comm_b| (include_equal) or |Comm_d|.
+
+    When [G,G] is abelian (its generators commute pairwise), say
+    [G,G] = Z/r_1 x ... x Z/r_k, the spreads d^I of its elements over the
+    intersection rows I generate the image of [G,G] (x) L in [G,G]^n, L the
+    row lattice; so the order is the product over i of the row span of the
+    intersection rows mod r_i. Otherwise it is the order of the closure."""
+    der = derived_subgroup(group).generators
+    if all(a * b == b * a for i, a in enumerate(der) for b in der[i + 1:]):
+        invariants = abelianization(FiniteGroup(f"[{group.name},{group.name}]", group.degree, der))
+        return abelian_power_order(invariants, IntMat(_distinct_rows(graph, include_equal),
+                                                       cols=graph.n))
     return _comm_subgroup(group, graph, include_equal, DEFAULT_MAX_ORDER).order()
 
 

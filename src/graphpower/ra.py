@@ -28,7 +28,8 @@ from .graphs import (
     is_connected,
     is_neighborhood_distinguishable,
 )
-from .zlinalg import IntMat, _row_lattice_index, is_prime, rank_mod_p, snf_divisors
+from .zlinalg import (IntMat, _row_lattice_index, _smallest_prime_factor, is_prime, rank_mod_p,
+                      snf_divisors)
 
 # The RA test eliminates the distinct nonzero rows of the n(n+1)/2 x n
 # intersection matrix over Z. It runs while the full matrix would have at
@@ -102,15 +103,6 @@ def _ra_lattice_index(graph: Graph) -> int:
     except LimitExceeded:
         raise LimitExceeded(f"RA test: the elimination over Z rewrites more entries "
                             f"than its budget of {RA_TEST_BUDGET}") from None
-
-
-def _smallest_prime_factor(n: int) -> int:
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 1
-    return n
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,11 @@ return fresh values.
 One elimination kernel, `_echelon`, serves every operation: it puts a row
 lattice (optionally extended by r Z^n, i.e. working in Z/r) into echelon
 form and carries witness columns along. The Hermite normal form adds the
-reduction above each pivot; the Smith normal form alternates the kernel on a
-matrix and its transpose until it is diagonal; rank mod p, the size of a row
-span mod r, the lattice index (and with it the full-lattice test) and the
-Diophantine solver read its pivots.
+reduction above each pivot and keeps its witness U; the Smith normal form
+alternates the kernel on a matrix and its transpose until it is diagonal
+and returns the divisor chain only, with no unimodular witnesses; rank mod
+p, the size of a row span mod r, the lattice index (and with it the
+full-lattice test) and the Diophantine solver read its pivots.
 """
 
 from __future__ import annotations
@@ -103,15 +104,18 @@ def mat_vec(vec: Sequence[int], mat: IntMat) -> tuple:
     return tuple(out)
 
 
-def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
+def _smallest_prime_factor(n: int) -> int:
+    """The smallest prime dividing n >= 2, by trial division."""
     d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
+    while d * d <= n:
+        if n % d == 0:
+            return d
         d += 1
-    return True
+    return n
+
+
+def is_prime(p: int) -> bool:
+    return p >= 2 and _smallest_prime_factor(p) == p
 
 
 def _require_prime(p: int) -> None:
@@ -246,91 +250,39 @@ def _echelon(rows, n, r=0, perm=None, budget=None):
 
 # -- Smith normal form --------------------------------------------------------
 
-@dataclass(frozen=True)
-class SNFDecomposition:
-    """U @ M @ V == D with U, V unimodular and D = diag(divisors)."""
-
-    U: IntMat
-    D: IntMat
-    V: IntMat
-    divisors: tuple
-
-    def check(self, M: IntMat) -> bool:
-        return (self.U @ M @ self.V) == self.D
-
-
 def _transpose(a) -> list:
     return [list(col) for col in zip(*a)]
 
 
-def _smith_chain(d, U=None, V=None) -> None:
-    """Turn the positive diagonal d into a divisor chain in place.
-
-    Each pair (a, b) becomes (g, ab/g) with g = gcd(a, b) = s*a + t*b. With
-    witnesses, rows i, j of U take the left factor [[s, t], [-b/g, a/g]] and
-    columns i, j of V the right factor [[1, -t*b/g], [1, s*a/g]].
-    """
+def _smith_chain(d) -> None:
+    """Turn the positive diagonal d into a divisor chain in place: each pair
+    (a, b) becomes (gcd(a, b), lcm(a, b))."""
     for i in range(len(d)):
         for j in range(i + 1, len(d)):
             a, b = d[i], d[j]
-            if b % a == 0:
-                continue
-            g, s, t = _xgcd(a, b)
-            d[i], d[j] = g, a // g * b
-            if U is not None:
-                ui, uj = U[i], U[j]
-                U[i] = [s * x + t * y for x, y in zip(ui, uj)]
-                U[j] = [a // g * y - b // g * x for x, y in zip(ui, uj)]
-                for row in V:
-                    vi, vj = row[i], row[j]
-                    row[i], row[j] = vi + vj, s * a // g * vj - t * b // g * vi
+            if b % a:
+                g = gcd(a, b)
+                d[i], d[j] = g, a // g * b
 
 
-def _smith_passes(a, n, left=None, right=None) -> tuple:
+def _smith_passes(a, n) -> list:
     """Echelon passes that alternate between the rows a (n columns) and
-    their transpose until a is diagonal; returns (diagonal, a, left, right).
-
-    With witnesses, left and right are U and V as row lists: a row operation
-    on the transpose is a column operation, so they swap roles at each flip
-    and come back in the input orientation. Without them, the rows after the
-    pivots are dropped after each pass (they only add zeros to the chain).
-    """
-    flipped = False
+    their transpose until a is diagonal; returns the diagonal. The rows after
+    the pivots are dropped after each pass (they only add zeros to the
+    chain)."""
     while True:
-        rows = a if left is None else [x + w for x, w in zip(a, left)]
-        pivots = _echelon(rows, n)
+        pivots = _echelon(a, n)
         k = len(pivots)
-        if left is None:
-            a = rows[:k]
-        else:
-            a, left = [row[:n] for row in rows], [row[n:] for row in rows]
+        a = a[:k]
         if pivots == list(range(k)) and not any(any(a[i][i + 1:]) for i in range(k)):
-            break
-        n, a, flipped = len(a), _transpose(a), not flipped
-        if left is not None:
-            left, right = _transpose(right), _transpose(left)
-    if flipped and left is not None:
-        a, left, right = _transpose(a), _transpose(right), _transpose(left)
-    return [a[i][i] for i in range(k)], a, left, right
-
-
-def snf(M: IntMat) -> SNFDecomposition:
-    """Smith normal form with unimodular witnesses U, V."""
-    m, n = M.rows, M.cols
-    d, a, left, right = _smith_passes(M.row_list(), n, IntMat.identity(m).row_list(),
-                                      IntMat.identity(n).row_list())
-    _smith_chain(d, left, right)
-    for i, x in enumerate(d):
-        a[i][i] = x
-    divisors = tuple(a[i][i] for i in range(min(m, n)))
-    return SNFDecomposition(IntMat(left, cols=m), IntMat(a, cols=n), IntMat(right, cols=n),
-                            divisors)
+            return [a[i][i] for i in range(k)]
+        n, a = len(a), _transpose(a)
 
 
 def snf_divisors(M: IntMat) -> tuple:
-    """Divisor chain only; skips witness bookkeeping, duplicate and zero rows
+    """Smith normal form divisor chain of M; skips duplicate and zero rows
     (they only add zeros at the tail of the chain)."""
-    d = _smith_passes([list(r) for r in dict.fromkeys(M._rows) if any(r)], M.cols)[0]
+    d = _smith_passes([list(r) for r in dict.fromkeys(M._rows) if any(r)], M.cols)
     _smith_chain(d)
     return tuple(d + [0] * (min(M.rows, M.cols) - len(d)))
 
@@ -434,17 +386,6 @@ def spans_full_lattice(M: IntMat) -> bool:
     return lattice_index(M) == 1
 
 
-def row_sum_divisibility_certificate(M: IntMat, p: int) -> bool:
-    """True iff every row sum of M is divisible by p.
-
-    With at least as many rows as columns this forces an elementary divisor
-    of M divisible by p (zero counts); with fewer rows it is only the raw
-    divisibility fact.
-    """
-    _require_prime(p)
-    return all(sum(row) % p == 0 for row in M._rows)
-
-
 # -- Diophantine solving ------------------------------------------------------
 
 def row_solve(M: IntMat, target: Sequence[int], r: int = 0) -> tuple:
@@ -473,18 +414,6 @@ def row_solve(M: IntMat, target: Sequence[int], r: int = 0) -> tuple:
         if y:
             res = [x - y * z for x, z in zip(res, p)]
     return tuple(-x % r if r else -x for x in res[n:]), None
-
-
-def solve_row_combination(M: IntMat, target: Sequence[int]) -> Optional[tuple]:
-    """Integer row vector c with c @ M == target, or None.
-
-    Decides membership of `target` in the row lattice of M; the returned
-    combination verifies exactly.
-    """
-    c, _ = row_solve(M, target)
-    if c is not None and mat_vec(c, M) != tuple(target):  # pragma: no cover - internal check
-        raise ArithmeticError("back substitution produced a bad witness")
-    return c
 
 
 def divisor_tuple_str(divisors: Sequence[int]) -> str:

@@ -336,22 +336,33 @@ def connected_counts_by_euler_transform(max_n: int) -> list:
 
 def closure_elements(degree: int, generators, limit: int = 1 << 21) -> set:
     """Every element of the generated group, as image tuples, by
-    breadth-first closure independent of the stabilizer chain."""
-    gens = [tuple(g.image) if hasattr(g, "image") else tuple(g) for g in generators]
+    breadth-first closure independent of the stabilizer chain.
+
+    Generators join one at a time, and one already reached adds nothing. The
+    elements found so far are closed under the earlier generators, so after
+    a new one the search starts from their products with it and goes on from
+    the elements it had not reached."""
     identity = tuple(range(degree))
     seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = tuple(g[i] for i in x)
-                if y not in seen:
-                    if len(seen) >= limit:
-                        raise RuntimeError("closure oracle limit hit")
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
+    gens = []
+    for g in generators:
+        g = tuple(g.image) if hasattr(g, "image") else tuple(g)
+        if g in seen:
+            continue
+        gens.append(g)
+        frontier = list(seen)
+        step = [g]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for h in step:
+                    y = tuple(map(h.__getitem__, x))
+                    if y not in seen:
+                        if len(seen) >= limit:
+                            raise RuntimeError("closure oracle limit hit")
+                        seen.add(y)
+                        nxt.append(y)
+            frontier, step = nxt, gens
     return seen
 
 
@@ -505,6 +516,48 @@ def basic_commutator_order(group, graph, include_equal: bool) -> int:
               for u in range(n) for v in range(u if include_equal else u + 1, n)
               for x in clicks[u] for y in clicks[v]}
     return closure_order(n * group.degree, basics)
+
+
+# -- abelianization by the route the p-power count replaced -------------------------
+
+def abelianization_by_cosets(group) -> tuple:
+    """Invariant factors of G/[G,G] (each >= 2, ascending, each dividing the
+    next) from a breadth-first search over the cosets of [G,G]: each new
+    coset is tested against every coset found so far, one exponent vector is
+    recorded per coset, and every Cayley edge that closes a cycle adds a
+    relation vector; the Smith divisors of the relation lattice are the
+    factors. Shares the derived subgroup and the SNF with the package."""
+    from graphpower.groups import derived_subgroup
+    from graphpower.zlinalg import IntMat, snf_divisors
+
+    derived = derived_subgroup(group)
+    k = len(group.generators)
+    if k == 0:
+        return ()
+    reps, vectors, relations = [group.identity()], [(0,) * k], []
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for idx in frontier:
+            rep, vec = reps[idx], vectors[idx]
+            for gi, gen in enumerate(group.generators):
+                new = rep * gen
+                new_vec = tuple(v + (j == gi) for j, v in enumerate(vec))
+                found = next((j for j, other in enumerate(reps)
+                              if derived.contains(new * other.inverse())), None)
+                if found is None:
+                    reps.append(new)
+                    vectors.append(new_vec)
+                    nxt.append(len(reps) - 1)
+                else:
+                    rel = tuple(a - b for a, b in zip(new_vec, vectors[found]))
+                    if any(rel):
+                        relations.append(rel)
+        frontier = nxt
+    divisors = snf_divisors(IntMat(relations, cols=k)) if relations else (0,) * k
+    divisors += (0,) * (k - len(divisors))
+    assert 0 not in divisors, "relation lattice not of full rank"
+    return tuple(d for d in divisors if d > 1)
 
 
 # -- group powers by the routes the closed forms replaced --------------------------

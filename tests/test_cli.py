@@ -175,6 +175,18 @@ def test_eldivs_ra_matrix_past_the_ra_test_budget_exits_3(capsys, monkeypatch):
     assert code == 3 and out == "" and "16896" in err and "16895" in err
 
 
+def test_heisenberg_limit(capsys):
+    # the abelianization of H_p builds one subgroup, so H31 answers; H37 is
+    # past the limit and a bad group spec
+    code, out, _ = run(capsys, "ra", "gra", "C5", "--group", "H31")
+    assert code == 0
+    payload = json.loads(out)
+    validate(payload, GROUP_REPORT_SCHEMA)
+    assert payload["orders"]["graph_power"] == 31 ** 15 and payload["ra_index"] == 1
+    code, out, err = run(capsys, "ra", "gra", "C5", "--group", "H37")
+    assert code == 2 and out == "" and "H37" in err
+
+
 def test_bad_group_spec(capsys):
     code, _, err = run(capsys, "ra", "gra", "C4", "--group", "Z9")
     assert code == 2 and "Z9" in err

@@ -5,7 +5,6 @@ from graphpower.groups import (
     FiniteGroup,
     abelianization,
     alternating,
-    commutator_witnesses,
     cyclic,
     derived_subgroup,
     dihedral,
@@ -17,10 +16,16 @@ from graphpower.groups import (
 )
 from graphpower.perm import Perm, PermGroup, derived_subgroup_of
 
-from graphpower.graphs import cycle, hypercube
+from graphpower.graphs import cycle, hypercube, path
 from graphpower.power import graph_power
 
-from oracles import closure_elements, closure_order, heisenberg_regular
+from oracles import (
+    abelianization_by_cosets,
+    basic_commutator_order,
+    closure_elements,
+    closure_order,
+    heisenberg_regular,
+)
 
 
 def quaternion_group() -> FiniteGroup:
@@ -61,6 +66,8 @@ def test_builtin_orders():
     assert make_group("direct_product", dihedral(8), cyclic(2)).order() == 16
     with pytest.raises(UnsupportedParameter):
         heisenberg(4)
+    with pytest.raises(UnsupportedParameter):
+        heisenberg(37)  # prime, but past the limit p <= 31
     with pytest.raises(UnsupportedParameter):
         make_group("free", 2)
 
@@ -172,29 +179,29 @@ def test_abelianization_fixtures():
     assert abelianization(q8).factors == (2, 2)
 
 
-def test_abelianization_order_and_projection():
+def test_abelianization_order_and_coset_oracle():
     for group in [dihedral(8), symmetric(4), heisenberg(3), direct_product(dihedral(8), cyclic(3))]:
-        inv = abelianization(group)
-        der = derived_subgroup(group)
-        assert inv.order() == group.order() // der.order()
-        elems = group.elements()
-        import random
-        rng = random.Random(1)
-        for _ in range(20):
-            x, y = rng.choice(elems), rng.choice(elems)
-            px, py = inv.project(x), inv.project(y)
-            combined = tuple((a + b) % r for a, b, r in zip(px, py, inv.factors))
-            assert inv.project(x * y) == combined
+        assert abelianization(group).order() == group.order() // derived_subgroup(group).order()
+    groups = [parse_group_spec(spec) for spec in (
+        "S3", "S4", "S5", "A4", "A5", "D8", "D10", "D12", "C1", "C12", "H2", "H3", "H5", "H7",
+        "D8xC3", "C2xC4", "C4xC6xC9", "C8xC4xC2", "S4xC6", "D16xC8", "H3xC9")]
+    for group in groups + [quaternion_group()]:
+        factors = abelianization(group).factors
+        assert factors == abelianization_by_cosets(group), group.name
+        assert all(f >= 2 for f in factors)
+        assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
 
 
 def test_commutator_set_fixtures():
+    # the commutators of D8 are e and r^2, those of S3 make up A3, and C6 has
+    # only e: the subgroup all [x, y] generate is [G,G] in each case
     d8 = dihedral(8)
-    cs = set(commutator_witnesses(d8))
     r = d8.generators[0]
-    assert cs == {d8.identity(), r * r}
-    s3 = symmetric(3)
-    assert len(set(commutator_witnesses(s3))) == 3  # the alternating subgroup
-    assert set(commutator_witnesses(cyclic(6))) == {cyclic(6).identity()}
+    assert derived_subgroup(d8).order() == 2 and derived_subgroup(d8).contains(r * r)
+    assert derived_subgroup(symmetric(3)).order() == 3
+    assert derived_subgroup(cyclic(6)).order() == 1
+    for group in (d8, symmetric(3), cyclic(6), alternating(4), symmetric(4)):
+        assert basic_commutator_order(group, path(1), True) == derived_subgroup(group).order()
 
 
 def test_subgroup_order_and_membership():

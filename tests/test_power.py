@@ -11,6 +11,7 @@ from graphpower.graphs import (
     cycle,
     disjoint_union,
     enumerate_connected_graphs,
+    folded_cube,
     hypercube,
     path,
     petersen,
@@ -268,9 +269,26 @@ def test_comm_orders_fast_path_matches_closure():
         for graph in [cycle(4), path(4), complete(3), star(3)]:
             assert comm_d(group, graph).order() == comm_d_order(group, graph)
             assert comm_b(group, graph).order() == comm_b_order(group, graph)
-    # a group whose commutator subgroup is not central takes the closure path
+    # a group whose commutator subgroup is nonabelian takes the closure path
     s4 = symmetric(4)
     assert comm_b_order(s4, path(3)) == comm_b(s4, path(3)).order()
+
+
+def test_comm_orders_of_an_abelian_commutator_subgroup_take_no_closure(monkeypatch):
+    # [G,G] is abelian but not central in S3, A4, D10 and D12, and central of
+    # prime order in H3: all of them count row spans mod the invariant factors
+    # of [G,G]
+    cases = [(group, graph)
+             for group in (symmetric(3), alternating(4), dihedral(10), dihedral(12), heisenberg(3))
+             for graph in (cycle(4), path(4), hypercube(3))]
+    want = [(comm_b(group, graph).order(), comm_d(group, graph).order())
+            for group, graph in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("closure built for an abelian [G,G]")
+    monkeypatch.setattr(power, "_comm_subgroup", refuse)
+    assert [(comm_b_order(group, graph), comm_d_order(group, graph))
+            for group, graph in cases] == want
 
 
 def test_derived_of_power_fixtures():
@@ -349,7 +367,7 @@ def _assert_comm_subgroups_match_oracle(group, graph):
 
 def test_comm_subgroups_match_basic_commutator_oracle():
     for group, max_n in [(D8, 4), (symmetric(3), 4), (alternating(4), 4), (dihedral(10), 4),
-                         (symmetric(4), 3), (heisenberg(3), 3)]:
+                         (dihedral(12), 4), (symmetric(4), 3), (heisenberg(3), 3)]:
         for n in range(1, max_n + 1):
             for graph in enumerate_connected_graphs(n):
                 _assert_comm_subgroups_match_oracle(group, graph)
@@ -362,6 +380,10 @@ def test_comm_subgroups_match_basic_commutator_oracle_to_five_vertices():
         for graph in enumerate_connected_graphs(max_n):
             _assert_comm_subgroups_match_oracle(group, graph)
     _assert_comm_subgroups_match_oracle(D8, petersen())
+    # on Q4 the u < v intersection lattice has index 2, and Comm_d is half of
+    # Comm_b = [D8,D8]^16
+    _assert_comm_subgroups_match_oracle(D8, hypercube(4))
+    _assert_comm_subgroups_match_oracle(D8, folded_cube(5))
 
 
 def test_integer_lattice_coordinate_sum_law():
