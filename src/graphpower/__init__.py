@@ -18,7 +18,6 @@ from .errors import (
     MalformedGraph6,
     NotPrime,
     PreconditionViolated,
-    SearchBoundExceeded,
     SpecParseError,
 )
 from .graphs import (
@@ -50,7 +49,6 @@ from .graphs import (
 )
 from .groups import (
     AbelianInvariants,
-    FiniteGroup,
     abelianization,
     alternating,
     cyclic,

@@ -82,10 +82,6 @@ class CapacityExceeded(CapacityError):
         super().__init__(f"predicted order at least {bound} exceeds cap {cap}")
 
 
-class SearchBoundExceeded(CapacityError):
-    pass
-
-
 # -- internal consistency (CLI exit code 4) ----------------------------------
 
 class ConsistencyError(GraphPowerError):

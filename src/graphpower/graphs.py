@@ -305,26 +305,39 @@ def girth(g: Graph) -> float:
 
     Every cycle lies in the 2-core, so vertices of degree <= 1 are peeled
     first, in O(n + m); a forest peels away entirely. Then one breadth-first
-    search per core vertex s: a non-tree edge ab closes a walk through s of
-    length d(a) + d(b) + 1, which holds a cycle at most that long and equals
-    the girth when s lies on a shortest cycle. A search stops at the depth
-    where no shorter cycle can close, and the scan stops at the first
-    triangle. A vertex's core neighbours are read from its mask when a
-    search first reaches it, so a dense graph reads only a few masks.
+    search from a core vertex s: a non-tree edge ab closes a walk through s of
+    length d(a) + d(b) + 1, which holds a cycle at most that long, so the
+    search finds a cycle no longer than any through s. A search stops at the
+    depth where no shorter cycle can close. Then s leaves the core, which is
+    peeled again, and the next search starts: every cycle through s is no
+    shorter than the best found, and the others survive, so a long cycle
+    peels away after one search. The scan stops at the first triangle. A
+    vertex's core neighbours are read from its mask when a search first
+    reaches it, so a dense graph reads only a few masks; a vertex that
+    leaves the core later stays in the lists already read, marked as gone.
     """
-    degree = [m.bit_count() for m in g._masks]
-    queue = [v for v in range(g.n) if degree[v] <= 1]
-    core = (1 << g.n) - 1
-    for v in queue:
-        core &= ~(1 << v)
-        for w in _vertices(g._masks[v] & core):
-            degree[w] -= 1
-            if degree[w] == 1:
-                queue.append(w)
+    masks = g._masks
+    degree = [m.bit_count() for m in masks]
     adj = [None] * g.n
+    core = (1 << g.n) - 1
+    unseen = [-1] * g.n  # a search's starting distances; -2 marks a vertex out of the core
+
+    def peel(queue):
+        nonlocal core
+        for v in queue:
+            core &= ~(1 << v)
+            unseen[v] = -2
+            for w in _vertices(masks[v] & core):
+                degree[w] -= 1
+                if degree[w] == 1:
+                    queue.append(w)
+
+    peel([v for v in range(g.n) if degree[v] <= 1])
     best = math.inf
-    for s in _vertices(core):
-        dist = [-1] * g.n
+    for s in range(g.n):
+        if unseen[s] == -2:
+            continue
+        dist = unseen[:]
         parent = [-1] * g.n
         dist[s] = 0
         frontier = [s]
@@ -333,18 +346,19 @@ def girth(g: Graph) -> float:
             nxt = []
             for a in frontier:
                 if adj[a] is None:
-                    adj[a] = tuple(_vertices(g._masks[a] & core))
+                    adj[a] = tuple(_vertices(masks[a] & core))
                 for b in adj[a]:
-                    if dist[b] < 0:
+                    if dist[b] == -1:
                         dist[b] = depth + 1
                         parent[b] = a
                         nxt.append(b)
-                    elif b != parent[a]:
+                    elif dist[b] >= 0 and b != parent[a]:
                         best = min(best, depth + dist[b] + 1)
                         if best == 3:
                             return 3
             frontier = nxt
             depth += 1
+        peel([s])
     return best
 
 

@@ -3,7 +3,7 @@
 Built-in families: cyclic, dihedral, symmetric, alternating, Heisenberg (the
 unitriangular 3x3 matrices over F_p, realized as affine maps of F_p^2 on p^2
 points so one permutation engine serves everything), and direct products on
-disjoint domains.
+disjoint domains. Each is a named PermGroup, built without an order cap.
 
 The abelianization builds no coset table and no Smith normal form: its
 invariant factors come from the indices of the subgroups generated by the
@@ -14,72 +14,24 @@ prime p and exponent j.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
-from .errors import (
-    DomainMismatch,
-    SearchBoundExceeded,
-    SpecParseError,
-    UnsupportedParameter,
-)
+from .errors import SpecParseError, UnsupportedParameter
 from .perm import Perm, PermGroup, derived_subgroup_of
 from .zlinalg import _smallest_prime_factor, is_prime
-
-ELEMENT_SEARCH_BOUND = 20000
-
-
-class FiniteGroup:
-    """A finite group with a faithful permutation representation."""
-
-    __slots__ = ("name", "degree", "generators", "_perm_group", "_derived")
-
-    def __init__(self, name: str, degree: int, generators: Sequence[Perm]):
-        gens = tuple(generators)
-        for g in gens:
-            if g.degree != degree:
-                raise DomainMismatch(f"generator degree {g.degree} != {degree}")
-        self.name = name
-        self.degree = degree
-        self.generators = gens
-        self._perm_group = None
-        self._derived = None
-
-    @property
-    def perm_group(self) -> PermGroup:
-        if self._perm_group is None:
-            self._perm_group = PermGroup(self.degree, self.generators, max_order=None)
-        return self._perm_group
-
-    def order(self) -> int:
-        return self.perm_group.order()
-
-    def identity(self) -> Perm:
-        return Perm.identity(self.degree)
-
-    def contains(self, p: Perm) -> bool:
-        return p.degree == self.degree and self.perm_group.contains(p)
-
-    def elements(self, bound: int = ELEMENT_SEARCH_BOUND) -> list:
-        if self.order() > bound:
-            raise SearchBoundExceeded(f"|{self.name}| = {self.order()} > {bound}")
-        return self.perm_group.elements(limit=bound)
-
-    def __repr__(self):
-        return f"FiniteGroup({self.name}, degree={self.degree})"
 
 
 # -- built-in families ---------------------------------------------------------
 
-def cyclic(n: int) -> FiniteGroup:
+def cyclic(n: int) -> PermGroup:
     if n < 1:
         raise UnsupportedParameter("cyclic needs n >= 1")
     if n == 1:
-        return FiniteGroup("C1", 1, [])
+        return PermGroup(1, [], max_order=None, name="C1")
     rot = Perm([(i + 1) % n for i in range(n)])
-    return FiniteGroup(f"C{n}", n, [rot])
+    return PermGroup(n, [rot], max_order=None, name=f"C{n}")
 
 
-def dihedral(order: int) -> FiniteGroup:
+def dihedral(order: int) -> PermGroup:
     """Dihedral group of the given (even) order, acting on n = order/2 points
     for n >= 3; the degenerate n <= 2 cases fall back to the regular
     representation, where the natural action is not faithful."""
@@ -88,28 +40,28 @@ def dihedral(order: int) -> FiniteGroup:
     n = order // 2
     if n == 1:
         swap = Perm([1, 0])
-        return FiniteGroup("D2", 2, [swap])
+        return PermGroup(2, [swap], max_order=None, name="D2")
     if n == 2:
         a = Perm([1, 0, 2, 3])
         b = Perm([0, 1, 3, 2])
-        return FiniteGroup("D4", 4, [a, b])
+        return PermGroup(4, [a, b], max_order=None, name="D4")
     rot = Perm([(i + 1) % n for i in range(n)])
     refl = Perm([(n - i) % n for i in range(n)])
-    return FiniteGroup(f"D{order}", n, [rot, refl])
+    return PermGroup(n, [rot, refl], max_order=None, name=f"D{order}")
 
 
-def symmetric(m: int) -> FiniteGroup:
+def symmetric(m: int) -> PermGroup:
     if m < 1:
         raise UnsupportedParameter("symmetric needs m >= 1")
     if m == 1:
-        return FiniteGroup("S1", 1, [])
+        return PermGroup(1, [], max_order=None, name="S1")
     gens = [Perm.from_cycles(m, (0, 1))]
     if m > 2:
         gens.append(Perm(list(range(1, m)) + [0]))
-    return FiniteGroup(f"S{m}", m, gens)
+    return PermGroup(m, gens, max_order=None, name=f"S{m}")
 
 
-def alternating(m: int) -> FiniteGroup:
+def alternating(m: int) -> PermGroup:
     if m < 3:
         raise UnsupportedParameter("alternating needs m >= 3")
     gens = [Perm.from_cycles(m, (0, 1, 2))]
@@ -118,10 +70,10 @@ def alternating(m: int) -> FiniteGroup:
             gens.append(Perm.from_cycles(m, tuple(range(m))))
         else:
             gens.append(Perm.from_cycles(m, tuple(range(1, m))))
-    return FiniteGroup(f"A{m}", m, gens)
+    return PermGroup(m, gens, max_order=None, name=f"A{m}")
 
 
-def heisenberg(p: int) -> FiniteGroup:
+def heisenberg(p: int) -> PermGroup:
     """Heisenberg group over F_p (order p^3) as the affine maps
     (x, y) -> (x + a, y + b*x + c) of F_p^2, on p^2 points (point x*p + y).
 
@@ -137,10 +89,10 @@ def heisenberg(p: int) -> FiniteGroup:
         raise UnsupportedParameter("heisenberg needs a prime p <= 31")
     shift = Perm([((x + 1) % p) * p + y for x in range(p) for y in range(p)])
     shear = Perm([x * p + (y + x) % p for x in range(p) for y in range(p)])
-    return FiniteGroup(f"H{p}", p * p, [shift, shear])
+    return PermGroup(p * p, [shift, shear], max_order=None, name=f"H{p}")
 
 
-def direct_product(*groups: FiniteGroup) -> FiniteGroup:
+def direct_product(*groups: PermGroup) -> PermGroup:
     if not groups:
         raise UnsupportedParameter("direct_product of nothing")
     if len(groups) == 1:
@@ -155,14 +107,14 @@ def direct_product(*groups: FiniteGroup) -> FiniteGroup:
             gens.append(Perm(image))
         offset += g.degree
     name = "x".join(g.name for g in groups)
-    return FiniteGroup(name, degree, gens)
+    return PermGroup(degree, gens, max_order=None, name=name)
 
 
-def make_group(kind: str, *params) -> FiniteGroup:
+def make_group(kind: str, *params) -> PermGroup:
     """Build a catalog group. `direct_product` takes groups or spec strings:
     make_group("direct_product", "D8", "C3")."""
     if kind == "direct_product":
-        factors = [p if isinstance(p, FiniteGroup) else parse_group_spec(p)
+        factors = [p if isinstance(p, PermGroup) else parse_group_spec(p)
                    for p in params]
         return direct_product(*factors)
     table = {
@@ -177,7 +129,7 @@ def make_group(kind: str, *params) -> FiniteGroup:
     return table[kind](*params)
 
 
-def parse_group_spec(text: str) -> FiniteGroup:
+def parse_group_spec(text: str) -> PermGroup:
     """Parse the CLI group mini-language: C4, D8, S5, H3, A4, and products
     joined with 'x' such as D8xC3."""
     token = text.strip()
@@ -205,15 +157,11 @@ def parse_group_spec(text: str) -> FiniteGroup:
 
 # -- subgroups, commutators, abelianization -------------------------------------
 
-def derived_subgroup(group: FiniteGroup) -> PermGroup:
+def derived_subgroup(group: PermGroup) -> PermGroup:
     """Commutator subgroup, as the normal closure of generator-pair
-    commutators."""
+    commutators; built once per group and kept on it."""
     if group._derived is None:
-        if not group.generators:
-            group._derived = PermGroup(group.degree, [], max_order=None)
-        else:
-            group._derived = derived_subgroup_of(
-                group.degree, group.generators, max_order=None)
+        group._derived = derived_subgroup_of(group.degree, group.generators, max_order=None)
     return group._derived
 
 
@@ -231,7 +179,7 @@ class AbelianInvariants:
         return out
 
 
-def abelianization(group: FiniteGroup) -> AbelianInvariants:
+def abelianization(group: PermGroup) -> AbelianInvariants:
     """Invariant factors of G/[G,G], counted from p-power subgroups.
 
     For a prime p dividing m = |G : [G,G]|, the subgroup generated by [G,G]

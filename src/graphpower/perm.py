@@ -4,7 +4,7 @@ Permutations act on 0..degree-1 and compose left to right: (p * q) sends i to
 q[p[i]]. PermGroup keeps a base and stabilizer chain built by one deterministic
 incremental Schreier-Sims pass, giving exact orders and fast membership for
 the subgroup scales this package needs (orders up to ~2^30 on a few hundred
-points).
+points). The catalogue groups and every subgroup of G^n are PermGroups.
 """
 
 from __future__ import annotations
@@ -15,6 +15,12 @@ from typing import Iterable, Optional, Sequence
 from .errors import CapacityExceeded, DomainMismatch, LimitExceeded
 
 DEFAULT_MAX_ORDER = 1 << 30
+# Schreier-Sims work one PermGroup may do, in permutation entries written:
+# each transversal element and its inverse, each Schreier generator formed
+# (two products) and each product taken while sifting it. The largest group
+# the tests build, H7^C5 on 1715 points, writes 60M; C4000 64M. S80 and
+# C100000 stop, C100000 before its first transversal is stored.
+SCHREIER_SIMS_BUDGET = 1 << 26
 
 
 def _compose(p: tuple, q: tuple) -> tuple:
@@ -140,15 +146,21 @@ class PermGroup:
 
     `max_order` aborts construction with CapacityExceeded once the stabilizer
     chain certifies the order exceeds the cap (the chain product is a lower
-    bound for the final order throughout construction).
+    bound for the final order throughout construction). Construction also
+    stops, with LimitExceeded, past SCHREIER_SIMS_BUDGET. `name` labels a
+    catalogue group (C4, D8xC3, ...) in reports.
     """
 
     def __init__(self, degree: int, generators: Iterable = (),
-                 max_order: Optional[int] = DEFAULT_MAX_ORDER):
+                 max_order: Optional[int] = DEFAULT_MAX_ORDER, name: Optional[str] = None):
         self.degree = degree
+        self.name = name
         self._identity = tuple(range(degree))
         self.max_order = max_order
         self._levels: list[_Level] = []
+        self._work = 0
+        self._gen_inv = {}  # each level generator's inverse
+        self._derived = None  # groups.derived_subgroup's cache
         raw = {}
         for g in generators:
             img = g.image if isinstance(g, Perm) else tuple(g)
@@ -164,47 +176,62 @@ class PermGroup:
     # -- chain construction ----------------------------------------------
 
     def _strip(self, g: tuple):
+        """(residue, index of the level where sifting stopped, number of
+        permutations composed)."""
+        steps = 0
         for idx, level in enumerate(self._levels):
             target = g[level.point]
             if target == level.point:
                 continue
             t_inv = level.inv.get(target)
             if t_inv is None:
-                return g, idx
+                return g, idx, steps
             g = _compose(g, t_inv)
-        return g, len(self._levels)
+            steps += 1
+        return g, len(self._levels), steps
 
     def _add_gen(self, g: tuple) -> None:
-        h, j = self._strip(g)
+        h, j, steps = self._strip(g)
+        self._spend(steps)
         if h == self._identity:
             return
         if j == len(self._levels):
             point = next(i for i, x in enumerate(h) if x != i)
             self._levels.append(_Level(point, self._identity))
             j = len(self._levels) - 1
+        self._gen_inv[h] = _inverse(h)
         for lvl in range(j + 1):
             self._extend_level(self._levels[lvl], h)
         self._check_capacity()
 
+    def _spend(self, perms: int) -> None:
+        """Count `perms` permutations written; past the budget, stop."""
+        self._work += perms * self.degree
+        if self._work > SCHREIER_SIMS_BUDGET:
+            raise LimitExceeded(f"Schreier-Sims on {self.degree} points needs more than "
+                                f"{SCHREIER_SIMS_BUDGET} permutation entries")
+
     def _extend_level(self, level: _Level, new_gen: tuple) -> None:
+        """Add a generator to a level and close its orbit. The new orbit
+        points are found first, so their transversal (each point's
+        permutation and its inverse) is paid for before it is stored."""
         level.gens.append(new_gen)
         for pt in list(level.orbit):
             level.pairs.append((pt, new_gen))
+        found = {}  # new orbit point -> (the point it is reached from, generator)
         queue = list(level.orbit)
-        qi = 0
-        while qi < len(queue):
-            pt = queue[qi]
-            qi += 1
-            tp = level.orbit[pt]
+        for pt in queue:
             for s in level.gens:
                 np = s[pt]
-                if np not in level.orbit:
-                    t = _compose(tp, s)
-                    level.orbit[np] = t
-                    level.inv[np] = _inverse(t)
+                if np not in level.orbit and np not in found:
+                    found[np] = (pt, s)
                     queue.append(np)
-                    for s2 in level.gens:
-                        level.pairs.append((np, s2))
+        self._spend(2 * len(found))
+        for np, (pt, s) in found.items():
+            level.orbit[np] = _compose(level.orbit[pt], s)
+            level.inv[np] = _compose(self._gen_inv[s], level.inv[pt])
+            for s2 in level.gens:
+                level.pairs.append((np, s2))
 
     def _check_capacity(self) -> None:
         if self.max_order is None:
@@ -225,11 +252,15 @@ class PermGroup:
                 return
             pt, s = level.pairs[level.ptr]
             level.ptr += 1
+            self._spend(2)
             schreier = _compose(_compose(level.orbit[pt], s), level.inv[s[pt]])
             if schreier != self._identity:
                 self._add_gen(schreier)
 
     # -- queries ------------------------------------------------------------
+
+    def identity(self) -> Perm:
+        return Perm(self._identity)
 
     def order(self) -> int:
         n = 1
@@ -241,7 +272,7 @@ class PermGroup:
         img = p.image if isinstance(p, Perm) else tuple(p)
         if len(img) != self.degree:
             return False
-        h, _ = self._strip(img)
+        h, _, _ = self._strip(img)
         return h == self._identity
 
     __contains__ = contains
@@ -284,7 +315,8 @@ class PermGroup:
         return not self._levels
 
     def __repr__(self):
-        return f"PermGroup(degree={self.degree}, order={self.order()})"
+        label = f"{self.name}, " if self.name else ""
+        return f"PermGroup({label}degree={self.degree}, order={self.order()})"
 
 
 def normal_closure(degree: int, ambient_gens: Sequence, sub_gens: Sequence,

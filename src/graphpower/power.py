@@ -27,9 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import ConsistencyError, DimensionMismatch, LimitExceeded, SearchBoundExceeded
+from .errors import ConsistencyError, DimensionMismatch, LimitExceeded
 from .graphs import Graph
-from .groups import FiniteGroup, AbelianInvariants, abelianization, derived_subgroup
+from .groups import AbelianInvariants, abelianization, derived_subgroup
 from .perm import DEFAULT_MAX_ORDER, Perm, PermGroup, derived_subgroup_of
 from .ra import _distinct_rows, _ra_lattice_index, activation_matrix
 from .zlinalg import IntMat, span_order_mod
@@ -43,7 +43,7 @@ _ALL_ELEMENT_CLICK_BOUND = 512
 class StateVector:
     """An element of G^n: one group element per vertex."""
 
-    group: FiniteGroup
+    group: PermGroup
     components: tuple
 
     def __post_init__(self):
@@ -72,12 +72,12 @@ class StateVector:
         return all(c.is_identity() for c in self.components)
 
 
-def identity_state(group: FiniteGroup, n: int) -> StateVector:
+def identity_state(group: PermGroup, n: int) -> StateVector:
     e = group.identity()
     return StateVector(group, (e,) * n)
 
 
-def state_from_perm(group: FiniteGroup, n: int, perm: Perm) -> StateVector:
+def state_from_perm(group: PermGroup, n: int, perm: Perm) -> StateVector:
     """Split a block permutation on n copies of the domain back into
     coordinates."""
     d = group.degree
@@ -93,7 +93,7 @@ def state_from_perm(group: FiniteGroup, n: int, perm: Perm) -> StateVector:
     return StateVector(group, tuple(comps))
 
 
-def power_click(group: FiniteGroup, g: Perm, clicks: Sequence[int]) -> StateVector:
+def power_click(group: PermGroup, g: Perm, clicks: Sequence[int]) -> StateVector:
     """g^x = (g^{x_1}, ..., g^{x_n})."""
     return StateVector(group, tuple(g ** int(x) for x in clicks))
 
@@ -102,7 +102,7 @@ class PowerSubgroup:
     """A subgroup of G^n, held as a permutation group on n blocks of G's
     domain."""
 
-    def __init__(self, group: FiniteGroup, n: int, perm_group: PermGroup):
+    def __init__(self, group: PermGroup, n: int, perm_group: PermGroup):
         self.group = group
         self.n = n
         self.perm_group = perm_group
@@ -134,14 +134,14 @@ class PowerSubgroup:
         return f"PowerSubgroup({self.group.name}^{self.n}, order={self.order()})"
 
 
-def _generated(group: FiniteGroup, n: int, states: Sequence[StateVector],
+def _generated(group: PermGroup, n: int, states: Sequence[StateVector],
                max_order: Optional[int]) -> PowerSubgroup:
     """The subgroup of G^n generated by `states`."""
     return PowerSubgroup(group, n, PermGroup(n * group.degree, [s.as_perm() for s in states],
                                              max_order=max_order))
 
 
-def matrix_power(group: FiniteGroup, matrix, *,
+def matrix_power(group: PermGroup, matrix, *,
                  max_order: Optional[int] = DEFAULT_MAX_ORDER) -> PowerSubgroup:
     """Subgroup of G^n generated by g^row over the rows of an integer matrix.
 
@@ -153,18 +153,12 @@ def matrix_power(group: FiniteGroup, matrix, *,
         raise DimensionMismatch("matrix with no rows")
     n = len(rows[0])
     zero_one = all(x in (0, 1) for row in rows for x in row)
-    if zero_one:
-        clickers = group.generators
-    else:
-        if group.order() > _ALL_ELEMENT_CLICK_BOUND:
-            raise SearchBoundExceeded(
-                f"clicks over all of {group.name} need |G| <= {_ALL_ELEMENT_CLICK_BOUND}")
-        clickers = group.elements()
+    clickers = group.generators if zero_one else group.elements(limit=_ALL_ELEMENT_CLICK_BOUND)
     return _generated(group, n, [power_click(group, g, row)
                                  for row in rows for g in clickers], max_order)
 
 
-def graph_power(group: FiniteGroup, graph: Graph, *,
+def graph_power(group: PermGroup, graph: Graph, *,
                 max_order: Optional[int] = DEFAULT_MAX_ORDER) -> PowerSubgroup:
     """The reachable-state group G^graph (clicks along closed neighborhoods)."""
     return matrix_power(group, activation_matrix(graph), max_order=max_order)
@@ -183,7 +177,7 @@ def abelian_power_order(invariants, matrix) -> int:
     return total
 
 
-def _orders(group: FiniteGroup, graph: Graph, *,
+def _orders(group: PermGroup, graph: Graph, *,
             max_order: Optional[int] = DEFAULT_MAX_ORDER,
             power: Optional[PowerSubgroup] = None) -> tuple:
     """(|(G^Ab)^graph|, |Comm(G, graph)|, |[G,G]|^n); |G^graph| is the
@@ -218,7 +212,7 @@ def _orders(group: FiniteGroup, graph: Graph, *,
 
 # -- commutator subgroups ---------------------------------------------------------
 
-def _comm_subgroup(group: FiniteGroup, graph: Graph, include_equal: bool,
+def _comm_subgroup(group: PermGroup, graph: Graph, include_equal: bool,
                    max_order: Optional[int]) -> PowerSubgroup:
     """Subgroup generated by the basic commutators [g^u, h^v] over the vertex
     pairs u < v (u <= v with include_equal).
@@ -234,19 +228,19 @@ def _comm_subgroup(group: FiniteGroup, graph: Graph, include_equal: bool,
                                        for d in der], max_order)
 
 
-def comm_d(group: FiniteGroup, graph: Graph, *,
+def comm_d(group: PermGroup, graph: Graph, *,
            max_order: Optional[int] = DEFAULT_MAX_ORDER) -> PowerSubgroup:
     """Subgroup generated by the basic commutators [g^u, h^v] with u != v."""
     return _comm_subgroup(group, graph, False, max_order)
 
 
-def comm_b(group: FiniteGroup, graph: Graph, *,
+def comm_b(group: PermGroup, graph: Graph, *,
            max_order: Optional[int] = DEFAULT_MAX_ORDER) -> PowerSubgroup:
     """Subgroup generated by all basic commutators [g^u, h^v], u = v allowed."""
     return _comm_subgroup(group, graph, True, max_order)
 
 
-def _comm_order(group: FiniteGroup, graph: Graph, include_equal: bool) -> int:
+def _comm_order(group: PermGroup, graph: Graph, include_equal: bool) -> int:
     """|Comm_b| (include_equal) or |Comm_d|.
 
     When [G,G] is abelian (its generators commute pairwise), say
@@ -254,27 +248,27 @@ def _comm_order(group: FiniteGroup, graph: Graph, include_equal: bool) -> int:
     intersection rows I generate the image of [G,G] (x) L in [G,G]^n, L the
     row lattice; so the order is the product over i of the row span of the
     intersection rows mod r_i. Otherwise it is the order of the closure."""
-    der = derived_subgroup(group).generators
+    derived = derived_subgroup(group)
+    der = derived.generators
     if all(a * b == b * a for i, a in enumerate(der) for b in der[i + 1:]):
-        invariants = abelianization(FiniteGroup(f"[{group.name},{group.name}]", group.degree, der))
-        return abelian_power_order(invariants, IntMat(_distinct_rows(graph, include_equal),
-                                                       cols=graph.n))
+        return abelian_power_order(abelianization(derived),
+                                   IntMat(_distinct_rows(graph, include_equal), cols=graph.n))
     return _comm_subgroup(group, graph, include_equal, DEFAULT_MAX_ORDER).order()
 
 
-def comm_b_order(group: FiniteGroup, graph: Graph) -> int:
+def comm_b_order(group: PermGroup, graph: Graph) -> int:
     """|Comm_b(G, graph)|."""
     return _comm_order(group, graph, True)
 
 
-def comm_d_order(group: FiniteGroup, graph: Graph) -> int:
+def comm_d_order(group: PermGroup, graph: Graph) -> int:
     """|Comm_d(G, graph)|."""
     return _comm_order(group, graph, False)
 
 
 # -- RA verdicts for a fixed group ------------------------------------------------
 
-def is_g_ra(group: FiniteGroup, graph: Graph, *,
+def is_g_ra(group: PermGroup, graph: Graph, *,
             max_order: Optional[int] = DEFAULT_MAX_ORDER) -> bool:
     """Whether [G,G]^n is contained in G^graph, decided by order counting:
     Comm(G, graph) sits inside [G,G]^n, so containment is equality of
@@ -282,7 +276,7 @@ def is_g_ra(group: FiniteGroup, graph: Graph, *,
     return ra_index(group, graph, max_order=max_order) == 1
 
 
-def ra_index(group: FiniteGroup, graph: Graph, *,
+def ra_index(group: PermGroup, graph: Graph, *,
              max_order: Optional[int] = DEFAULT_MAX_ORDER) -> int:
     """Index of Comm(G, graph) in [G,G]^n; equals 1 exactly when the graph is
     G-RA."""
@@ -320,7 +314,7 @@ class ChainReport:
         }
 
 
-def chain_report(group: FiniteGroup, graph: Graph, *,
+def chain_report(group: PermGroup, graph: Graph, *,
                  max_order: Optional[int] = DEFAULT_MAX_ORDER) -> ChainReport:
     """The five orders of the commutator chain; each divides the next."""
     gp = graph_power(group, graph, max_order=max_order)

@@ -29,7 +29,7 @@ class IntMat:
     __slots__ = ("rows", "cols", "_rows")
 
     def __init__(self, rows: Iterable[Iterable[int]], cols: Optional[int] = None):
-        data = tuple(tuple(int(x) for x in row) for row in rows)
+        data = tuple(tuple(map(int, row)) for row in rows)
         if data:
             width = len(data[0])
             if any(len(row) != width for row in data):
@@ -43,10 +43,6 @@ class IntMat:
     @classmethod
     def identity(cls, n: int) -> "IntMat":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, m: int, n: int) -> "IntMat":
-        return cls([[0] * n for _ in range(m)], cols=n)
 
     @classmethod
     def from_json(cls, obj: dict) -> "IntMat":
@@ -81,15 +77,6 @@ class IntMat:
 
     def __repr__(self):
         return f"IntMat({[list(r) for r in self._rows]!r})"
-
-    def __matmul__(self, other: "IntMat") -> "IntMat":
-        if self.cols != other.rows:
-            raise DimensionMismatch(f"{self.cols} != {other.rows}")
-        bt = list(zip(*other._rows)) if other._rows else []
-        return IntMat(
-            [[sum(a * b for a, b in zip(row, col)) for col in bt] for row in self._rows],
-            cols=other.cols,
-        )
 
 
 def mat_vec(vec: Sequence[int], mat: IntMat) -> tuple:
@@ -291,7 +278,7 @@ def snf_divisors(M: IntMat) -> tuple:
 
 @dataclass(frozen=True)
 class HNFDecomposition:
-    """U @ M == H (columns permuted first when a permutation is present).
+    """U M == H (columns permuted first when a permutation is present).
 
     H is in row echelon form: pivots positive and strictly right-moving,
     entries above each pivot reduced into [0, pivot), zero rows last. With
@@ -389,7 +376,7 @@ def spans_full_lattice(M: IntMat) -> bool:
 # -- Diophantine solving ------------------------------------------------------
 
 def row_solve(M: IntMat, target: Sequence[int], r: int = 0) -> tuple:
-    """Row vector c with c @ M == target (mod r when r > 0), by echelon form
+    """Row vector c with c M == target (mod r when r > 0), by echelon form
     and back substitution.
 
     Returns (c, None), c reduced into [0, r) when r > 0, or (None, j) with j

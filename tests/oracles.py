@@ -606,8 +606,7 @@ def heisenberg_regular(p: int):
     """Heisenberg group over F_p through its right regular representation on
     the p^3 triples (a, b, c), (a, b, c)(d, e, f) = (a + d, b + e, c + f + ae);
     generators (1, 0, 0) and (0, 1, 0)."""
-    from graphpower.groups import FiniteGroup
-    from graphpower.perm import Perm
+    from graphpower.perm import Perm, PermGroup
 
     triples = list(product(range(p), repeat=3))
     index = {t: i for i, t in enumerate(triples)}
@@ -617,7 +616,8 @@ def heisenberg_regular(p: int):
         return Perm([index[(a + d) % p, (b + e) % p, (c + f + a * e) % p]
                      for a, b, c in triples])
 
-    return FiniteGroup(f"H{p}", p ** 3, [right_mult((1, 0, 0)), right_mult((0, 1, 0))])
+    return PermGroup(p ** 3, [right_mult((1, 0, 0)), right_mult((0, 1, 0))], max_order=None,
+                     name=f"H{p}")
 
 
 # -- square completion ------------------------------------------------------------

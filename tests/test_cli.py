@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from graphpower import ra, solver
+from graphpower import perm, ra, solver
 from graphpower.cli import main
 from graphpower.graphs import graph6_decode, cycle, hypercube, is_isomorphic
 from graphpower.schemas import (
@@ -140,6 +140,18 @@ def test_ra_chain_capacity_exit(capsys):
     # the chain needs [G^graph, G^graph], so it still builds H7^C5 = 7^15
     code, out, err = run(capsys, "ra", "chain", "C5", "--group", "H7")
     assert code == 3 and out == "" and "exceeds cap" in err
+
+
+def test_past_the_schreier_sims_budget_exits_3(capsys, monkeypatch):
+    # building S10 itself writes 22200 permutation entries; the chain on C4
+    # builds S5^C4 on 20 points
+    for argv in [("ra", "gra", "C4", "--group", "S10"), ("ra", "chain", "C4", "--group", "S5")]:
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        monkeypatch.setattr(perm, "SCHREIER_SIMS_BUDGET", 20000)
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "" and "Schreier-Sims" in err and "20000" in err
+        monkeypatch.undo()
 
 
 def test_ra_gra_over_the_ra_test_budget_takes_the_closure(capsys, monkeypatch):

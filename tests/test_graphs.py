@@ -196,6 +196,11 @@ def test_girth_matches_per_edge_oracle():
         start = time.perf_counter()
         assert girth(forest) == math.inf
         assert time.perf_counter() - start < 0.5
+    # one search finds a long cycle, which then peels away
+    for g, length in [(cycle(4096), 4096), (tadpole(2000, 5), 2000)]:
+        start = time.perf_counter()
+        assert girth(g) == length
+        assert time.perf_counter() - start < 1
 
 
 def test_square_completion_matches_path_oracle():

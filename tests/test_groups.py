@@ -1,8 +1,7 @@
 import pytest
 
-from graphpower.errors import DomainMismatch, SearchBoundExceeded, SpecParseError, UnsupportedParameter
+from graphpower.errors import DomainMismatch, LimitExceeded, SpecParseError, UnsupportedParameter
 from graphpower.groups import (
-    FiniteGroup,
     abelianization,
     alternating,
     cyclic,
@@ -14,6 +13,7 @@ from graphpower.groups import (
     parse_group_spec,
     symmetric,
 )
+from graphpower import perm
 from graphpower.perm import Perm, PermGroup, derived_subgroup_of
 
 from graphpower.graphs import cycle, hypercube, path
@@ -28,7 +28,7 @@ from oracles import (
 )
 
 
-def quaternion_group() -> FiniteGroup:
+def quaternion_group() -> PermGroup:
     """Q8 through its right regular representation."""
     # elements (s, u): s in {0,1} sign exponent, u in {1, i, j, k} as 0..3
     def mult(a, b):
@@ -46,7 +46,7 @@ def quaternion_group() -> FiniteGroup:
     gens = []
     for g in [(0, 1), (0, 2)]:  # i and j
         gens.append(Perm([index[mult(e, g)] for e in elems]))
-    return FiniteGroup("Q8", 8, gens)
+    return PermGroup(8, gens, max_order=None, name="Q8")
 
 
 def test_builtin_orders():
@@ -329,8 +329,19 @@ def test_derived_subgroup_of_matches_commutator_closure():
 
 
 def test_element_search_bound():
-    with pytest.raises(SearchBoundExceeded):
-        symmetric(8).elements(bound=100)
+    with pytest.raises(LimitExceeded):
+        symmetric(8).elements(limit=100)
+
+
+def test_schreier_sims_budget_counts_permutation_entries(monkeypatch):
+    # C_n on n points stores n - 1 transversal elements and their inverses
+    # and forms n trivial Schreier generators of two products each: (4n - 2)n
+    n = 50
+    monkeypatch.setattr(perm, "SCHREIER_SIMS_BUDGET", (4 * n - 2) * n)
+    assert cyclic(n).order() == n
+    monkeypatch.setattr(perm, "SCHREIER_SIMS_BUDGET", (4 * n - 2) * n - 1)
+    with pytest.raises(LimitExceeded):
+        cyclic(n)
 
 
 def test_parse_group_spec():

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphpower.errors import CapacityExceeded, SearchBoundExceeded
+from graphpower.errors import CapacityExceeded, LimitExceeded
 from graphpower import power, ra
 from graphpower.graphs import (
     Graph,
@@ -26,7 +26,7 @@ from graphpower.groups import (
     heisenberg,
     symmetric,
 )
-from graphpower.perm import Perm
+from graphpower.perm import Perm, PermGroup
 from graphpower.power import (
     StateVector,
     abelian_power_order,
@@ -120,8 +120,7 @@ def test_matrix_power_needs_full_enumeration_off_zero_one():
     # squares of products; S3 = <(01), (02)> over M = [2] must still give A3
     s3 = symmetric(3)
     a, b = Perm.from_cycles(3, (0, 1)), Perm.from_cycles(3, (0, 2))
-    from graphpower.groups import FiniteGroup
-    s3_alt = FiniteGroup("S3'", 3, [a, b])
+    s3_alt = PermGroup(3, [a, b], max_order=None, name="S3'")
     assert s3_alt.order() == 6
     p = matrix_power(s3_alt, [[2]])
     assert p.order() == 3
@@ -139,7 +138,7 @@ def test_matrix_power_neg_one_fixture():
 
 
 def test_matrix_power_rejects_huge_group_enumeration():
-    with pytest.raises(SearchBoundExceeded):
+    with pytest.raises(LimitExceeded):
         matrix_power(symmetric(7), [[2]])
 
 
