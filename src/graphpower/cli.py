@@ -264,65 +264,63 @@ def cmd_solve(args) -> int:
 
 # -- argument parsing -------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+_GRAPH = (("graph",), {})
+_GROUP = (("--group",), {"required": True})
+_REDUCE = (("--reduce",), {"action": "store_true"})
+
+# command path -> (help, handler, arguments as (args, kwargs) pairs); a
+# group has no handler, and its subcommands follow it
+_COMMANDS = {
+    ("graph",): ("construct and classify graphs", None, ()),
+    ("graph", "gen"): ("emit a standard family member", cmd_graph_gen, (
+        (("family",), {"choices": sorted(FAMILIES)}),
+        (("params",), {"nargs": "*"}),
+        (("--format",), {"choices": ["graph6", "dot", "json"], "default": "graph6"}))),
+    ("graph", "classify"): ("connectivity, girth, and friends", cmd_graph_classify, (_GRAPH,)),
+    ("eldivs",): ("elementary divisors of a graph matrix", cmd_eldivs, (
+        _GRAPH, (("--matrix",), {"choices": ["activation", "ra"], "default": "activation"}),
+        (("--reduce",), {"action": "store_true",
+                         "help": "drop neighborhood-indistinguishable vertices first"}))),
+    ("ra",): ("reducible-to-abelian analysis", None, ()),
+    ("ra", "check"): ("RA verdict for a graph", cmd_ra_check, (_GRAPH, _REDUCE)),
+    ("ra", "gra"): ("RA index over a specific group", cmd_ra_gra, (_GRAPH, _GROUP, _REDUCE)),
+    ("ra", "chain"): ("the five commutator-chain orders", cmd_ra_chain, (_GRAPH, _GROUP, _REDUCE)),
+    ("ra", "census"): ("CSV census of small graphs", cmd_ra_census, (
+        (("--max-n",), {"type": int, "required": True}),
+        (("--oeis",), {"help": "local OEIS b-file to cross-check counts"}))),
+    ("solve",): ("abelian Lights Out solving", cmd_solve, (
+        _GRAPH, (("--moduli",), {"required": True, "help": "comma list like 2,3 or Z"}),
+        (("--target",), {"required": True,
+                          "help": "comma string, inline JSON {vertex: exponents}, or @file"}),
+        _REDUCE)),
+}
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser with every command registered; only the command argv names
+    (every command when argv is None) gets its arguments. Above the leaves
+    no option but -h is taken, so the words without a leading '-' name it."""
+    words = None if argv is None else [a for a in argv if not a.startswith("-")]
     parser = argparse.ArgumentParser(
         prog="graphpower",
         description="Graph powers of groups: divisors, RA verdicts, and abelian solving.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_graph = sub.add_parser("graph", help="construct and classify graphs")
-    graph_sub = p_graph.add_subparsers(dest="graph_command", required=True)
-    p_gen = graph_sub.add_parser("gen", help="emit a standard family member")
-    p_gen.add_argument("family", choices=sorted(FAMILIES))
-    p_gen.add_argument("params", nargs="*")
-    p_gen.add_argument("--format", choices=["graph6", "dot", "json"], default="graph6")
-    p_gen.set_defaults(func=cmd_graph_gen)
-    p_cls = graph_sub.add_parser("classify", help="connectivity, girth, and friends")
-    p_cls.add_argument("graph")
-    p_cls.set_defaults(func=cmd_graph_classify)
-
-    p_eldivs = sub.add_parser("eldivs", help="elementary divisors of a graph matrix")
-    p_eldivs.add_argument("graph")
-    p_eldivs.add_argument("--matrix", choices=["activation", "ra"], default="activation")
-    p_eldivs.add_argument("--reduce", action="store_true",
-                          help="drop neighborhood-indistinguishable vertices first")
-    p_eldivs.set_defaults(func=cmd_eldivs)
-
-    p_ra = sub.add_parser("ra", help="reducible-to-abelian analysis")
-    ra_sub = p_ra.add_subparsers(dest="ra_command", required=True)
-    p_check = ra_sub.add_parser("check", help="RA verdict for a graph")
-    p_check.add_argument("graph")
-    p_check.add_argument("--reduce", action="store_true")
-    p_check.set_defaults(func=cmd_ra_check)
-    p_gra = ra_sub.add_parser("gra", help="RA index over a specific group")
-    p_gra.add_argument("graph")
-    p_gra.add_argument("--group", required=True)
-    p_gra.add_argument("--reduce", action="store_true")
-    p_gra.set_defaults(func=cmd_ra_gra)
-    p_chain = ra_sub.add_parser("chain", help="the five commutator-chain orders")
-    p_chain.add_argument("graph")
-    p_chain.add_argument("--group", required=True)
-    p_chain.add_argument("--reduce", action="store_true")
-    p_chain.set_defaults(func=cmd_ra_chain)
-    p_census = ra_sub.add_parser("census", help="CSV census of small graphs")
-    p_census.add_argument("--max-n", type=int, required=True)
-    p_census.add_argument("--oeis", help="local OEIS b-file to cross-check counts")
-    p_census.set_defaults(func=cmd_ra_census)
-
-    p_solve = sub.add_parser("solve", help="abelian Lights Out solving")
-    p_solve.add_argument("graph")
-    p_solve.add_argument("--moduli", required=True, help="comma list like 2,3 or Z")
-    p_solve.add_argument("--target", required=True,
-                         help="comma string, inline JSON {vertex: exponents}, or @file")
-    p_solve.add_argument("--reduce", action="store_true")
-    p_solve.set_defaults(func=cmd_solve)
-
+    subs = {(): parser.add_subparsers(dest="command", required=True)}
+    for path, (help_, func, arguments) in _COMMANDS.items():
+        p = subs[path[:-1]].add_parser(path[-1], help=help_)
+        if func is None:
+            subs[path] = p.add_subparsers(dest=f"{path[0]}_command", required=True)
+            continue
+        p.set_defaults(func=func)
+        if words is None or tuple(words[:len(path)]) == path:
+            for args, kwargs in arguments:
+                p.add_argument(*args, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
         return args.func(args)

@@ -6,6 +6,7 @@ operations are pure, so values can be shared freely.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -279,21 +280,27 @@ class Classification:
 def components(g: Graph) -> tuple:
     """Vertex tuples of the connected components, each sorted, in order of
     their lowest vertex: the closure of the lowest unvisited vertex under
-    neighbour masks, one breadth-first layer at a time."""
-    masks = g._masks
+    neighbour masks."""
     out = []
     rest = (1 << g.n) - 1
     while rest:
-        comp = layer = rest & -rest
-        while layer:
-            reach = 0
-            for v in _vertices(layer):
-                reach |= masks[v]
-            layer = reach & ~comp
-            comp |= layer
+        comp = _closure(g._masks, rest & -rest, rest)
         rest ^= comp
         out.append(tuple(_vertices(comp)))
     return tuple(out)
+
+
+def _closure(masks: Sequence[int], start: int, within: int) -> int:
+    """Bitmask of the vertices of `within` reachable from those of `start`
+    inside it, one breadth-first layer at a time."""
+    reach = layer = start
+    while layer:
+        nxt = 0
+        for v in _vertices(layer):
+            nxt |= masks[v]
+        layer = nxt & within & ~reach
+        reach |= layer
+    return reach
 
 
 def is_connected(g: Graph) -> bool:
@@ -660,43 +667,81 @@ def is_isomorphic(a: Graph, b: Graph) -> bool:
 
 def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
     """One canonical representative per isomorphism class of connected graphs
-    on n vertices, by vertex augmentation from canonical (n-1)-vertex parents.
-
-    Every connected graph has a non-cut vertex, so augmenting each parent by
-    one new vertex with every nonempty neighbor set reaches every class; a
-    set of certificates keeps one child per class. Capped at n = 8 (desk
+    on n vertices, in certificate order (see _level). Capped at n = 8 (desk
     scale)."""
     if n < 1:
         raise InvalidParameter("n must be positive")
     if n > 8:
         raise LimitExceeded("enumeration capped at 8 vertices")
-    for masks, _ in _augmented_classes(n):
+    for _, masks, _ in _level(n):
         yield Graph._from_masks(masks)
 
 
-def _augmented_classes(n: int) -> Iterator[tuple]:
-    """(neighbour masks of the representative, automorphism generators on
-    its labels) per class.
+@functools.lru_cache(maxsize=None)
+def _level(n: int) -> tuple:
+    """(certificate, neighbour masks of the canonical representative,
+    automorphism generators on its labels) per class, sorted.
 
-    A child is its parent's masks with the new vertex n-1 added to the
-    neighbours it picks. Neighbor sets in one orbit of the parent's
-    automorphism group give isomorphic children, so only the first set of
-    each orbit is tried."""
+    Canonical augmentation (McKay 1998): a child joins a new vertex n-1 to a
+    parent from _level(n - 1), one neighbour set per orbit of the parent's
+    automorphisms, and is kept only when n-1 is in the orbit of its
+    canonical deletion vertex: of the non-cut vertices least in (degree,
+    sorted neighbour degrees), the one placed first in the canonical order.
+    Every connected graph has a non-cut vertex, and the choice does not
+    depend on labels, so each class is kept once; a child that a non-cut
+    vertex beats on the invariant is dropped before its search."""
     if n == 1:
-        yield (0,), []
-        return
-    seen = set()
-    bit = 1 << (n - 1)
-    for parent, parent_gens in _augmented_classes(n - 1):
-        for mask in _subset_orbit_representatives(n - 1, parent_gens):
-            child = tuple(m | bit if mask >> u & 1 else m
+        return (((1, (0,)), (0,), ()),)
+    found = []
+    last = n - 1
+    for _, parent, parent_gens in _level(last):
+        for mask in _subset_orbit_representatives(last, parent_gens):
+            child = tuple(m | 1 << last if mask >> u & 1 else m
                           for u, m in enumerate(parent)) + (mask,)
+            ties = _deletion_ties(child)
+            if not ties:
+                continue
             cert, placement, gens = _canonical_search(n, child)
-            if cert not in seen:
-                seen.add(cert)
-                position = _inverse(placement)
-                yield (_permute_masks(child, position),
-                       [tuple(position[a[v]] for v in placement) for a in gens])
+            first = next(v for v in placement if ties >> v & 1)
+            if not _orbit(first, gens) >> last & 1:
+                continue
+            position = _inverse(placement)
+            found.append((cert, _permute_masks(child, position),
+                          tuple(tuple(position[a[v]] for v in placement) for a in gens)))
+    return tuple(sorted(found))
+
+
+def _deletion_ties(masks: tuple) -> int:
+    """Bitmask of the non-cut vertices that tie with the last vertex, itself
+    non-cut, on (degree, sorted neighbour degrees), or 0 when one is less.
+    Neighbour degrees are read only for vertices tied on degree."""
+    last = len(masks) - 1
+    degree = [m.bit_count() for m in masks]
+    d, key, ties = degree[last], None, 1 << last
+    for v in range(last):
+        if degree[v] == d:
+            if key is None:
+                key = sorted(degree[w] for w in _vertices(masks[last]))
+            other = sorted(degree[w] for w in _vertices(masks[v]))
+        if degree[v] > d or degree[v] == d and other > key:
+            continue
+        rest = (2 << last) - 1 ^ 1 << v
+        if _closure(masks, rest & -rest, rest) == rest:  # v is not a cut vertex
+            if degree[v] < d or other < key:
+                return 0
+            ties |= 1 << v
+    return ties
+
+
+def _orbit(v: int, gens) -> int:
+    """Bitmask of the orbit of v under the group generated by gens."""
+    orbit, frontier = 1 << v, [v]
+    for u in frontier:
+        for a in gens:
+            if not orbit >> a[u] & 1:
+                orbit |= 1 << a[u]
+                frontier.append(a[u])
+    return orbit
 
 
 def _subset_orbit_representatives(m: int, gens: list) -> Iterator[int]:

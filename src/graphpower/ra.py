@@ -299,7 +299,7 @@ def census(max_n: int, progress=None) -> CensusReport:
             "has 261080 connected classes, against 11117 at n = 8")
     if max_n == 8:
         warnings.warn("census at n = 8 enumerates 11117 graph classes; "
-                      "about 5-7 s on a Xeon core")
+                      "about 4-5 s on a Xeon core")
     rows = []
     summaries = []
     for n in range(1, max_n + 1):

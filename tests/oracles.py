@@ -448,9 +448,11 @@ def augmented_classes_by_edge_lists(n: int):
     """(representative, automorphism generators) per class of connected
     graphs on n vertices by vertex augmentation, each child a `Graph` built
     from its parent's edge list plus the new vertex's edges, relabeled
-    through its edge list. Shares the canonical search and the orbit
-    representatives of neighbour sets with the package, so its classes,
-    labels and generators must match the package's exactly."""
+    through its edge list, and a set of certificates keeping the first
+    child of each class. Shares the canonical search and the orbit
+    representatives of neighbour sets with the package, so its classes and
+    labels must match the package's exactly, and its generators must
+    generate the same automorphism groups."""
     from graphpower.graphs import Graph, _canonical_search, _subset_orbit_representatives
 
     if n == 1:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from graphpower import perm, ra, solver
-from graphpower.cli import main
+from graphpower.cli import build_parser, main
 from graphpower.graphs import graph6_decode, cycle, hypercube, is_isomorphic
 from graphpower.schemas import (
     CLASSIFY_SCHEMA,
@@ -258,6 +258,29 @@ def test_census_past_eight_vertices_exits_3(capsys):
     with pytest.raises(SystemExit) as exc:  # argparse rejects the removed option
         main(["ra", "census", "--max-n", "5", "--allow-eight"])
     assert exc.value.code == 2 and capsys.readouterr().out == ""
+
+
+LEAVES = [["graph", "gen"], ["graph", "classify"], ["eldivs"], ["ra", "check"], ["ra", "gra"],
+          ["ra", "chain"], ["ra", "census"], ["solve"]]
+
+
+@pytest.mark.parametrize("argv, code", [
+    *(([*leaf, "--help"], 0) for leaf in [[], ["graph"], ["ra"], *LEAVES]),
+    (["bogus"], 2),
+    (["ra", "census"], 2),
+], ids=lambda value: "_".join(value) if isinstance(value, list) else None)
+def test_help_and_usage_errors_match_the_full_parser(capsys, argv, code):
+    """main builds arguments only for the command argv names; its help and
+    usage errors equal those of the parser with every command built."""
+    def exit_of(call):
+        with pytest.raises(SystemExit) as exc:
+            call()
+        out = capsys.readouterr()
+        return exc.value.code, out.out, out.err
+
+    got = exit_of(lambda: main(argv))
+    assert got[0] == code
+    assert got == exit_of(lambda: build_parser().parse_args(argv))
 
 
 def test_solve_solvable(capsys):

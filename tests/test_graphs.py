@@ -20,8 +20,8 @@ from graphpower.graphs import (
     MAX_VERTICES,
     Classification,
     Graph,
-    _augmented_classes,
     _canonical_search,
+    _level,
     canonical_certificate,
     canonical_form,
     classify,
@@ -344,15 +344,47 @@ def test_enumerate_yields_connected_nonisomorphic_canonical():
         next(enumerate_connected_graphs(0))
 
 
-def test_enumeration_matches_the_edge_list_oracle():
+def _assert_level_matches_the_edge_list_oracle(n):
+    """_level(n) holds the oracle's classes, sorted by certificate, with the
+    same labels; the generators may differ but must be automorphisms that
+    generate a group of the oracle's order."""
     def fields(g):
         return g.n, g.edges, g._masks, graph6_encode(g)
 
+    theirs = sorted(augmented_classes_by_edge_lists(n), key=lambda c: canonical_certificate(c[0]))
+    assert [fields(g) for g in enumerate_connected_graphs(n)] == [fields(g) for g, _ in theirs]
+    for (cert, _, gens), (g, their_gens) in zip(_level(n), theirs):
+        assert cert == canonical_certificate(g)
+        assert all(relabel(g, a) == g for a in gens)
+        assert PermGroup(n, gens).order() == PermGroup(n, their_gens).order()
+
+
+def test_enumeration_matches_the_edge_list_oracle():
     for n in range(1, 8):
-        theirs = list(augmented_classes_by_edge_lists(n))
-        assert [fields(g) for g in enumerate_connected_graphs(n)] == \
-            [fields(g) for g, _ in theirs]
-        assert [gens for _, gens in _augmented_classes(n)] == [gens for _, gens in theirs]
+        _assert_level_matches_the_edge_list_oracle(n)
+
+
+@pytest.mark.slow
+def test_enumeration_matches_the_edge_list_oracle_at_eight_vertices():
+    _assert_level_matches_the_edge_list_oracle(8)
+
+
+def test_enumeration_searches_about_once_per_class(monkeypatch):
+    """Canonical augmentation rejects most duplicate children before their
+    canonical search: levels 2..7 hold 995 classes, and search-then-dedupe
+    runs 4159 searches for them."""
+    import graphpower.graphs as graphs
+
+    calls = []
+
+    def counting(n, masks):
+        calls.append(n)
+        return _canonical_search(n, masks)
+
+    monkeypatch.setattr(graphs, "_canonical_search", counting)
+    _level.cache_clear()
+    assert sum(len(_level(n)) for n in range(2, 8)) == 995
+    assert len(calls) < 1.5 * 995
 
 
 def _identity_codes(g):

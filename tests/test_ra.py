@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from graphpower.errors import InvalidParameter, LimitExceeded, NotPrime, PreconditionViolated, UnsupportedFamily
@@ -217,12 +219,12 @@ def test_census_to_five():
     assert report.full_lattice_counts() == (1, 0, 1, 1, 6)
     assert report.distinguishable_counts() == (1, 0, 1, 3, 11)
     assert all(r.ra for r in report.rows)
-    table = {(r.n, divisor_tuple_str(r.divisors)) for r in report.nontrivial_rows(5)}
-    assert table == {
+    table = Counter((r.n, divisor_tuple_str(r.divisors)) for r in report.nontrivial_rows(5))
+    assert table == Counter([
         (4, "(1^3, 3)"), (4, "(1^3, 2)"),
         (5, "(1^4, 0)"), (5, "(1^4, 3)"), (5, "(1^4, 3)"),
         (5, "(1^4, 5)"), (5, "(1^4, 2)"),
-    } or len(report.nontrivial_rows(5)) == 7
+    ])
     # identify the actual graphs in the nontrivial table
     found = {}
     for r in report.nontrivial_rows(5):
