@@ -56,7 +56,6 @@ from .groups import (
     dihedral,
     direct_product,
     heisenberg,
-    make_group,
     parse_group_spec,
     symmetric,
 )
@@ -101,7 +100,6 @@ from .solver import (
 from .zlinalg import (
     HNFDecomposition,
     IntMat,
-    divisor_table_csv,
     divisor_tuple_str,
     hnf,
     rank_mod_p,

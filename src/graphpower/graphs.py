@@ -410,22 +410,16 @@ def classify(g: Graph) -> Classification:
 
 
 def reduce_indistinguishable(g: Graph) -> Graph:
-    """Delete one vertex of each neighborhood-indistinguishable pair until
-    none remain. Idempotent; the result's isomorphism class does not depend
-    on deletion order."""
-    current = g
-    while True:
-        pair = None
-        for u in range(current.n):
-            for v in range(u + 1, current.n):
-                if current._masks[u] | (1 << u) == current._masks[v] | (1 << v):
-                    pair = (u, v)
-                    break
-            if pair:
-                break
-        if pair is None:
-            return current
-        current = delete_vertex(current, pair[1])
+    """Keep the lowest vertex of each closed-neighborhood class and delete
+    the rest at once. Deleting one twin leaves every other twin class
+    unchanged, so this is the graph that deleting twins one at a time leaves.
+    Idempotent."""
+    keep = {}
+    for v, m in enumerate(g._masks):
+        keep.setdefault(m | 1 << v, v)
+    position = {v: i for i, v in enumerate(keep.values())}
+    return Graph._from_masks([sum(1 << position[w] for w in _vertices(g._masks[v]) if w in position)
+                              for v in position])
 
 
 def delete_vertex(g: Graph, v: int) -> Graph:
@@ -605,14 +599,7 @@ def _canonical_search(n: int, masks: tuple) -> tuple:
             v = b.bit_length() - 1
             if explored:
                 fixing = [a for a in gens if all(a[u] == u for u in individualized)]
-                orbit, frontier = b, [v]
-                for u in frontier:
-                    for a in fixing:
-                        w = a[u]
-                        if not orbit >> w & 1:
-                            orbit |= 1 << w
-                            frontier.append(w)
-                if orbit & explored:
+                if _orbit(v, fixing) & explored:
                     continue
             explored |= b
             child = cells.copy()
@@ -904,7 +891,7 @@ def parse_graph_spec(token: str) -> Graph:
                 return from_json(json.load(fh))
         except OSError as exc:
             raise SpecParseError(tok, f"cannot read file ({exc})") from exc
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise SpecParseError(tok, f"bad graph JSON ({exc})") from exc
     for build, shorthand in FAMILIES.values():
         m = shorthand.fullmatch(tok)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import SpecParseError, UnsupportedParameter
-from .perm import Perm, PermGroup, derived_subgroup_of
+from .perm import Perm, PermGroup, derived_subgroup
 from .zlinalg import _smallest_prime_factor, is_prime
 
 
@@ -110,25 +110,6 @@ def direct_product(*groups: PermGroup) -> PermGroup:
     return PermGroup(degree, gens, max_order=None, name=name)
 
 
-def make_group(kind: str, *params) -> PermGroup:
-    """Build a catalog group. `direct_product` takes groups or spec strings:
-    make_group("direct_product", "D8", "C3")."""
-    if kind == "direct_product":
-        factors = [p if isinstance(p, PermGroup) else parse_group_spec(p)
-                   for p in params]
-        return direct_product(*factors)
-    table = {
-        "cyclic": cyclic,
-        "dihedral": dihedral,
-        "symmetric": symmetric,
-        "alternating": alternating,
-        "heisenberg": heisenberg,
-    }
-    if kind not in table:
-        raise UnsupportedParameter(f"unknown group kind {kind!r}")
-    return table[kind](*params)
-
-
 def parse_group_spec(text: str) -> PermGroup:
     """Parse the CLI group mini-language: C4, D8, S5, H3, A4, and products
     joined with 'x' such as D8xC3."""
@@ -155,15 +136,7 @@ def parse_group_spec(text: str) -> PermGroup:
     return groups[0] if len(groups) == 1 else direct_product(*groups)
 
 
-# -- subgroups, commutators, abelianization -------------------------------------
-
-def derived_subgroup(group: PermGroup) -> PermGroup:
-    """Commutator subgroup, as the normal closure of generator-pair
-    commutators; built once per group and kept on it."""
-    if group._derived is None:
-        group._derived = derived_subgroup_of(group.degree, group.generators, max_order=None)
-    return group._derived
-
+# -- abelianization ---------------------------------------------------------------
 
 @dataclass(frozen=True)
 class AbelianInvariants:

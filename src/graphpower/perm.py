@@ -160,7 +160,7 @@ class PermGroup:
         self._levels: list[_Level] = []
         self._work = 0
         self._gen_inv = {}  # each level generator's inverse
-        self._derived = None  # groups.derived_subgroup's cache
+        self._derived = None  # derived_subgroup's cache
         raw = {}
         for g in generators:
             img = g.image if isinstance(g, Perm) else tuple(g)
@@ -288,6 +288,7 @@ class PermGroup:
         if img == self._identity:
             return
         self._gens.append(img)
+        self._derived = None
         self._add_gen(img)
         self._complete()
 
@@ -311,21 +312,18 @@ class PermGroup:
             frontier = nxt
         return [Perm(x) for x in seen]
 
-    def is_trivial(self) -> bool:
-        return not self._levels
-
     def __repr__(self):
         label = f"{self.name}, " if self.name else ""
         return f"PermGroup({label}degree={self.degree}, order={self.order()})"
 
 
-def normal_closure(degree: int, ambient_gens: Sequence, sub_gens: Sequence,
-                   max_order: Optional[int] = DEFAULT_MAX_ORDER) -> PermGroup:
+def normal_closure(degree: int, ambient_gens: Sequence, sub_gens: Sequence) -> PermGroup:
     """Smallest subgroup containing sub_gens and closed under conjugation by
-    the ambient generators."""
+    the ambient generators. No order cap: callers take it inside a group
+    already built."""
     amb = [g.image if isinstance(g, Perm) else tuple(g) for g in ambient_gens]
     sub = [g.image if isinstance(g, Perm) else tuple(g) for g in sub_gens]
-    group = PermGroup(degree, sub, max_order=max_order)
+    group = PermGroup(degree, sub, max_order=None)
     work = [g for g in sub if g != tuple(range(degree))]
     wi = 0
     while wi < len(work):
@@ -339,16 +337,19 @@ def normal_closure(degree: int, ambient_gens: Sequence, sub_gens: Sequence,
     return group
 
 
-def derived_subgroup_of(degree: int, generators: Sequence,
-                        max_order: Optional[int] = DEFAULT_MAX_ORDER) -> PermGroup:
-    """Commutator subgroup of the group generated by `generators`: the normal
-    closure of the commutators over unordered generator pairs ([b,a] is the
-    inverse of [a,b], so one of the two suffices)."""
-    gens = [g.image if isinstance(g, Perm) else tuple(g) for g in generators]
-    invs = [_inverse(a) for a in gens]
-    comms = {}
-    for i, (a, ai) in enumerate(zip(gens, invs)):
-        for b, bi in zip(gens[i + 1:], invs[i + 1:]):
-            comms[_compose(_compose(_compose(a, b), ai), bi)] = None
-    comms.pop(tuple(range(degree)), None)
-    return normal_closure(degree, gens, list(comms), max_order=max_order)
+def derived_subgroup(group: PermGroup) -> PermGroup:
+    """[H,H]: the normal closure of the commutators over unordered generator
+    pairs ([b,a] is the inverse of [a,b], so one of the two suffices). Built
+    once per group and kept on it, with no order cap, since |[H,H]| <= |H|
+    and H passed its own cap when it was built; SCHREIER_SIMS_BUDGET still
+    bounds the work."""
+    if group._derived is None:
+        gens = group._gens
+        invs = [_inverse(a) for a in gens]
+        comms = {}
+        for i, (a, ai) in enumerate(zip(gens, invs)):
+            for b, bi in zip(gens[i + 1:], invs[i + 1:]):
+                comms[_compose(_compose(_compose(a, b), ai), bi)] = None
+        comms.pop(group._identity, None)
+        group._derived = normal_closure(group.degree, gens, list(comms))
+    return group._derived

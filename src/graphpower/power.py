@@ -29,8 +29,8 @@ from typing import Optional, Sequence
 
 from .errors import ConsistencyError, DimensionMismatch, LimitExceeded
 from .graphs import Graph
-from .groups import AbelianInvariants, abelianization, derived_subgroup
-from .perm import DEFAULT_MAX_ORDER, Perm, PermGroup, derived_subgroup_of
+from .groups import AbelianInvariants, abelianization
+from .perm import DEFAULT_MAX_ORDER, Perm, PermGroup, derived_subgroup
 from .ra import _distinct_rows, _ra_lattice_index, activation_matrix
 from .zlinalg import IntMat, span_order_mod
 
@@ -70,11 +70,6 @@ class StateVector:
 
     def is_identity(self) -> bool:
         return all(c.is_identity() for c in self.components)
-
-
-def identity_state(group: PermGroup, n: int) -> StateVector:
-    e = group.identity()
-    return StateVector(group, (e,) * n)
 
 
 def state_from_perm(group: PermGroup, n: int, perm: Perm) -> StateVector:
@@ -124,11 +119,9 @@ class PowerSubgroup:
         return [state_from_perm(self.group, self.n, p)
                 for p in self.perm_group.elements(limit=limit)]
 
-    def derived(self, max_order: Optional[int] = DEFAULT_MAX_ORDER) -> "PowerSubgroup":
-        """Commutator subgroup, via normal closure of generator commutators."""
-        sub = derived_subgroup_of(self.perm_group.degree, self.perm_group.generators,
-                                  max_order=max_order)
-        return PowerSubgroup(self.group, self.n, sub)
+    def derived(self) -> "PowerSubgroup":
+        """Commutator subgroup, built once and kept on the permutation group."""
+        return PowerSubgroup(self.group, self.n, derived_subgroup(self.perm_group))
 
     def __repr__(self):
         return f"PowerSubgroup({self.group.name}^{self.n}, order={self.order()})"
@@ -247,13 +240,15 @@ def _comm_order(group: PermGroup, graph: Graph, include_equal: bool) -> int:
     [G,G] = Z/r_1 x ... x Z/r_k, the spreads d^I of its elements over the
     intersection rows I generate the image of [G,G] (x) L in [G,G]^n, L the
     row lattice; so the order is the product over i of the row span of the
-    intersection rows mod r_i. Otherwise it is the order of the closure."""
+    intersection rows mod r_i. Otherwise it is the order of the closure,
+    built without an order cap: it lies in G^graph, which chain_report
+    builds first under the caller's cap."""
     derived = derived_subgroup(group)
     der = derived.generators
     if all(a * b == b * a for i, a in enumerate(der) for b in der[i + 1:]):
         return abelian_power_order(abelianization(derived),
                                    IntMat(_distinct_rows(graph, include_equal), cols=graph.n))
-    return _comm_subgroup(group, graph, include_equal, DEFAULT_MAX_ORDER).order()
+    return _comm_subgroup(group, graph, include_equal, None).order()
 
 
 def comm_b_order(group: PermGroup, graph: Graph) -> int:
@@ -321,7 +316,7 @@ def chain_report(group: PermGroup, graph: Graph, *,
     orders = (
         comm_d_order(group, graph),
         comm_b_order(group, graph),
-        gp.derived(max_order=max_order).order(),
+        gp.derived().order(),
         *_orders(group, graph, power=gp)[1:],
     )
     for a, b in zip(orders, orders[1:]):

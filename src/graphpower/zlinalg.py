@@ -416,32 +416,3 @@ def divisor_tuple_str(divisors: Sequence[int]) -> str:
         out.append(f"{divs[i]}^{run}" if run > 1 else f"{divs[i]}")
         i = j
     return "(" + ", ".join(out) + ")"
-
-
-def divisor_table_csv(rows: Iterable) -> str:
-    """CSV text for (label, divisors) pairs."""
-    import csv
-    import io
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["label", "divisors"])
-    for label, divisors in rows:
-        writer.writerow([label, divisor_tuple_str(divisors)])
-    return buf.getvalue()
-
-
-def parse_divisor_tuple(text: str) -> tuple:
-    """Inverse of divisor_tuple_str."""
-    body = text.strip()
-    if body.startswith("(") and body.endswith(")"):
-        body = body[1:-1]
-    out = []
-    if body.strip():
-        for part in body.split(","):
-            part = part.strip()
-            if "^" in part:
-                v, e = part.split("^")
-                out.extend([int(v)] * int(e))
-            else:
-                out.append(int(part))
-    return tuple(out)

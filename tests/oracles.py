@@ -498,7 +498,7 @@ def derived_power_order_by_basic_commutators(group, graph) -> int:
     comms = {x * y * x.inverse() * y.inverse() for x in elems for y in elems}
     basics = {spread(c, ball[u] & ball[v])
               for u in range(n) for v in range(u, n) for c in comms}
-    return normal_closure(n * d, clicks, sorted(basics), max_order=None).order()
+    return normal_closure(n * d, clicks, sorted(basics)).order()
 
 
 def basic_commutator_order(group, graph, include_equal: bool) -> int:

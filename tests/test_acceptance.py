@@ -215,7 +215,7 @@ def test_criterion_10_derived_equals_comm():
         for n in range(1, 6):
             for g in enumerate_connected_graphs(n):
                 for group in groups:
-                    derived = graph_power(group, g, max_order=None).derived(max_order=None)
+                    derived = graph_power(group, g, max_order=None).derived()
                     comm = comm_order_by_closure(group, g)
                     assert derived.order() == comm, (group.name, g)
                     oracle = derived_power_order_by_basic_commutators(group, g)

@@ -142,6 +142,26 @@ def test_ra_chain_capacity_exit(capsys):
     assert code == 3 and out == "" and "exceeds cap" in err
 
 
+def test_ra_chain_cap_applies_to_the_group_power_only(capsys, monkeypatch):
+    # S4^petersen has order 1.98e12; [S4,S4] = A4 is nonabelian, so Comm_b and
+    # Comm_d are closures, each 12^10 > 2^30, inside the G^graph built under
+    # the raised cap
+    monkeypatch.setenv("GRAPHPOWER_MAX_ORDER", "10000000000000")
+    code, out, err = run(capsys, "ra", "chain", "petersen", "--group", "S4")
+    assert code == 0, err
+    assert set(json.loads(out)["orders"].values()) == {12 ** 10}
+
+
+def test_ra_chain_cap_bounds_the_group_power_exactly(capsys, monkeypatch):
+    # |D8^Q3| = 2^15: the chain answers at that cap and exits 3 just below it
+    monkeypatch.setenv("GRAPHPOWER_MAX_ORDER", "32768")
+    code, out, _ = run(capsys, "ra", "chain", "Q3", "--group", "D8")
+    assert code == 0 and json.loads(out)["orders"]["full_commutator_power"] == 256
+    monkeypatch.setenv("GRAPHPOWER_MAX_ORDER", "32767")
+    code, out, err = run(capsys, "ra", "chain", "Q3", "--group", "D8")
+    assert code == 3 and out == "" and "exceeds cap 32767" in err
+
+
 def test_past_the_schreier_sims_budget_exits_3(capsys, monkeypatch):
     # building S10 itself writes 22200 permutation entries; the chain on C4
     # builds S5^C4 on 20 points
@@ -250,6 +270,13 @@ def test_graph_json_needs_integer_vertices_and_pairs(capsys, tmp_path):
     spec.write_text('{"n": 4, "edges": [[0, 1], [3, 2]]}')
     code, out, _ = run(capsys, "graph", "classify", f"@{spec}")
     assert code == 0 and json.loads(out)["components"] == [[0, 1], [2, 3]]
+
+
+def test_deeply_nested_graph_json_exits_2(capsys, tmp_path):
+    spec = tmp_path / "deep.json"
+    spec.write_text("[" * 200000 + "]" * 200000)
+    code, out, err = run(capsys, "graph", "classify", f"@{spec}")
+    assert code == 2 and out == "" and "bad graph JSON" in err
 
 
 def test_census_past_eight_vertices_exits_3(capsys):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphpower.errors import CapacityExceeded, LimitExceeded
-from graphpower import power, ra
+from graphpower import perm, power, ra
 from graphpower.graphs import (
     Graph,
     complete,
@@ -36,7 +36,6 @@ from graphpower.power import (
     comm_d,
     comm_d_order,
     graph_power,
-    identity_state,
     is_g_ra,
     matrix_power,
     power_click,
@@ -113,6 +112,21 @@ def test_matrix_power_square_click():
     comm_members = [s for s in p.elements_as_states()
                     if all(der.contains(c) for c in s.components)]
     assert len(comm_members) == 2
+
+
+def test_derived_builds_one_normal_closure(monkeypatch):
+    calls = []
+    closure = perm.normal_closure
+
+    def counting(*args):
+        calls.append(args)
+        return closure(*args)
+
+    monkeypatch.setattr(perm, "normal_closure", counting)
+    p = graph_power(D8, cycle(4))
+    first, second = p.derived(), p.derived()
+    assert len(calls) == 1
+    assert first.perm_group is second.perm_group and first.order() == 16
 
 
 def test_matrix_power_needs_full_enumeration_off_zero_one():
@@ -426,7 +440,7 @@ def test_ra_index_consistency_error_never_masks():
     assert idx * gp.order() == derived_subgroup(D8).order() ** q3.n * ab
 
 
-def test_identity_state_helper():
-    s = identity_state(D8, 3)
+def test_all_identity_state_is_identity():
+    s = StateVector(D8, (D8.identity(),) * 3)
     assert s.is_identity()
     assert s.as_perm().is_identity()

@@ -12,7 +12,6 @@ from graphpower.zlinalg import (
     hnf,
     lattice_index,
     mat_vec,
-    parse_divisor_tuple,
     rank_mod_p,
     snf_divisors,
     span_order_mod,
@@ -280,18 +279,9 @@ def test_divisor_tuple_str():
     assert divisor_tuple_str((1, 1, 1, 3)) == "(1^3, 3)"
     assert divisor_tuple_str((1, 1, 1, 1, 2, 0, 0, 0)) == "(1^4, 2, 0^3)"
     assert divisor_tuple_str((1,)) == "(1)"
-    assert parse_divisor_tuple("(1^3, 3)") == (1, 1, 1, 3)
-    assert parse_divisor_tuple("(1^4, 2, 0^3)") == (1, 1, 1, 1, 2, 0, 0, 0)
 
 
 def test_intmat_json_roundtrip():
     obj = A_C4.to_json()
     assert IntMat.from_json(obj) == A_C4
 
-
-def test_divisor_table_csv():
-    from graphpower.zlinalg import divisor_table_csv
-    text = divisor_table_csv([("C4", (1, 1, 1, 3)), ("P5", (1, 1, 1, 1, 0))])
-    lines = text.strip().splitlines()
-    assert lines[0] == "label,divisors"
-    assert lines[1] == 'C4,"(1^3, 3)"'
