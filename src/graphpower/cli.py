@@ -83,7 +83,7 @@ def cmd_graph_classify(args) -> int:
 def cmd_eldivs(args) -> int:
     g = _graph_arg(args.graph, args.reduce)
     mat = ra.activation_matrix(g) if args.matrix == "activation" else ra.ra_matrix(g)
-    print(divisor_tuple_str(snf_divisors(mat)))
+    print(divisor_tuple_str(snf_divisors(mat, budget=ra.RA_TEST_BUDGET)))
     return 0
 
 

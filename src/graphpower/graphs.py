@@ -10,8 +10,7 @@ import functools
 import json
 import math
 import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     IndexOutOfRange,
@@ -257,8 +256,7 @@ def _check_size(family: str, vertices: int, edges: int) -> None:
 
 # -- classification -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     connected: bool
     components: tuple
     girth: float  # math.inf for forests

@@ -13,7 +13,7 @@ prime p and exponent j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import SpecParseError, UnsupportedParameter
 from .perm import Perm, PermGroup, derived_subgroup
@@ -138,8 +138,7 @@ def parse_group_spec(text: str) -> PermGroup:
 
 # -- abelianization ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AbelianInvariants:
+class AbelianInvariants(NamedTuple):
     """G/[G,G] as a sum of cyclic groups Z/r_1 x ... x Z/r_k, r_1 | ... | r_k,
     each r_i >= 2."""
 

@@ -24,8 +24,7 @@ constructions enumerate G (which must be small).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import ConsistencyError, DimensionMismatch, LimitExceeded
 from .graphs import Graph
@@ -39,17 +38,21 @@ ClickVector = tuple
 _ALL_ELEMENT_CLICK_BOUND = 512
 
 
-@dataclass(frozen=True)
-class StateVector:
-    """An element of G^n: one group element per vertex."""
-
+class _State(NamedTuple):
     group: PermGroup
     components: tuple
 
-    def __post_init__(self):
-        for c in self.components:
-            if c.degree != self.group.degree:
+
+class StateVector(_State):
+    """An element of G^n: one group element per vertex."""
+
+    __slots__ = ()
+
+    def __new__(cls, group: PermGroup, components: tuple):
+        for c in components:
+            if c.degree != group.degree:
                 raise DimensionMismatch("component degree mismatch")
+        return super().__new__(cls, group, components)
 
     @property
     def n(self) -> int:
@@ -279,8 +282,7 @@ def ra_index(group: PermGroup, graph: Graph, *,
     return full // comm
 
 
-@dataclass(frozen=True)
-class ChainReport:
+class ChainReport(NamedTuple):
     """Orders along Comm_d <= Comm_b <= [G^G, G^G] <= Comm <= [G,G]^n."""
 
     group: str

@@ -15,9 +15,8 @@ decision procedure.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from math import gcd, inf
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import InvalidParameter, LimitExceeded, NotPrime, PreconditionViolated, UnsupportedFamily
 from .graphs import (
@@ -100,13 +99,11 @@ def _ra_lattice_index(graph: Graph) -> int:
     _check_ra_matrix_size(graph.n)
     try:
         return _row_lattice_index(_distinct_rows(graph, True), graph.n, budget=RA_TEST_BUDGET)
-    except LimitExceeded:
-        raise LimitExceeded(f"RA test: the elimination over Z rewrites more entries "
-                            f"than its budget of {RA_TEST_BUDGET}") from None
+    except LimitExceeded as exc:
+        raise LimitExceeded(f"RA test: {exc}") from None
 
 
-@dataclass(frozen=True)
-class RAVerdict:
+class RAVerdict(NamedTuple):
     graph: str          # graph6
     ra: bool
     method: str         # "full_lattice"
@@ -168,8 +165,7 @@ def pqr_criterion(graph: Graph, p: int) -> bool:
 
 # -- structural hints -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class Hint:
+class Hint(NamedTuple):
     rule: str
     conclusion: str  # "ra" or "strongly_ra"
     detail: str
@@ -250,8 +246,7 @@ def known_family_divisors(family: str, *params: int) -> tuple:
 
 # -- census -----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CensusRow:
+class CensusRow(NamedTuple):
     n: int
     graph6: str
     divisors: tuple   # activation divisors
@@ -260,8 +255,7 @@ class CensusRow:
     witness: str
 
 
-@dataclass(frozen=True)
-class CensusSummary:
+class CensusSummary(NamedTuple):
     n: int
     connected_classes: int
     distinguishable: int
@@ -269,8 +263,7 @@ class CensusSummary:
     ra_count: int
 
 
-@dataclass(frozen=True)
-class CensusReport:
+class CensusReport(NamedTuple):
     rows: tuple
     summaries: tuple
 
@@ -314,8 +307,11 @@ def census(max_n: int, progress=None) -> CensusReport:
             distinguishable += 1
             divs = snf_divisors(activation_matrix(g))
             if all(d == 1 for d in divs):
+                # L contains the rows B(v) of A+I, and they already span Z^n
                 full += 1
-            verdict = is_ra(g)
+                verdict = RAVerdict(graph6_encode(g), True, "full_lattice", "lattice index 1")
+            else:
+                verdict = is_ra(g)
             if verdict.ra:
                 ra_count += 1
             rows.append(CensusRow(n, verdict.graph, divs, verdict.ra,

@@ -15,8 +15,7 @@ fault, not a solver answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .errors import ConsistencyError, DimensionMismatch, InvalidParameter
 from .graphs import Graph
@@ -26,8 +25,7 @@ from .zlinalg import hnf, mat_vec, row_solve
 INTEGERS = "Z"
 
 
-@dataclass(frozen=True)
-class Unsolvable:
+class Unsolvable(NamedTuple):
     """Witness for an unreachable target: the first pivot whose congruence
     fails, mapped back to a vertex."""
 
@@ -40,19 +38,14 @@ class Unsolvable:
         return False
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(NamedTuple):
     """Click multiplicities per factor; clicks[alpha][v] clicks vertex v."""
 
     moduli: tuple
     clicks: tuple   # one click vector per factor
 
-    def __bool__(self):
-        return True
 
-
-@dataclass(frozen=True)
-class ReachabilityProfile:
+class ReachabilityProfile(NamedTuple):
     """Shape of the reachable states, from the permuted echelon basis: the
     first free_count coordinates are freely settable, the constrained ones
     move by multiples of their pivot, the fixed ones are determined."""

@@ -16,9 +16,8 @@ full-lattice test) and the Diophantine solver read its pivots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import DimensionMismatch, LimitExceeded, NotPrime
 
@@ -179,6 +178,7 @@ def _echelon(rows, n, r=0, perm=None, budget=None):
     entries in all; the one that would pass it raises LimitExceeded.
     """
     pivots = []
+    spent = 0
     for c in range(n):
         top = len(pivots)
         if top == len(rows):
@@ -220,9 +220,10 @@ def _echelon(rows, n, r=0, perm=None, budget=None):
                     q = row[c] // a
                     if q:
                         if budget is not None:
-                            budget -= len(p)
-                            if budget < 0:
-                                raise LimitExceeded("echelon work exceeds its budget")
+                            spent += len(p)
+                            if spent > budget:
+                                raise LimitExceeded(f"the elimination rewrites more entries "
+                                                    f"than its budget of {budget}")
                         if r:
                             row = rows[k] = [(x - q * y) % r for x, y in zip(row, p)]
                         else:
@@ -252,13 +253,13 @@ def _smith_chain(d) -> None:
                 d[i], d[j] = g, a // g * b
 
 
-def _smith_passes(a, n) -> list:
+def _smith_passes(a, n, budget=None) -> list:
     """Echelon passes that alternate between the rows a (n columns) and
     their transpose until a is diagonal; returns the diagonal. The rows after
     the pivots are dropped after each pass (they only add zeros to the
-    chain)."""
+    chain). `budget` caps the entries each pass may rewrite."""
     while True:
-        pivots = _echelon(a, n)
+        pivots = _echelon(a, n, budget=budget)
         k = len(pivots)
         a = a[:k]
         if pivots == list(range(k)) and not any(any(a[i][i + 1:]) for i in range(k)):
@@ -266,18 +267,18 @@ def _smith_passes(a, n) -> list:
         n, a = len(a), _transpose(a)
 
 
-def snf_divisors(M: IntMat) -> tuple:
+def snf_divisors(M: IntMat, budget: Optional[int] = None) -> tuple:
     """Smith normal form divisor chain of M; skips duplicate and zero rows
-    (they only add zeros at the tail of the chain)."""
-    d = _smith_passes([list(r) for r in dict.fromkeys(M._rows) if any(r)], M.cols)
+    (they only add zeros at the tail of the chain). A `budget` caps the
+    entries each elimination pass may rewrite (LimitExceeded past it)."""
+    d = _smith_passes([list(r) for r in dict.fromkeys(M._rows) if any(r)], M.cols, budget)
     _smith_chain(d)
     return tuple(d + [0] * (min(M.rows, M.cols) - len(d)))
 
 
 # -- Hermite normal form ------------------------------------------------------
 
-@dataclass(frozen=True)
-class HNFDecomposition:
+class HNFDecomposition(NamedTuple):
     """U M == H (columns permuted first when a permutation is present).
 
     H is in row echelon form: pivots positive and strictly right-moving,

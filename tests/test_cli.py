@@ -207,6 +207,17 @@ def test_eldivs_ra_matrix_past_the_ra_test_budget_exits_3(capsys, monkeypatch):
     assert code == 3 and out == "" and "16896" in err and "16895" in err
 
 
+def test_eldivs_past_the_work_budget_exits_3(capsys, monkeypatch):
+    # Q8's activation SNF ran for minutes with no bound
+    code, out, err = run(capsys, "eldivs", "Q8")
+    assert code == 3 and out == "" and f"budget of {ra.RA_TEST_BUDGET}" in err
+    # Q5's 528 x 32 intersection matrix fits a budget of 50000 entries, but
+    # its elimination rewrites more
+    monkeypatch.setattr(ra, "RA_TEST_BUDGET", 50000)
+    code, out, err = run(capsys, "eldivs", "Q5", "--matrix", "ra")
+    assert code == 3 and out == "" and "rewrites more entries than its budget of 50000" in err
+
+
 def test_heisenberg_limit(capsys):
     # the abelianization of H_p builds one subgroup, so H31 answers; H37 is
     # past the limit and a bad group spec

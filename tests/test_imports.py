@@ -1,4 +1,6 @@
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,3 +36,12 @@ def test_unused_import_check_sees_an_unused_name():
 @pytest.mark.parametrize("module", MODULES, ids=[p.stem for p in MODULES])
 def test_no_unused_imports(module):
     assert unused_imports(module.read_text()) == [], module.name
+
+
+def test_cli_import_loads_no_dataclasses():
+    # -S keeps out whatever site would import, which could mask the result
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import graphpower.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", probe, str(PACKAGE.parent)],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -239,6 +239,16 @@ def test_census_to_five():
     assert any(is_isomorphic(g, star(4)) for g in fives)
 
 
+def test_census_verdicts_match_is_ra_to_seven():
+    # census answers RA from unit activation divisors without the lattice test
+    rows = census(7).rows
+    graphs = [g for n in range(1, 8) for g in enumerate_connected_graphs(n) if eligible(g)]
+    assert len(rows) == len(graphs) == 584
+    assert sum(all(d == 1 for d in r.divisors) for r in rows) == 201
+    for row, g in zip(rows, graphs):
+        assert (row.graph6, row.ra, row.method, row.witness) == is_ra(g)
+
+
 def test_census_limits():
     with pytest.raises(LimitExceeded, match="261080"):
         census(9)

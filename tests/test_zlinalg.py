@@ -264,8 +264,12 @@ def test_lattice_index_work_budget():
     m = IntMat([[1, 1, 1], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert lattice_index(m) == 1
     assert lattice_index(m, budget=100) == 1
-    with pytest.raises(LimitExceeded):
+    with pytest.raises(LimitExceeded, match="budget of 2$"):
         lattice_index(m, budget=2)
+    # the Smith form's elimination rewrites nine entries
+    assert snf_divisors(m, budget=9) == snf_divisors(m) == (1, 1, 1)
+    with pytest.raises(LimitExceeded, match="budget of 8$"):
+        snf_divisors(m, budget=8)
 
 
 def test_row_solve_mod_r_scales_pivot_rows_by_units():
