@@ -98,10 +98,8 @@ from .solver import (
     solve,
 )
 from .zlinalg import (
-    HNFDecomposition,
     IntMat,
     divisor_tuple_str,
-    hnf,
     rank_mod_p,
     snf_divisors,
     spans_full_lattice,

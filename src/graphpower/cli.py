@@ -30,7 +30,7 @@ from .graphs import (
 )
 from .groups import parse_group_spec
 from .perm import DEFAULT_MAX_ORDER
-from .zlinalg import divisor_tuple_str, snf_divisors
+from .zlinalg import IntMat, divisor_tuple_str, snf_divisors
 
 
 def _max_order() -> int:
@@ -82,8 +82,12 @@ def cmd_graph_classify(args) -> int:
 
 def cmd_eldivs(args) -> int:
     g = _graph_arg(args.graph, args.reduce)
-    mat = ra.activation_matrix(g) if args.matrix == "activation" else ra.ra_matrix(g)
-    print(divisor_tuple_str(snf_divisors(mat, budget=ra.RA_TEST_BUDGET)))
+    if args.matrix == "activation":
+        mat = ra.activation_matrix(g)
+    else:  # ra_matrix less its zero and repeated rows, which add only zeros to the chain
+        mat = IntMat(ra._distinct_rows(g, True), cols=g.n)
+    divs = snf_divisors(mat, budget=ra.RA_TEST_BUDGET)
+    print(divisor_tuple_str(divs + (0,) * (g.n - len(divs))))
     return 0
 
 

@@ -217,7 +217,8 @@ def _comm_subgroup(group: PermGroup, graph: Graph, include_equal: bool,
     the spread d -> d^I is a homomorphism from [G,G] to G^n. The spreads of
     all commutators over I therefore form the subgroup generated by the
     spreads of the generators of [G,G], so those suffice, once per distinct
-    intersection row."""
+    intersection row. Past ra.RA_TEST_BUDGET distinct-row entries it raises
+    LimitExceeded."""
     der = derived_subgroup(group).generators
     return _generated(group, graph.n, [power_click(group, d, row)
                                        for row in _distinct_rows(graph, include_equal)
@@ -245,7 +246,8 @@ def _comm_order(group: PermGroup, graph: Graph, include_equal: bool) -> int:
     row lattice; so the order is the product over i of the row span of the
     intersection rows mod r_i. Otherwise it is the order of the closure,
     built without an order cap: it lies in G^graph, which chain_report
-    builds first under the caller's cap."""
+    builds first under the caller's cap. Either way, past
+    ra.RA_TEST_BUDGET distinct-row entries it raises LimitExceeded."""
     derived = derived_subgroup(group)
     der = derived.generators
     if all(a * b == b * a for i, a in enumerate(der) for b in der[i + 1:]):
@@ -255,12 +257,14 @@ def _comm_order(group: PermGroup, graph: Graph, include_equal: bool) -> int:
 
 
 def comm_b_order(group: PermGroup, graph: Graph) -> int:
-    """|Comm_b(G, graph)|."""
+    """|Comm_b(G, graph)|; LimitExceeded past ra.RA_TEST_BUDGET distinct
+    intersection-row entries."""
     return _comm_order(group, graph, True)
 
 
 def comm_d_order(group: PermGroup, graph: Graph) -> int:
-    """|Comm_d(G, graph)|."""
+    """|Comm_d(G, graph)|; LimitExceeded past ra.RA_TEST_BUDGET distinct
+    intersection-row entries."""
     return _comm_order(group, graph, False)
 
 

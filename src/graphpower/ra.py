@@ -30,13 +30,15 @@ from .graphs import (
 from .zlinalg import (IntMat, _row_lattice_index, _smallest_prime_factor, is_prime, rank_mod_p,
                       snf_divisors)
 
-# The RA test eliminates the distinct nonzero rows of the n(n+1)/2 x n
-# intersection matrix over Z. It runs while the full matrix would have at
-# most this many entries (Q8: 8.4 million, under 1 s; Q9: 67 million, over)
-# and stops once its row operations have rewritten this many entries (dense
-# graphs of 80 vertices pass it through entry growth), so it ends in
-# LimitExceeded instead of exhausting time or memory. `ra_matrix`, which
-# materializes every row, stops at the same size.
+# Every reader of the intersection rows (the RA test, heisenberg_ra, the
+# Comm_b and Comm_d orders, `eldivs --matrix ra`) takes the distinct nonzero
+# rows from `_distinct_rows`, which stops once they hold more than this many
+# entries: Q9's 12032 rows hold 6.2 million and pass, Q10, Q12 and C4000 stop
+# within a second. The RA test then eliminates them over Z and stops once its
+# row operations have rewritten this many entries (Q9, and dense graphs of
+# 80 vertices through entry growth), so it ends in LimitExceeded instead of
+# exhausting time or memory. `ra_matrix`, which materializes every one of
+# the n(n+1)/2 rows, stops when that full shape would have more entries.
 RA_TEST_BUDGET = 1 << 24
 
 _BITS = bytes.maketrans(b"01", b"\0\1")
@@ -52,21 +54,24 @@ def _closed_masks(graph: Graph) -> list:
     return [m | 1 << v for v, m in enumerate(graph._masks)]
 
 
-def _intersection_masks(graph: Graph, include_equal: bool) -> list:
-    """((u, v), bitmask of B(u) cap B(v)) for every vertex pair u < v, or
-    u <= v with include_equal, in lexicographic order."""
+def _distinct_rows(graph: Graph, include_equal: bool) -> list:
+    """The distinct nonzero rows B(u) cap B(v), u < v (u <= v with
+    include_equal), as 0/1 lists in the order of their first pair: the rows
+    a lattice, a rank or a span depends on. The rows are kept as bitmasks
+    until all are known; once the rows found up to some vertex u hold more
+    than RA_TEST_BUDGET entries it raises LimitExceeded instead."""
     b = _closed_masks(graph)
     n = graph.n
-    return [((u, v), b[u] & b[v])
-            for u in range(n) for v in range(u if include_equal else u + 1, n)]
-
-
-def _distinct_rows(graph: Graph, include_equal: bool) -> list:
-    """The distinct nonzero rows of the intersection matrix, as lists, in the
-    order of their first pair: the rows a lattice or a rank depends on."""
-    masks = dict.fromkeys(m for _, m in _intersection_masks(graph, include_equal))
+    masks = {}
+    for u, bu in enumerate(b):
+        masks.update(dict.fromkeys(map(bu.__and__, b[u if include_equal else u + 1:])))
+        rows = len(masks) - (0 in masks)
+        if rows * n > RA_TEST_BUDGET:
+            raise LimitExceeded(f"RA test: the distinct intersection rows through vertex {u} "
+                                f"hold {rows * n} entries ({rows} rows of {n}), over the "
+                                f"budget of {RA_TEST_BUDGET}")
     masks.pop(0, None)
-    return [list(_indicator(m, graph.n)) for m in masks]
+    return [list(_indicator(m, n)) for m in masks]
 
 
 def activation_matrix(graph: Graph) -> IntMat:
@@ -75,30 +80,27 @@ def activation_matrix(graph: Graph) -> IntMat:
     return IntMat([_indicator(m, graph.n) for m in _closed_masks(graph)], cols=graph.n)
 
 
-def _check_ra_matrix_size(n: int) -> None:
+def ra_matrix(graph: Graph) -> IntMat:
+    """One row per unordered vertex pair (u = v included): the indicator of
+    B(u) cap B(v). Empty intersections stay as zero rows, so the shape is
+    always n(n+1)/2 by n. When that shape has more than RA_TEST_BUDGET
+    entries it raises LimitExceeded instead."""
+    n = graph.n
     entries = n * n * (n + 1) // 2
     if entries > RA_TEST_BUDGET:
         raise LimitExceeded(f"RA test: the intersection matrix has {entries} entries, "
                             f"over the budget of {RA_TEST_BUDGET}")
-
-
-def ra_matrix(graph: Graph) -> IntMat:
-    """One row per unordered vertex pair (u = v included): the indicator of
-    B(u) cap B(v). Empty intersections stay as zero rows, so the shape is
-    always n(n+1)/2 by n. Past RA_TEST_BUDGET entries it raises
-    LimitExceeded instead."""
-    _check_ra_matrix_size(graph.n)
-    return IntMat([_indicator(m, graph.n) for _, m in _intersection_masks(graph, True)],
-                  cols=graph.n)
+    b = _closed_masks(graph)
+    return IntMat([_indicator(bu & bv, n) for u, bu in enumerate(b) for bv in b[u:]], cols=n)
 
 
 def _ra_lattice_index(graph: Graph) -> int:
     """Index of the row lattice of the intersection matrix in Z^n, under
-    RA_TEST_BUDGET; LimitExceeded names the bound and the cap once either
-    the matrix size or the elimination work passes it."""
-    _check_ra_matrix_size(graph.n)
+    RA_TEST_BUDGET; LimitExceeded names the bound and the budget once either
+    the distinct rows or the elimination work passes it."""
+    rows = _distinct_rows(graph, True)
     try:
-        return _row_lattice_index(_distinct_rows(graph, True), graph.n, budget=RA_TEST_BUDGET)
+        return _row_lattice_index(rows, graph.n, budget=RA_TEST_BUDGET)
     except LimitExceeded as exc:
         raise LimitExceeded(f"RA test: {exc}") from None
 
@@ -138,7 +140,8 @@ def is_ra(graph: Graph) -> RAVerdict:
 
 def heisenberg_ra(graph: Graph, p: int) -> bool:
     """RA over the Heisenberg group of order p^3: full rank of the
-    intersection matrix modulo p."""
+    intersection matrix modulo p. Past RA_TEST_BUDGET distinct-row entries
+    it raises LimitExceeded instead of answering."""
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     return rank_mod_p(IntMat(_distinct_rows(graph, True), cols=graph.n), p) == graph.n

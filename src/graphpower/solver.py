@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence, Union
 from .errors import ConsistencyError, DimensionMismatch, InvalidParameter
 from .graphs import Graph
 from .ra import activation_matrix
-from .zlinalg import hnf, mat_vec, row_solve
+from .zlinalg import _echelon, mat_vec, row_solve
 
 INTEGERS = "Z"
 
@@ -60,13 +60,14 @@ class ReachabilityProfile(NamedTuple):
 
 
 def reachability_profile(graph: Graph) -> ReachabilityProfile:
-    dec = hnf(activation_matrix(graph), nice=True)
-    pivots = dec.pivots()
-    perm = dec.column_permutation
-    free = sum(1 for _, _, v in pivots if v == 1)
-    constrained = tuple((perm[col], val) for _, col, val in pivots if val > 1)
+    rows = activation_matrix(graph).row_list()
+    perm = list(range(graph.n))
+    cols = _echelon(rows, graph.n, perm=perm)
+    values = [rows[i][c] for i, c in enumerate(cols)]
+    free = values.count(1)
+    constrained = tuple((perm[c], v) for c, v in zip(cols, values) if v > 1)
     fixed = graph.n - free - len(constrained)
-    return ReachabilityProfile(free, constrained, fixed, perm)
+    return ReachabilityProfile(free, constrained, fixed, tuple(perm))
 
 
 def _normalize_targets(moduli, target, n: int) -> list:

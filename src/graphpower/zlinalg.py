@@ -6,18 +6,17 @@ return fresh values.
 
 One elimination kernel, `_echelon`, serves every operation: it puts a row
 lattice (optionally extended by r Z^n, i.e. working in Z/r) into echelon
-form and carries witness columns along. The Hermite normal form adds the
-reduction above each pivot and keeps its witness U; the Smith normal form
-alternates the kernel on a matrix and its transpose until it is diagonal
-and returns the divisor chain only, with no unimodular witnesses; rank mod
-p, the size of a row span mod r, the lattice index (and with it the
-full-lattice test) and the Diophantine solver read its pivots.
+form and carries witness columns along. The Smith normal form alternates
+the kernel on a matrix and its transpose until it is diagonal and returns
+the divisor chain only, with no unimodular witnesses; rank mod p, the size
+of a row span mod r, the lattice index (and with it the full-lattice test)
+and the Diophantine solver read its pivots.
 """
 
 from __future__ import annotations
 
 from math import gcd
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch, LimitExceeded, NotPrime
 
@@ -274,52 +273,6 @@ def snf_divisors(M: IntMat, budget: Optional[int] = None) -> tuple:
     d = _smith_passes([list(r) for r in dict.fromkeys(M._rows) if any(r)], M.cols, budget)
     _smith_chain(d)
     return tuple(d + [0] * (min(M.rows, M.cols) - len(d)))
-
-
-# -- Hermite normal form ------------------------------------------------------
-
-class HNFDecomposition(NamedTuple):
-    """U M == H (columns permuted first when a permutation is present).
-
-    H is in row echelon form: pivots positive and strictly right-moving,
-    entries above each pivot reduced into [0, pivot), zero rows last. With
-    `column_permutation` set, H's column k corresponds to original column
-    column_permutation[k] and the pivots read 1, ..., 1, a_1 <= ... <= a_k
-    with a_1 > 1 (identity block, then the constrained block, then zeros).
-    """
-
-    U: IntMat
-    H: IntMat
-    column_permutation: Optional[tuple] = None
-
-    def pivots(self) -> list:
-        """(row, col, value) for each pivot row of H."""
-        out = []
-        for i, row in enumerate(self.H._rows):
-            for j, v in enumerate(row):
-                if v:
-                    out.append((i, j, v))
-                    break
-        return out
-
-
-def hnf(M: IntMat, nice: bool = False) -> HNFDecomposition:
-    """Row Hermite normal form; `nice` allows a column permutation that
-    front-loads unit pivots and sorts the rest ascending."""
-    m, n = M.rows, M.cols
-    rows = [list(row) + w for row, w in zip(M._rows, IntMat.identity(m).row_list())]
-    perm = list(range(n)) if nice else None
-    for i, c in enumerate(_echelon(rows, n, perm=perm)):
-        p = rows[i]
-        for k in range(i):
-            q = rows[k][c] // p[c]
-            if q:
-                rows[k] = [x - q * y for x, y in zip(rows[k], p)]
-    return HNFDecomposition(
-        IntMat([row[n:] for row in rows], cols=m),
-        IntMat([row[:n] for row in rows], cols=n),
-        tuple(perm) if nice else None,
-    )
 
 
 # -- modular rank and lattice predicates --------------------------------------

@@ -61,6 +61,72 @@ def minors_divisors(rows) -> tuple:
     return tuple(out)
 
 
+# -- Hermite normal form and the reachability profile --------------------------
+
+def hnf(rows, nice: bool = False) -> tuple:
+    """(U, H, perm) with U unimodular and U M == H, M the rows with their
+    columns permuted by perm (the identity unless nice).
+
+    H is the row Hermite normal form: positive pivots moving strictly right,
+    entries above each pivot reduced into [0, pivot), zero rows last. Column
+    c is cleared by Euclid's algorithm on its entries: the row with the
+    smallest one moves up, and the others are reduced modulo it. With nice,
+    each step first brings forward the remaining column whose entries below
+    the pivots have the smallest nonzero gcd (the first such), so the pivots
+    read 1, ..., 1 and then ascend."""
+    m, n = len(rows), len(rows[0]) if rows else 0
+    a = [list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(rows)]
+    perm = list(range(n))
+    top = 0
+    for c in range(n):
+        if top == m:
+            break
+        if nice:
+            gcds = []
+            for k in range(c, n):
+                g = 0
+                for i in range(top, m):
+                    g = gcd(g, a[i][k])
+                if g:
+                    gcds.append((g, k))
+            if not gcds:
+                break
+            k = min(gcds)[1]
+            for row in a:
+                row[c], row[k] = row[k], row[c]
+            perm[c], perm[k] = perm[k], perm[c]
+        while True:
+            live = [i for i in range(top, m) if a[i][c]]
+            if not live:
+                break
+            i = min(live, key=lambda i: abs(a[i][c]))
+            a[top], a[i] = a[i], a[top]
+            if len(live) == 1:
+                break
+            for i in range(top + 1, m):
+                q = a[i][c] // a[top][c]
+                a[i] = [x - q * y for x, y in zip(a[i], a[top])]
+        if a[top][c] == 0:
+            continue
+        if a[top][c] < 0:
+            a[top] = [-x for x in a[top]]
+        for k in range(top):
+            q = a[k][c] // a[top][c]
+            a[k] = [x - q * y for x, y in zip(a[k], a[top])]
+        top += 1
+    return [row[n:] for row in a], [row[:n] for row in a], tuple(perm)
+
+
+def reachability_profile_by_hnf(g) -> tuple:
+    """(free count, (vertex, pivot) pairs with pivot > 1, fixed count,
+    column permutation) from the nice Hermite form of the activation rows."""
+    _, H, perm = hnf(activation_rows_by_sets(g), nice=True)
+    pivots = [next((c, x) for c, x in enumerate(row) if x) for row in H if any(row)]
+    free = sum(1 for _, x in pivots if x == 1)
+    constrained = tuple((perm[c], x) for c, x in pivots if x > 1)
+    return free, constrained, g.n - free - len(constrained), perm
+
+
 # -- GF(p) elimination ----------------------------------------------------------
 
 def gfp_rank(rows, p: int) -> int:

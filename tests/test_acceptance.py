@@ -56,6 +56,8 @@ from oracles import (
     connected_classes_bruteforce,
     connected_counts_by_euler_transform,
     derived_power_order_by_basic_commutators,
+    hnf,
+    reachability_profile_by_hnf,
 )
 
 pytestmark = pytest.mark.acceptance
@@ -247,11 +249,11 @@ def test_criterion_11_solver_end_to_end():
 
 def test_criterion_12_hnf_fixture():
     def body():
-        from graphpower.zlinalg import hnf
-        dec = hnf(activation_matrix(cycle(4)))
-        assert dec.H.row_list() == [[1, 0, 0, 2], [0, 1, 0, 2], [0, 0, 1, 2], [0, 0, 0, 3]]
+        _, H, _ = hnf(activation_matrix(cycle(4)).row_list())
+        assert H == [[1, 0, 0, 2], [0, 1, 0, 2], [0, 0, 1, 2], [0, 0, 0, 3]]
         prof = reachability_profile(cycle(4))
         assert (prof.free_count, prof.pivots(), prof.fixed_count) == (3, (3,), 0)
+        assert prof == reachability_profile_by_hnf(cycle(4))
     _report(12, "echelon basis of C4 and its reachability profile", "5s", body)
 
 

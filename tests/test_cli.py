@@ -10,7 +10,16 @@ import pytest
 
 from graphpower import perm, ra, solver
 from graphpower.cli import build_parser, main
-from graphpower.graphs import graph6_decode, cycle, hypercube, is_isomorphic
+from graphpower.graphs import (
+    complete,
+    cycle,
+    disjoint_union,
+    graph6_decode,
+    graph6_encode,
+    hypercube,
+    is_isomorphic,
+    parse_graph_spec,
+)
 from graphpower.schemas import (
     CLASSIFY_SCHEMA,
     GRAPH_SCHEMA,
@@ -19,6 +28,7 @@ from graphpower.schemas import (
     SOLVE_SCHEMA,
     validate,
 )
+from graphpower.zlinalg import divisor_tuple_str, snf_divisors
 
 
 def run(capsys, *argv):
@@ -175,7 +185,7 @@ def test_past_the_schreier_sims_budget_exits_3(capsys, monkeypatch):
 
 
 def test_ra_gra_over_the_ra_test_budget_takes_the_closure(capsys, monkeypatch):
-    monkeypatch.setattr(ra, "RA_TEST_BUDGET", 74)  # C5 needs 5 * 15 = 75 entries
+    monkeypatch.setattr(ra, "RA_TEST_BUDGET", 74)  # C5 has 15 distinct rows, 75 entries
     monkeypatch.setenv("GRAPHPOWER_MAX_ORDER", "100")
     code, out, err = run(capsys, "ra", "gra", "C5", "--group", "S4")
     assert code == 3 and out == "" and "exceeds cap" in err
@@ -185,11 +195,11 @@ def test_ra_gra_over_the_ra_test_budget_takes_the_closure(capsys, monkeypatch):
 
 
 def test_ra_check_past_the_ra_test_budget_exits_3(capsys, monkeypatch):
-    # Q5: a 528 x 32 intersection matrix (16896 entries) whose elimination
-    # over Z rewrites between 50000 and 100000 entries
-    monkeypatch.setattr(ra, "RA_TEST_BUDGET", 16895)
+    # Q5: 272 distinct intersection rows of 32 entries (8704 in all), whose
+    # elimination over Z rewrites between 50000 and 100000 entries
+    monkeypatch.setattr(ra, "RA_TEST_BUDGET", 8703)
     code, out, err = run(capsys, "ra", "check", "Q5")
-    assert code == 3 and out == "" and "16896" in err and "16895" in err
+    assert code == 3 and out == "" and "8704 entries" in err and "budget of 8703" in err
     monkeypatch.setattr(ra, "RA_TEST_BUDGET", 50000)
     code, out, err = run(capsys, "ra", "check", "Q5")
     assert code == 3 and out == "" and "50000" in err
@@ -201,21 +211,50 @@ def test_ra_check_past_the_ra_test_budget_exits_3(capsys, monkeypatch):
 def test_eldivs_ra_matrix_past_the_ra_test_budget_exits_3(capsys, monkeypatch):
     code, out, _ = run(capsys, "eldivs", "Q5", "--matrix", "ra")
     assert code == 0 and out.strip() == "(1^31, 2)"
-    # the 528 x 32 matrix has 16896 entries
-    monkeypatch.setattr(ra, "RA_TEST_BUDGET", 16895)
+    # the 272 distinct rows of Q5's 528 x 32 matrix hold 8704 entries
+    monkeypatch.setattr(ra, "RA_TEST_BUDGET", 8703)
     code, out, err = run(capsys, "eldivs", "Q5", "--matrix", "ra")
-    assert code == 3 and out == "" and "16896" in err and "16895" in err
+    assert code == 3 and out == "" and "8704 entries" in err and "budget of 8703" in err
 
 
 def test_eldivs_past_the_work_budget_exits_3(capsys, monkeypatch):
     # Q8's activation SNF ran for minutes with no bound
     code, out, err = run(capsys, "eldivs", "Q8")
     assert code == 3 and out == "" and f"budget of {ra.RA_TEST_BUDGET}" in err
-    # Q5's 528 x 32 intersection matrix fits a budget of 50000 entries, but
-    # its elimination rewrites more
+    # Q5's 272 distinct intersection rows (8704 entries) fit a budget of 50000
+    # entries, but their elimination rewrites more
     monkeypatch.setattr(ra, "RA_TEST_BUDGET", 50000)
     code, out, err = run(capsys, "eldivs", "Q5", "--matrix", "ra")
     assert code == 3 and out == "" and "rewrites more entries than its budget of 50000" in err
+
+
+def test_eldivs_ra_matrix_reads_the_distinct_rows(capsys, monkeypatch):
+    # the divisors of the distinct nonzero rows, padded with zeros to n, are
+    # those of the full n(n+1)/2 x n matrix
+    graphs = [parse_graph_spec(s) for s in ("Q5", "Q6", "FQ5", "petersen", "grid6x6", "C12",
+                                            "K3,4", "St6", "K5")]
+    graphs.append(disjoint_union(complete(3), complete(2)))
+    want = [divisor_tuple_str(snf_divisors(ra.ra_matrix(g))) for g in graphs]
+    assert want[-2:] == ["(1, 0^4)", "(1^2, 0^3)"]
+
+    def refuse(graph):
+        raise AssertionError("eldivs built the full intersection matrix")
+    monkeypatch.setattr(ra, "ra_matrix", refuse)
+    for g, expected in zip(graphs, want):
+        code, out, _ = run(capsys, "eldivs", "g6:" + graph6_encode(g), "--matrix", "ra")
+        assert code == 0 and out.strip() == expected
+
+
+def test_ra_check_bounds_the_distinct_rows_not_the_full_matrix(capsys):
+    # grid20x20's full matrix would have 32 million entries, but its 2278
+    # distinct rows hold 0.9 million
+    code, out, _ = run(capsys, "ra", "check", "grid20x20")
+    assert code == 0 and json.loads(out)["ra"] is True
+    # Q10 has 29184 distinct rows of 1024 entries: the builder stops before
+    # holding them all, and no elimination runs
+    code, out, err = run(capsys, "ra", "check", "Q10")
+    assert code == 3 and out == ""
+    assert "distinct intersection rows" in err and f"budget of {ra.RA_TEST_BUDGET}" in err
 
 
 def test_heisenberg_limit(capsys):

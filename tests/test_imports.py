@@ -38,6 +38,62 @@ def test_no_unused_imports(module):
     assert unused_imports(module.read_text()) == [], module.name
 
 
+def _defined_names(node) -> set:
+    """Names a top-level statement binds: a def, a class or assignment
+    targets."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return set()
+    return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+
+
+def _read_names(node) -> set:
+    """Names a statement reads: plain names, attributes (`ra._orders`) and
+    the names it imports."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            out.update(alias.name for alias in sub.names)
+    return out
+
+
+def unreferenced_private_names(sources: dict) -> list:
+    """(module, name) for each private top-level name (one leading
+    underscore) of the given {module: source} that no other top-level
+    statement of any of them reads."""
+    defined = []
+    reads = []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            names = _defined_names(node)
+            defined.extend((module, name, len(reads)) for name in names
+                           if name.startswith("_") and not name.startswith("__"))
+            reads.append(_read_names(node))
+    return sorted((module, name) for module, name, own in defined
+                  if not any(name in r for i, r in enumerate(reads) if i != own))
+
+
+def test_unreferenced_private_name_check_sees_a_leftover():
+    sources = {"a": "def _used():\n    return 1\n\n\ndef _left(n):\n    return _left(n - 1)\n",
+               "b": "from .a import _used\n_X = 1\nprint(_used(), _X)\n"}
+    assert unreferenced_private_names(sources) == [("a", "_left")]
+
+
+def test_every_private_top_level_name_is_referenced():
+    # a private helper that nothing in the package reads is a leftover
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert unreferenced_private_names(sources) == []
+
+
 def test_cli_import_loads_no_dataclasses():
     # -S keeps out whatever site would import, which could mask the result
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); import graphpower.cli; "

@@ -42,7 +42,7 @@ from graphpower.power import (
     ra_index,
 )
 from graphpower.ra import activation_matrix, ra_matrix
-from graphpower.zlinalg import IntMat, hnf, lattice_index
+from graphpower.zlinalg import IntMat, lattice_index
 
 from oracles import (
     abelian_power_order_by_snf,
@@ -238,8 +238,9 @@ def _dense_graph(n, seed):
 
 
 def test_ra_test_budget_falls_back_to_closure(monkeypatch):
-    # a dense graph whose 40 * 820 intersection matrix fits a budget of 40000
-    # but whose elimination over Z does not: the test gives up, the closure runs
+    # a dense graph whose 820 distinct intersection rows (32800 entries) fit a
+    # budget of 40000 but whose elimination over Z does not: the test gives
+    # up, the closure runs
     dense = _dense_graph(40, 7)
     assert lattice_index(ra_matrix(dense)) == 1
     ab, comm, full = power._orders(symmetric(3), dense, max_order=100)
@@ -285,6 +286,17 @@ def test_comm_orders_fast_path_matches_closure():
     # a group whose commutator subgroup is nonabelian takes the closure path
     s4 = symmetric(4)
     assert comm_b_order(s4, path(3)) == comm_b(s4, path(3)).order()
+
+
+def test_comm_orders_stop_past_the_ra_test_budget(monkeypatch):
+    # C5 has 15 distinct intersection rows with u <= v (75 entries) and 10
+    # with u < v (50 entries); both the row-span count ([D8,D8] abelian) and
+    # the closure ([S4,S4] = A4) read them through the same bound
+    monkeypatch.setattr(ra, "RA_TEST_BUDGET", 74)
+    for group in (D8, symmetric(4)):
+        with pytest.raises(LimitExceeded, match="75 entries"):
+            comm_b_order(group, cycle(5))
+    assert comm_d_order(D8, cycle(5)) == 2 ** 5
 
 
 def test_comm_orders_of_an_abelian_commutator_subgroup_take_no_closure(monkeypatch):
@@ -400,9 +412,9 @@ def test_comm_subgroups_match_basic_commutator_oracle_to_five_vertices():
 
 
 def test_integer_lattice_coordinate_sum_law():
-    # every lattice vector of the C4 activation rows has coordinate sum 0 mod 3
-    dec = hnf(activation_matrix(cycle(4)))
-    for row in dec.H.row_list():
+    # every lattice vector of the C4 activation rows has coordinate sum 0 mod 3;
+    # the sum is linear, so the rows that span the lattice decide it
+    for row in activation_matrix(cycle(4)).row_list():
         assert sum(row) % 3 == 0
 
 

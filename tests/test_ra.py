@@ -21,6 +21,7 @@ from graphpower.graphs import (
     triangle_strip,
     wheel,
 )
+from graphpower import ra
 from graphpower.ra import (
     _ra_lattice_index,
     activation_matrix,
@@ -142,6 +143,13 @@ def test_heisenberg_ra_fixtures():
     assert heisenberg_ra(cycle(5), 3)
     with pytest.raises(NotPrime):
         heisenberg_ra(cycle(4), 6)
+
+
+def test_heisenberg_ra_stops_past_the_ra_test_budget(monkeypatch):
+    assert heisenberg_ra(cycle(5), 3)
+    monkeypatch.setattr(ra, "RA_TEST_BUDGET", 74)  # C5 has 15 distinct rows, 75 entries
+    with pytest.raises(LimitExceeded, match="75 entries"):
+        heisenberg_ra(cycle(5), 3)
 
 
 def test_rank_mod_p_independent_oracle():

@@ -10,7 +10,6 @@ from graphpower.perm import Perm
 from graphpower.power import ChainReport, StateVector
 from graphpower.ra import CensusReport, CensusRow, CensusSummary, Hint, RAVerdict
 from graphpower.solver import ReachabilityProfile, Solution, Unsolvable
-from graphpower.zlinalg import HNFDecomposition, IntMat
 
 D8 = parse_group_spec("D8")
 
@@ -27,7 +26,6 @@ RECORDS = [
     Unsolvable(0, 2, 1, "pivot at vertex 1 obstructed"),
     Solution((2,), ((1, 0),)),
     ReachabilityProfile(1, ((1, 3),), 0, (0, 1)),
-    HNFDecomposition(IntMat([[1]]), IntMat([[1]])),
 ]
 
 
@@ -44,11 +42,6 @@ def test_record_fields_are_read_only_and_named(record):
 def test_solver_outcomes_keep_their_truth_values():
     assert not Unsolvable(0, 2, 1, "")
     assert Solution((2,), ((1, 0),))
-
-
-def test_hnf_decomposition_defaults_to_no_column_permutation():
-    dec = HNFDecomposition(IntMat([[1]]), IntMat([[2]]))
-    assert dec.column_permutation is None and dec.pivots() == [(0, 0, 2)]
 
 
 def test_state_vector_rejects_a_component_of_the_wrong_degree():

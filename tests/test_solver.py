@@ -5,7 +5,15 @@ from hypothesis import given, settings, strategies as st
 
 from graphpower import solver
 from graphpower.errors import ConsistencyError, DimensionMismatch, InvalidParameter
-from graphpower.graphs import complete, cycle, enumerate_connected_graphs, grid, path, star
+from graphpower.graphs import (
+    complete,
+    cycle,
+    enumerate_connected_graphs,
+    grid,
+    parse_graph_spec,
+    path,
+    star,
+)
 from graphpower.ra import activation_matrix
 from graphpower.solver import (
     INTEGERS,
@@ -17,7 +25,12 @@ from graphpower.solver import (
 )
 from graphpower.zlinalg import mat_vec, spans_full_lattice
 
-from oracles import gfp_solvable, lattice_member_exact, modular_obstruction_bruteforce
+from oracles import (
+    gfp_solvable,
+    lattice_member_exact,
+    modular_obstruction_bruteforce,
+    reachability_profile_by_hnf,
+)
 
 
 def test_grid_all_ones_mod2():
@@ -52,6 +65,18 @@ def test_reachability_profiles():
     prof1 = reachability_profile(complete(1))
     assert (prof1.free_count, prof1.pivots(), prof1.fixed_count) == (1, (), 0)
     assert prof.free_count + len(prof.constrained) + prof.fixed_count == 4
+
+
+def test_reachability_profile_matches_the_hermite_form():
+    # the profile reads the pivots and the column permutation straight from
+    # the echelon kernel; the Hermite form's reduction above each pivot and
+    # its witness U do not change them
+    fixtures = [parse_graph_spec(s) for s in ("Q5", "Q6", "FQ7", "grid8x8", "grid10x10", "C61",
+                                              "petersen", "K7,8", "C12", "P11")]
+    graphs = [g for n in range(1, 8) for g in enumerate_connected_graphs(n)] + fixtures
+    assert len(graphs) == 1006
+    for g in graphs:
+        assert reachability_profile(g) == reachability_profile_by_hnf(g), g.edges
 
 
 def test_solve_matches_lattice_membership_over_z():

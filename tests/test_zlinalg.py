@@ -9,7 +9,6 @@ from graphpower.ra import activation_matrix
 from graphpower.zlinalg import (
     IntMat,
     divisor_tuple_str,
-    hnf,
     lattice_index,
     mat_vec,
     rank_mod_p,
@@ -21,6 +20,7 @@ from graphpower.zlinalg import (
 
 from oracles import (
     det_exact,
+    hnf,
     lattice_member_bruteforce,
     minors_divisors,
     modular_obstruction_bruteforce,
@@ -92,60 +92,66 @@ def test_snf_matches_minors_oracle(rows):
             assert b % a == 0
 
 
+# The Hermite normal form lives in the oracles, as the reference that
+# reachability_profile is checked against; these tests check that reference.
+
 def _times(U, M):
-    """U M, one row of U at a time."""
-    return IntMat([mat_vec(row, M) for row in U.row_list()], cols=M.cols)
+    """U M for row lists."""
+    return [[sum(u * x for u, x in zip(row, col)) for col in zip(*M)] for row in U]
+
+
+def _pivots(H):
+    """(row, col, value) for each nonzero row of H: its first nonzero entry."""
+    return [(i, *next((j, v) for j, v in enumerate(row) if v))
+            for i, row in enumerate(H) if any(row)]
 
 
 def test_hnf_c4_matches_fixture():
-    dec = hnf(A_C4)
-    assert dec.H.row_list() == [[1, 0, 0, 2], [0, 1, 0, 2], [0, 0, 1, 2], [0, 0, 0, 3]]
-    assert _times(dec.U, A_C4) == dec.H
+    U, H, _ = hnf(A_C4.row_list())
+    assert H == [[1, 0, 0, 2], [0, 1, 0, 2], [0, 0, 1, 2], [0, 0, 0, 3]]
+    assert _times(U, A_C4.row_list()) == H
 
 
 def test_hnf_p3_is_identity():
-    assert hnf(A_P3).H == IntMat.identity(3)
+    assert hnf(A_P3.row_list())[1] == IntMat.identity(3).row_list()
 
 
 def test_hnf_zero_matrix():
-    z = IntMat([[0] * 3] * 3)
-    dec = hnf(z)
-    assert dec.H == z
-    assert dec.U == IntMat.identity(3)
+    z = [[0] * 3] * 3
+    U, H, _ = hnf(z)
+    assert H == z
+    assert U == IntMat.identity(3).row_list()
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_matrix)
 def test_hnf_shape_and_lattice(rows):
-    mat = IntMat(rows)
-    dec = hnf(mat)
-    assert _times(dec.U, mat) == dec.H
-    assert abs(det_exact(dec.U.row_list())) == 1
-    pivots = dec.pivots()
+    U, H, _ = hnf(rows)
+    assert _times(U, rows) == H
+    assert abs(det_exact(U)) == 1
+    pivots = _pivots(H)
     cols = [c for _, c, _ in pivots]
     assert cols == sorted(cols) and len(set(cols)) == len(cols)
     for i, c, v in pivots:
         assert v > 0
-        assert all(dec.H[k, c] == 0 for k in range(i + 1, mat.rows))
-        assert all(0 <= dec.H[k, c] < v for k in range(i))
+        assert all(H[k][c] == 0 for k in range(i + 1, len(rows)))
+        assert all(0 <= H[k][c] < v for k in range(i))
     # zero rows come last
-    nonzero = [any(row) for row in dec.H.row_list()]
+    nonzero = [any(row) for row in H]
     assert nonzero == sorted(nonzero, reverse=True)
     # same row lattice: H's rows lie in it (U is integral) and the index is 1
     # (equal gcd-of-minors chains)
-    assert minors_divisors(dec.H.row_list()) == minors_divisors(rows)
+    assert minors_divisors(H) == minors_divisors(rows)
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_matrix)
 def test_hnf_nice_block_shape(rows):
-    mat = IntMat(rows)
-    dec = hnf(mat, nice=True)
-    perm = dec.column_permutation
-    assert sorted(perm) == list(range(mat.cols))
-    permuted = IntMat([[row[j] for j in perm] for row in mat._rows], cols=mat.cols)
-    assert _times(dec.U, permuted) == dec.H
-    values = [v for _, _, v in dec.pivots()]
+    U, H, perm = hnf(rows, nice=True)
+    assert sorted(perm) == list(range(len(rows[0])))
+    permuted = [[row[j] for j in perm] for row in rows]
+    assert _times(U, permuted) == H
+    values = [v for _, _, v in _pivots(H)]
     ones = [v for v in values if v == 1]
     rest = [v for v in values if v > 1]
     assert values == ones + sorted(rest)
