@@ -4,7 +4,8 @@ Permutations act on 0..degree-1 and compose left to right: (p * q) sends i to
 q[p[i]]. PermGroup keeps a base and stabilizer chain built by one deterministic
 incremental Schreier-Sims pass, giving exact orders and fast membership for
 the subgroup scales this package needs (orders up to ~2^30 on a few hundred
-points). The catalogue groups and every subgroup of G^n are PermGroups.
+points); the pass stops early at an order the caller has proven. The
+catalogue groups and every subgroup of G^n are PermGroups.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
-from .errors import CapacityExceeded, DomainMismatch, LimitExceeded
+from .errors import CapacityExceeded, ConsistencyError, DomainMismatch, LimitExceeded
 
 DEFAULT_MAX_ORDER = 1 << 30
 # Schreier-Sims work one PermGroup may do, in permutation entries written:
@@ -28,9 +29,12 @@ def _compose(p: tuple, q: tuple) -> tuple:
     return tuple(map(q.__getitem__, p))
 
 
-def _inverse(p: tuple) -> tuple:
-    out = [0] * len(p)
-    for i, x in enumerate(p):
+def _inverse(p: tuple, points: Sequence[int] = ()) -> tuple:
+    """p^-1, its entries taken from `points` (the identity tuple of a group,
+    so that a stored transversal shares one set of int objects)."""
+    points = points or range(len(p))
+    out = list(points)
+    for i, x in zip(points, p):
         out[x] = i
     return tuple(out)
 
@@ -146,20 +150,47 @@ class PermGroup:
 
     `max_order` aborts construction with CapacityExceeded once the stabilizer
     chain certifies the order exceeds the cap (the chain product is a lower
-    bound for the final order throughout construction). Construction also
-    stops, with LimitExceeded, past SCHREIER_SIMS_BUDGET. `name` labels a
-    catalogue group (C4, D8xC3, ...) in reports.
+    bound for the final order throughout construction). A group with a cap
+    builds its chain in `__init__`, so the cap stops the request that asks
+    for the group; a group without one (the catalogue groups, closures)
+    builds it on first use of `order`, `contains` or `elements`. Either way
+    construction stops, with LimitExceeded, past SCHREIER_SIMS_BUDGET. `name`
+    labels a catalogue group (C4, D8xC3, ...) in reports.
+
+    `order`, when the caller knows |G| (a catalogue formula, or the closed
+    form of G^graph on an RA graph), is kept as `known_order`. Above
+    `max_order` it raises CapacityExceeded before any sifting. Otherwise
+    construction stops as soon as the product of the basic orbit lengths
+    reaches it, with Schreier generators still pending (the known-order
+    variant of Schreier-Sims; Seress, Permutation Group Algorithms, 2003).
+    The stop is exact. Level i holds the orbit D_i of its base point b_i
+    under generators that lie in G and fix b_1, ..., b_{i-1}, so D_i lies
+    inside the true basic orbit B_i of b_i under the pointwise stabilizer
+    G_(b_1..b_{i-1}), and
+
+        prod |D_i| <= prod |B_i| = |G : G_(b_1..b_k)| <= |G|.
+
+    Equality forces D_i = B_i at every level and a trivial pointwise
+    stabilizer of the base. Then each g in G sifts through every level (its
+    image of b_i lies in B_i = D_i) to a residue in that stabilizer, the
+    identity; and a permutation that sifts to the identity is a product of
+    transversal elements, all in G. So order and membership are exact. A
+    chain product above the known order, or a chain that completes below
+    it, raises ConsistencyError; a wrong order that the product passes
+    through exactly goes unseen, so callers pass only proven orders.
+    `add_generator` forgets the known order.
     """
 
     def __init__(self, degree: int, generators: Iterable = (),
-                 max_order: Optional[int] = DEFAULT_MAX_ORDER, name: Optional[str] = None):
+                 max_order: Optional[int] = DEFAULT_MAX_ORDER, name: Optional[str] = None,
+                 order: Optional[int] = None):
         self.degree = degree
         self.name = name
         self._identity = tuple(range(degree))
         self.max_order = max_order
+        self.known_order = order
         self._levels: list[_Level] = []
-        self._work = 0
-        self._gen_inv = {}  # each level generator's inverse
+        self._built = False
         self._derived = None  # derived_subgroup's cache
         raw = {}
         for g in generators:
@@ -169,11 +200,23 @@ class PermGroup:
             raw[img] = None
         raw.pop(self._identity, None)
         self._gens: list[tuple] = list(raw)
-        for img in self._gens:
-            self._add_gen(img)
-        self._complete()
+        if max_order is not None:
+            if order is not None and order > max_order:
+                raise CapacityExceeded(order, max_order)
+            self._chain()
 
     # -- chain construction ----------------------------------------------
+
+    def _chain(self) -> list:
+        """The stabilizer chain, built from the generators on first call (a
+        build that raised starts again from nothing)."""
+        if not self._built:
+            self._levels, self._bound, self._work = [], 1, 0
+            for img in self._gens:
+                self._add_gen(img)
+            self._complete()
+            self._built = True
+        return self._levels
 
     def _strip(self, g: tuple):
         """(residue, index of the level where sifting stopped, number of
@@ -199,10 +242,9 @@ class PermGroup:
             point = next(i for i, x in enumerate(h) if x != i)
             self._levels.append(_Level(point, self._identity))
             j = len(self._levels) - 1
-        self._gen_inv[h] = _inverse(h)
         for lvl in range(j + 1):
             self._extend_level(self._levels[lvl], h)
-        self._check_capacity()
+        self._check_bound()
 
     def _spend(self, perms: int) -> None:
         """Count `perms` permutations written; past the budget, stop."""
@@ -229,26 +271,34 @@ class PermGroup:
         self._spend(2 * len(found))
         for np, (pt, s) in found.items():
             level.orbit[np] = _compose(level.orbit[pt], s)
-            level.inv[np] = _compose(self._gen_inv[s], level.inv[pt])
+            level.inv[np] = _inverse(level.orbit[np], self._identity)
             for s2 in level.gens:
                 level.pairs.append((np, s2))
 
-    def _check_capacity(self) -> None:
-        if self.max_order is None:
-            return
+    def _check_bound(self) -> None:
+        """Record the chain product, a lower bound for |G|, and hold it to
+        the known order and the cap."""
         bound = 1
         for level in self._levels:
             bound *= len(level.orbit)
-        if bound > self.max_order:
+        self._bound = bound
+        if self.known_order is not None and bound > self.known_order:
+            raise ConsistencyError(f"Schreier-Sims chain product {bound} exceeds the "
+                                   f"known order {self.known_order}")
+        if self.max_order is not None and bound > self.max_order:
             raise CapacityExceeded(bound, self.max_order)
 
     def _complete(self) -> None:
-        """Sift Schreier generators until none is pending, each one from the
-        deepest level that has a pending pair."""
-        while True:
+        """Sift Schreier generators, each one from the deepest level that has
+        a pending pair, until none is pending or the chain product reaches
+        the known order."""
+        while self._bound != self.known_order:
             level = next((lv for lv in reversed(self._levels)
                           if lv.ptr < len(lv.pairs)), None)
             if level is None:
+                if self.known_order is not None:
+                    raise ConsistencyError(f"Schreier-Sims chain completes at order {self._bound}, "
+                                           f"below the known order {self.known_order}")
                 return
             pt, s = level.pairs[level.ptr]
             level.ptr += 1
@@ -263,15 +313,14 @@ class PermGroup:
         return Perm(self._identity)
 
     def order(self) -> int:
-        n = 1
-        for level in self._levels:
-            n *= len(level.orbit)
-        return n
+        self._chain()
+        return self._bound
 
     def contains(self, p) -> bool:
         img = p.image if isinstance(p, Perm) else tuple(p)
         if len(img) != self.degree:
             return False
+        self._chain()
         h, _, _ = self._strip(img)
         return h == self._identity
 
@@ -289,10 +338,13 @@ class PermGroup:
             return
         self._gens.append(img)
         self._derived = None
-        self._add_gen(img)
-        self._complete()
+        self.known_order = None
+        if self._built:
+            self._add_gen(img)
+            self._complete()
 
     def base_points(self) -> list:
+        """The base points of the chain built so far."""
         return [lv.point for lv in self._levels]
 
     def elements(self, limit: int = 1 << 20) -> list:

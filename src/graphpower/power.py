@@ -131,19 +131,22 @@ class PowerSubgroup:
 
 
 def _generated(group: PermGroup, n: int, states: Sequence[StateVector],
-               max_order: Optional[int]) -> PowerSubgroup:
-    """The subgroup of G^n generated by `states`."""
+               max_order: Optional[int], order: Optional[int] = None) -> PowerSubgroup:
+    """The subgroup of G^n generated by `states`, of order `order` if known."""
     return PowerSubgroup(group, n, PermGroup(n * group.degree, [s.as_perm() for s in states],
-                                             max_order=max_order))
+                                             max_order=max_order, order=order))
 
 
 def matrix_power(group: PermGroup, matrix, *,
-                 max_order: Optional[int] = DEFAULT_MAX_ORDER) -> PowerSubgroup:
+                 max_order: Optional[int] = DEFAULT_MAX_ORDER,
+                 order: Optional[int] = None) -> PowerSubgroup:
     """Subgroup of G^n generated by g^row over the rows of an integer matrix.
 
     0/1 matrices click with G's generators only; general integer matrices
     click with every element of G (the coordinatewise product identity fails
-    off 0/1 vectors, and generator clicks can generate a proper subgroup)."""
+    off 0/1 vectors, and generator clicks can generate a proper subgroup).
+    A proven `order` of the subgroup ends its Schreier-Sims build once the
+    chain reaches it (see PermGroup)."""
     rows = matrix._rows if isinstance(matrix, IntMat) else tuple(tuple(r) for r in matrix)
     if not rows:
         raise DimensionMismatch("matrix with no rows")
@@ -151,13 +154,15 @@ def matrix_power(group: PermGroup, matrix, *,
     zero_one = all(x in (0, 1) for row in rows for x in row)
     clickers = group.generators if zero_one else group.elements(limit=_ALL_ELEMENT_CLICK_BOUND)
     return _generated(group, n, [power_click(group, g, row)
-                                 for row in rows for g in clickers], max_order)
+                                 for row in rows for g in clickers], max_order, order)
 
 
 def graph_power(group: PermGroup, graph: Graph, *,
-                max_order: Optional[int] = DEFAULT_MAX_ORDER) -> PowerSubgroup:
-    """The reachable-state group G^graph (clicks along closed neighborhoods)."""
-    return matrix_power(group, activation_matrix(graph), max_order=max_order)
+                max_order: Optional[int] = DEFAULT_MAX_ORDER,
+                order: Optional[int] = None) -> PowerSubgroup:
+    """The reachable-state group G^graph (clicks along closed neighborhoods),
+    of order `order` if the caller has proven it."""
+    return matrix_power(group, activation_matrix(graph), max_order=max_order, order=order)
 
 
 # -- abelian side ---------------------------------------------------------------
@@ -173,29 +178,28 @@ def abelian_power_order(invariants, matrix) -> int:
     return total
 
 
-def _orders(group: PermGroup, graph: Graph, *,
-            max_order: Optional[int] = DEFAULT_MAX_ORDER,
-            power: Optional[PowerSubgroup] = None) -> tuple:
-    """(|(G^Ab)^graph|, |Comm(G, graph)|, |[G,G]|^n); |G^graph| is the
-    product of the first two.
+def _power_orders(group: PermGroup, graph: Graph, max_order: Optional[int],
+                  build: bool) -> tuple:
+    """(G^graph or None, |(G^Ab)^graph|, |Comm(G, graph)|, |[G,G]|^n);
+    |G^graph| is the product of the second and third.
 
     Comm is the kernel of the natural projection of G^graph onto the
     abelianized power, so |G^graph| = |Comm| * |(G^Ab)^graph|; Comm sits
     inside [G,G]^n, so its order divides |[G,G]|^n and the quotient is the
-    RA index. Without a built `power`, a graph whose intersection lattice is
-    Z^n takes the closed form Comm = [G,G]^n; any other graph, and any graph
+    RA index. A graph whose intersection lattice is Z^n takes the closed
+    form Comm = [G,G]^n and builds G^graph only with `build`, given that
+    closed-form order as its known order. Any other graph, and any graph
     past ra.RA_TEST_BUDGET, builds G^graph under max_order."""
     full = derived_subgroup(group).order() ** graph.n
-    if power is None:
-        try:
-            closed_form = _ra_lattice_index(graph) == 1
-        except LimitExceeded:  # past RA_TEST_BUDGET: no answer, take the closure
-            closed_form = False
-        if not closed_form:
-            power = graph_power(group, graph, max_order=max_order)
+    try:
+        closed_form = _ra_lattice_index(graph) == 1
+    except LimitExceeded:  # past RA_TEST_BUDGET: no answer, take the closure
+        closed_form = False
     ab = abelian_power_order(abelianization(group), activation_matrix(graph))
-    if power is None:
-        return ab, full, full
+    if closed_form and not build:
+        return None, ab, full, full
+    power = graph_power(group, graph, max_order=max_order,
+                        order=full * ab if closed_form else None)
     total = power.order()
     if total % ab:
         raise ConsistencyError(
@@ -203,7 +207,14 @@ def _orders(group: PermGroup, graph: Graph, *,
     comm = total // ab
     if full % comm:
         raise ConsistencyError(f"RA index {full}/{comm} is not an integer")
-    return ab, comm, full
+    return power, ab, comm, full
+
+
+def _orders(group: PermGroup, graph: Graph, *,
+            max_order: Optional[int] = DEFAULT_MAX_ORDER) -> tuple:
+    """(|(G^Ab)^graph|, |Comm(G, graph)|, |[G,G]|^n), building G^graph only
+    off the closed form (see _power_orders)."""
+    return _power_orders(group, graph, max_order, False)[1:]
 
 
 # -- commutator subgroups ---------------------------------------------------------
@@ -317,16 +328,21 @@ class ChainReport(NamedTuple):
 
 def chain_report(group: PermGroup, graph: Graph, *,
                  max_order: Optional[int] = DEFAULT_MAX_ORDER) -> ChainReport:
-    """The five orders of the commutator chain; each divides the next."""
-    gp = graph_power(group, graph, max_order=max_order)
-    orders = (
-        comm_d_order(group, graph),
-        comm_b_order(group, graph),
-        gp.derived().order(),
-        *_orders(group, graph, power=gp)[1:],
-    )
+    """The five orders of the commutator chain; each divides the next.
+
+    G^graph is built under max_order on every graph, with its closed-form
+    order as the known order on an RA graph, so the cap stops the same
+    requests whether or not the chain needs the group itself. The chain
+    Comm_b <= [G^graph, G^graph] <= Comm is then read as a sandwich: when
+    |Comm_b| = |Comm|, the derived power has that order and is not built
+    (on every RA graph, where both are [G,G]^n); otherwise it is the normal
+    closure in the built G^graph (Q3 under A4: |Comm_b| = 2^14, |Comm| =
+    2^16)."""
+    gp, _, comm, full = _power_orders(group, graph, max_order, True)
+    cb = comm_b_order(group, graph)
+    orders = (comm_d_order(group, graph), cb,
+              comm if cb == comm else gp.derived().order(), comm, full)
     for a, b in zip(orders, orders[1:]):
         if b % a:
             raise ConsistencyError(f"chain orders {orders} violate divisibility")
     return ChainReport(group.name, graph.n, *orders)
-

@@ -628,6 +628,43 @@ def abelianization_by_cosets(group) -> tuple:
     return tuple(d for d in divisors if d > 1)
 
 
+# -- known-order Schreier-Sims against the plain build ------------------------------
+
+def plain_build(group):
+    """The same generators built with no known order and no cap, so every
+    Schreier generator is sifted."""
+    from graphpower.perm import PermGroup
+
+    return PermGroup(group.degree, group.generators, max_order=None)
+
+
+def membership_sample(plain, rng, count: int = 50, tries: int = 2000) -> tuple:
+    """(members, non_members), judged by `plain`, a build with no known
+    order: `count` products of 40 random generators, and up to `count`
+    non-members among products of a random member and a random
+    transposition of the domain (those that `plain` accepts join the
+    members). The full symmetric group on the domain has no non-members."""
+    from graphpower.perm import Perm
+
+    gens, degree = plain.generators, plain.degree
+    if plain.order() == factorial(degree):
+        tries = 0
+
+    def word():
+        x = plain.identity()
+        for _ in range(40 if gens else 0):
+            x = x * rng.choice(gens)
+        return x
+
+    members, non_members = [word() for _ in range(count)], []
+    for _ in range(tries):
+        x = word() * Perm.from_cycles(degree, tuple(rng.sample(range(degree), 2)))
+        (members if plain.contains(x) else non_members).append(x)
+        if len(non_members) == count:
+            break
+    return members, non_members
+
+
 # -- group powers by the routes the closed forms replaced --------------------------
 
 def abelian_power_order_by_snf(factors, rows) -> int:
@@ -657,6 +694,16 @@ def comm_order_by_closure(group, graph) -> int:
     ab = abelian_power_order_by_snf(abelianization(group).factors, rows)
     assert total % ab == 0
     return total // ab
+
+
+def derived_power_order_by_closure(group, graph) -> int:
+    """|[G^graph, G^graph]| the way the chain took it before it read the
+    sandwich Comm_b <= [G^graph, G^graph] <= Comm: G^graph built by plain
+    Schreier-Sims (no order cap, no known order), then the normal closure of
+    the commutators of its generators."""
+    from graphpower.power import graph_power
+
+    return graph_power(group, graph, max_order=None).derived().order()
 
 
 def in_comm(group, graph, state) -> bool:

@@ -147,9 +147,19 @@ def test_ra_gra_closed_form_above_the_cap(capsys, monkeypatch):
 
 
 def test_ra_chain_capacity_exit(capsys):
-    # the chain needs [G^graph, G^graph], so it still builds H7^C5 = 7^15
+    # the chain builds G^graph under the cap; on C5 (RA) the closed form
+    # |H7^C5| = 7^15 is its known order, which stops it before any sifting
     code, out, err = run(capsys, "ra", "chain", "C5", "--group", "H7")
     assert code == 3 and out == "" and "exceeds cap" in err
+    assert "4747561509943" in err and str(perm.DEFAULT_MAX_ORDER) in err
+
+
+def test_ra_chain_under_a_raised_cap_reads_the_sandwich(capsys, monkeypatch):
+    monkeypatch.setenv("GRAPHPOWER_MAX_ORDER", str(10 ** 15))
+    code, out, err = run(capsys, "ra", "chain", "C5", "--group", "H7")
+    assert code == 0, err
+    payload = json.loads(out)
+    assert list(payload["orders"].values()) == [7 ** 5] * 5 and payload["ra_index"] == 1
 
 
 def test_ra_chain_cap_applies_to_the_group_power_only(capsys, monkeypatch):
@@ -173,14 +183,15 @@ def test_ra_chain_cap_bounds_the_group_power_exactly(capsys, monkeypatch):
 
 
 def test_past_the_schreier_sims_budget_exits_3(capsys, monkeypatch):
-    # building S10 itself writes 22200 permutation entries; the chain on C4
-    # builds S5^C4 on 20 points
+    # building S10 to its known order writes 5050 permutation entries and its
+    # derived subgroup A10 10950; the chain on C4 builds S5^C4 on 20 points
+    # (32040 to its known order)
     for argv in [("ra", "gra", "C4", "--group", "S10"), ("ra", "chain", "C4", "--group", "S5")]:
         code, _, _ = run(capsys, *argv)
         assert code == 0
-        monkeypatch.setattr(perm, "SCHREIER_SIMS_BUDGET", 20000)
+        monkeypatch.setattr(perm, "SCHREIER_SIMS_BUDGET", 10000)
         code, out, err = run(capsys, *argv)
-        assert code == 3 and out == "" and "Schreier-Sims" in err and "20000" in err
+        assert code == 3 and out == "" and "Schreier-Sims" in err and "10000" in err
         monkeypatch.undo()
 
 

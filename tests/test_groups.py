@@ -1,6 +1,10 @@
+import random
+from math import factorial
+
 import pytest
 
-from graphpower.errors import DomainMismatch, LimitExceeded, SpecParseError, UnsupportedParameter
+from graphpower.errors import (CapacityExceeded, ConsistencyError, DomainMismatch, LimitExceeded,
+                               SpecParseError, UnsupportedParameter)
 from graphpower.groups import (
     abelianization,
     alternating,
@@ -24,6 +28,8 @@ from oracles import (
     closure_elements,
     closure_order,
     heisenberg_regular,
+    membership_sample,
+    plain_build,
 )
 
 
@@ -338,13 +344,16 @@ def test_element_search_bound():
 
 def test_schreier_sims_budget_counts_permutation_entries(monkeypatch):
     # C_n on n points stores n - 1 transversal elements and their inverses
-    # and forms n trivial Schreier generators of two products each: (4n - 2)n
+    # and forms n trivial Schreier generators of two products each: (4n - 2)n.
+    # Built to its known order n it stops before forming any: (2n - 2)n
     n = 50
-    monkeypatch.setattr(perm, "SCHREIER_SIMS_BUDGET", (4 * n - 2) * n)
-    assert cyclic(n).order() == n
-    monkeypatch.setattr(perm, "SCHREIER_SIMS_BUDGET", (4 * n - 2) * n - 1)
-    with pytest.raises(LimitExceeded):
-        cyclic(n)
+    rot = cyclic(n).generators
+    for known, work in [(None, (4 * n - 2) * n), (n, (2 * n - 2) * n)]:
+        monkeypatch.setattr(perm, "SCHREIER_SIMS_BUDGET", work)
+        assert PermGroup(n, rot, order=known).order() == n
+        monkeypatch.setattr(perm, "SCHREIER_SIMS_BUDGET", work - 1)
+        with pytest.raises(LimitExceeded):
+            PermGroup(n, rot, order=known)
 
 
 def test_parse_group_spec():
@@ -360,3 +369,72 @@ def test_parse_group_spec():
     assert "Z3" in str(exc.value)
     with pytest.raises(SpecParseError):
         parse_group_spec("H4")
+
+
+# every builder branch, and the products the tests and the benchmark decks name
+CATALOGUE = ("C1", "C2", "C7", "C12", "D2", "D4", "D8", "D10", "D14", "S1", "S3", "S4", "S5",
+             "S6", "A4", "A5", "A6", "H2", "H3", "H5", "H7", "D8xC3", "D8xC2", "H3xC2", "D8xD8",
+             "S3xS3xC2")
+
+
+def test_known_order_builds_match_plain_builds_on_catalogue_groups():
+    rng = random.Random(20261019)
+    for spec in CATALOGUE:
+        group = parse_group_spec(spec)
+        plain = plain_build(group)
+        assert group.known_order == group.order() == plain.order(), spec
+        members, non_members = membership_sample(plain, rng)
+        assert all(map(group.contains, members)), spec
+        assert not any(map(group.contains, non_members)), spec
+        assert len(non_members) == 50 or plain.order() == factorial(group.degree), spec
+
+
+def test_a_known_order_one_prime_factor_off_raises_consistency_error():
+    # one prime factor too large, the chain completes below it; too small,
+    # the chain product passes it (an order the product meets exactly, such
+    # as 12 for S4, goes unseen: callers pass only proven orders)
+    for spec, primes in [("H7", (7,)), ("A5", (2, 3, 5)), ("D8xC3", (2, 3)), ("D10", (2, 5))]:
+        group = parse_group_spec(spec)
+        for p in primes:
+            with pytest.raises(ConsistencyError, match="below the known order"):
+                PermGroup(group.degree, group.generators, order=group.known_order * p)
+            with pytest.raises(ConsistencyError, match="exceeds the known order"):
+                PermGroup(group.degree, group.generators, order=group.known_order // p)
+
+
+def test_a_known_order_above_the_cap_stops_before_sifting(monkeypatch):
+    def refuse(self):
+        raise AssertionError("sifted a Schreier generator")
+
+    monkeypatch.setattr(PermGroup, "_complete", refuse)
+    h7 = heisenberg(7)
+    with pytest.raises(CapacityExceeded) as exc:
+        graph_power(h7, cycle(5), order=7 ** 15)
+    assert (exc.value.bound, exc.value.cap) == (7 ** 15, perm.DEFAULT_MAX_ORDER)
+    with pytest.raises(CapacityExceeded):
+        PermGroup(4, dihedral(8).generators, max_order=7, order=8)
+
+
+def test_add_generator_forgets_the_known_order():
+    reflection = Perm([(6 - i) % 6 for i in range(6)])
+    for build_first in (True, False):
+        group = cyclic(6)
+        if build_first:
+            assert group.order() == 6
+        group.add_generator(reflection)
+        assert group.known_order is None and group.order() == 12
+
+
+def test_a_product_builds_only_its_own_chain(monkeypatch):
+    built = []
+    chain = PermGroup._chain
+
+    def recording(self):
+        if not self._built:
+            built.append(self.name)
+        return chain(self)
+
+    monkeypatch.setattr(PermGroup, "_chain", recording)
+    group = parse_group_spec("H7xC2")
+    assert built == [] and group.known_order == 686
+    assert group.order() == 686 and built == ["H7xC2"]

@@ -1,9 +1,10 @@
 import random
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphpower.errors import CapacityExceeded, LimitExceeded
+from graphpower.errors import CapacityExceeded, ConsistencyError, LimitExceeded
 from graphpower import perm, power, ra
 from graphpower.graphs import (
     Graph,
@@ -49,7 +50,9 @@ from oracles import (
     basic_commutator_order,
     closure_order,
     comm_order_by_closure,
+    derived_power_order_by_closure,
     in_comm,
+    membership_sample,
 )
 
 D8 = dihedral(8)
@@ -344,6 +347,88 @@ def test_chain_report_fixtures():
     assert rep.orders() == (1, 1, 1, 1, 1)
     payload = rep.to_json()
     assert payload["orders"]["comm_d"] == 1
+
+
+def _assert_chain_matches_derived_power_closure(group, graph):
+    rep = chain_report(group, graph)
+    assert rep.derived_power == derived_power_order_by_closure(group, graph), \
+        (group.name, graph.edges)
+
+
+def test_chain_report_matches_the_derived_power_closure():
+    # chain_report reads [G^graph, G^graph] from Comm_b <= it <= Comm when the
+    # two bounds meet; the oracle takes the normal closure in a plain build
+    for group in (D8, symmetric(3), alternating(4), heisenberg(3)):
+        for n in range(1, 5):
+            for graph in enumerate_connected_graphs(n):
+                _assert_chain_matches_derived_power_closure(group, graph)
+    # [A4,A4] = V4 is not central, and on Q3 the bounds do not meet, so the
+    # chain takes the closure
+    rep = chain_report(alternating(4), hypercube(3))
+    assert (rep.comm_b, rep.comm) == (2 ** 14, 2 ** 16)
+    _assert_chain_matches_derived_power_closure(alternating(4), hypercube(3))
+
+
+@pytest.mark.slow
+def test_chain_report_matches_the_derived_power_closure_on_five_vertices():
+    for group in (D8, symmetric(3), alternating(4), heisenberg(3)):
+        for graph in enumerate_connected_graphs(5):
+            _assert_chain_matches_derived_power_closure(group, graph)
+
+
+def test_chain_report_builds_the_derived_power_only_off_the_sandwich(monkeypatch):
+    def refuse(self):
+        raise AssertionError("built [G^graph, G^graph]")
+
+    monkeypatch.setattr(power.PowerSubgroup, "derived", refuse)
+    assert chain_report(symmetric(3), petersen()).orders() == (3 ** 10,) * 5
+    assert chain_report(D8, hypercube(3)).orders() == (128, 128, 128, 128, 256)
+    with pytest.raises(AssertionError, match="built"):
+        chain_report(alternating(4), hypercube(3))
+
+
+def _assert_known_order_power_matches_plain_build(group, graph, rng):
+    ab, comm, full = power._orders(group, graph)
+    assert comm == full  # the closed form
+    known = graph_power(group, graph, max_order=None, order=ab * full).perm_group
+    plain = graph_power(group, graph, max_order=None).perm_group
+    assert known.known_order == known.order() == plain.order(), (group.name, graph.edges)
+    members, non_members = membership_sample(plain, rng)
+    assert all(map(known.contains, members)), (group.name, graph.edges)
+    assert not any(map(known.contains, non_members)), (group.name, graph.edges)
+    assert len(non_members) == 50 or plain.order() == factorial(plain.degree)
+
+
+def _ra_graphs(n):
+    return [g for g in enumerate_connected_graphs(n) if lattice_index(ra_matrix(g)) == 1]
+
+
+def test_known_order_powers_match_plain_builds():
+    # on an RA graph |G^graph| = |[G,G]|^n |(G^ab)^graph|, the known order
+    # chain_report gives its build
+    rng = random.Random(20261019)
+    for group in (D8, symmetric(4), heisenberg(3)):
+        for n in range(1, 5):
+            for graph in _ra_graphs(n):
+                _assert_known_order_power_matches_plain_build(group, graph, rng)
+
+
+@pytest.mark.slow
+def test_known_order_powers_match_plain_builds_on_five_vertices():
+    rng = random.Random(20261020)
+    for group in (D8, symmetric(4), heisenberg(3)):
+        for graph in _ra_graphs(5):
+            _assert_known_order_power_matches_plain_build(group, graph, rng)
+
+
+def test_a_known_power_order_one_prime_factor_off_raises_consistency_error():
+    for group, graph, p in [(heisenberg(7), cycle(5), 7), (D8, cycle(4), 2),
+                            (symmetric(4), cycle(5), 3)]:
+        ab, _, full = power._orders(group, graph)
+        with pytest.raises(ConsistencyError, match="below the known order"):
+            graph_power(group, graph, max_order=None, order=ab * full * p).order()
+        with pytest.raises(ConsistencyError, match="exceeds the known order"):
+            graph_power(group, graph, max_order=None, order=ab * full // p).order()
 
 
 def test_connected_components_product():
