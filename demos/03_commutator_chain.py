@@ -19,6 +19,7 @@ for name, graph in [("C4", cycle(4)), ("Q3", hypercube(3))]:
 print()
 print("On the 4-cycle the chain tops out: every commutator pattern is")
 print("reachable, C4 is D8-RA. On the cube the top gap has index 2:")
+# D10 reduces Q3 although Q3 is not RA: its lattice index 2 is prime to |[D10,D10]| = 5
 print(f"  ra_index(D8, Q3)  = {ra_index(d8, hypercube(3))}")
 print(f"  ra_index(D10, Q3) = {ra_index(d10, hypercube(3))}")
 print()

@@ -30,7 +30,7 @@ from .graphs import (
 )
 from .groups import parse_group_spec
 from .perm import DEFAULT_MAX_ORDER
-from .zlinalg import IntMat, divisor_tuple_str, snf_divisors
+from .zlinalg import _divisor_chain, divisor_tuple_str, snf_divisors
 
 
 def _max_order() -> int:
@@ -83,11 +83,10 @@ def cmd_graph_classify(args) -> int:
 def cmd_eldivs(args) -> int:
     g = _graph_arg(args.graph, args.reduce)
     if args.matrix == "activation":
-        mat = ra.activation_matrix(g)
+        divs = list(snf_divisors(ra.activation_matrix(g), budget=ra.RA_TEST_BUDGET))
     else:  # ra_matrix less its zero and repeated rows, which add only zeros to the chain
-        mat = IntMat(ra._distinct_rows(g, True), cols=g.n)
-    divs = snf_divisors(mat, budget=ra.RA_TEST_BUDGET)
-    print(divisor_tuple_str(divs + (0,) * (g.n - len(divs))))
+        divs = _divisor_chain(ra._Lattice(g, True).rows(), g.n, budget=ra.RA_TEST_BUDGET)
+    print(divisor_tuple_str(divs + [0] * (g.n - len(divs))))
     return 0
 
 

@@ -11,9 +11,14 @@ holding coordinate v, so the subgroup engine provides orders and membership.
 
 Orders follow the paper's reduction: |G^graph| = |Comm| * |(G^Ab)^graph|,
 with Comm = G^graph cap [G,G]^n. The abelian factor is a row-span count mod
-each invariant factor of G^Ab. When the intersection lattice of the graph is
-Z^n, [G,G]^n <= G^graph, so Comm = [G,G]^n and no subgroup is built; on
-other graphs |G^graph| comes from Schreier-Sims under the order cap.
+each invariant factor of G^Ab. When the lattice L of the intersection rows
+B(u) cap B(v), u <= v, has an index prime to |[G,G]| (index 1 on an RA
+graph; any index when [G,G] is trivial), the commutators spread over the
+rows already generate [G,G]^n (see _spreads_fill), so Comm_b =
+[G^graph, G^graph] = Comm = [G,G]^n and no subgroup is built; the u < v
+rows decide Comm_d = [G,G]^n the same way. Only when a prime divides both
+the index and |[G,G]| (Q3 under D8 or A4), or past ra.RA_TEST_BUDGET, is
+G^graph built, by Schreier-Sims under the order cap.
 
 For 0/1 matrices, clicking with G's generators suffices: components multiply
 coordinatewise there, so a click by an arbitrary g is the product of clicks
@@ -24,13 +29,14 @@ constructions enumerate G (which must be small).
 
 from __future__ import annotations
 
+from math import gcd
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import ConsistencyError, DimensionMismatch, LimitExceeded
+from .errors import CapacityExceeded, ConsistencyError, DimensionMismatch, LimitExceeded
 from .graphs import Graph
 from .groups import AbelianInvariants, abelianization
 from .perm import DEFAULT_MAX_ORDER, Perm, PermGroup, derived_subgroup
-from .ra import _distinct_rows, _ra_lattice_index, activation_matrix
+from .ra import _Lattice, activation_matrix
 from .zlinalg import IntMat, span_order_mod
 
 ClickVector = tuple
@@ -131,22 +137,19 @@ class PowerSubgroup:
 
 
 def _generated(group: PermGroup, n: int, states: Sequence[StateVector],
-               max_order: Optional[int], order: Optional[int] = None) -> PowerSubgroup:
-    """The subgroup of G^n generated by `states`, of order `order` if known."""
+               max_order: Optional[int]) -> PowerSubgroup:
+    """The subgroup of G^n generated by `states`."""
     return PowerSubgroup(group, n, PermGroup(n * group.degree, [s.as_perm() for s in states],
-                                             max_order=max_order, order=order))
+                                             max_order=max_order))
 
 
 def matrix_power(group: PermGroup, matrix, *,
-                 max_order: Optional[int] = DEFAULT_MAX_ORDER,
-                 order: Optional[int] = None) -> PowerSubgroup:
+                 max_order: Optional[int] = DEFAULT_MAX_ORDER) -> PowerSubgroup:
     """Subgroup of G^n generated by g^row over the rows of an integer matrix.
 
     0/1 matrices click with G's generators only; general integer matrices
     click with every element of G (the coordinatewise product identity fails
-    off 0/1 vectors, and generator clicks can generate a proper subgroup).
-    A proven `order` of the subgroup ends its Schreier-Sims build once the
-    chain reaches it (see PermGroup)."""
+    off 0/1 vectors, and generator clicks can generate a proper subgroup)."""
     rows = matrix._rows if isinstance(matrix, IntMat) else tuple(tuple(r) for r in matrix)
     if not rows:
         raise DimensionMismatch("matrix with no rows")
@@ -154,15 +157,13 @@ def matrix_power(group: PermGroup, matrix, *,
     zero_one = all(x in (0, 1) for row in rows for x in row)
     clickers = group.generators if zero_one else group.elements(limit=_ALL_ELEMENT_CLICK_BOUND)
     return _generated(group, n, [power_click(group, g, row)
-                                 for row in rows for g in clickers], max_order, order)
+                                 for row in rows for g in clickers], max_order)
 
 
 def graph_power(group: PermGroup, graph: Graph, *,
-                max_order: Optional[int] = DEFAULT_MAX_ORDER,
-                order: Optional[int] = None) -> PowerSubgroup:
-    """The reachable-state group G^graph (clicks along closed neighborhoods),
-    of order `order` if the caller has proven it."""
-    return matrix_power(group, activation_matrix(graph), max_order=max_order, order=order)
+                max_order: Optional[int] = DEFAULT_MAX_ORDER) -> PowerSubgroup:
+    """The reachable-state group G^graph (clicks along closed neighborhoods)."""
+    return matrix_power(group, activation_matrix(graph), max_order=max_order)
 
 
 # -- abelian side ---------------------------------------------------------------
@@ -178,28 +179,45 @@ def abelian_power_order(invariants, matrix) -> int:
     return total
 
 
-def _power_orders(group: PermGroup, graph: Graph, max_order: Optional[int],
-                  build: bool) -> tuple:
+def _spreads_fill(lattice: _Lattice, k: int) -> bool:
+    """Whether the commutators of G spread over the rows of `lattice`
+    generate all of [G,G]^n, |[G,G]| = k: true when k = 1, or when L has an
+    index N != 0 with gcd(N, k) = 1. Past ra.RA_TEST_BUDGET there is no
+    index, and the answer is False.
+
+    Proof. Take a commutator c = [g,h] and a row I = B(u) cap B(v) of L.
+    Then c^I = [g^B(u), h^B(v)] is a basic commutator, so it lies in Comm_b
+    (in Comm_d when u < v). Since x -> c^x (coordinatewise powers) is a
+    homomorphism Z^n -> G^n, c^x lies there too for every x in L, and L
+    contains N Z^n. ord(c) divides k, so some a has aN = 1 mod ord(c); then
+    c^(e_w) = c^(aN e_w) lies there for every vertex w, and these elements
+    generate [G,G]^n."""
+    if k == 1:
+        return True
+    try:
+        return gcd(lattice.index(), k) == 1
+    except LimitExceeded:
+        return False
+
+
+def _power_orders(group: PermGroup, graph: Graph, lattice: _Lattice,
+                  max_order: Optional[int]) -> tuple:
     """(G^graph or None, |(G^Ab)^graph|, |Comm(G, graph)|, |[G,G]|^n);
-    |G^graph| is the product of the second and third.
+    |G^graph| is the product of the second and third, and `lattice` holds
+    the graph's u <= v intersection rows.
 
     Comm is the kernel of the natural projection of G^graph onto the
     abelianized power, so |G^graph| = |Comm| * |(G^Ab)^graph|; Comm sits
     inside [G,G]^n, so its order divides |[G,G]|^n and the quotient is the
-    RA index. A graph whose intersection lattice is Z^n takes the closed
-    form Comm = [G,G]^n and builds G^graph only with `build`, given that
-    closed-form order as its known order. Any other graph, and any graph
-    past ra.RA_TEST_BUDGET, builds G^graph under max_order."""
-    full = derived_subgroup(group).order() ** graph.n
-    try:
-        closed_form = _ra_lattice_index(graph) == 1
-    except LimitExceeded:  # past RA_TEST_BUDGET: no answer, take the closure
-        closed_form = False
+    RA index. When the commutator spreads over the rows fill [G,G]^n
+    (_spreads_fill), so does Comm, which contains them, and nothing is
+    built. Otherwise G^graph is built under max_order."""
+    k = derived_subgroup(group).order()
+    full = k ** graph.n
     ab = abelian_power_order(abelianization(group), activation_matrix(graph))
-    if closed_form and not build:
+    if _spreads_fill(lattice, k):
         return None, ab, full, full
-    power = graph_power(group, graph, max_order=max_order,
-                        order=full * ab if closed_form else None)
+    power = graph_power(group, graph, max_order=max_order)
     total = power.order()
     if total % ab:
         raise ConsistencyError(
@@ -213,16 +231,17 @@ def _power_orders(group: PermGroup, graph: Graph, max_order: Optional[int],
 def _orders(group: PermGroup, graph: Graph, *,
             max_order: Optional[int] = DEFAULT_MAX_ORDER) -> tuple:
     """(|(G^Ab)^graph|, |Comm(G, graph)|, |[G,G]|^n), building G^graph only
-    off the closed form (see _power_orders)."""
-    return _power_orders(group, graph, max_order, False)[1:]
+    off the closed form (see _power_orders), so the closed form answers
+    above max_order too."""
+    return _power_orders(group, graph, _Lattice(graph, True), max_order)[1:]
 
 
 # -- commutator subgroups ---------------------------------------------------------
 
-def _comm_subgroup(group: PermGroup, graph: Graph, include_equal: bool,
+def _comm_subgroup(group: PermGroup, lattice: _Lattice,
                    max_order: Optional[int]) -> PowerSubgroup:
     """Subgroup generated by the basic commutators [g^u, h^v] over the vertex
-    pairs u < v (u <= v with include_equal).
+    pairs whose intersection rows `lattice` holds.
 
     [g^u, h^v] is [g,h] spread over B(u) cap B(v), and for a fixed 0/1 row I
     the spread d -> d^I is a homomorphism from [G,G] to G^n. The spreads of
@@ -231,52 +250,59 @@ def _comm_subgroup(group: PermGroup, graph: Graph, include_equal: bool,
     intersection row. Past ra.RA_TEST_BUDGET distinct-row entries it raises
     LimitExceeded."""
     der = derived_subgroup(group).generators
-    return _generated(group, graph.n, [power_click(group, d, row)
-                                       for row in _distinct_rows(graph, include_equal)
-                                       for d in der], max_order)
+    return _generated(group, lattice.graph.n, [power_click(group, d, row)
+                                               for row in lattice.rows() for d in der],
+                      max_order)
 
 
 def comm_d(group: PermGroup, graph: Graph, *,
            max_order: Optional[int] = DEFAULT_MAX_ORDER) -> PowerSubgroup:
     """Subgroup generated by the basic commutators [g^u, h^v] with u != v."""
-    return _comm_subgroup(group, graph, False, max_order)
+    return _comm_subgroup(group, _Lattice(graph, False), max_order)
 
 
 def comm_b(group: PermGroup, graph: Graph, *,
            max_order: Optional[int] = DEFAULT_MAX_ORDER) -> PowerSubgroup:
     """Subgroup generated by all basic commutators [g^u, h^v], u = v allowed."""
-    return _comm_subgroup(group, graph, True, max_order)
+    return _comm_subgroup(group, _Lattice(graph, True), max_order)
 
 
-def _comm_order(group: PermGroup, graph: Graph, include_equal: bool) -> int:
-    """|Comm_b| (include_equal) or |Comm_d|.
+def _comm_order(group: PermGroup, lattice: _Lattice) -> int:
+    """|Comm_b| (u <= v rows in `lattice`) or |Comm_d| (u < v rows).
 
     When [G,G] is abelian (its generators commute pairwise), say
     [G,G] = Z/r_1 x ... x Z/r_k, the spreads d^I of its elements over the
     intersection rows I generate the image of [G,G] (x) L in [G,G]^n, L the
-    row lattice; so the order is the product over i of the row span of the
-    intersection rows mod r_i. Otherwise it is the order of the closure,
-    built without an order cap: it lies in G^graph, which chain_report
-    builds first under the caller's cap. Either way, past
+    row lattice; so the order is the product over i of the row span of L
+    mod r_i, which needs no index over Z. Otherwise it is |[G,G]|^n when
+    the spreads fill [G,G]^n (_spreads_fill), and else the order of the
+    closure, built without an order cap: it lies in G^graph, whose order
+    chain_report bounds by the caller's cap first. Either way, past
     ra.RA_TEST_BUDGET distinct-row entries it raises LimitExceeded."""
     derived = derived_subgroup(group)
     der = derived.generators
     if all(a * b == b * a for i, a in enumerate(der) for b in der[i + 1:]):
-        return abelian_power_order(abelianization(derived),
-                                   IntMat(_distinct_rows(graph, include_equal), cols=graph.n))
-    return _comm_subgroup(group, graph, include_equal, None).order()
+        factors = abelianization(derived).factors
+        total = 1
+        for r in set(factors):
+            total *= lattice.span_order_mod(r) ** factors.count(r)
+        return total
+    k = derived.order()
+    if _spreads_fill(lattice, k):
+        return k ** lattice.graph.n
+    return _comm_subgroup(group, lattice, None).order()
 
 
 def comm_b_order(group: PermGroup, graph: Graph) -> int:
     """|Comm_b(G, graph)|; LimitExceeded past ra.RA_TEST_BUDGET distinct
     intersection-row entries."""
-    return _comm_order(group, graph, True)
+    return _comm_order(group, _Lattice(graph, True))
 
 
 def comm_d_order(group: PermGroup, graph: Graph) -> int:
     """|Comm_d(G, graph)|; LimitExceeded past ra.RA_TEST_BUDGET distinct
     intersection-row entries."""
-    return _comm_order(group, graph, False)
+    return _comm_order(group, _Lattice(graph, False))
 
 
 # -- RA verdicts for a fixed group ------------------------------------------------
@@ -330,18 +356,27 @@ def chain_report(group: PermGroup, graph: Graph, *,
                  max_order: Optional[int] = DEFAULT_MAX_ORDER) -> ChainReport:
     """The five orders of the commutator chain; each divides the next.
 
-    G^graph is built under max_order on every graph, with its closed-form
-    order as the known order on an RA graph, so the cap stops the same
-    requests whether or not the chain needs the group itself. The chain
-    Comm_b <= [G^graph, G^graph] <= Comm is then read as a sandwich: when
-    |Comm_b| = |Comm|, the derived power has that order and is not built
-    (on every RA graph, where both are [G,G]^n); otherwise it is the normal
-    closure in the built G^graph (Q3 under A4: |Comm_b| = 2^14, |Comm| =
-    2^16)."""
-    gp, _, comm, full = _power_orders(group, graph, max_order, True)
-    cb = comm_b_order(group, graph)
-    orders = (comm_d_order(group, graph), cb,
-              comm if cb == comm else gp.derived().order(), comm, full)
+    When the commutator spreads over the u <= v rows fill [G,G]^n
+    (_spreads_fill), Comm_b = [G^graph, G^graph] = Comm = [G,G]^n and
+    nothing is built; the closed form |G^graph| = |[G,G]|^n |(G^Ab)^graph|
+    still meets max_order, so the cap stops the same requests whether or not
+    the chain builds the group. Otherwise G^graph is built under max_order,
+    and the chain Comm_b <= [G^graph, G^graph] <= Comm is read as a
+    sandwich: when |Comm_b| = |Comm|, the derived power has that order and
+    is not built (Q3 under D8); otherwise it is the normal closure in the
+    built G^graph (Q3 under A4: |Comm_b| = 2^14, |Comm| = 2^16). Comm_d
+    takes the same test on the u < v rows. Each lattice is built and
+    eliminated once."""
+    both = _Lattice(graph, True)
+    gp, ab, comm, full = _power_orders(group, graph, both, max_order)
+    if gp is None:
+        if max_order is not None and ab * full > max_order:
+            raise CapacityExceeded(ab * full, max_order)
+        cb = derived_power = full
+    else:
+        cb = _comm_order(group, both)
+        derived_power = comm if cb == comm else gp.derived().order()
+    orders = (_comm_order(group, _Lattice(graph, False)), cb, derived_power, comm, full)
     for a, b in zip(orders, orders[1:]):
         if b % a:
             raise ConsistencyError(f"chain orders {orders} violate divisibility")

@@ -266,12 +266,19 @@ def _smith_passes(a, n, budget=None) -> list:
         n, a = len(a), _transpose(a)
 
 
+def _divisor_chain(rows: list, n: int, budget: Optional[int] = None) -> list:
+    """The nonzero Smith divisors, as a chain, of the n-column rows, which
+    it eliminates in place; `budget` as in snf_divisors."""
+    d = _smith_passes(rows, n, budget)
+    _smith_chain(d)
+    return d
+
+
 def snf_divisors(M: IntMat, budget: Optional[int] = None) -> tuple:
     """Smith normal form divisor chain of M; skips duplicate and zero rows
     (they only add zeros at the tail of the chain). A `budget` caps the
     entries each elimination pass may rewrite (LimitExceeded past it)."""
-    d = _smith_passes([list(r) for r in dict.fromkeys(M._rows) if any(r)], M.cols, budget)
-    _smith_chain(d)
+    d = _divisor_chain([list(r) for r in dict.fromkeys(M._rows) if any(r)], M.cols, budget)
     return tuple(d + [0] * (min(M.rows, M.cols) - len(d)))
 
 

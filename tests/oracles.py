@@ -706,6 +706,26 @@ def derived_power_order_by_closure(group, graph) -> int:
     return graph_power(group, graph, max_order=None).derived().order()
 
 
+def comm_order_by_spread_closure(group, graph, include_equal: bool) -> int:
+    """|Comm_b| (include_equal) or |Comm_d| the way the package took every
+    one before the closed form: the generators of [G,G] spread over each
+    intersection row B(u) cap B(v), u < v (u <= v with include_equal),
+    generate it, and Schreier-Sims with no order cap gives its order. The
+    rows come from neighbourhood sets; only the derived subgroup and the
+    permutation-group engine are shared with the package."""
+    from graphpower.groups import derived_subgroup
+    from graphpower.perm import PermGroup
+
+    d, n = group.degree, graph.n
+    ball = _closed_neighborhood_sets(graph)
+    supports = {frozenset(ball[u] & ball[v])
+                for u in range(n) for v in range(u if include_equal else u + 1, n)}
+    gens = [tuple(v * d + (c.image[x] if v in support else x) for v in range(n) for x in range(d))
+            for support in sorted(supports, key=sorted) if support
+            for c in derived_subgroup(group).generators]
+    return PermGroup(n * d, gens, max_order=None).order()
+
+
 def in_comm(group, graph, state) -> bool:
     """Membership in Comm(G, graph): in the reachable-state group with every
     coordinate a member of [G, G]."""

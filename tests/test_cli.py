@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from graphpower import perm, ra, solver
+from graphpower import perm, power, ra, solver
 from graphpower.cli import build_parser, main
 from graphpower.graphs import (
     complete,
@@ -29,6 +29,8 @@ from graphpower.schemas import (
     validate,
 )
 from graphpower.zlinalg import divisor_tuple_str, snf_divisors
+
+from oracles import activation_rows_by_sets, gfp_rank
 
 
 def run(capsys, *argv):
@@ -146,9 +148,35 @@ def test_ra_gra_closed_form_above_the_cap(capsys, monkeypatch):
         assert code == 0 and json.loads(out)["orders"]["graph_power"] == order
 
 
-def test_ra_chain_capacity_exit(capsys):
-    # the chain builds G^graph under the cap; on C5 (RA) the closed form
-    # |H7^C5| = 7^15 is its known order, which stops it before any sifting
+def test_ra_gra_answers_when_the_lattice_index_is_prime_to_the_commutator_order(capsys):
+    # FQ5 and Q7 are not RA (lattice index 2), but 2 is prime to
+    # |[H_p, H_p]| = p, so Comm = [G,G]^n and G^graph is not built (both
+    # requests exited 3 on the cap when it was)
+    for graph, p in [("FQ5", 3), ("Q7", 5)]:
+        code, out, err = run(capsys, "ra", "gra", graph, "--group", f"H{p}")
+        assert code == 0, err
+        payload = json.loads(out)
+        validate(payload, GROUP_REPORT_SCHEMA)
+        g = parse_graph_spec(graph)
+        span = p ** gfp_rank(activation_rows_by_sets(g), p)  # H_p^ab = Z_p x Z_p
+        assert payload["orders"] == {"comm": p ** g.n, "full_commutator_power": p ** g.n,
+                                     "abelian_power": span ** 2,
+                                     "graph_power": p ** g.n * span ** 2}
+        assert payload["ra_index"] == 1 and payload["g_ra"] is True
+
+
+def test_ra_gra_builds_the_group_power_when_a_prime_divides_index_and_commutator_order(capsys):
+    # Q7's index 2 divides |[D8,D8]| = 2: D8^Q7 is built and passes the cap
+    code, out, err = run(capsys, "ra", "gra", "Q7", "--group", "D8")
+    assert code == 3 and out == "" and "exceeds cap" in err
+
+
+def test_ra_chain_capacity_exit(capsys, monkeypatch):
+    # on C5 (RA) the chain takes the closed form and builds no subgroup of
+    # G^n, but the closed-form |H7^C5| = 7^15 still meets the cap
+    def refuse(*args, **kwargs):
+        raise AssertionError("a subgroup of G^n was built")
+    monkeypatch.setattr(power, "PermGroup", refuse)
     code, out, err = run(capsys, "ra", "chain", "C5", "--group", "H7")
     assert code == 3 and out == "" and "exceeds cap" in err
     assert "4747561509943" in err and str(perm.DEFAULT_MAX_ORDER) in err
@@ -163,9 +191,9 @@ def test_ra_chain_under_a_raised_cap_reads_the_sandwich(capsys, monkeypatch):
 
 
 def test_ra_chain_cap_applies_to_the_group_power_only(capsys, monkeypatch):
-    # S4^petersen has order 1.98e12; [S4,S4] = A4 is nonabelian, so Comm_b and
-    # Comm_d are closures, each 12^10 > 2^30, inside the G^graph built under
-    # the raised cap
+    # petersen's lattices have index 1 both ways, so the chain takes the
+    # closed form: every order is 12^10 > 2^30, and only the closed-form
+    # |S4^petersen| = 1.98e12 meets the raised cap
     monkeypatch.setenv("GRAPHPOWER_MAX_ORDER", "10000000000000")
     code, out, err = run(capsys, "ra", "chain", "petersen", "--group", "S4")
     assert code == 0, err
@@ -184,8 +212,9 @@ def test_ra_chain_cap_bounds_the_group_power_exactly(capsys, monkeypatch):
 
 def test_past_the_schreier_sims_budget_exits_3(capsys, monkeypatch):
     # building S10 to its known order writes 5050 permutation entries and its
-    # derived subgroup A10 10950; the chain on C4 builds S5^C4 on 20 points
-    # (32040 to its known order)
+    # derived subgroup A10 10950; the chain on C4 (RA) builds no S5^C4, but
+    # C4's u < v index 2 divides |A5| = 60, so Comm_d is a closure on 20
+    # points (25020 entries)
     for argv in [("ra", "gra", "C4", "--group", "S10"), ("ra", "chain", "C4", "--group", "S5")]:
         code, _, _ = run(capsys, *argv)
         assert code == 0

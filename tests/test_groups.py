@@ -407,9 +407,9 @@ def test_a_known_order_above_the_cap_stops_before_sifting(monkeypatch):
         raise AssertionError("sifted a Schreier generator")
 
     monkeypatch.setattr(PermGroup, "_complete", refuse)
-    h7 = heisenberg(7)
+    clicks = graph_power(heisenberg(7), cycle(5), max_order=None).perm_group.generators
     with pytest.raises(CapacityExceeded) as exc:
-        graph_power(h7, cycle(5), order=7 ** 15)
+        PermGroup(5 * 49, clicks, order=7 ** 15)
     assert (exc.value.bound, exc.value.cap) == (7 ** 15, perm.DEFAULT_MAX_ORDER)
     with pytest.raises(CapacityExceeded):
         PermGroup(4, dihedral(8).generators, max_order=7, order=8)

@@ -1,5 +1,5 @@
 import random
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +25,7 @@ from graphpower.groups import (
     derived_subgroup,
     dihedral,
     heisenberg,
+    parse_group_spec,
     symmetric,
 )
 from graphpower.perm import Perm, PermGroup
@@ -50,9 +51,12 @@ from oracles import (
     basic_commutator_order,
     closure_order,
     comm_order_by_closure,
+    comm_order_by_spread_closure,
     derived_power_order_by_closure,
+    gfp_rank,
     in_comm,
     membership_sample,
+    ra_rows_by_sets,
 )
 
 D8 = dihedral(8)
@@ -225,14 +229,82 @@ def test_closed_form_matches_schreier_sims():
 
 
 def test_closed_form_builds_no_subgroup(monkeypatch):
+    # the closed form needs only the lattice index: 1 on C5 and petersen, 2
+    # on Q3 and FQ5, which is prime to |[G,G]| = 3, 5, 7 and 12 below
     def refuse(*args, **kwargs):
-        raise AssertionError("G^graph built on an RA graph")
+        raise AssertionError("G^graph built on the closed form")
     monkeypatch.setattr(power, "graph_power", refuse)
+    monkeypatch.setattr(power, "PermGroup", refuse)
     assert power._orders(symmetric(4), petersen()) == (32, 12 ** 10, 12 ** 10)
     assert ra_index(heisenberg(7), cycle(5)) == 1
-    with pytest.raises(AssertionError):
-        power._orders(D8, hypercube(3))
+    assert ra_index(heisenberg(3), folded_cube(5)) == 1
+    assert power._orders(heisenberg(3), hypercube(3)) == (3 ** 10, 3 ** 8, 3 ** 8)
+    assert chain_report(dihedral(10), hypercube(3)).orders() == (5 ** 8,) * 5
+    assert chain_report(symmetric(4), cycle(5)).orders() == (12 ** 5,) * 5
+    assert chain_report(heisenberg(5), folded_cube(5), max_order=None).orders() == (5 ** 16,) * 5
+    # a prime divides both the index and |[G,G]|: 2 on Q3 under D8 and A4
+    for group in (D8, alternating(4)):
+        with pytest.raises(AssertionError):
+            power._orders(group, hypercube(3))
+        with pytest.raises(AssertionError):
+            chain_report(group, hypercube(3))
 
+
+def test_closed_form_chain_meets_the_cap_it_does_not_build_under():
+    # |H3^Q3| = 3^8 |(Z3^2)^Q3| = 3^18; the chain stops above the cap without
+    # building the group, while ra_index needs no cap
+    with pytest.raises(CapacityExceeded, match=f"{3 ** 18} exceeds cap {3 ** 18 - 1}"):
+        chain_report(heisenberg(3), hypercube(3), max_order=3 ** 18 - 1)
+    assert chain_report(heisenberg(3), hypercube(3), max_order=3 ** 18).comm == 3 ** 8
+    assert ra_index(heisenberg(3), hypercube(3), max_order=1) == 1
+
+
+def test_each_lattice_is_built_and_eliminated_once_per_request(monkeypatch):
+    # a request builds the distinct rows of each lattice it reads once, and
+    # eliminates them once: over Z for the index, or mod r for a span when
+    # [G,G] is abelian; a span after the index reads its n echelon rows, and
+    # a closure clicks the rows without eliminating them
+    q3, c4 = hypercube(3), cycle(4)
+    sizes = {(graph.n, include_equal): len(ra._distinct_masks(graph, include_equal))
+             for graph in (q3, c4) for include_equal in (False, True)}
+    assert all(size > n for (n, _), size in sizes.items())  # told apart from n echelon rows
+    built, eliminated = [], []
+    distinct_masks, row_lattice_index, span_order_mod = \
+        ra._distinct_masks, ra._row_lattice_index, ra.span_order_mod
+
+    def count_masks(graph, include_equal):
+        built.append(include_equal)
+        return distinct_masks(graph, include_equal)
+
+    def count_index(rows, n, budget=None):
+        eliminated.append(len(rows))
+        return row_lattice_index(rows, n, budget)
+
+    def count_span(M, r):
+        eliminated.append(M.rows)
+        return span_order_mod(M, r)
+
+    monkeypatch.setattr(ra, "_distinct_masks", count_masks)
+    monkeypatch.setattr(ra, "_row_lattice_index", count_index)
+    monkeypatch.setattr(ra, "span_order_mod", count_span)
+
+    def request(run, graph, lattices):
+        built.clear()
+        eliminated.clear()
+        run()
+        assert sorted(built) == sorted(lattices)
+        assert sorted(e for e in eliminated if e > graph.n) == \
+            sorted(sizes[graph.n, include_equal] for include_equal in lattices)
+        assert all(e == graph.n for e in eliminated if e <= graph.n)
+
+    # the closed form; G^graph built, Comm_b and Comm_d row spans mod 2 (one
+    # for both factors of [A4,A4] = V4); Comm_d a closure ([S4,S4] = A4 on C4,
+    # u < v index 2)
+    for group, graph in [(dihedral(10), q3), (D8, q3), (alternating(4), q3),
+                         (symmetric(4), c4)]:
+        request(lambda: chain_report(group, graph), graph, [False, True])
+    for group in (heisenberg(3), D8):
+        request(lambda: power._orders(group, q3), q3, [True])
 
 def _dense_graph(n, seed):
     rng = random.Random(seed)
@@ -376,6 +448,61 @@ def test_chain_report_matches_the_derived_power_closure_on_five_vertices():
             _assert_chain_matches_derived_power_closure(group, graph)
 
 
+SWEEP_GROUPS = ("D8", "D10", "S3", "S4", "A4", "H3", "H5", "D8xC3")
+
+
+def _sweep_against_closures(graphs) -> list:
+    """Check _orders, chain_report, comm_b_order and comm_d_order against
+    Schreier-Sims closures on every graph under every group of the sweep;
+    count the cases where a u < v and a u <= v lattice of index > 1 still
+    took the closed form."""
+    fired = [0, 0]
+    for name in SWEEP_GROUPS:
+        group = parse_group_spec(name)
+        k = derived_subgroup(group).order()
+        for graph in graphs:
+            comm, full = comm_order_by_closure(group, graph), k ** graph.n
+            want = (comm_order_by_spread_closure(group, graph, False),
+                    comm_order_by_spread_closure(group, graph, True),
+                    derived_power_order_by_closure(group, graph), comm, full)
+            assert power._orders(group, graph, max_order=None)[1:] == (comm, full), \
+                (name, graph.edges)
+            assert chain_report(group, graph, max_order=None).orders() == want, \
+                (name, graph.edges)
+            assert (comm_d_order(group, graph), comm_b_order(group, graph)) == want[:2]
+            for i, include_equal in enumerate((False, True)):
+                index = ra._Lattice(graph, include_equal).index()
+                fired[i] += index > 1 and gcd(index, k) == 1
+    return fired
+
+
+def test_orders_and_chain_match_the_closures():
+    graphs = [g for n in range(1, 5) for g in enumerate_connected_graphs(n)]
+    fired = _sweep_against_closures(graphs + [hypercube(3), folded_cube(5), cycle(6), petersen()])
+    # Q3 and FQ5 (index 2 both ways) under D10, S3, H3, H5; C4 (u < v index
+    # 2) under D10, S3, H3, H5
+    assert fired == [12, 8]
+
+
+@pytest.mark.slow
+def test_orders_and_chain_match_the_closures_on_five_vertices():
+    _sweep_against_closures(list(enumerate_connected_graphs(5)))
+
+
+def test_heisenberg_ra_index_is_p_to_the_rank_deficiency_mod_p():
+    # the paper's criterion for H_p, through the group code: the closed form
+    # where p is prime to the lattice index, G^graph built where it is not
+    graphs = [g for n in range(1, 6) for g in enumerate_connected_graphs(n)]
+    cases = [(p, graph) for p in (2, 3, 5) for graph in graphs + [hypercube(3), folded_cube(5)]]
+    cases += [(p, hypercube(5)) for p in (3, 5)]
+    deficient = 0
+    for p, graph in cases:
+        want = p ** (graph.n - gfp_rank(ra_rows_by_sets(graph), p))
+        deficient += want > 1
+        assert ra_index(heisenberg(p), graph, max_order=None) == want, (p, graph.edges)
+    assert deficient >= 40
+
+
 def test_chain_report_builds_the_derived_power_only_off_the_sandwich(monkeypatch):
     def refuse(self):
         raise AssertionError("built [G^graph, G^graph]")
@@ -387,10 +514,16 @@ def test_chain_report_builds_the_derived_power_only_off_the_sandwich(monkeypatch
         chain_report(alternating(4), hypercube(3))
 
 
+def _power_of_known_order(group, graph, order):
+    """G^graph's clicks built as a PermGroup given its order."""
+    gens = graph_power(group, graph, max_order=None).perm_group.generators
+    return PermGroup(graph.n * group.degree, gens, max_order=None, order=order)
+
+
 def _assert_known_order_power_matches_plain_build(group, graph, rng):
     ab, comm, full = power._orders(group, graph)
     assert comm == full  # the closed form
-    known = graph_power(group, graph, max_order=None, order=ab * full).perm_group
+    known = _power_of_known_order(group, graph, ab * full)
     plain = graph_power(group, graph, max_order=None).perm_group
     assert known.known_order == known.order() == plain.order(), (group.name, graph.edges)
     members, non_members = membership_sample(plain, rng)
@@ -404,8 +537,8 @@ def _ra_graphs(n):
 
 
 def test_known_order_powers_match_plain_builds():
-    # on an RA graph |G^graph| = |[G,G]|^n |(G^ab)^graph|, the known order
-    # chain_report gives its build
+    # on an RA graph the closed form |G^graph| = |[G,G]|^n |(G^ab)^graph|,
+    # given as the known order of a build, gives the plain build's group
     rng = random.Random(20261019)
     for group in (D8, symmetric(4), heisenberg(3)):
         for n in range(1, 5):
@@ -426,9 +559,9 @@ def test_a_known_power_order_one_prime_factor_off_raises_consistency_error():
                             (symmetric(4), cycle(5), 3)]:
         ab, _, full = power._orders(group, graph)
         with pytest.raises(ConsistencyError, match="below the known order"):
-            graph_power(group, graph, max_order=None, order=ab * full * p).order()
+            _power_of_known_order(group, graph, ab * full * p).order()
         with pytest.raises(ConsistencyError, match="exceeds the known order"):
-            graph_power(group, graph, max_order=None, order=ab * full // p).order()
+            _power_of_known_order(group, graph, ab * full // p).order()
 
 
 def test_connected_components_product():

@@ -23,7 +23,7 @@ from graphpower.graphs import (
 )
 from graphpower import ra
 from graphpower.ra import (
-    _ra_lattice_index,
+    _Lattice,
     activation_matrix,
     census,
     heisenberg_ra,
@@ -33,7 +33,8 @@ from graphpower.ra import (
     ra_matrix,
     structural_ra_hints,
 )
-from graphpower.zlinalg import IntMat, divisor_tuple_str, lattice_index, rank_mod_p, snf_divisors
+from graphpower.zlinalg import (IntMat, divisor_tuple_str, lattice_index, rank_mod_p, snf_divisors,
+                               span_order_mod)
 
 from oracles import (
     activation_rows_by_sets,
@@ -67,7 +68,11 @@ def test_matrices_match_the_set_based_oracle():
         assert activation_matrix(g) == IntMat(activation_rows_by_sets(g), cols=g.n)
         oracle = IntMat(ra_rows_by_sets(g), cols=g.n)
         assert ra_matrix(g) == oracle
-        assert _ra_lattice_index(g) == lattice_index(oracle)
+        lattice = _Lattice(g, True)
+        assert lattice.index() == lattice_index(oracle)
+        # read from the echelon rows the index left behind
+        assert [lattice.span_order_mod(r) for r in (2, 6)] == \
+            [span_order_mod(oracle, r) for r in (2, 6)]
 
 
 def test_ra_matrix_fixtures():
