@@ -85,7 +85,7 @@ def cmd_eldivs(args) -> int:
     if args.matrix == "activation":
         divs = list(snf_divisors(ra.activation_matrix(g), budget=ra.RA_TEST_BUDGET))
     else:  # ra_matrix less its zero and repeated rows, which add only zeros to the chain
-        divs = _divisor_chain(ra._Lattice(g, True).rows(), g.n, budget=ra.RA_TEST_BUDGET)
+        divs = _divisor_chain(ra._distinct_rows(g, True), g.n, budget=ra.RA_TEST_BUDGET)
     print(divisor_tuple_str(divs + [0] * (g.n - len(divs))))
     return 0
 

@@ -11,14 +11,15 @@ holding coordinate v, so the subgroup engine provides orders and membership.
 
 Orders follow the paper's reduction: |G^graph| = |Comm| * |(G^Ab)^graph|,
 with Comm = G^graph cap [G,G]^n. The abelian factor is a row-span count mod
-each invariant factor of G^Ab. When the lattice L of the intersection rows
-B(u) cap B(v), u <= v, has an index prime to |[G,G]| (index 1 on an RA
-graph; any index when [G,G] is trivial), the commutators spread over the
-rows already generate [G,G]^n (see _spreads_fill), so Comm_b =
-[G^graph, G^graph] = Comm = [G,G]^n and no subgroup is built; the u < v
-rows decide Comm_d = [G,G]^n the same way. Only when a prime divides both
-the index and |[G,G]| (Q3 under D8 or A4), or past ra.RA_TEST_BUDGET, is
-G^graph built, by Schreier-Sims under the order cap.
+each invariant factor of G^Ab. When the intersection rows B(u) cap B(v),
+u <= v, span all of (Z/k)^n, k = |[G,G]| (always when k = 1; on an RA graph
+for every k), the commutators spread over the rows already generate [G,G]^n
+(see _spreads_fill), so Comm_b = [G^graph, G^graph] = Comm = [G,G]^n and no
+subgroup is built; the u < v rows decide Comm_d = [G,G]^n the same way. No
+elimination here runs over Z: every test is a span mod k. Only when the
+span mod k falls short (Q3 under D8 or A4), or past ra.RA_TEST_BUDGET, is
+G^graph built, by Schreier-Sims under the order cap, and only when
+|G|^|S| <= |G^graph|, S a greedy independent set, fits the cap.
 
 For 0/1 matrices, clicking with G's generators suffices: components multiply
 coordinatewise there, so a click by an arbitrary g is the product of clicks
@@ -29,17 +30,14 @@ constructions enumerate G (which must be small).
 
 from __future__ import annotations
 
-from math import gcd
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import CapacityExceeded, ConsistencyError, DimensionMismatch, LimitExceeded
 from .graphs import Graph
 from .groups import AbelianInvariants, abelianization
 from .perm import DEFAULT_MAX_ORDER, Perm, PermGroup, derived_subgroup
-from .ra import _Lattice, activation_matrix
-from .zlinalg import IntMat, span_order_mod
-
-ClickVector = tuple
+from . import ra
+from .zlinalg import IntMat, _span_order, span_order_mod
 
 _ALL_ELEMENT_CLICK_BOUND = 512
 
@@ -163,7 +161,7 @@ def matrix_power(group: PermGroup, matrix, *,
 def graph_power(group: PermGroup, graph: Graph, *,
                 max_order: Optional[int] = DEFAULT_MAX_ORDER) -> PowerSubgroup:
     """The reachable-state group G^graph (clicks along closed neighborhoods)."""
-    return matrix_power(group, activation_matrix(graph), max_order=max_order)
+    return matrix_power(group, ra.activation_matrix(graph), max_order=max_order)
 
 
 # -- abelian side ---------------------------------------------------------------
@@ -179,45 +177,60 @@ def abelian_power_order(invariants, matrix) -> int:
     return total
 
 
-def _spreads_fill(lattice: _Lattice, k: int) -> bool:
-    """Whether the commutators of G spread over the rows of `lattice`
-    generate all of [G,G]^n, |[G,G]| = k: true when k = 1, or when L has an
-    index N != 0 with gcd(N, k) = 1. Past ra.RA_TEST_BUDGET there is no
-    index, and the answer is False.
+def _spreads_fill(graph: Graph, include_equal: bool, k: int) -> bool:
+    """Whether the commutators of G spread over the distinct intersection
+    rows of the graph (u < v, or u <= v with include_equal) generate all of
+    [G,G]^n, |[G,G]| = k: true when k = 1, or when the rows span all of
+    (Z/k)^n. Past ra.RA_TEST_BUDGET, for the rows or for the elimination mod
+    k, the answer is False.
 
-    Proof. Take a commutator c = [g,h] and a row I = B(u) cap B(v) of L.
-    Then c^I = [g^B(u), h^B(v)] is a basic commutator, so it lies in Comm_b
-    (in Comm_d when u < v). Since x -> c^x (coordinatewise powers) is a
-    homomorphism Z^n -> G^n, c^x lies there too for every x in L, and L
-    contains N Z^n. ord(c) divides k, so some a has aN = 1 mod ord(c); then
-    c^(e_w) = c^(aN e_w) lies there for every vertex w, and these elements
-    generate [G,G]^n."""
+    Proof. Take a commutator c = [g,h] and a row I = B(u) cap B(v) of the
+    row lattice L. Then c^I = [g^B(u), h^B(v)] is a basic commutator, so it
+    lies in Comm_b (in Comm_d when u < v). Since x -> c^x (coordinatewise
+    powers) is a homomorphism Z^n -> G^n, c^x lies there too for every x in
+    L. When the span mod k is full, write e_w = x + k y with x in L; ord(c)
+    divides k, so c^(e_w) = c^x lies there for every vertex w, and these
+    elements generate [G,G]^n. The span mod k is full exactly when
+    L + k Z^n = Z^n, that is when L has an index N != 0 with gcd(N, k) = 1."""
     if k == 1:
         return True
     try:
-        return gcd(lattice.index(), k) == 1
+        return _span_order(ra._distinct_rows(graph, include_equal), graph.n, k,
+                           budget=ra.RA_TEST_BUDGET) == k ** graph.n
     except LimitExceeded:
         return False
 
 
-def _power_orders(group: PermGroup, graph: Graph, lattice: _Lattice,
-                  max_order: Optional[int]) -> tuple:
+def _power_orders(group: PermGroup, graph: Graph, max_order: Optional[int]) -> tuple:
     """(G^graph or None, |(G^Ab)^graph|, |Comm(G, graph)|, |[G,G]|^n);
-    |G^graph| is the product of the second and third, and `lattice` holds
-    the graph's u <= v intersection rows.
+    |G^graph| is the product of the second and third.
 
     Comm is the kernel of the natural projection of G^graph onto the
     abelianized power, so |G^graph| = |Comm| * |(G^Ab)^graph|; Comm sits
     inside [G,G]^n, so its order divides |[G,G]|^n and the quotient is the
-    RA index. When the commutator spreads over the rows fill [G,G]^n
+    RA index. When the commutator spreads over the u <= v rows fill [G,G]^n
     (_spreads_fill), so does Comm, which contains them, and nothing is
-    built. Otherwise G^graph is built under max_order."""
+    built. Otherwise G^graph is built under max_order, once a greedy
+    independent set S has not ruled it out: clicking a vertex of S moves no
+    other coordinate of S, so G^graph projects onto G^S and
+    |G^graph| >= |G|^|S|. The abelian part comes last, so a request over
+    the cap stops before it."""
     k = derived_subgroup(group).order()
     full = k ** graph.n
-    ab = abelian_power_order(abelianization(group), activation_matrix(graph))
-    if _spreads_fill(lattice, k):
+    power = None
+    if not _spreads_fill(graph, True, k):
+        if max_order is not None:
+            bound, taken, order = 1, 0, group.order()
+            for v, m in enumerate(graph._masks):
+                if not m & taken:
+                    taken |= 1 << v
+                    bound *= order
+                    if bound > max_order:
+                        raise CapacityExceeded(bound, max_order)
+        power = graph_power(group, graph, max_order=max_order)
+    ab = abelian_power_order(abelianization(group), ra.activation_matrix(graph))
+    if power is None:
         return None, ab, full, full
-    power = graph_power(group, graph, max_order=max_order)
     total = power.order()
     if total % ab:
         raise ConsistencyError(
@@ -233,15 +246,15 @@ def _orders(group: PermGroup, graph: Graph, *,
     """(|(G^Ab)^graph|, |Comm(G, graph)|, |[G,G]|^n), building G^graph only
     off the closed form (see _power_orders), so the closed form answers
     above max_order too."""
-    return _power_orders(group, graph, _Lattice(graph, True), max_order)[1:]
+    return _power_orders(group, graph, max_order)[1:]
 
 
 # -- commutator subgroups ---------------------------------------------------------
 
-def _comm_subgroup(group: PermGroup, lattice: _Lattice,
+def _comm_subgroup(group: PermGroup, graph: Graph, include_equal: bool,
                    max_order: Optional[int]) -> PowerSubgroup:
     """Subgroup generated by the basic commutators [g^u, h^v] over the vertex
-    pairs whose intersection rows `lattice` holds.
+    pairs u < v (u <= v with include_equal).
 
     [g^u, h^v] is [g,h] spread over B(u) cap B(v), and for a fixed 0/1 row I
     the spread d -> d^I is a homomorphism from [G,G] to G^n. The spreads of
@@ -250,59 +263,62 @@ def _comm_subgroup(group: PermGroup, lattice: _Lattice,
     intersection row. Past ra.RA_TEST_BUDGET distinct-row entries it raises
     LimitExceeded."""
     der = derived_subgroup(group).generators
-    return _generated(group, lattice.graph.n, [power_click(group, d, row)
-                                               for row in lattice.rows() for d in der],
+    return _generated(group, graph.n, [power_click(group, d, row)
+                                       for row in ra._distinct_rows(graph, include_equal)
+                                       for d in der],
                       max_order)
 
 
 def comm_d(group: PermGroup, graph: Graph, *,
            max_order: Optional[int] = DEFAULT_MAX_ORDER) -> PowerSubgroup:
     """Subgroup generated by the basic commutators [g^u, h^v] with u != v."""
-    return _comm_subgroup(group, _Lattice(graph, False), max_order)
+    return _comm_subgroup(group, graph, False, max_order)
 
 
 def comm_b(group: PermGroup, graph: Graph, *,
            max_order: Optional[int] = DEFAULT_MAX_ORDER) -> PowerSubgroup:
     """Subgroup generated by all basic commutators [g^u, h^v], u = v allowed."""
-    return _comm_subgroup(group, _Lattice(graph, True), max_order)
+    return _comm_subgroup(group, graph, True, max_order)
 
 
-def _comm_order(group: PermGroup, lattice: _Lattice) -> int:
-    """|Comm_b| (u <= v rows in `lattice`) or |Comm_d| (u < v rows).
+def _comm_order(group: PermGroup, graph: Graph, include_equal: bool) -> int:
+    """|Comm_b| (include_equal: the u <= v rows) or |Comm_d| (u < v rows).
 
     When [G,G] is abelian (its generators commute pairwise), say
     [G,G] = Z/r_1 x ... x Z/r_k, the spreads d^I of its elements over the
     intersection rows I generate the image of [G,G] (x) L in [G,G]^n, L the
     row lattice; so the order is the product over i of the row span of L
-    mod r_i, which needs no index over Z. Otherwise it is |[G,G]|^n when
-    the spreads fill [G,G]^n (_spreads_fill), and else the order of the
-    closure, built without an order cap: it lies in G^graph, whose order
-    chain_report bounds by the caller's cap first. Either way, past
-    ra.RA_TEST_BUDGET distinct-row entries it raises LimitExceeded."""
+    mod r_i. Otherwise it is |[G,G]|^n when the spreads fill [G,G]^n
+    (_spreads_fill), and else the order of the closure, built without an
+    order cap: it lies in G^graph, whose order chain_report bounds by the
+    caller's cap first. Either way, past ra.RA_TEST_BUDGET distinct-row
+    entries it raises LimitExceeded. The spans mod r_i have no fallback, so
+    they take no elimination budget."""
     derived = derived_subgroup(group)
     der = derived.generators
     if all(a * b == b * a for i, a in enumerate(der) for b in der[i + 1:]):
         factors = abelianization(derived).factors
         total = 1
         for r in set(factors):
-            total *= lattice.span_order_mod(r) ** factors.count(r)
+            span = _span_order(ra._distinct_rows(graph, include_equal), graph.n, r)
+            total *= span ** factors.count(r)
         return total
     k = derived.order()
-    if _spreads_fill(lattice, k):
-        return k ** lattice.graph.n
-    return _comm_subgroup(group, lattice, None).order()
+    if _spreads_fill(graph, include_equal, k):
+        return k ** graph.n
+    return _comm_subgroup(group, graph, include_equal, None).order()
 
 
 def comm_b_order(group: PermGroup, graph: Graph) -> int:
     """|Comm_b(G, graph)|; LimitExceeded past ra.RA_TEST_BUDGET distinct
     intersection-row entries."""
-    return _comm_order(group, _Lattice(graph, True))
+    return _comm_order(group, graph, True)
 
 
 def comm_d_order(group: PermGroup, graph: Graph) -> int:
     """|Comm_d(G, graph)|; LimitExceeded past ra.RA_TEST_BUDGET distinct
     intersection-row entries."""
-    return _comm_order(group, _Lattice(graph, False))
+    return _comm_order(group, graph, False)
 
 
 # -- RA verdicts for a fixed group ------------------------------------------------
@@ -365,18 +381,16 @@ def chain_report(group: PermGroup, graph: Graph, *,
     sandwich: when |Comm_b| = |Comm|, the derived power has that order and
     is not built (Q3 under D8); otherwise it is the normal closure in the
     built G^graph (Q3 under A4: |Comm_b| = 2^14, |Comm| = 2^16). Comm_d
-    takes the same test on the u < v rows. Each lattice is built and
-    eliminated once."""
-    both = _Lattice(graph, True)
-    gp, ab, comm, full = _power_orders(group, graph, both, max_order)
+    takes the same test on the u < v rows."""
+    gp, ab, comm, full = _power_orders(group, graph, max_order)
     if gp is None:
         if max_order is not None and ab * full > max_order:
             raise CapacityExceeded(ab * full, max_order)
         cb = derived_power = full
     else:
-        cb = _comm_order(group, both)
+        cb = _comm_order(group, graph, True)
         derived_power = comm if cb == comm else gp.derived().order()
-    orders = (_comm_order(group, _Lattice(graph, False)), cb, derived_power, comm, full)
+    orders = (_comm_order(group, graph, False), cb, derived_power, comm, full)
     for a, b in zip(orders, orders[1:]):
         if b % a:
             raise ConsistencyError(f"chain orders {orders} violate divisibility")

@@ -27,18 +27,20 @@ from .graphs import (
     is_connected,
     is_neighborhood_distinguishable,
 )
-from .zlinalg import (IntMat, _row_lattice_index, _smallest_prime_factor, is_prime, snf_divisors,
-                      span_order_mod)
+from .zlinalg import (IntMat, _row_lattice_index, _smallest_prime_factor, _span_order, is_prime,
+                      snf_divisors)
 
 # Every reader of the intersection rows (the RA test, heisenberg_ra, the
-# Comm_b and Comm_d orders, `eldivs --matrix ra`) takes the distinct nonzero
-# rows from `_distinct_masks`, which stops once they hold more than this many
-# entries: Q9's 12032 rows hold 6.2 million and pass, Q10, Q12 and C4000 stop
-# within a second. The RA test then eliminates them over Z and stops once its
-# row operations have rewritten this many entries (Q9, and dense graphs of
-# 80 vertices through entry growth), so it ends in LimitExceeded instead of
-# exhausting time or memory. `ra_matrix`, which materializes every one of
-# the n(n+1)/2 rows, stops when that full shape would have more entries.
+# closed-form test and the Comm_b and Comm_d orders in `power`, `eldivs
+# --matrix ra`) builds the distinct nonzero rows with `_distinct_rows`, which
+# stops once they hold more than this many entries: Q9's 12032 rows hold 6.2
+# million and pass, Q10, Q12 and C4000 stop within a second. The RA test then
+# eliminates them over Z, and the closed-form test in `power` mod |[G,G]|;
+# each stops once its row operations have rewritten this many entries (Q9
+# either way, dense graphs of 80 vertices over Z through entry growth), so it
+# ends in LimitExceeded instead of exhausting time or memory. `ra_matrix`, which
+# materializes every one of the n(n+1)/2 rows, stops when that full shape
+# would have more entries.
 RA_TEST_BUDGET = 1 << 24
 
 _BITS = bytes.maketrans(b"01", b"\0\1")
@@ -54,12 +56,12 @@ def _closed_masks(graph: Graph) -> list:
     return [m | 1 << v for v, m in enumerate(graph._masks)]
 
 
-def _distinct_masks(graph: Graph, include_equal: bool) -> list:
+def _distinct_rows(graph: Graph, include_equal: bool) -> list:
     """The distinct nonzero rows B(u) cap B(v), u < v (u <= v with
-    include_equal), as bitmasks in the order of their first pair: the rows a
-    lattice, a rank or a span depends on. Once the rows found up to some
-    vertex u hold more than RA_TEST_BUDGET entries it raises LimitExceeded
-    instead."""
+    include_equal), as fresh 0/1 lists in the order of their first pair: the
+    rows a lattice, a rank or a span depends on. Once the rows found up to
+    some vertex u hold more than RA_TEST_BUDGET entries it raises
+    LimitExceeded instead."""
     b = _closed_masks(graph)
     n = graph.n
     masks = {}
@@ -71,51 +73,7 @@ def _distinct_masks(graph: Graph, include_equal: bool) -> list:
                                 f"hold {rows * n} entries ({rows} rows of {n}), over the "
                                 f"budget of {RA_TEST_BUDGET}")
     masks.pop(0, None)
-    return list(masks)
-
-
-class _Lattice:
-    """The lattice L in Z^n spanned by the distinct intersection rows of a
-    graph, u < v (u <= v with include_equal), for every reader of one
-    request: the rows are built on first use (see _distinct_masks, whose
-    LimitExceeded each reader raises) and eliminated over Z at most once."""
-
-    def __init__(self, graph: Graph, include_equal: bool):
-        self.graph = graph
-        self.include_equal = include_equal
-        self._masks = None
-        self._index = None  # the index, or the LimitExceeded that stopped it
-        self._basis = None  # the echelon rows, which span L
-
-    def rows(self) -> list:
-        """The rows as fresh 0/1 lists."""
-        if self._masks is None:
-            self._masks = _distinct_masks(self.graph, self.include_equal)
-        n = self.graph.n
-        return [list(_indicator(m, n)) for m in self._masks]
-
-    def index(self) -> int:
-        """[Z^n : L], 0 when L has rank below n. The first call eliminates
-        the rows over Z and stops with LimitExceeded, naming the budget, once
-        its row operations rewrite more than RA_TEST_BUDGET entries; later
-        calls repeat its answer or its error."""
-        if self._index is None:
-            rows = self.rows()
-            try:
-                self._index = _row_lattice_index(rows, self.graph.n, budget=RA_TEST_BUDGET)
-            except LimitExceeded as exc:
-                self._index = LimitExceeded(f"RA test: {exc}")
-            else:
-                self._basis = rows[:self.graph.n]  # the rows past the rank vanish
-        if isinstance(self._index, LimitExceeded):
-            raise self._index
-        return self._index
-
-    def span_order_mod(self, r: int) -> int:
-        """Size of the span of the rows in (Z/r)^n, read from the n echelon
-        rows once index() has found them, else from all the rows."""
-        rows = self.rows() if self._basis is None else self._basis
-        return span_order_mod(IntMat(rows, cols=self.graph.n), r)
+    return [list(_indicator(m, n)) for m in masks]
 
 
 def activation_matrix(graph: Graph) -> IntMat:
@@ -161,7 +119,11 @@ def is_ra(graph: Graph) -> RAVerdict:
     if not is_neighborhood_distinguishable(graph):
         raise PreconditionViolated(
             "graph has neighborhood-indistinguishable vertices (reduce first)")
-    index = _Lattice(graph, True).index()
+    rows = _distinct_rows(graph, True)
+    try:
+        index = _row_lattice_index(rows, graph.n, budget=RA_TEST_BUDGET)
+    except LimitExceeded as exc:
+        raise LimitExceeded(f"RA test: {exc}") from None
     if index == 1:
         witness = "lattice index 1"
     elif index == 0:
@@ -177,7 +139,7 @@ def heisenberg_ra(graph: Graph, p: int) -> bool:
     it raises LimitExceeded instead of answering."""
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    return _Lattice(graph, True).span_order_mod(p) == p ** graph.n
+    return _span_order(_distinct_rows(graph, True), graph.n, p) == p ** graph.n
 
 
 def pqr_criterion(graph: Graph, p: int) -> bool:

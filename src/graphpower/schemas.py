@@ -5,8 +5,6 @@ from __future__ import annotations
 
 GRAPH_SCHEMA = {"n": int, "edges": [[int]]}
 
-MATRIX_SCHEMA = {"rows": int, "cols": int, "entries": [int]}
-
 CLASSIFY_SCHEMA = {
     "connected": bool,
     "components": [[int]],

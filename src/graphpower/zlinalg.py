@@ -284,17 +284,16 @@ def snf_divisors(M: IntMat, budget: Optional[int] = None) -> tuple:
 
 # -- modular rank and lattice predicates --------------------------------------
 
-def _echelon_mod(M: IntMat, r: int) -> tuple:
-    """(rows, pivots) of the Howell form mod r of M's distinct nonzero rows."""
-    rows = [list(row) for row in dict.fromkeys(tuple(x % r for x in row) for row in M._rows)
+def _distinct_mod(M: IntMat, r: int) -> list:
+    """The distinct nonzero rows of M reduced mod r, as fresh lists."""
+    return [list(row) for row in dict.fromkeys(tuple(x % r for x in row) for row in M._rows)
             if any(row)]
-    return rows, _echelon(rows, M.cols, r)
 
 
 def rank_mod_p(M: IntMat, p: int) -> int:
     """Rank of M over the field with p elements."""
     _require_prime(p)
-    return len(_echelon_mod(M, p)[1])
+    return len(_echelon(_distinct_mod(M, p), M.cols, p))
 
 
 def span_order_mod(M: IntMat, r: int) -> int:
@@ -302,7 +301,14 @@ def span_order_mod(M: IntMat, r: int) -> int:
     r / pivot over the Howell form mod r, whose pivots divide r."""
     if r < 1:
         raise DimensionMismatch("moduli must be >= 1")
-    rows, pivots = _echelon_mod(M, r)
+    return _span_order(_distinct_mod(M, r), M.cols, r)
+
+
+def _span_order(rows: list, n: int, r: int, budget: Optional[int] = None) -> int:
+    """span_order_mod of the n-column rows, whose entries lie in [0, r),
+    which it eliminates in place. A `budget` caps the entries the
+    elimination may rewrite (LimitExceeded past it)."""
+    pivots = _echelon(rows, n, r, budget=budget)
     order = 1
     for i, c in enumerate(pivots):
         order *= r // rows[i][c]

@@ -166,9 +166,20 @@ def test_ra_gra_answers_when_the_lattice_index_is_prime_to_the_commutator_order(
 
 
 def test_ra_gra_builds_the_group_power_when_a_prime_divides_index_and_commutator_order(capsys):
-    # Q7's index 2 divides |[D8,D8]| = 2: D8^Q7 is built and passes the cap
+    # Q7's index 2 divides |[D8,D8]| = 2, so its rows do not span mod 2 and
+    # the orders need D8^Q7, which cannot fit the cap (see below)
     code, out, err = run(capsys, "ra", "gra", "Q7", "--group", "D8")
     assert code == 3 and out == "" and "exceeds cap" in err
+
+
+def test_ra_gra_stops_before_building_a_group_power_over_the_cap(capsys, monkeypatch):
+    # G^graph projects onto G^S for an independent set S, so |D8^Q7| is at
+    # least 8^11 > 2^30 after 11 vertices of a greedy one; nothing is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("G^graph built")
+    monkeypatch.setattr(power, "graph_power", refuse)
+    code, out, err = run(capsys, "ra", "gra", "Q7", "--group", "D8")
+    assert code == 3 and out == "" and f"at least {8 ** 11} exceeds cap" in err
 
 
 def test_ra_chain_capacity_exit(capsys, monkeypatch):

@@ -70,16 +70,22 @@ def unreferenced_private_names(sources: dict) -> list:
     """(module, name) for each private top-level name (one leading
     underscore) of the given {module: source} that no other top-level
     statement of any of them reads."""
+    return _unreferenced(sources, lambda name: name.startswith("_") and not name.startswith("__"))
+
+
+def _unreferenced(sources: dict, wanted, outside: set = frozenset()) -> list:
+    """(module, name) for each top-level name of the given {module: source}
+    that `wanted` accepts and that neither another top-level statement of
+    any of them nor the set `outside` reads."""
     defined = []
     reads = []
     for module, source in sources.items():
         for node in ast.parse(source).body:
-            names = _defined_names(node)
-            defined.extend((module, name, len(reads)) for name in names
-                           if name.startswith("_") and not name.startswith("__"))
+            defined.extend((module, name, len(reads)) for name in _defined_names(node)
+                           if wanted(name))
             reads.append(_read_names(node))
-    return sorted((module, name) for module, name, own in defined
-                  if not any(name in r for i, r in enumerate(reads) if i != own))
+    return sorted((module, name) for module, name, own in defined if name not in outside
+                  and not any(name in r for i, r in enumerate(reads) if i != own))
 
 
 def test_unreferenced_private_name_check_sees_a_leftover():
@@ -92,6 +98,17 @@ def test_every_private_top_level_name_is_referenced():
     # a private helper that nothing in the package reads is a leftover
     sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
     assert unreferenced_private_names(sources) == []
+
+
+def test_every_public_top_level_name_is_read():
+    # a public name that neither the package nor its tests, demos or
+    # benchmark read is a leftover too
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    outside = set()
+    for folder in ("tests", "demos", "perfbench"):
+        for path in (PACKAGE.parent.parent / folder).glob("*.py"):
+            outside |= _read_names(ast.parse(path.read_text()))
+    assert _unreferenced(sources, lambda name: not name.startswith("_"), outside) == []
 
 
 def test_cli_import_loads_no_dataclasses():

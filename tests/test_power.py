@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphpower.errors import CapacityExceeded, ConsistencyError, LimitExceeded
-from graphpower import perm, power, ra
+from graphpower import perm, power, ra, zlinalg
+from graphpower.cli import main
 from graphpower.graphs import (
     Graph,
     complete,
@@ -229,8 +230,9 @@ def test_closed_form_matches_schreier_sims():
 
 
 def test_closed_form_builds_no_subgroup(monkeypatch):
-    # the closed form needs only the lattice index: 1 on C5 and petersen, 2
-    # on Q3 and FQ5, which is prime to |[G,G]| = 3, 5, 7 and 12 below
+    # the closed form needs only the span of the intersection rows mod
+    # |[G,G]|: full for every modulus on C5 and petersen (lattice index 1),
+    # and on Q3 and FQ5 (index 2) mod |[G,G]| = 3, 5, 7 and 12 below
     def refuse(*args, **kwargs):
         raise AssertionError("G^graph built on the closed form")
     monkeypatch.setattr(power, "graph_power", refuse)
@@ -259,52 +261,64 @@ def test_closed_form_chain_meets_the_cap_it_does_not_build_under():
     assert ra_index(heisenberg(3), hypercube(3), max_order=1) == 1
 
 
-def test_each_lattice_is_built_and_eliminated_once_per_request(monkeypatch):
-    # a request builds the distinct rows of each lattice it reads once, and
-    # eliminates them once: over Z for the index, or mod r for a span when
-    # [G,G] is abelian; a span after the index reads its n echelon rows, and
-    # a closure clicks the rows without eliminating them
-    q3, c4 = hypercube(3), cycle(4)
-    sizes = {(graph.n, include_equal): len(ra._distinct_masks(graph, include_equal))
-             for graph in (q3, c4) for include_equal in (False, True)}
-    assert all(size > n for (n, _), size in sizes.items())  # told apart from n echelon rows
-    built, eliminated = [], []
-    distinct_masks, row_lattice_index, span_order_mod = \
-        ra._distinct_masks, ra._row_lattice_index, ra.span_order_mod
+def test_ra_gra_and_ra_chain_never_eliminate_over_z(monkeypatch, capsys):
+    # the closed-form test, the Comm_b and Comm_d spans and the abelian part
+    # all work mod r; only the RA verdict takes a lattice index over Z. The
+    # cases take the closed form, build G^graph (Q3 under D8 and A4), take a
+    # Comm_d closure (C4 under S4) or exit 3 on the cap (C5 under H7, Q7
+    # under D8), and answer the same with every elimination over Z refused
+    argvs = [["ra", command, graph, "--group", group]
+             for graph, group in [("Q3", "D8"), ("Q3", "D10"), ("Q3", "A4"), ("C4", "S4"),
+                                  ("petersen", "S3"), ("FQ5", "H3"), ("C5", "H7"), ("Q7", "D8")]
+             for command in ("gra", "chain")]
 
-    def count_masks(graph, include_equal):
-        built.append(include_equal)
-        return distinct_masks(graph, include_equal)
+    def answers():
+        return [(main(argv), capsys.readouterr().out) for argv in argvs]
+    want = answers()
+    assert {code for code, _ in want} == {0, 3}
 
-    def count_index(rows, n, budget=None):
-        eliminated.append(len(rows))
-        return row_lattice_index(rows, n, budget)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a lattice index over Z")
 
-    def count_span(M, r):
-        eliminated.append(M.rows)
-        return span_order_mod(M, r)
+    echelon = zlinalg._echelon
 
-    monkeypatch.setattr(ra, "_distinct_masks", count_masks)
-    monkeypatch.setattr(ra, "_row_lattice_index", count_index)
-    monkeypatch.setattr(ra, "span_order_mod", count_span)
+    def echelon_mod_r(rows, n, r=0, perm=None, budget=None):
+        if not r:
+            refuse()
+        return echelon(rows, n, r, perm, budget)
 
-    def request(run, graph, lattices):
-        built.clear()
-        eliminated.clear()
-        run()
-        assert sorted(built) == sorted(lattices)
-        assert sorted(e for e in eliminated if e > graph.n) == \
-            sorted(sizes[graph.n, include_equal] for include_equal in lattices)
-        assert all(e == graph.n for e in eliminated if e <= graph.n)
+    monkeypatch.setattr(zlinalg, "_row_lattice_index", refuse)
+    monkeypatch.setattr(ra, "_row_lattice_index", refuse)
+    monkeypatch.setattr(zlinalg, "_echelon", echelon_mod_r)
+    with pytest.raises(AssertionError, match="over Z"):
+        main(["ra", "check", "Q3"])
+    assert answers() == want
 
-    # the closed form; G^graph built, Comm_b and Comm_d row spans mod 2 (one
-    # for both factors of [A4,A4] = V4); Comm_d a closure ([S4,S4] = A4 on C4,
-    # u < v index 2)
-    for group, graph in [(dihedral(10), q3), (D8, q3), (alternating(4), q3),
-                         (symmetric(4), c4)]:
-        request(lambda: chain_report(group, graph), graph, [False, True])
-    for group in (heisenberg(3), D8):
-        request(lambda: power._orders(group, q3), q3, [True])
+
+def test_span_mod_k_is_full_exactly_when_the_index_is_prime_to_k():
+    # L + k Z^n = Z^n exactly when [Z^n : L] is nonzero and prime to k; the
+    # index comes from the set-based rows, the span from _distinct_rows
+    graphs = [g for n in range(1, 7) for g in enumerate_connected_graphs(n)]
+    graphs += [hypercube(3), hypercube(4), folded_cube(5), petersen(), cycle(9), star(5)]
+    off_index_1 = 0
+    for graph in graphs:
+        for include_equal, rows in _intersection_rows_by_sets(graph):
+            index = lattice_index(IntMat(rows, cols=graph.n))
+            off_index_1 += index != 1
+            for k in (2, 3, 4, 5, 6, 12, 60):
+                assert power._spreads_fill(graph, include_equal, k) == \
+                    (index != 0 and gcd(index, k) == 1), (graph.edges, include_equal, k)
+    assert off_index_1 >= 100
+
+
+def _intersection_rows_by_sets(graph) -> list:
+    """[(False, the rows B(u) cap B(v), u < v), (True, those with u <= v)],
+    from neighbourhood sets."""
+    pairs = [(u, v) for u in range(graph.n) for v in range(u, graph.n)]
+    rows = ra_rows_by_sets(graph)
+    return [(include_equal, [row for (u, v), row in zip(pairs, rows) if include_equal or u < v])
+            for include_equal in (False, True)]
+
 
 def _dense_graph(n, seed):
     rng = random.Random(seed)
@@ -314,8 +328,8 @@ def _dense_graph(n, seed):
 
 def test_ra_test_budget_falls_back_to_closure(monkeypatch):
     # a dense graph whose 820 distinct intersection rows (32800 entries) fit a
-    # budget of 40000 but whose elimination over Z does not: the test gives
-    # up, the closure runs
+    # budget of 40000 but whose elimination mod |[S3,S3]| = 3 does not: the
+    # closed-form test gives up, and the build path meets the cap
     dense = _dense_graph(40, 7)
     assert lattice_index(ra_matrix(dense)) == 1
     ab, comm, full = power._orders(symmetric(3), dense, max_order=100)
@@ -470,8 +484,8 @@ def _sweep_against_closures(graphs) -> list:
             assert chain_report(group, graph, max_order=None).orders() == want, \
                 (name, graph.edges)
             assert (comm_d_order(group, graph), comm_b_order(group, graph)) == want[:2]
-            for i, include_equal in enumerate((False, True)):
-                index = ra._Lattice(graph, include_equal).index()
+            for i, (_, rows) in enumerate(_intersection_rows_by_sets(graph)):
+                index = lattice_index(IntMat(rows, cols=graph.n))
                 fired[i] += index > 1 and gcd(index, k) == 1
     return fired
 

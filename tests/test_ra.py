@@ -23,7 +23,7 @@ from graphpower.graphs import (
 )
 from graphpower import ra
 from graphpower.ra import (
-    _Lattice,
+    _distinct_rows,
     activation_matrix,
     census,
     heisenberg_ra,
@@ -68,10 +68,13 @@ def test_matrices_match_the_set_based_oracle():
         assert activation_matrix(g) == IntMat(activation_rows_by_sets(g), cols=g.n)
         oracle = IntMat(ra_rows_by_sets(g), cols=g.n)
         assert ra_matrix(g) == oracle
-        lattice = _Lattice(g, True)
-        assert lattice.index() == lattice_index(oracle)
-        # read from the echelon rows the index left behind
-        assert [lattice.span_order_mod(r) for r in (2, 6)] == \
+        # the distinct nonzero rows every reader takes span the same lattice,
+        # over Z and mod 2 and 6
+        rows = _distinct_rows(g, True)
+        assert sorted(map(tuple, rows)) == sorted(set(oracle._rows) - {(0,) * g.n})
+        distinct = IntMat(rows, cols=g.n)
+        assert lattice_index(distinct) == lattice_index(oracle)
+        assert [span_order_mod(distinct, r) for r in (2, 6)] == \
             [span_order_mod(oracle, r) for r in (2, 6)]
 
 
