@@ -100,7 +100,7 @@ def cmd_ra_check(args) -> int:
 def cmd_ra_gra(args) -> int:
     g = _graph_arg(args.graph, args.reduce)
     group = parse_group_spec(args.group)
-    ab_order, comm, full = power._orders(group, g, max_order=_max_order())
+    _, _, ab_order, comm, full = power._power_orders(group, g, _max_order())
     index = full // comm
     payload = {
         "graph": graph6_encode(g),

@@ -10,16 +10,14 @@ G^n is modelled as permutations on n disjoint copies of G's domain, block v
 holding coordinate v, so the subgroup engine provides orders and membership.
 
 Orders follow the paper's reduction: |G^graph| = |Comm| * |(G^Ab)^graph|,
-with Comm = G^graph cap [G,G]^n. The abelian factor is a row-span count mod
-each invariant factor of G^Ab. When the intersection rows B(u) cap B(v),
-u <= v, span all of (Z/k)^n, k = |[G,G]| (always when k = 1; on an RA graph
-for every k), the commutators spread over the rows already generate [G,G]^n
-(see _spreads_fill), so Comm_b = [G^graph, G^graph] = Comm = [G,G]^n and no
-subgroup is built; the u < v rows decide Comm_d = [G,G]^n the same way. No
-elimination here runs over Z: every test is a span mod k. Only when the
-span mod k falls short (Q3 under D8 or A4), or past ra.RA_TEST_BUDGET, is
-G^graph built, by Schreier-Sims under the order cap, and only when
-|G|^|S| <= |G^graph|, S a greedy independent set, fits the cap.
+with Comm = G^graph cap [G,G]^n, the abelian factor a row-span count mod
+each invariant factor of G^Ab. The chain Comm_b <= [G^graph, G^graph] <=
+Comm <= [G,G]^n collapses once |Comm_b| = |[G,G]|^n, which _comm_count
+reads off the u <= v intersection rows mod |[G,G]| (always on an RA graph);
+then no subgroup is built. No elimination here runs over Z. Only off that
+closed form (Q3 under D8 or A4), or past ra.RA_TEST_BUDGET, is G^graph
+built, by Schreier-Sims under the order cap, and only when |G|^|S|, S a
+greedy independent set, fits the cap.
 
 For 0/1 matrices, clicking with G's generators suffices: components multiply
 coordinatewise there, so a click by an arbitrary g is the product of clicks
@@ -30,6 +28,7 @@ constructions enumerate G (which must be small).
 
 from __future__ import annotations
 
+from math import prod
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import CapacityExceeded, ConsistencyError, DimensionMismatch, LimitExceeded
@@ -168,69 +167,56 @@ def graph_power(group: PermGroup, graph: Graph, *,
 
 def abelian_power_order(invariants, matrix) -> int:
     """|(Z_{r_1} x ... x Z_{r_k})^M|: each cyclic factor Z_r contributes the
-    size of the row span of M mod r. No group enumeration happens."""
+    size of the row span of M mod r, one elimination per distinct r."""
     factors = invariants.factors if isinstance(invariants, AbelianInvariants) else tuple(invariants)
     mat = matrix if isinstance(matrix, IntMat) else IntMat(matrix)
-    total = 1
-    for r in factors:
-        total *= span_order_mod(mat, int(r))
-    return total
+    return prod(span_order_mod(mat, int(r)) ** factors.count(r) for r in set(factors))
 
 
-def _spreads_fill(graph: Graph, include_equal: bool, k: int) -> bool:
-    """Whether the commutators of G spread over the distinct intersection
-    rows of the graph (u < v, or u <= v with include_equal) generate all of
-    [G,G]^n, |[G,G]| = k: true when k = 1, or when the rows span all of
-    (Z/k)^n. Past ra.RA_TEST_BUDGET, for the rows or for the elimination mod
-    k, the answer is False.
-
-    Proof. Take a commutator c = [g,h] and a row I = B(u) cap B(v) of the
-    row lattice L. Then c^I = [g^B(u), h^B(v)] is a basic commutator, so it
-    lies in Comm_b (in Comm_d when u < v). Since x -> c^x (coordinatewise
-    powers) is a homomorphism Z^n -> G^n, c^x lies there too for every x in
-    L. When the span mod k is full, write e_w = x + k y with x in L; ord(c)
-    divides k, so c^(e_w) = c^x lies there for every vertex w, and these
-    elements generate [G,G]^n. The span mod k is full exactly when
-    L + k Z^n = Z^n, that is when L has an index N != 0 with gcd(N, k) = 1."""
-    if k == 1:
-        return True
-    try:
-        return _span_order(ra._distinct_rows(graph, include_equal), graph.n, k,
-                           budget=ra.RA_TEST_BUDGET) == k ** graph.n
-    except LimitExceeded:
-        return False
+def _span_product(rows: list, n: int, factors: tuple, budget: Optional[int] = None) -> int:
+    """abelian_power_order of the n-column 0/1 rows (factors >= 2): one
+    elimination of a copy of them per distinct factor, `budget` bounding each."""
+    return prod(_span_order([row[:] for row in rows], n, r, budget) ** factors.count(r)
+                for r in set(factors))
 
 
-def _power_orders(group: PermGroup, graph: Graph, max_order: Optional[int]) -> tuple:
-    """(G^graph or None, |(G^Ab)^graph|, |Comm(G, graph)|, |[G,G]|^n);
-    |G^graph| is the product of the second and third.
+def _independent_set_bound(group: PermGroup, graph: Graph, max_order: Optional[int]) -> None:
+    """Raise CapacityExceeded at the first vertex of a greedy independent set
+    S where |G|^|S| passes max_order: clicking a vertex of S moves no other
+    coordinate of S, so G^graph projects onto G^S and |G^graph| >= |G|^|S|."""
+    if max_order is None:
+        return
+    bound, taken, order = 1, 0, group.order()
+    for v, m in enumerate(graph._masks):
+        if not m & taken:
+            taken |= 1 << v
+            bound *= order
+            if bound > max_order:
+                raise CapacityExceeded(bound, max_order)
 
-    Comm is the kernel of the natural projection of G^graph onto the
-    abelianized power, so |G^graph| = |Comm| * |(G^Ab)^graph|; Comm sits
-    inside [G,G]^n, so its order divides |[G,G]|^n and the quotient is the
-    RA index. When the commutator spreads over the u <= v rows fill [G,G]^n
-    (_spreads_fill), so does Comm, which contains them, and nothing is
-    built. Otherwise G^graph is built under max_order, once a greedy
-    independent set S has not ruled it out: clicking a vertex of S moves no
-    other coordinate of S, so G^graph projects onto G^S and
-    |G^graph| >= |G|^|S|. The abelian part comes last, so a request over
-    the cap stops before it."""
-    k = derived_subgroup(group).order()
-    full = k ** graph.n
+
+def _power_orders(group: PermGroup, graph: Graph,
+                  max_order: Optional[int] = DEFAULT_MAX_ORDER) -> tuple:
+    """(G^graph or None, |Comm_b| or None, |(G^Ab)^graph|, |Comm(G, graph)|,
+    |[G,G]|^n); |G^graph| is the product of the third and fourth.
+
+    Comm is the kernel of the projection of G^graph onto the abelianized
+    power, and its order divides |[G,G]|^n with the RA index as quotient.
+    When |Comm_b| (_comm_count under ra.RA_TEST_BUDGET) is |[G,G]|^n, so is
+    |Comm| >= |Comm_b|, and nothing is built: the closed form answers above
+    max_order too. Otherwise G^graph is built under max_order, once
+    _independent_set_bound has passed. The abelian part, on the activation
+    rows as 0/1 lists, comes last."""
+    full = derived_subgroup(group).order() ** graph.n
+    cb = _comm_count(group, graph, True, ra.RA_TEST_BUDGET)
     power = None
-    if not _spreads_fill(graph, True, k):
-        if max_order is not None:
-            bound, taken, order = 1, 0, group.order()
-            for v, m in enumerate(graph._masks):
-                if not m & taken:
-                    taken |= 1 << v
-                    bound *= order
-                    if bound > max_order:
-                        raise CapacityExceeded(bound, max_order)
+    if cb != full:
+        _independent_set_bound(group, graph, max_order)
         power = graph_power(group, graph, max_order=max_order)
-    ab = abelian_power_order(abelianization(group), ra.activation_matrix(graph))
+    ab = _span_product([list(ra._indicator(m, graph.n)) for m in ra._closed_masks(graph)],
+                       graph.n, abelianization(group).factors)
     if power is None:
-        return None, ab, full, full
+        return None, cb, ab, full, full
     total = power.order()
     if total % ab:
         raise ConsistencyError(
@@ -238,15 +224,7 @@ def _power_orders(group: PermGroup, graph: Graph, max_order: Optional[int]) -> t
     comm = total // ab
     if full % comm:
         raise ConsistencyError(f"RA index {full}/{comm} is not an integer")
-    return power, ab, comm, full
-
-
-def _orders(group: PermGroup, graph: Graph, *,
-            max_order: Optional[int] = DEFAULT_MAX_ORDER) -> tuple:
-    """(|(G^Ab)^graph|, |Comm(G, graph)|, |[G,G]|^n), building G^graph only
-    off the closed form (see _power_orders), so the closed form answers
-    above max_order too."""
-    return _power_orders(group, graph, max_order)[1:]
+    return power, cb, ab, comm, full
 
 
 # -- commutator subgroups ---------------------------------------------------------
@@ -281,32 +259,47 @@ def comm_b(group: PermGroup, graph: Graph, *,
     return _comm_subgroup(group, graph, True, max_order)
 
 
-def _comm_order(group: PermGroup, graph: Graph, include_equal: bool) -> int:
-    """|Comm_b| (include_equal: the u <= v rows) or |Comm_d| (u < v rows).
+def _comm_count(group: PermGroup, graph: Graph, include_equal: bool,
+                budget: Optional[int] = None) -> Optional[int]:
+    """|Comm_b| (include_equal: the rows B(u) cap B(v), u <= v) or |Comm_d|
+    (u < v) from the distinct intersection rows, or None.
 
-    When [G,G] is abelian (its generators commute pairwise), say
-    [G,G] = Z/r_1 x ... x Z/r_k, the spreads d^I of its elements over the
-    intersection rows I generate the image of [G,G] (x) L in [G,G]^n, L the
-    row lattice; so the order is the product over i of the row span of L
-    mod r_i. Otherwise it is |[G,G]|^n when the spreads fill [G,G]^n
-    (_spreads_fill), and else the order of the closure, built without an
-    order cap: it lies in G^graph, whose order chain_report bounds by the
-    caller's cap first. Either way, past ra.RA_TEST_BUDGET distinct-row
-    entries it raises LimitExceeded. The spans mod r_i have no fallback, so
-    they take no elimination budget."""
+    When [G,G] = Z/r_1 x ... x Z/r_k is abelian (its generators commute),
+    the spreads d^I of its elements over the rows I generate the image of
+    [G,G] (x) L in [G,G]^n, L the row lattice: the order is the product of
+    the row spans of L mod r_i. Otherwise it is k^n, k = |[G,G]|, when the
+    span mod k is full, else None. Proof: for a commutator c = [g,h] and a
+    row I = B(u) cap B(v), c^I = [g^B(u), h^B(v)] is a basic commutator and
+    x -> c^x (coordinatewise powers) a homomorphism Z^n -> G^n, so c^x lies
+    in Comm_b (Comm_d when u < v) for x in L. If the span mod k is full,
+    write e_w = x + k y with x in L; ord(c) divides k, so c^(e_w) = c^x, and
+    these generate [G,G]^n. The span mod k is full exactly when L has an
+    index N != 0 prime to k, and then each span mod r_i is full too (the r_i
+    have the primes of k): the count is |[G,G]|^n exactly then, and Comm_b =
+    [G^graph, G^graph] = Comm = [G,G]^n. A trivial [G,G] reads no rows. Rows
+    or an elimination past `budget` give None; with none, rows past
+    ra.RA_TEST_BUDGET entries raise LimitExceeded."""
     derived = derived_subgroup(group)
     der = derived.generators
-    if all(a * b == b * a for i, a in enumerate(der) for b in der[i + 1:]):
-        factors = abelianization(derived).factors
-        total = 1
-        for r in set(factors):
-            span = _span_order(ra._distinct_rows(graph, include_equal), graph.n, r)
-            total *= span ** factors.count(r)
-        return total
-    k = derived.order()
-    if _spreads_fill(graph, include_equal, k):
-        return k ** graph.n
-    return _comm_subgroup(group, graph, include_equal, None).order()
+    abelian = all(a * b == b * a for i, a in enumerate(der) for b in der[i + 1:])
+    factors = abelianization(derived).factors if abelian else (derived.order(),)
+    if not factors:
+        return 1
+    try:
+        count = _span_product(ra._distinct_rows(graph, include_equal), graph.n, factors, budget)
+    except LimitExceeded:
+        if budget is None:
+            raise
+        return None
+    return count if abelian or count == factors[0] ** graph.n else None
+
+
+def _comm_order(group: PermGroup, graph: Graph, include_equal: bool) -> int:
+    """_comm_count, else the order of the closure, built with no cap (it lies
+    in G^graph, which chain_report bounds first); LimitExceeded past
+    ra.RA_TEST_BUDGET distinct-row entries."""
+    count = _comm_count(group, graph, include_equal)
+    return _comm_subgroup(group, graph, include_equal, None).order() if count is None else count
 
 
 def comm_b_order(group: PermGroup, graph: Graph) -> int:
@@ -335,7 +328,7 @@ def ra_index(group: PermGroup, graph: Graph, *,
              max_order: Optional[int] = DEFAULT_MAX_ORDER) -> int:
     """Index of Comm(G, graph) in [G,G]^n; equals 1 exactly when the graph is
     G-RA."""
-    _, comm, full = _orders(group, graph, max_order=max_order)
+    _, _, _, comm, full = _power_orders(group, graph, max_order)
     return full // comm
 
 
@@ -372,23 +365,24 @@ def chain_report(group: PermGroup, graph: Graph, *,
                  max_order: Optional[int] = DEFAULT_MAX_ORDER) -> ChainReport:
     """The five orders of the commutator chain; each divides the next.
 
-    When the commutator spreads over the u <= v rows fill [G,G]^n
-    (_spreads_fill), Comm_b = [G^graph, G^graph] = Comm = [G,G]^n and
-    nothing is built; the closed form |G^graph| = |[G,G]|^n |(G^Ab)^graph|
-    still meets max_order, so the cap stops the same requests whether or not
-    the chain builds the group. Otherwise G^graph is built under max_order,
-    and the chain Comm_b <= [G^graph, G^graph] <= Comm is read as a
-    sandwich: when |Comm_b| = |Comm|, the derived power has that order and
-    is not built (Q3 under D8); otherwise it is the normal closure in the
-    built G^graph (Q3 under A4: |Comm_b| = 2^14, |Comm| = 2^16). Comm_d
-    takes the same test on the u < v rows."""
-    gp, ab, comm, full = _power_orders(group, graph, max_order)
+    First |G^graph| >= |G|^|S| (_independent_set_bound) meets max_order.
+    On the closed form, |Comm_b| = |[G,G]|^n (_comm_count), nothing is built
+    but |G^graph| = |[G,G]|^n |(G^Ab)^graph| still meets max_order, so the
+    cap stops the same requests either way. Otherwise G^graph is built under
+    max_order, Comm_b is the count _power_orders took (or the closure), and
+    Comm_b <= [G^graph, G^graph] <= Comm is read as a sandwich: when |Comm_b|
+    = |Comm| the derived power is not built (Q3 under D8), else it is the
+    normal closure in G^graph (Q3 under A4: 2^14 and 2^16). Comm_d is
+    counted on the u < v rows."""
+    _independent_set_bound(group, graph, max_order)
+    gp, cb, ab, comm, full = _power_orders(group, graph, max_order)
     if gp is None:
         if max_order is not None and ab * full > max_order:
             raise CapacityExceeded(ab * full, max_order)
-        cb = derived_power = full
+        derived_power = full
     else:
-        cb = _comm_order(group, graph, True)
+        if cb is None:
+            cb = _comm_order(group, graph, True)
         derived_power = comm if cb == comm else gp.derived().order()
     orders = (_comm_order(group, graph, False), cb, derived_power, comm, full)
     for a, b in zip(orders, orders[1:]):

@@ -199,15 +199,41 @@ def test_abelian_power_order_fixtures():
     assert abelian_power_order((2, 3), IntMat.identity(3)) == 6 ** 3
 
 
+def _spy_eliminations(monkeypatch) -> list:
+    """Record (rows, r) as each elimination starts."""
+    seen = []
+    echelon = zlinalg._echelon
+
+    def spy(rows, n, r=0, perm=None, budget=None):
+        seen.append(([row[:] for row in rows], r))
+        return echelon(rows, n, r, perm, budget)
+    monkeypatch.setattr(zlinalg, "_echelon", spy)
+    return seen
+
+
+def test_abelian_part_eliminates_once_per_distinct_invariant_factor(monkeypatch):
+    # D8^ab = (2, 2) and H3^ab = (3, 3): one span of the activation rows each
+    seen = _spy_eliminations(monkeypatch)
+    for group, graph, p in [(D8, cycle(4), 2), (heisenberg(3), hypercube(3), 3)]:
+        seen.clear()
+        ab = power._power_orders(group, graph)[2]
+        act = activation_matrix(graph).row_list()
+        assert [r for rows, r in seen if rows == act] == [p]
+        assert ab == abelian_power_order_by_snf((p, p), act)
+    seen.clear()
+    assert abelian_power_order((2, 2), activation_matrix(cycle(4))) == 16 ** 2
+    assert [r for _, r in seen] == [2]
+
+
 def test_comm_intersection_order_fixtures():
     for group, graph, comm in [(D8, hypercube(3), 128), (cyclic(6), cycle(4), 1),
                                (D8, cycle(4), 16)]:
-        assert power._orders(group, graph)[1] == comm
+        assert power._power_orders(group, graph)[3] == comm
         assert comm_order_by_closure(group, graph) == comm
 
 
 def test_closed_form_matches_schreier_sims():
-    # On a graph whose intersection lattice is Z^n, _orders answers by the
+    # On a graph whose intersection lattice is Z^n, _power_orders answers by the
     # closed form Comm = [G,G]^n without building G^graph; on the others it
     # builds G^graph. Both must match an uncapped Schreier-Sims build.
     groups = [D8, symmetric(3), symmetric(4), alternating(4), heisenberg(3)]
@@ -217,7 +243,7 @@ def test_closed_form_matches_schreier_sims():
         full_lattice = lattice_index(ra_matrix(graph)) == 1
         closed += full_lattice
         for group in groups:
-            ab, comm, full = power._orders(group, graph, max_order=None)
+            ab, comm, full = power._power_orders(group, graph, max_order=None)[2:]
             assert full == derived_subgroup(group).order() ** graph.n
             assert ab == abelian_power_order_by_snf(abelianization(group).factors,
                                                     activation_matrix(graph).row_list())
@@ -226,7 +252,7 @@ def test_closed_form_matches_schreier_sims():
                 assert comm == full
     assert closed >= 20
     # Q3 has intersection lattice index 2, and over D8 its Comm has index 2 too
-    assert power._orders(D8, hypercube(3)) == (256, 128, 256)
+    assert power._power_orders(D8, hypercube(3))[1:] == (128, 256, 128, 256)
 
 
 def test_closed_form_builds_no_subgroup(monkeypatch):
@@ -237,17 +263,19 @@ def test_closed_form_builds_no_subgroup(monkeypatch):
         raise AssertionError("G^graph built on the closed form")
     monkeypatch.setattr(power, "graph_power", refuse)
     monkeypatch.setattr(power, "PermGroup", refuse)
-    assert power._orders(symmetric(4), petersen()) == (32, 12 ** 10, 12 ** 10)
+    assert power._power_orders(symmetric(4), petersen()) == \
+        (None, 12 ** 10, 32, 12 ** 10, 12 ** 10)
     assert ra_index(heisenberg(7), cycle(5)) == 1
     assert ra_index(heisenberg(3), folded_cube(5)) == 1
-    assert power._orders(heisenberg(3), hypercube(3)) == (3 ** 10, 3 ** 8, 3 ** 8)
+    assert power._power_orders(heisenberg(3), hypercube(3)) == \
+        (None, 3 ** 8, 3 ** 10, 3 ** 8, 3 ** 8)
     assert chain_report(dihedral(10), hypercube(3)).orders() == (5 ** 8,) * 5
     assert chain_report(symmetric(4), cycle(5)).orders() == (12 ** 5,) * 5
     assert chain_report(heisenberg(5), folded_cube(5), max_order=None).orders() == (5 ** 16,) * 5
     # a prime divides both the index and |[G,G]|: 2 on Q3 under D8 and A4
     for group in (D8, alternating(4)):
         with pytest.raises(AssertionError):
-            power._orders(group, hypercube(3))
+            power._power_orders(group, hypercube(3))
         with pytest.raises(AssertionError):
             chain_report(group, hypercube(3))
 
@@ -259,6 +287,23 @@ def test_closed_form_chain_meets_the_cap_it_does_not_build_under():
         chain_report(heisenberg(3), hypercube(3), max_order=3 ** 18 - 1)
     assert chain_report(heisenberg(3), hypercube(3), max_order=3 ** 18).comm == 3 ** 8
     assert ra_index(heisenberg(3), hypercube(3), max_order=1) == 1
+
+
+def test_chain_meets_the_cap_on_an_independent_set_before_counting(monkeypatch):
+    # |G^graph| >= |G|^|S| for a greedy independent set S stops the chain
+    # before the abelian part or any span is counted, on the closed form too
+    def refuse(*args, **kwargs):
+        raise AssertionError("counted before the cap")
+    monkeypatch.setattr(power, "_span_product", refuse)
+    monkeypatch.setattr(ra, "_distinct_rows", refuse)
+    with pytest.raises(CapacityExceeded, match=f"{2 ** 31} exceeds cap {2 ** 30}"):
+        chain_report(cyclic(2), cycle(4000), max_order=2 ** 30)
+    with pytest.raises(CapacityExceeded, match="576 exceeds cap 100"):
+        chain_report(symmetric(4), cycle(4), max_order=100)
+    # |H7|^2 = 343^2 fits the default cap; the closed-form |H7^C5| = 7^15 does not
+    monkeypatch.undo()
+    with pytest.raises(CapacityExceeded, match=f"{7 ** 15} exceeds cap {2 ** 30}"):
+        chain_report(heisenberg(7), cycle(5))
 
 
 def test_ra_gra_and_ra_chain_never_eliminate_over_z(monkeypatch, capsys):
@@ -296,8 +341,14 @@ def test_ra_gra_and_ra_chain_never_eliminate_over_z(monkeypatch, capsys):
 
 
 def test_span_mod_k_is_full_exactly_when_the_index_is_prime_to_k():
-    # L + k Z^n = Z^n exactly when [Z^n : L] is nonzero and prime to k; the
-    # index comes from the set-based rows, the span from _distinct_rows
+    # L + k Z^n = Z^n exactly when [Z^n : L] is nonzero and prime to k, and
+    # the closed-form test is |Comm_b| (|Comm_d| on the u < v rows) = k^n,
+    # k = |[G,G]|: spans mod the invariant factors of an abelian [G,G]
+    # (C2, C3, V4 and C4, C5, C6), one span mod k of a nonabelian one (A4,
+    # A5). The index comes from the set-based rows, the count from
+    # _distinct_rows
+    groups = {2: [D8], 3: [symmetric(3)], 4: [alternating(4), dihedral(16)], 5: [dihedral(10)],
+              6: [dihedral(24)], 12: [symmetric(4)], 60: [symmetric(5)]}
     graphs = [g for n in range(1, 7) for g in enumerate_connected_graphs(n)]
     graphs += [hypercube(3), hypercube(4), folded_cube(5), petersen(), cycle(9), star(5)]
     off_index_1 = 0
@@ -306,8 +357,11 @@ def test_span_mod_k_is_full_exactly_when_the_index_is_prime_to_k():
             index = lattice_index(IntMat(rows, cols=graph.n))
             off_index_1 += index != 1
             for k in (2, 3, 4, 5, 6, 12, 60):
-                assert power._spreads_fill(graph, include_equal, k) == \
-                    (index != 0 and gcd(index, k) == 1), (graph.edges, include_equal, k)
+                for group in groups[k]:
+                    assert derived_subgroup(group).order() == k
+                    count = power._comm_count(group, graph, include_equal, ra.RA_TEST_BUDGET)
+                    assert (count == k ** graph.n) == (index != 0 and gcd(index, k) == 1), \
+                        (graph.edges, include_equal, k, group.name)
     assert off_index_1 >= 100
 
 
@@ -332,15 +386,18 @@ def test_ra_test_budget_falls_back_to_closure(monkeypatch):
     # closed-form test gives up, and the build path meets the cap
     dense = _dense_graph(40, 7)
     assert lattice_index(ra_matrix(dense)) == 1
-    ab, comm, full = power._orders(symmetric(3), dense, max_order=100)
+    ab, comm, full = power._power_orders(symmetric(3), dense, max_order=100)[2:]
     assert comm == full == 3 ** 40
     monkeypatch.setattr(ra, "RA_TEST_BUDGET", 40000)
     with pytest.raises(CapacityExceeded):
-        power._orders(symmetric(3), dense, max_order=100)
+        power._power_orders(symmetric(3), dense, max_order=100)
     monkeypatch.setattr(ra, "RA_TEST_BUDGET", 0)
-    assert power._orders(symmetric(4), cycle(5)) == (32, 12 ** 5, 12 ** 5)
+    assert power._power_orders(symmetric(4), cycle(5))[2:] == (32, 12 ** 5, 12 ** 5)
+    # a trivial [G,G] reads no rows, so the budget cannot stop its closed form
+    assert power._power_orders(cyclic(6), cycle(4), max_order=100) == \
+        (None, 1, 2 ** 4 * 3 ** 3, 1, 1)
     with pytest.raises(CapacityExceeded):
-        power._orders(symmetric(4), cycle(5), max_order=100)
+        power._power_orders(symmetric(4), cycle(5), max_order=100)
 
 
 def test_abelian_count_mod_r_matches_snf_formula():
@@ -466,7 +523,7 @@ SWEEP_GROUPS = ("D8", "D10", "S3", "S4", "A4", "H3", "H5", "D8xC3")
 
 
 def _sweep_against_closures(graphs) -> list:
-    """Check _orders, chain_report, comm_b_order and comm_d_order against
+    """Check _power_orders, chain_report, comm_b_order and comm_d_order against
     Schreier-Sims closures on every graph under every group of the sweep;
     count the cases where a u < v and a u <= v lattice of index > 1 still
     took the closed form."""
@@ -479,7 +536,7 @@ def _sweep_against_closures(graphs) -> list:
             want = (comm_order_by_spread_closure(group, graph, False),
                     comm_order_by_spread_closure(group, graph, True),
                     derived_power_order_by_closure(group, graph), comm, full)
-            assert power._orders(group, graph, max_order=None)[1:] == (comm, full), \
+            assert power._power_orders(group, graph, max_order=None)[3:] == (comm, full), \
                 (name, graph.edges)
             assert chain_report(group, graph, max_order=None).orders() == want, \
                 (name, graph.edges)
@@ -528,6 +585,24 @@ def test_chain_report_builds_the_derived_power_only_off_the_sandwich(monkeypatch
         chain_report(alternating(4), hypercube(3))
 
 
+def test_chain_builds_and_eliminates_the_u_le_v_rows_once(monkeypatch):
+    # off the closed form (Q3 under D8) the chain reuses the Comm_b count of
+    # the closed-form test
+    q3 = hypercube(3)
+    want = ra._distinct_rows(q3, True)
+    built = []
+    rows_of = ra._distinct_rows
+
+    def spy(graph, include_equal):
+        built.append(include_equal)
+        return rows_of(graph, include_equal)
+    monkeypatch.setattr(ra, "_distinct_rows", spy)
+    seen = _spy_eliminations(monkeypatch)
+    assert chain_report(D8, q3).orders() == (128, 128, 128, 128, 256)
+    assert built.count(True) == 1
+    assert [rows for rows, _ in seen].count(want) == 1
+
+
 def _power_of_known_order(group, graph, order):
     """G^graph's clicks built as a PermGroup given its order."""
     gens = graph_power(group, graph, max_order=None).perm_group.generators
@@ -535,7 +610,7 @@ def _power_of_known_order(group, graph, order):
 
 
 def _assert_known_order_power_matches_plain_build(group, graph, rng):
-    ab, comm, full = power._orders(group, graph)
+    ab, comm, full = power._power_orders(group, graph)[2:]
     assert comm == full  # the closed form
     known = _power_of_known_order(group, graph, ab * full)
     plain = graph_power(group, graph, max_order=None).perm_group
@@ -571,7 +646,7 @@ def test_known_order_powers_match_plain_builds_on_five_vertices():
 def test_a_known_power_order_one_prime_factor_off_raises_consistency_error():
     for group, graph, p in [(heisenberg(7), cycle(5), 7), (D8, cycle(4), 2),
                             (symmetric(4), cycle(5), 3)]:
-        ab, _, full = power._orders(group, graph)
+        _, _, ab, _, full = power._power_orders(group, graph)
         with pytest.raises(ConsistencyError, match="below the known order"):
             _power_of_known_order(group, graph, ab * full * p).order()
         with pytest.raises(ConsistencyError, match="exceeds the known order"):
