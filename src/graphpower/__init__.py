@@ -85,7 +85,6 @@ from .ra import (
     is_ra,
     known_family_divisors,
     pqr_criterion,
-    ra_matrix,
     structural_ra_hints,
 )
 from .solver import (
@@ -102,7 +101,6 @@ from .zlinalg import (
     divisor_tuple_str,
     rank_mod_p,
     snf_divisors,
-    spans_full_lattice,
 )
 
 __version__ = "0.1.0"

@@ -84,7 +84,7 @@ def cmd_eldivs(args) -> int:
     g = _graph_arg(args.graph, args.reduce)
     if args.matrix == "activation":
         divs = list(snf_divisors(ra.activation_matrix(g), budget=ra.RA_TEST_BUDGET))
-    else:  # ra_matrix less its zero and repeated rows, which add only zeros to the chain
+    else:  # the intersection matrix less its zero and repeated rows (they add only zeros)
         divs = _divisor_chain(ra._distinct_rows(g, True), g.n, budget=ra.RA_TEST_BUDGET)
     print(divisor_tuple_str(divs + [0] * (g.n - len(divs))))
     return 0

@@ -6,6 +6,7 @@ operations are pure, so values can be shared freely.
 
 from __future__ import annotations
 
+import binascii
 import functools
 import json
 import math
@@ -420,20 +421,6 @@ def reduce_indistinguishable(g: Graph) -> Graph:
                               for v in position])
 
 
-def delete_vertex(g: Graph, v: int) -> Graph:
-    g._check(v)
-    if g.n == 1:
-        raise InvalidParameter("cannot delete the last vertex")
-    low = (1 << v) - 1
-    return Graph._from_masks([m & low | m >> 1 & ~low
-                              for u, m in enumerate(g._masks) if u != v])
-
-
-def disjoint_union(a: Graph, b: Graph) -> Graph:
-    edges = list(a.edges) + [(u + a.n, v + a.n) for u, v in b.edges]
-    return Graph(a.n + b.n, edges)
-
-
 def relabel(g: Graph, perm: Sequence[int]) -> Graph:
     """Relabel so that new vertex i is old vertex perm[i]."""
     return Graph._from_masks(_permute_masks(g._masks, _inverse(perm)))
@@ -640,10 +627,6 @@ def canonical_certificate(g: Graph) -> tuple:
     return canonical_form(g)[0]
 
 
-def canonical_graph(g: Graph) -> Graph:
-    return relabel(g, canonical_form(g)[1])
-
-
 def is_isomorphic(a: Graph, b: Graph) -> bool:
     if sorted(m.bit_count() for m in a._masks) != sorted(m.bit_count() for m in b._masks):
         return False
@@ -758,76 +741,66 @@ def _subset_orbit_representatives(m: int, gens: list) -> Iterator[int]:
 
 # -- graph6, DOT, JSON --------------------------------------------------------
 
-def _g6_size_bytes(n: int) -> list:
-    if n <= 62:
-        return [n]
-    if n <= 258047:
-        return [63, (n >> 12) & 63, (n >> 6) & 63, n & 63]
-    if n <= 68719476735:
-        return [63, 63] + [(n >> s) & 63 for s in (30, 24, 18, 12, 6, 0)]
-    raise InvalidParameter("graph too large for graph6")
+# graph6 packs six bits per character exactly as base64 does, in the alphabet
+# chr(63)..chr(126) instead of base64's own
+_BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_GRAPH6 = bytes(range(63, 127))
+_TO_GRAPH6 = bytes.maketrans(_BASE64, _GRAPH6)
+_FROM_GRAPH6 = bytes.maketrans(_GRAPH6, _BASE64)
 
 
 def graph6_encode(g: Graph) -> str:
-    """Encode in graph6: size bytes, then the upper triangle in column order,
-    six bits per character, offset 63."""
-    bits = []
-    for j in range(1, g.n):
-        mj = g._masks[j]
-        for i in range(j):
-            bits.append(mj >> i & 1)
-    while len(bits) % 6:
-        bits.append(0)
-    vals = _g6_size_bytes(g.n)
-    for k in range(0, len(bits), 6):
-        word = 0
-        for b in bits[k:k + 6]:
-            word = (word << 1) | b
-        vals.append(word)
-    return "".join(chr(v + 63) for v in vals)
+    """Encode in graph6: the size (one character below 63 vertices, else
+    four), then the upper triangle in column order, six bits per character,
+    offset 63."""
+    n = g.n
+    bits = (f"{n:06b}" if n < 63 else f"111111{n:018b}") + "".join(
+        [format(m & (1 << j) - 1, f"0{j}b")[::-1] for j, m in enumerate(g._masks[1:], 1)])
+    chars = -(-len(bits) // 6)
+    bits += "0" * (-len(bits) % 24)
+    packed = binascii.b2a_base64(int(bits, 2).to_bytes(len(bits) // 8, "big"), newline=False)
+    return packed[:chars].translate(_TO_GRAPH6).decode()
 
 
 def graph6_decode(text: str) -> Graph:
+    """The graph of a graph6 string, with or without the >>graph6<< header.
+    The data length is checked against the size field before any bit is
+    unpacked."""
     s = text.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
     if not s:
         raise MalformedGraph6("empty graph6 string")
-    vals = []
-    for ch in s:
-        v = ord(ch) - 63
-        if not 0 <= v <= 63:
-            raise MalformedGraph6(f"byte {ch!r} outside graph6 range")
-        vals.append(v)
-    if vals[0] <= 62:
-        n, idx = vals[0], 1
-    elif len(vals) >= 4 and vals[1] <= 62:
-        n, idx = (vals[1] << 12) | (vals[2] << 6) | vals[3], 4
-    elif len(vals) >= 8:
-        n = 0
-        for v in vals[2:8]:
-            n = (n << 6) | v
-        idx = 8
+    raw = s.encode("utf-8", "surrogatepass")
+    if raw.translate(None, _GRAPH6):
+        bad = next(ch for ch in s if not "?" <= ch <= "~")
+        raise MalformedGraph6(f"byte {bad!r} outside graph6 range")
+    head = [c - 63 for c in raw[:8]]
+    if head[0] < 63:
+        size, k = head[:1], 1
+    elif len(head) >= 4 and head[1] < 63:
+        size, k = head[1:4], 4
+    elif len(head) == 8:
+        size, k = head[2:], 8
     else:
         raise MalformedGraph6("truncated size field")
+    n = int("".join(f"{v:06b}" for v in size), 2)
     if n < 1:
         raise MalformedGraph6("graph6 with zero vertices unsupported")
     nbits = n * (n - 1) // 2
-    need = (nbits + 5) // 6
-    if len(vals) - idx != need:
-        raise MalformedGraph6(f"expected {need} data bytes, got {len(vals) - idx}")
-    bits = []
-    for v in vals[idx:]:
-        bits.extend((v >> s_) & 1 for s_ in (5, 4, 3, 2, 1, 0))
-    if any(bits[nbits:]):
+    need = -(-nbits // 6)
+    if len(raw) - k != need:
+        raise MalformedGraph6(f"expected {need} data bytes, got {len(raw) - k}")
+    data = raw[k:].translate(_FROM_GRAPH6) + b"A" * (-need % 4)
+    bits = format(int.from_bytes(binascii.a2b_base64(data), "big"), f"0{6 * len(data)}b")
+    if bits.find("1", nbits) >= 0:
         raise MalformedGraph6("nonzero padding bits")
     edges = []
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                edges.append((i, j))
-            k += 1
+    k = bits.find("1")
+    while k >= 0:
+        j = (math.isqrt(8 * k + 1) + 1) // 2  # bit k lies in column j
+        edges.append((k - j * (j - 1) // 2, j))
+        k = bits.find("1", k + 1)
     return Graph(n, edges)
 
 

@@ -196,19 +196,24 @@ def _independent_set_bound(group: PermGroup, graph: Graph, max_order: Optional[i
 
 
 def _power_orders(group: PermGroup, graph: Graph,
-                  max_order: Optional[int] = DEFAULT_MAX_ORDER) -> tuple:
+                  max_order: Optional[int] = DEFAULT_MAX_ORDER, rows: Optional[list] = None) -> tuple:
     """(G^graph or None, |Comm_b| or None, |(G^Ab)^graph|, |Comm(G, graph)|,
     |[G,G]|^n); |G^graph| is the product of the third and fourth.
 
     Comm is the kernel of the projection of G^graph onto the abelianized
     power, and its order divides |[G,G]|^n with the RA index as quotient.
-    When |Comm_b| (_comm_count under ra.RA_TEST_BUDGET) is |[G,G]|^n, so is
-    |Comm| >= |Comm_b|, and nothing is built: the closed form answers above
+    When |Comm_b| (_comm_count under ra.RA_TEST_BUDGET, on `rows` when the
+    caller has built the u <= v rows with _rows) is |[G,G]|^n, so is |Comm|
+    >= |Comm_b|, and nothing is built: the closed form answers above
     max_order too. Otherwise G^graph is built under max_order, once
     _independent_set_bound has passed. The abelian part, on the activation
     rows as 0/1 lists, comes last."""
     full = derived_subgroup(group).order() ** graph.n
-    cb = _comm_count(group, graph, True, ra.RA_TEST_BUDGET)
+    try:
+        cb = _comm_count(group, _rows(group, graph, True) if rows is None else rows, graph.n,
+                         ra.RA_TEST_BUDGET)
+    except LimitExceeded:
+        cb = None
     power = None
     if cb != full:
         _independent_set_bound(group, graph, max_order)
@@ -229,40 +234,46 @@ def _power_orders(group: PermGroup, graph: Graph,
 
 # -- commutator subgroups ---------------------------------------------------------
 
-def _comm_subgroup(group: PermGroup, graph: Graph, include_equal: bool,
+def _rows(group: PermGroup, graph: Graph, include_equal: bool) -> list:
+    """ra._distinct_rows (u <= v with include_equal, else u < v), or none
+    when [G,G] is trivial: its counts and closures read no rows, so no
+    budget stops them."""
+    return ra._distinct_rows(graph, include_equal) if derived_subgroup(group).order() > 1 else []
+
+
+def _comm_subgroup(group: PermGroup, n: int, rows: list,
                    max_order: Optional[int]) -> PowerSubgroup:
-    """Subgroup generated by the basic commutators [g^u, h^v] over the vertex
-    pairs u < v (u <= v with include_equal).
+    """Subgroup of G^n generated by the basic commutators [g^u, h^v] over
+    the vertex pairs whose distinct intersection rows are `rows` (_rows).
 
     [g^u, h^v] is [g,h] spread over B(u) cap B(v), and for a fixed 0/1 row I
     the spread d -> d^I is a homomorphism from [G,G] to G^n. The spreads of
     all commutators over I therefore form the subgroup generated by the
     spreads of the generators of [G,G], so those suffice, once per distinct
-    intersection row. Past ra.RA_TEST_BUDGET distinct-row entries it raises
-    LimitExceeded."""
+    intersection row."""
     der = derived_subgroup(group).generators
-    return _generated(group, graph.n, [power_click(group, d, row)
-                                       for row in ra._distinct_rows(graph, include_equal)
-                                       for d in der],
+    return _generated(group, n, [power_click(group, d, row) for row in rows for d in der],
                       max_order)
 
 
 def comm_d(group: PermGroup, graph: Graph, *,
            max_order: Optional[int] = DEFAULT_MAX_ORDER) -> PowerSubgroup:
-    """Subgroup generated by the basic commutators [g^u, h^v] with u != v."""
-    return _comm_subgroup(group, graph, False, max_order)
+    """Subgroup generated by the basic commutators [g^u, h^v] with u != v.
+    Past ra.RA_TEST_BUDGET distinct-row entries it raises LimitExceeded."""
+    return _comm_subgroup(group, graph.n, _rows(group, graph, False), max_order)
 
 
 def comm_b(group: PermGroup, graph: Graph, *,
            max_order: Optional[int] = DEFAULT_MAX_ORDER) -> PowerSubgroup:
-    """Subgroup generated by all basic commutators [g^u, h^v], u = v allowed."""
-    return _comm_subgroup(group, graph, True, max_order)
+    """Subgroup generated by all basic commutators [g^u, h^v], u = v allowed.
+    Past ra.RA_TEST_BUDGET distinct-row entries it raises LimitExceeded."""
+    return _comm_subgroup(group, graph.n, _rows(group, graph, True), max_order)
 
 
-def _comm_count(group: PermGroup, graph: Graph, include_equal: bool,
+def _comm_count(group: PermGroup, rows: list, n: int,
                 budget: Optional[int] = None) -> Optional[int]:
-    """|Comm_b| (include_equal: the rows B(u) cap B(v), u <= v) or |Comm_d|
-    (u < v) from the distinct intersection rows, or None.
+    """|Comm_b| (`rows` the distinct rows B(u) cap B(v), u <= v) or |Comm_d|
+    (u < v) of G^n from those rows (_rows), or None.
 
     When [G,G] = Z/r_1 x ... x Z/r_k is abelian (its generators commute),
     the spreads d^I of its elements over the rows I generate the image of
@@ -276,30 +287,25 @@ def _comm_count(group: PermGroup, graph: Graph, include_equal: bool,
     these generate [G,G]^n. The span mod k is full exactly when L has an
     index N != 0 prime to k, and then each span mod r_i is full too (the r_i
     have the primes of k): the count is |[G,G]|^n exactly then, and Comm_b =
-    [G^graph, G^graph] = Comm = [G,G]^n. A trivial [G,G] reads no rows. Rows
-    or an elimination past `budget` give None; with none, rows past
-    ra.RA_TEST_BUDGET entries raise LimitExceeded."""
+    [G^graph, G^graph] = Comm = [G,G]^n. An elimination past `budget`
+    raises LimitExceeded."""
     derived = derived_subgroup(group)
     der = derived.generators
     abelian = all(a * b == b * a for i, a in enumerate(der) for b in der[i + 1:])
     factors = abelianization(derived).factors if abelian else (derived.order(),)
     if not factors:
         return 1
-    try:
-        count = _span_product(ra._distinct_rows(graph, include_equal), graph.n, factors, budget)
-    except LimitExceeded:
-        if budget is None:
-            raise
-        return None
-    return count if abelian or count == factors[0] ** graph.n else None
+    count = _span_product(rows, n, factors, budget)
+    return count if abelian or count == factors[0] ** n else None
 
 
 def _comm_order(group: PermGroup, graph: Graph, include_equal: bool) -> int:
     """_comm_count, else the order of the closure, built with no cap (it lies
-    in G^graph, which chain_report bounds first); LimitExceeded past
-    ra.RA_TEST_BUDGET distinct-row entries."""
-    count = _comm_count(group, graph, include_equal)
-    return _comm_subgroup(group, graph, include_equal, None).order() if count is None else count
+    in G^graph, which chain_report bounds first), both on the same rows;
+    LimitExceeded past ra.RA_TEST_BUDGET distinct-row entries."""
+    rows = _rows(group, graph, include_equal)
+    count = _comm_count(group, rows, graph.n)
+    return _comm_subgroup(group, graph.n, rows, None).order() if count is None else count
 
 
 def comm_b_order(group: PermGroup, graph: Graph) -> int:
@@ -365,24 +371,27 @@ def chain_report(group: PermGroup, graph: Graph, *,
                  max_order: Optional[int] = DEFAULT_MAX_ORDER) -> ChainReport:
     """The five orders of the commutator chain; each divides the next.
 
-    First |G^graph| >= |G|^|S| (_independent_set_bound) meets max_order.
-    On the closed form, |Comm_b| = |[G,G]|^n (_comm_count), nothing is built
-    but |G^graph| = |[G,G]|^n |(G^Ab)^graph| still meets max_order, so the
-    cap stops the same requests either way. Otherwise G^graph is built under
-    max_order, Comm_b is the count _power_orders took (or the closure), and
-    Comm_b <= [G^graph, G^graph] <= Comm is read as a sandwich: when |Comm_b|
-    = |Comm| the derived power is not built (Q3 under D8), else it is the
-    normal closure in G^graph (Q3 under A4: 2^14 and 2^16). Comm_d is
-    counted on the u < v rows."""
+    First |G^graph| >= |G|^|S| (_independent_set_bound) meets max_order;
+    then the u <= v rows are built once, and past ra.RA_TEST_BUDGET entries
+    LimitExceeded ends the chain. On the closed form, |Comm_b| = |[G,G]|^n
+    (_comm_count), nothing is built but |G^graph| = |[G,G]|^n
+    |(G^Ab)^graph| still meets max_order, so the cap stops the same requests
+    either way. Otherwise G^graph is built under max_order, Comm_b is the
+    count _power_orders took on those rows (or their closure), and Comm_b <=
+    [G^graph, G^graph] <= Comm is read as a sandwich: when |Comm_b| = |Comm|
+    the derived power is not built (Q3 under D8), else it is the normal
+    closure in G^graph (Q3 under A4: 2^14 and 2^16). Comm_d is counted on
+    the u < v rows (or is their closure)."""
     _independent_set_bound(group, graph, max_order)
-    gp, cb, ab, comm, full = _power_orders(group, graph, max_order)
+    rows = _rows(group, graph, True)
+    gp, cb, ab, comm, full = _power_orders(group, graph, max_order, rows)
     if gp is None:
         if max_order is not None and ab * full > max_order:
             raise CapacityExceeded(ab * full, max_order)
         derived_power = full
     else:
         if cb is None:
-            cb = _comm_order(group, graph, True)
+            cb = _comm_subgroup(group, graph.n, rows, None).order()
         derived_power = comm if cb == comm else gp.derived().order()
     orders = (_comm_order(group, graph, False), cb, derived_power, comm, full)
     for a, b in zip(orders, orders[1:]):

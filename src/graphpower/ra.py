@@ -38,9 +38,7 @@ from .zlinalg import (IntMat, _row_lattice_index, _smallest_prime_factor, _span_
 # eliminates them over Z, and the closed-form test in `power` mod |[G,G]|;
 # each stops once its row operations have rewritten this many entries (Q9
 # either way, dense graphs of 80 vertices over Z through entry growth), so it
-# ends in LimitExceeded instead of exhausting time or memory. `ra_matrix`, which
-# materializes every one of the n(n+1)/2 rows, stops when that full shape
-# would have more entries.
+# ends in LimitExceeded instead of exhausting time or memory.
 RA_TEST_BUDGET = 1 << 24
 
 _BITS = bytes.maketrans(b"01", b"\0\1")
@@ -80,20 +78,6 @@ def activation_matrix(graph: Graph) -> IntMat:
     """Adjacency plus identity; row v is the indicator of the closed
     neighborhood of v."""
     return IntMat([_indicator(m, graph.n) for m in _closed_masks(graph)], cols=graph.n)
-
-
-def ra_matrix(graph: Graph) -> IntMat:
-    """One row per unordered vertex pair (u = v included): the indicator of
-    B(u) cap B(v). Empty intersections stay as zero rows, so the shape is
-    always n(n+1)/2 by n. When that shape has more than RA_TEST_BUDGET
-    entries it raises LimitExceeded instead."""
-    n = graph.n
-    entries = n * n * (n + 1) // 2
-    if entries > RA_TEST_BUDGET:
-        raise LimitExceeded(f"RA test: the intersection matrix has {entries} entries, "
-                            f"over the budget of {RA_TEST_BUDGET}")
-    b = _closed_masks(graph)
-    return IntMat([_indicator(bu & bv, n) for u, bu in enumerate(b) for bv in b[u:]], cols=n)
 
 
 class RAVerdict(NamedTuple):
@@ -279,7 +263,7 @@ class CensusReport(NamedTuple):
         return tuple(s.distinguishable for s in self.summaries)
 
 
-def census(max_n: int, progress=None) -> CensusReport:
+def census(max_n: int) -> CensusReport:
     """Analyze every connected neighborhood-distinguishable graph with up to
     max_n vertices: activation divisors and the RA verdict."""
     if max_n < 1:
@@ -314,8 +298,6 @@ def census(max_n: int, progress=None) -> CensusReport:
                 ra_count += 1
             rows.append(CensusRow(n, verdict.graph, divs, verdict.ra,
                                   verdict.method, verdict.witness))
-            if progress is not None:
-                progress(n, connected_classes)
         summaries.append(CensusSummary(n, connected_classes, distinguishable,
                                        full, ra_count))
     return CensusReport(tuple(rows), tuple(summaries))

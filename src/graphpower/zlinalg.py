@@ -9,8 +9,8 @@ lattice (optionally extended by r Z^n, i.e. working in Z/r) into echelon
 form and carries witness columns along. The Smith normal form alternates
 the kernel on a matrix and its transpose until it is diagonal and returns
 the divisor chain only, with no unimodular witnesses; rank mod p, the size
-of a row span mod r, the lattice index (and with it the full-lattice test)
-and the Diophantine solver read its pivots.
+of a row span mod r, the lattice index and the Diophantine solver read its
+pivots.
 """
 
 from __future__ import annotations
@@ -333,11 +333,6 @@ def _row_lattice_index(rows: list, n: int, budget: Optional[int] = None) -> int:
     for i, c in enumerate(pivots):
         index *= rows[i][c]
     return index
-
-
-def spans_full_lattice(M: IntMat) -> bool:
-    """True iff the rows of M generate all of Z^cols."""
-    return lattice_index(M) == 1
 
 
 # -- Diophantine solving ------------------------------------------------------

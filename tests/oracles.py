@@ -502,6 +502,13 @@ def ra_rows_by_sets(g) -> list:
             for u in range(g.n) for v in range(u, g.n)]
 
 
+def ra_matrix_by_sets(g):
+    """ra_rows_by_sets as an n(n+1)/2 x n IntMat."""
+    from graphpower.zlinalg import IntMat
+
+    return IntMat(ra_rows_by_sets(g), cols=g.n)
+
+
 def _closed_neighborhood_sets(g) -> list:
     ball = [{v} for v in range(g.n)]
     for u, v in g.edges:
@@ -800,6 +807,13 @@ def components_by_search(g) -> tuple:
     return tuple(out)
 
 
+def disjoint_union(a, b):
+    """a beside b, b's vertices numbered after a's."""
+    from graphpower.graphs import Graph
+
+    return Graph(a.n + b.n, list(a.edges) + [(u + a.n, v + a.n) for u, v in b.edges])
+
+
 def delete_vertex_by_edge_map(g, v: int):
     """The graph without v, the later vertices renumbered down through an
     index map over the edge list."""
@@ -872,3 +886,81 @@ def complete_bipartition_by_colouring(g):
     if any(nbrs[u] != right for u in left):
         return None
     return len(left), len(right)
+
+
+# -- graph6, one vertex pair at a time -------------------------------------------
+
+def graph6_encode_by_pairs(g) -> str:
+    """graph6 of g: the size field (1, 4 or 8 characters), then the upper
+    triangle in column order, one bit per vertex pair, six bits per
+    character, offset 63."""
+    n = g.n
+    if n <= 62:
+        vals = [n]
+    elif n <= 258047:
+        vals = [63, (n >> 12) & 63, (n >> 6) & 63, n & 63]
+    else:
+        vals = [63, 63] + [(n >> s) & 63 for s in (30, 24, 18, 12, 6, 0)]
+    bits = []
+    for j in range(1, n):
+        mj = g._masks[j]
+        for i in range(j):
+            bits.append(mj >> i & 1)
+    while len(bits) % 6:
+        bits.append(0)
+    for k in range(0, len(bits), 6):
+        word = 0
+        for b in bits[k:k + 6]:
+            word = word << 1 | b
+        vals.append(word)
+    return "".join(chr(v + 63) for v in vals)
+
+
+def graph6_decode_by_pairs(text: str):
+    """The graph of a graph6 string, one vertex pair at a time; raises
+    MalformedGraph6 on the same inputs, checked in the same order, as
+    graph6_decode."""
+    from graphpower.errors import MalformedGraph6
+    from graphpower.graphs import Graph
+
+    s = text.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<"):]
+    if not s:
+        raise MalformedGraph6("empty graph6 string")
+    vals = []
+    for ch in s:
+        v = ord(ch) - 63
+        if not 0 <= v <= 63:
+            raise MalformedGraph6(f"byte {ch!r} outside graph6 range")
+        vals.append(v)
+    if vals[0] <= 62:
+        n, idx = vals[0], 1
+    elif len(vals) >= 4 and vals[1] <= 62:
+        n, idx = (vals[1] << 12) | (vals[2] << 6) | vals[3], 4
+    elif len(vals) >= 8:
+        n = 0
+        for v in vals[2:8]:
+            n = (n << 6) | v
+        idx = 8
+    else:
+        raise MalformedGraph6("truncated size field")
+    if n < 1:
+        raise MalformedGraph6("graph6 with zero vertices unsupported")
+    nbits = n * (n - 1) // 2
+    need = (nbits + 5) // 6
+    if len(vals) - idx != need:
+        raise MalformedGraph6(f"expected {need} data bytes, got {len(vals) - idx}")
+    bits = []
+    for v in vals[idx:]:
+        bits.extend((v >> s) & 1 for s in (5, 4, 3, 2, 1, 0))
+    if any(bits[nbits:]):
+        raise MalformedGraph6("nonzero padding bits")
+    edges = []
+    k = 0
+    for j in range(1, n):
+        for i in range(j):
+            if bits[k]:
+                edges.append((i, j))
+            k += 1
+    return Graph(n, edges)

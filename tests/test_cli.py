@@ -13,7 +13,6 @@ from graphpower.cli import build_parser, main
 from graphpower.graphs import (
     complete,
     cycle,
-    disjoint_union,
     graph6_decode,
     graph6_encode,
     hypercube,
@@ -30,7 +29,7 @@ from graphpower.schemas import (
 )
 from graphpower.zlinalg import divisor_tuple_str, snf_divisors
 
-from oracles import activation_rows_by_sets, gfp_rank
+from oracles import activation_rows_by_sets, disjoint_union, gfp_rank, ra_matrix_by_sets
 
 
 def run(capsys, *argv):
@@ -43,6 +42,12 @@ def test_graph_gen_graph6(capsys):
     code, out, _ = run(capsys, "graph", "gen", "cycle", "5")
     assert code == 0
     assert is_isomorphic(graph6_decode(out.strip()), cycle(5))
+
+
+def test_malformed_graph6_spec_exits_2(capsys):
+    for spec in ("g6:A\x7f", "g6:A\u00e9", "g6:~??~", "g6:"):
+        code, out, err = run(capsys, "ra", "check", spec)
+        assert code == 2 and out == "" and "bad graph6" in err, spec
 
 
 def test_graph_gen_json_and_dot(capsys):
@@ -279,18 +284,14 @@ def test_eldivs_past_the_work_budget_exits_3(capsys, monkeypatch):
     assert code == 3 and out == "" and "rewrites more entries than its budget of 50000" in err
 
 
-def test_eldivs_ra_matrix_reads_the_distinct_rows(capsys, monkeypatch):
+def test_eldivs_ra_matrix_reads_the_distinct_rows(capsys):
     # the divisors of the distinct nonzero rows, padded with zeros to n, are
     # those of the full n(n+1)/2 x n matrix
     graphs = [parse_graph_spec(s) for s in ("Q5", "Q6", "FQ5", "petersen", "grid6x6", "C12",
                                             "K3,4", "St6", "K5")]
     graphs.append(disjoint_union(complete(3), complete(2)))
-    want = [divisor_tuple_str(snf_divisors(ra.ra_matrix(g))) for g in graphs]
+    want = [divisor_tuple_str(snf_divisors(ra_matrix_by_sets(g))) for g in graphs]
     assert want[-2:] == ["(1, 0^4)", "(1^2, 0^3)"]
-
-    def refuse(graph):
-        raise AssertionError("eldivs built the full intersection matrix")
-    monkeypatch.setattr(ra, "ra_matrix", refuse)
     for g, expected in zip(graphs, want):
         code, out, _ = run(capsys, "eldivs", "g6:" + graph6_encode(g), "--matrix", "ra")
         assert code == 0 and out.strip() == expected

@@ -16,6 +16,7 @@ from graphpower.errors import (
 )
 from graphpower import ra
 from graphpower.graphs import (
+    FAMILIES,
     MAX_EDGES,
     MAX_VERTICES,
     Classification,
@@ -30,8 +31,6 @@ from graphpower.graphs import (
     complete_bipartite,
     components,
     cycle,
-    delete_vertex,
-    disjoint_union,
     enumerate_connected_graphs,
     folded_cube,
     from_json,
@@ -65,8 +64,10 @@ from oracles import (
     components_by_search,
     connected_classes_bruteforce,
     connected_counts_by_euler_transform,
-    delete_vertex_by_edge_map,
+    disjoint_union,
     girth_per_edge,
+    graph6_decode_by_pairs,
+    graph6_encode_by_pairs,
     pqr_criterion_by_distances,
     reduce_indistinguishable_by_sets,
     square_completion_by_paths,
@@ -247,13 +248,6 @@ def test_reduce_order_invariance():
         assert canonical_certificate(alt) == base
 
 
-def test_delete_vertex():
-    g = delete_vertex(cycle(4), 2)
-    assert g.n == 3 and len(g.edges) == 2
-    with pytest.raises(InvalidParameter):
-        delete_vertex(complete(1), 0)
-
-
 def test_mask_readers_match_the_edge_list_oracles(monkeypatch):
     rng = random.Random(29)
     pool = []
@@ -293,9 +287,6 @@ def test_mask_readers_match_the_edge_list_oracles(monkeypatch):
             assert h.neighbors(v) == nbrs and h.degree(v) == len(nbrs)
             assert [h.has_edge(v, w) for w in range(g.n)] == [w in nbrs for w in range(g.n)]
 
-        if g.n > 1:
-            for v in range(g.n):
-                assert delete_vertex(g, v) == delete_vertex_by_edge_map(g, v), (g, v)
         assert reduce_indistinguishable(g) == reduce_indistinguishable_by_sets(g), g
         comps = components_by_search(g)
         degrees = sorted((len(g.neighbors(v)) for v in range(g.n)), reverse=True)
@@ -525,6 +516,76 @@ def test_graph6_malformed():
         graph6_decode("B\x19")  # byte below offset
     with pytest.raises(MalformedGraph6):
         graph6_decode("A" + chr(63 + 16))  # nonzero padding for n=2
+    with pytest.raises(MalformedGraph6, match="outside graph6 range"):
+        graph6_decode("A\x7f")  # byte above chr(126)
+    with pytest.raises(MalformedGraph6, match="outside graph6 range"):
+        graph6_decode("A\u00e9")  # not ASCII
+    with pytest.raises(MalformedGraph6, match="expected 326 data bytes, got 0"):
+        graph6_decode("~??~")  # a 4-byte size field (n = 63) with no data
+    with pytest.raises(MalformedGraph6, match="truncated size field"):
+        graph6_decode("~~???")  # an 8-byte size field cut short
+
+
+def _random_graph(rng, n):
+    p = rng.random()
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+def test_graph6_matches_the_pair_oracle():
+    # byte-identical to the encoder that packs one vertex pair at a time, on
+    # every connected graph to 7 vertices and on random graphs across the
+    # switch to the 4-character size field at 63 vertices
+    rng = random.Random(20261020)
+    pool = [g for n in range(1, 8) for g in enumerate_connected_graphs(n)]
+    pool += [_random_graph(rng, rng.randint(1, 130)) for _ in range(200)]
+    assert any(g.n >= 63 for g in pool)
+    for g in pool:
+        s = graph6_encode(g)
+        assert s == graph6_encode_by_pairs(g), g
+        assert graph6_decode(s) == graph6_decode_by_pairs(s) == g
+
+
+@pytest.mark.slow
+def test_graph6_matches_the_pair_oracle_on_every_family_at_its_cap():
+    # 4096 vertices (8386560 vertex pairs) or 65536 edges; a valid graph6
+    # string names one graph, so the round trip checks the decoder
+    caps = {"path": (4096,), "cycle": (4096,), "complete": (362,),
+            "complete_bipartite": (16, 4080), "star": (4095,), "hypercube": (12,),
+            "folded_cube": (13,), "wheel": (4096,), "grid": (64, 64), "tadpole": (4093, 3),
+            "petersen": (), "triangle_strip": (4096,)}
+    assert caps.keys() == FAMILIES.keys()
+    for family, params in caps.items():
+        g = make_family(family, *params)
+        s = graph6_encode(g)
+        assert s == graph6_encode_by_pairs(g), family
+        assert graph6_decode(s) == g, family
+
+
+def test_graph6_decode_fuzz_matches_the_pair_oracle():
+    # short strings near the graph6 alphabet: the same graph or
+    # MalformedGraph6 as the pair decoder, and nothing else. The fixed cases
+    # take the 4- and 8-character size fields for one vertex
+    def outcome(decode, text):
+        try:
+            return decode(text)
+        except MalformedGraph6 as exc:
+            return str(exc)
+
+    rng = random.Random(6)
+    near = [chr(c) for c in range(58, 131)] + [" ", "\n", "\u00e9", "\udcff", ">>graph6<<"]
+    texts = ["~??@", "~~?????@", "~~?????@?", ">>graph6<<@", " A_\n"]
+    for _ in range(24000):
+        k = rng.randint(0, 10)
+        if rng.random() < 0.5:
+            texts.append("".join(chr(rng.randint(63, 126)) for _ in range(k)))
+        else:
+            texts.append("".join(rng.choice(near) for _ in range(k)))
+    decoded = 0
+    for text in texts:
+        want = outcome(graph6_decode_by_pairs, text)
+        assert outcome(graph6_decode, text) == want, text
+        decoded += isinstance(want, Graph)
+    assert decoded > 100
 
 
 def test_dot_and_json():

@@ -100,15 +100,64 @@ def test_every_private_top_level_name_is_referenced():
     assert unreferenced_private_names(sources) == []
 
 
+def _names_read_in(*folders) -> set:
+    """Names that the .py files of the given top-level folders read."""
+    out = set()
+    for folder in folders:
+        for path in (PACKAGE.parent.parent / folder).glob("*.py"):
+            out |= _read_names(ast.parse(path.read_text()))
+    return out
+
+
 def test_every_public_top_level_name_is_read():
     # a public name that neither the package nor its tests, demos or
     # benchmark read is a leftover too
     sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
-    outside = set()
-    for folder in ("tests", "demos", "perfbench"):
-        for path in (PACKAGE.parent.parent / folder).glob("*.py"):
-            outside |= _read_names(ast.parse(path.read_text()))
+    outside = _names_read_in("tests", "demos", "perfbench")
     assert _unreferenced(sources, lambda name: not name.startswith("_"), outside) == []
+
+
+def public_names_only_tests_read(sources: dict, outside: set) -> list:
+    """(module, name) for each public top-level name of the given {module:
+    source} that no top-level statement of another module than `__init__`
+    nor the set `outside` (what demos and the benchmark read) reads."""
+    return _unreferenced({m: s for m, s in sources.items() if m != "__init__"},
+                         lambda name: not name.startswith("_"), outside)
+
+
+# the public names that only tests read: the paper-facing API (the orders
+# and verdicts the paper defines, and the lattice index that decides RA) and
+# the JSON schemas of the CLI payloads
+TEST_READ_PUBLIC_NAMES = [
+    ("graphs", "closed_neighborhood"),
+    ("graphs", "is_isomorphic"),
+    ("power", "abelian_power_order"),
+    ("power", "comm_b_order"),
+    ("power", "comm_d_order"),
+    ("power", "is_g_ra"),
+    ("schemas", "CLASSIFY_SCHEMA"),
+    ("schemas", "GRAPH_SCHEMA"),
+    ("schemas", "GROUP_REPORT_SCHEMA"),
+    ("schemas", "RA_VERDICT_SCHEMA"),
+    ("schemas", "SOLVE_SCHEMA"),
+    ("zlinalg", "lattice_index"),
+    ("zlinalg", "rank_mod_p"),
+]
+
+
+def test_public_name_check_sees_a_name_only_tests_read():
+    sources = {"__init__": "from .a import kept, shown\n",
+               "a": "def helper():\n    return 1\n\n\ndef kept():\n    return helper()\n"
+                    "\n\ndef shown():\n    return 2\n"}
+    assert public_names_only_tests_read(sources, {"shown"}) == [("a", "kept")]
+
+
+def test_public_names_only_tests_read_are_listed():
+    # a public name that only tests read is a helper for the tests, which
+    # belongs in tests/oracles.py, unless it is listed above
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert public_names_only_tests_read(sources, _names_read_in("demos", "perfbench")) == \
+        TEST_READ_PUBLIC_NAMES
 
 
 def test_cli_import_loads_no_dataclasses():

@@ -11,7 +11,6 @@ from graphpower.graphs import (
     Graph,
     complete,
     cycle,
-    disjoint_union,
     enumerate_connected_graphs,
     folded_cube,
     hypercube,
@@ -44,10 +43,11 @@ from graphpower.power import (
     power_click,
     ra_index,
 )
-from graphpower.ra import activation_matrix, ra_matrix
+from graphpower.ra import activation_matrix
 from graphpower.zlinalg import IntMat, lattice_index
 
 from oracles import (
+    disjoint_union,
     abelian_power_order_by_snf,
     basic_commutator_order,
     closure_order,
@@ -57,6 +57,7 @@ from oracles import (
     gfp_rank,
     in_comm,
     membership_sample,
+    ra_matrix_by_sets,
     ra_rows_by_sets,
 )
 
@@ -240,7 +241,7 @@ def test_closed_form_matches_schreier_sims():
     graphs = [g for n in range(1, 7) for g in enumerate_connected_graphs(n)]
     closed = 0
     for graph in graphs + [hypercube(3)]:
-        full_lattice = lattice_index(ra_matrix(graph)) == 1
+        full_lattice = lattice_index(ra_matrix_by_sets(graph)) == 1
         closed += full_lattice
         for group in groups:
             ab, comm, full = power._power_orders(group, graph, max_order=None)[2:]
@@ -359,7 +360,8 @@ def test_span_mod_k_is_full_exactly_when_the_index_is_prime_to_k():
             for k in (2, 3, 4, 5, 6, 12, 60):
                 for group in groups[k]:
                     assert derived_subgroup(group).order() == k
-                    count = power._comm_count(group, graph, include_equal, ra.RA_TEST_BUDGET)
+                    count = power._comm_count(group, ra._distinct_rows(graph, include_equal), graph.n,
+                                              ra.RA_TEST_BUDGET)
                     assert (count == k ** graph.n) == (index != 0 and gcd(index, k) == 1), \
                         (graph.edges, include_equal, k, group.name)
     assert off_index_1 >= 100
@@ -385,7 +387,7 @@ def test_ra_test_budget_falls_back_to_closure(monkeypatch):
     # budget of 40000 but whose elimination mod |[S3,S3]| = 3 does not: the
     # closed-form test gives up, and the build path meets the cap
     dense = _dense_graph(40, 7)
-    assert lattice_index(ra_matrix(dense)) == 1
+    assert lattice_index(ra_matrix_by_sets(dense)) == 1
     ab, comm, full = power._power_orders(symmetric(3), dense, max_order=100)[2:]
     assert comm == full == 3 ** 40
     monkeypatch.setattr(ra, "RA_TEST_BUDGET", 40000)
@@ -603,6 +605,25 @@ def test_chain_builds_and_eliminates_the_u_le_v_rows_once(monkeypatch):
     assert [rows for rows, _ in seen].count(want) == 1
 
 
+def test_chain_builds_and_eliminates_each_row_set_once_off_the_closed_form(monkeypatch):
+    # [S4,S4] = A4 is nonabelian, so Comm_b and Comm_d are counted by one
+    # span mod 12 each; Q3's u <= v span mod 12 is not full, so G^graph is
+    # built and Comm_b is the closure of the rows the count read
+    q3 = hypercube(3)
+    want = [ra._distinct_rows(q3, include_equal) for include_equal in (True, False)]
+    built = []
+    rows_of = ra._distinct_rows
+
+    def spy(graph, include_equal):
+        built.append(include_equal)
+        return rows_of(graph, include_equal)
+    monkeypatch.setattr(ra, "_distinct_rows", spy)
+    seen = _spy_eliminations(monkeypatch)
+    assert chain_report(symmetric(4), q3, max_order=10 ** 15).orders() == (12 ** 8,) * 5
+    assert built == [True, False]
+    assert [rows for rows, r in seen if r == 12] == want
+
+
 def _power_of_known_order(group, graph, order):
     """G^graph's clicks built as a PermGroup given its order."""
     gens = graph_power(group, graph, max_order=None).perm_group.generators
@@ -622,7 +643,7 @@ def _assert_known_order_power_matches_plain_build(group, graph, rng):
 
 
 def _ra_graphs(n):
-    return [g for g in enumerate_connected_graphs(n) if lattice_index(ra_matrix(g)) == 1]
+    return [g for g in enumerate_connected_graphs(n) if lattice_index(ra_matrix_by_sets(g)) == 1]
 
 
 def test_known_order_powers_match_plain_builds():

@@ -7,7 +7,6 @@ from graphpower.graphs import (
     complete,
     complete_bipartite,
     cycle,
-    disjoint_union,
     enumerate_connected_graphs,
     folded_cube,
     graph6_decode,
@@ -30,7 +29,6 @@ from graphpower.ra import (
     is_ra,
     known_family_divisors,
     pqr_criterion,
-    ra_matrix,
     structural_ra_hints,
 )
 from graphpower.zlinalg import (IntMat, divisor_tuple_str, lattice_index, rank_mod_p, snf_divisors,
@@ -39,10 +37,11 @@ from graphpower.zlinalg import (IntMat, divisor_tuple_str, lattice_index, rank_m
 from oracles import (
     activation_rows_by_sets,
     det_exact,
+    disjoint_union,
     gfp_rank,
     nonsingular_row_subset,
     prime_factors,
-    ra_rows_by_sets,
+    ra_matrix_by_sets,
     rational_rank,
 )
 
@@ -66,8 +65,7 @@ def test_matrices_match_the_set_based_oracle():
     pool += [folded_cube(5), grid(8, 8), petersen(), complete_bipartite(7, 8)]
     for g in pool:
         assert activation_matrix(g) == IntMat(activation_rows_by_sets(g), cols=g.n)
-        oracle = IntMat(ra_rows_by_sets(g), cols=g.n)
-        assert ra_matrix(g) == oracle
+        oracle = ra_matrix_by_sets(g)
         # the distinct nonzero rows every reader takes span the same lattice,
         # over Z and mod 2 and 6
         rows = _distinct_rows(g, True)
@@ -79,7 +77,7 @@ def test_matrices_match_the_set_based_oracle():
 
 
 def test_ra_matrix_fixtures():
-    C = ra_matrix(cycle(4))
+    C = ra_matrix_by_sets(cycle(4))
     assert C.rows == 10 and C.cols == 4
     rows = set(C._rows)
     assert (1, 1, 0, 0) in rows         # adjacent pair
@@ -123,7 +121,7 @@ def test_is_ra_matches_rank_oracle():
         fixtures.extend(g for g in enumerate_connected_graphs(n) if eligible(g))
     for g in fixtures:
         n = g.n
-        C = ra_matrix(g)
+        C = ra_matrix_by_sets(g)
         rows = C.row_list()
         spans = rational_rank(rows) == n and all(
             gfp_rank(rows, p) == n for p in prime_factors(det_exact(nonsingular_row_subset(rows))))
@@ -161,10 +159,10 @@ def test_heisenberg_ra_stops_past_the_ra_test_budget(monkeypatch):
 
 
 def test_rank_mod_p_independent_oracle():
-    assert rank_mod_p(ra_matrix(hypercube(3)), 2) == 7
-    assert gfp_rank(ra_matrix(hypercube(3)).row_list(), 2) == 7
-    assert rank_mod_p(ra_matrix(cycle(5)), 3) == 5
-    assert gfp_rank(ra_matrix(cycle(5)).row_list(), 3) == 5
+    assert rank_mod_p(ra_matrix_by_sets(hypercube(3)), 2) == 7
+    assert gfp_rank(ra_matrix_by_sets(hypercube(3)).row_list(), 2) == 7
+    assert rank_mod_p(ra_matrix_by_sets(cycle(5)), 3) == 5
+    assert gfp_rank(ra_matrix_by_sets(cycle(5)).row_list(), 3) == 5
 
 
 def test_pqr_criterion_fixtures():
@@ -280,8 +278,9 @@ def test_census_eight_finds_the_cube():
     assert top.connected_classes == 11117
     # the cube lives here, so not everything at n = 8 is RA
     assert top.ra_count < top.distinguishable
-    from graphpower.graphs import canonical_graph, graph6_encode
-    cube_g6 = graph6_encode(canonical_graph(hypercube(3)))
+    from graphpower.graphs import canonical_form, graph6_encode, relabel
+    cube = hypercube(3)
+    cube_g6 = graph6_encode(relabel(cube, canonical_form(cube)[1]))
     cube_rows = [r for r in report.rows if r.n == 8 and r.graph6 == cube_g6]
     assert len(cube_rows) == 1 and not cube_rows[0].ra
     # smaller sizes unchanged
@@ -297,7 +296,7 @@ def test_divisor_primes_contained_in_activation_primes():
             largest = divs_a[-1]
             if largest <= 1:
                 continue
-            divs_c = snf_divisors(ra_matrix(g))
+            divs_c = snf_divisors(ra_matrix_by_sets(g))
             for d in divs_c:
                 if d > 1:
                     for p in (2, 3, 5, 7, 11, 13):

@@ -14,7 +14,6 @@ from graphpower.zlinalg import (
     rank_mod_p,
     snf_divisors,
     span_order_mod,
-    spans_full_lattice,
     row_solve,
 )
 
@@ -178,7 +177,7 @@ def test_spans_full_lattice_cross_check(rows):
     divs = snf_divisors(mat)
     n = mat.cols
     full = len(divs) >= n and all(d == 1 for d in divs[:n])
-    assert spans_full_lattice(mat) == full
+    assert (lattice_index(mat) == 1) == full
     if full:
         for p in (2, 3, 5):
             assert rank_mod_p(mat, p) == n
