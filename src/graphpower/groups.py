@@ -7,6 +7,7 @@ disjoint domains. Each is a named PermGroup without an order cap that knows
 its order (n, 2m, m!, m!/2, p^3, or the product of its factors' orders), so
 its Schreier-Sims chain is built on first use and stops once it reaches that
 order; a product reads its factors' generators and builds only its own chain.
+A group whose chain cannot fit the Schreier-Sims budget is refused first.
 
 The abelianization builds no coset table and no Smith normal form: its
 invariant factors come from the indices of the subgroups generated by the
@@ -20,15 +21,47 @@ from math import factorial, prod
 from typing import NamedTuple
 
 from .errors import SpecParseError, UnsupportedParameter
+from . import perm
 from .perm import Perm, PermGroup, derived_subgroup
 from .zlinalg import _smallest_prime_factor, is_prime
 
 
 # -- built-in families ---------------------------------------------------------
 
+def _require_chain_fits(degree: int, orbits) -> None:
+    """Raise LimitExceeded, before any permutation is allocated, when a
+    complete chain on `degree` points has a level for each of these orbits
+    O and the 2 (|O| - 1) degree entries the build pays for their
+    transversals pass perm.SCHREIER_SIMS_BUDGET. A build to the known order
+    stops only on complete chains (PermGroup). C_n, D_2n (n >= 3), S_m and
+    A_m act transitively on their points. In a direct product on disjoint domains, every base
+    point before the first one b that a factor H moves lies outside H's
+    domain, so their pointwise stabilizer contains H, and the basic orbit of
+    b is b's orbit under H: at least H's smallest orbit of 2 or more."""
+    if 2 * degree * sum(o - 1 for o in orbits) > perm.SCHREIER_SIMS_BUDGET:
+        raise perm._budget_error(degree)
+
+
+def _least_orbit(group: PermGroup) -> int:
+    """The size of the smallest orbit of 2 or more points under the group's
+    generators, else 1."""
+    sizes, seen = [], set()
+    for start in range(group.degree):
+        if start not in seen:
+            orbit = [start]
+            seen.add(start)
+            for x in orbit:
+                new = {g[x] for g in group._gens} - seen
+                seen |= new
+                orbit += new
+            sizes.append(len(orbit))
+    return min((s for s in sizes if s > 1), default=1)
+
+
 def cyclic(n: int) -> PermGroup:
     if n < 1:
         raise UnsupportedParameter("cyclic needs n >= 1")
+    _require_chain_fits(n, (n,))
     if n == 1:
         return PermGroup(1, [], max_order=None, name="C1", order=1)
     rot = Perm([(i + 1) % n for i in range(n)])
@@ -49,6 +82,7 @@ def dihedral(order: int) -> PermGroup:
         a = Perm([1, 0, 2, 3])
         b = Perm([0, 1, 3, 2])
         return PermGroup(4, [a, b], max_order=None, name="D4", order=4)
+    _require_chain_fits(n, (n,))
     rot = Perm([(i + 1) % n for i in range(n)])
     refl = Perm([(n - i) % n for i in range(n)])
     return PermGroup(n, [rot, refl], max_order=None, name=f"D{order}", order=order)
@@ -57,6 +91,7 @@ def dihedral(order: int) -> PermGroup:
 def symmetric(m: int) -> PermGroup:
     if m < 1:
         raise UnsupportedParameter("symmetric needs m >= 1")
+    _require_chain_fits(m, (m,))
     if m == 1:
         return PermGroup(1, [], max_order=None, name="S1", order=1)
     gens = [Perm.from_cycles(m, (0, 1))]
@@ -68,6 +103,7 @@ def symmetric(m: int) -> PermGroup:
 def alternating(m: int) -> PermGroup:
     if m < 3:
         raise UnsupportedParameter("alternating needs m >= 3")
+    _require_chain_fits(m, (m,))
     gens = [Perm.from_cycles(m, (0, 1, 2))]
     if m > 3:
         if m % 2:
@@ -87,11 +123,10 @@ def heisenberg(p: int) -> PermGroup:
 
     The Schreier-Sims build of H_p on p^2 points stops at its known order
     p^3; on one shared 2-core host H13 takes 0.003 s, H31 0.14 s and H37
-    0.26 s (0.01, 0.40 and 0.92 s when every Schreier generator was
-    sifted). The limit p <= 31 keeps `ra gra C5 --group HpxC2` under 1 s in
+    0.26 s. The limit p <= 31 keeps `ra gra C5 --group HpxC2` under 1 s in
     one process (H31xC2 0.8 s at 45 MB, H37xC2 1.2 s at 75 MB): its
     abelianization builds subgroups whose orders are not known in advance."""
-    if not is_prime(p) or p > 31:
+    if p > 31 or not is_prime(p):
         raise UnsupportedParameter("heisenberg needs a prime p <= 31")
     shift = Perm([((x + 1) % p) * p + y for x in range(p) for y in range(p)])
     shear = Perm([x * p + (y + x) % p for x in range(p) for y in range(p)])
@@ -104,6 +139,7 @@ def direct_product(*groups: PermGroup) -> PermGroup:
     if len(groups) == 1:
         return groups[0]
     degree = sum(g.degree for g in groups)
+    _require_chain_fits(degree, [_least_orbit(g) for g in groups])
     gens = []
     offset = 0
     for g in groups:
@@ -120,23 +156,23 @@ def direct_product(*groups: PermGroup) -> PermGroup:
 
 def parse_group_spec(text: str) -> PermGroup:
     """Parse the CLI group mini-language: C4, D8, S5, H3, A4, and products
-    joined with 'x' such as D8xC3."""
+    joined with 'x' such as D8xC3. Every token is read before any group is
+    built, so a malformed spec is refused as such."""
     token = text.strip()
     if not token:
         raise SpecParseError(text, "empty group spec")
-    parts = token.split("x")
-    groups = []
-    for part in parts:
+    builders = {"C": cyclic, "D": dihedral, "S": symmetric, "A": alternating, "H": heisenberg}
+    parsed = []
+    for part in token.split("x"):
         part = part.strip()
-        letter = part[:1]
-        if letter not in ("C", "D", "S", "A", "H") or not part[1:].isdigit():
+        if part[:1] not in builders or not part[1:].isdigit():
             raise SpecParseError(part, "unrecognized group token")
         try:
-            n = int(part[1:])
+            parsed.append((part, builders[part[0]], int(part[1:])))
         except ValueError as exc:  # past sys.get_int_max_str_digits(), or a digit int() refuses
             raise SpecParseError(part, "bad group order") from exc
-        builder = {"C": cyclic, "D": dihedral, "S": symmetric,
-                   "A": alternating, "H": heisenberg}[letter]
+    groups = []
+    for part, builder, n in parsed:
         try:
             groups.append(builder(n))
         except UnsupportedParameter as exc:
@@ -153,10 +189,7 @@ class AbelianInvariants(NamedTuple):
     factors: tuple
 
     def order(self) -> int:
-        out = 1
-        for f in self.factors:
-            out *= f
-        return out
+        return prod(self.factors)
 
 
 def abelianization(group: PermGroup) -> AbelianInvariants:

@@ -24,6 +24,11 @@ DEFAULT_MAX_ORDER = 1 << 30
 SCHREIER_SIMS_BUDGET = 1 << 26
 
 
+def _budget_error(degree: int) -> LimitExceeded:
+    return LimitExceeded(f"Schreier-Sims on {degree} points needs more than "
+                         f"{SCHREIER_SIMS_BUDGET} permutation entries")
+
+
 def _compose(p: tuple, q: tuple) -> tuple:
     """Apply p, then q."""
     return tuple(map(q.__getitem__, p))
@@ -250,8 +255,7 @@ class PermGroup:
         """Count `perms` permutations written; past the budget, stop."""
         self._work += perms * self.degree
         if self._work > SCHREIER_SIMS_BUDGET:
-            raise LimitExceeded(f"Schreier-Sims on {self.degree} points needs more than "
-                                f"{SCHREIER_SIMS_BUDGET} permutation entries")
+            raise _budget_error(self.degree)
 
     def _extend_level(self, level: _Level, new_gen: tuple) -> None:
         """Add a generator to a level and close its orbit. The new orbit

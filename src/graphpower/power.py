@@ -173,11 +173,10 @@ def abelian_power_order(invariants, matrix) -> int:
     return prod(span_order_mod(mat, int(r)) ** factors.count(r) for r in set(factors))
 
 
-def _span_product(rows: list, n: int, factors: tuple, budget: Optional[int] = None) -> int:
+def _span_product(rows: Sequence, n: int, factors: tuple, budget: Optional[int] = None) -> int:
     """abelian_power_order of the n-column 0/1 rows (factors >= 2): one
-    elimination of a copy of them per distinct factor, `budget` bounding each."""
-    return prod(_span_order([row[:] for row in rows], n, r, budget) ** factors.count(r)
-                for r in set(factors))
+    elimination of them per distinct factor, `budget` bounding each."""
+    return prod(_span_order(rows, n, r, budget) ** factors.count(r) for r in set(factors))
 
 
 def _independent_set_bound(group: PermGroup, graph: Graph, max_order: Optional[int]) -> None:
@@ -207,7 +206,7 @@ def _power_orders(group: PermGroup, graph: Graph,
     >= |Comm_b|, and nothing is built: the closed form answers above
     max_order too. Otherwise G^graph is built under max_order, once
     _independent_set_bound has passed. The abelian part, on the activation
-    rows as 0/1 lists, comes last."""
+    rows as 0/1 tuples, comes last."""
     full = derived_subgroup(group).order() ** graph.n
     try:
         cb = _comm_count(group, _rows(group, graph, True) if rows is None else rows, graph.n,
@@ -218,7 +217,7 @@ def _power_orders(group: PermGroup, graph: Graph,
     if cb != full:
         _independent_set_bound(group, graph, max_order)
         power = graph_power(group, graph, max_order=max_order)
-    ab = _span_product([list(ra._indicator(m, graph.n)) for m in ra._closed_masks(graph)],
+    ab = _span_product([ra._indicator(m, graph.n) for m in ra._closed_masks(graph)],
                        graph.n, abelianization(group).factors)
     if power is None:
         return None, cb, ab, full, full
@@ -373,8 +372,9 @@ def chain_report(group: PermGroup, graph: Graph, *,
 
     First |G^graph| >= |G|^|S| (_independent_set_bound) meets max_order;
     then the u <= v rows are built once, and past ra.RA_TEST_BUDGET entries
-    LimitExceeded ends the chain. On the closed form, |Comm_b| = |[G,G]|^n
-    (_comm_count), nothing is built but |G^graph| = |[G,G]|^n
+    LimitExceeded ends the chain. The count and the closure read the same
+    rows, which no elimination writes into. On the closed form, |Comm_b| =
+    |[G,G]|^n (_comm_count), nothing is built but |G^graph| = |[G,G]|^n
     |(G^Ab)^graph| still meets max_order, so the cap stops the same requests
     either way. Otherwise G^graph is built under max_order, Comm_b is the
     count _power_orders took on those rows (or their closure), and Comm_b <=

@@ -18,7 +18,7 @@ import warnings
 from math import gcd, inf
 from typing import NamedTuple, Optional
 
-from .errors import InvalidParameter, LimitExceeded, NotPrime, PreconditionViolated, UnsupportedFamily
+from .errors import InvalidParameter, LimitExceeded, PreconditionViolated, UnsupportedFamily
 from .graphs import (
     Graph,
     classify,
@@ -27,8 +27,8 @@ from .graphs import (
     is_connected,
     is_neighborhood_distinguishable,
 )
-from .zlinalg import (IntMat, _row_lattice_index, _smallest_prime_factor, _span_order, is_prime,
-                      snf_divisors)
+from .zlinalg import (IntMat, _require_prime, _row_lattice_index, _smallest_prime_factor,
+                      _span_order, snf_divisors)
 
 # Every reader of the intersection rows (the RA test, heisenberg_ra, the
 # closed-form test and the Comm_b and Comm_d orders in `power`, `eldivs
@@ -56,8 +56,8 @@ def _closed_masks(graph: Graph) -> list:
 
 def _distinct_rows(graph: Graph, include_equal: bool) -> list:
     """The distinct nonzero rows B(u) cap B(v), u < v (u <= v with
-    include_equal), as fresh 0/1 lists in the order of their first pair: the
-    rows a lattice, a rank or a span depends on. Once the rows found up to
+    include_equal), as 0/1 tuples in the order of their first pair: the rows
+    a lattice, a rank or a span depends on. Once the rows found up to
     some vertex u hold more than RA_TEST_BUDGET entries it raises
     LimitExceeded instead."""
     b = _closed_masks(graph)
@@ -71,7 +71,7 @@ def _distinct_rows(graph: Graph, include_equal: bool) -> list:
                                 f"hold {rows * n} entries ({rows} rows of {n}), over the "
                                 f"budget of {RA_TEST_BUDGET}")
     masks.pop(0, None)
-    return [list(_indicator(m, n)) for m in masks]
+    return [_indicator(m, n) for m in masks]
 
 
 def activation_matrix(graph: Graph) -> IntMat:
@@ -121,8 +121,7 @@ def heisenberg_ra(graph: Graph, p: int) -> bool:
     """RA over the Heisenberg group of order p^3: full rank of the
     intersection matrix modulo p. Past RA_TEST_BUDGET distinct-row entries
     it raises LimitExceeded instead of answering."""
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+    _require_prime(p)
     return _span_order(_distinct_rows(graph, True), graph.n, p) == p ** graph.n
 
 
@@ -131,8 +130,7 @@ def pqr_criterion(graph: Graph, p: int) -> bool:
     -2 mod p common neighbors, and distance-2 pairs share 0 mod p. When it
     holds, every row sum of the intersection matrix vanishes mod p, so the
     graph is not RA over the Heisenberg group of order p^3."""
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+    _require_prime(p)
     masks = graph._masks
     if any((m.bit_count() + 1) % p for m in masks):
         return False

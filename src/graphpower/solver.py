@@ -60,9 +60,8 @@ class ReachabilityProfile(NamedTuple):
 
 
 def reachability_profile(graph: Graph) -> ReachabilityProfile:
-    rows = activation_matrix(graph).row_list()
     perm = list(range(graph.n))
-    cols = _echelon(rows, graph.n, perm=perm)
+    rows, cols = _echelon(activation_matrix(graph)._rows, graph.n, perm=perm)
     values = [rows[i][c] for i, c in enumerate(cols)]
     free = values.count(1)
     constrained = tuple((perm[c], v) for c, v in zip(cols, values) if v > 1)

@@ -6,16 +6,19 @@ return fresh values.
 
 One elimination kernel, `_echelon`, serves every operation: it puts a row
 lattice (optionally extended by r Z^n, i.e. working in Z/r) into echelon
-form and carries witness columns along. The Smith normal form alternates
-the kernel on a matrix and its transpose until it is diagonal and returns
-the divisor chain only, with no unimodular witnesses; rank mod p, the size
-of a row span mod r, the lattice index and the Diophantine solver read its
-pivots.
+form and carries witness columns along. It takes rows as any sequences of
+ints, tuples included, and writes neither into them nor into the sequence
+holding them, so callers hand it the rows they hold. The Smith normal form
+alternates the kernel on a matrix and its transpose until it is diagonal
+and returns the divisor chain only, with no unimodular witnesses; rank mod
+p, the size of a row span mod r, the lattice index and the Diophantine
+solver read its pivots.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from itertools import groupby
+from math import gcd, prod
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch, LimitExceeded, NotPrime
@@ -42,36 +45,12 @@ class IntMat:
     def identity(cls, n: int) -> "IntMat":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "IntMat":
-        m, n, entries = obj["rows"], obj["cols"], obj["entries"]
-        if len(entries) != m * n:
-            raise DimensionMismatch("entries length != rows*cols")
-        return cls([entries[i * n:(i + 1) * n] for i in range(m)], cols=n)
-
-    def to_json(self) -> dict:
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "entries": [x for row in self._rows for x in row],
-        }
-
-    def row(self, i: int) -> tuple:
-        return self._rows[i]
-
     def row_list(self) -> list:
         return [list(r) for r in self._rows]
-
-    def __getitem__(self, ij) -> int:
-        i, j = ij
-        return self._rows[i][j]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IntMat) and self._rows == other._rows \
             and self.cols == other.cols
-
-    def __hash__(self):
-        return hash((self._rows, self.cols))
 
     def __repr__(self):
         return f"IntMat({[list(r) for r in self._rows]!r})"
@@ -152,13 +131,16 @@ def _smallest_gcd_column(rows, top, c, n):
 
 
 def _echelon(rows, n, r=0, perm=None, budget=None):
-    """Row echelon form, in place, of the lattice spanned by `rows`.
+    """Row echelon form of the lattice spanned by `rows`, any sequences of
+    ints, which it leaves as they are: it works on its own list of them and
+    replaces a row rather than write into it.
 
     Only the first n columns are eliminated; any later columns are witness
-    columns that every row operation carries along. Returns the pivot
-    columns: rows[i] has its positive pivot in column pivots[i], zeros to the
-    left of it and in that column below it, and the rows after the last pivot
-    row vanish on the first n columns.
+    columns that every row operation carries along. Returns (echelon rows,
+    pivot columns): echelon row i has its positive pivot in column pivots[i],
+    zeros to the left of it and in that column below it, and the rows after
+    the last pivot row vanish on the first n columns. Rows that no operation
+    touched are the given row objects.
 
     With r > 0 the lattice also contains r*Z^n. All entries, inputs included,
     lie in [0, r). Each pivot row is scaled by a unit mod r, chosen from the
@@ -171,11 +153,13 @@ def _echelon(rows, n, r=0, perm=None, budget=None):
     With `perm` a list, each step first moves the remaining column whose
     entries below the pivots have the smallest nonzero gcd into place and
     records the swap in perm; gcds never drop during elimination, so the
-    pivots read 1, ..., 1 and then ascend.
+    pivots read 1, ..., 1 and then ascend. The swap writes entries, so this
+    mode works on list copies of the rows.
 
     With `budget` set, the row operations may rewrite at most that many
     entries in all; the one that would pass it raises LimitExceeded.
     """
+    rows = [list(row) for row in rows] if perm is not None else list(rows)
     pivots = []
     spent = 0
     for c in range(n):
@@ -232,14 +216,10 @@ def _echelon(rows, n, r=0, perm=None, budget=None):
             if done:
                 pivots.append(c)
                 break
-    return pivots
+    return rows, pivots
 
 
 # -- Smith normal form --------------------------------------------------------
-
-def _transpose(a) -> list:
-    return [list(col) for col in zip(*a)]
-
 
 def _smith_chain(d) -> None:
     """Turn the positive diagonal d into a divisor chain in place: each pair
@@ -258,17 +238,17 @@ def _smith_passes(a, n, budget=None) -> list:
     the pivots are dropped after each pass (they only add zeros to the
     chain). `budget` caps the entries each pass may rewrite."""
     while True:
-        pivots = _echelon(a, n, budget=budget)
+        a, pivots = _echelon(a, n, budget=budget)
         k = len(pivots)
         a = a[:k]
         if pivots == list(range(k)) and not any(any(a[i][i + 1:]) for i in range(k)):
             return [a[i][i] for i in range(k)]
-        n, a = len(a), _transpose(a)
+        n, a = len(a), list(zip(*a))
 
 
-def _divisor_chain(rows: list, n: int, budget: Optional[int] = None) -> list:
-    """The nonzero Smith divisors, as a chain, of the n-column rows, which
-    it eliminates in place; `budget` as in snf_divisors."""
+def _divisor_chain(rows: Sequence, n: int, budget: Optional[int] = None) -> list:
+    """The nonzero Smith divisors, as a chain, of the n-column rows;
+    `budget` as in snf_divisors."""
     d = _smith_passes(rows, n, budget)
     _smith_chain(d)
     return d
@@ -278,22 +258,22 @@ def snf_divisors(M: IntMat, budget: Optional[int] = None) -> tuple:
     """Smith normal form divisor chain of M; skips duplicate and zero rows
     (they only add zeros at the tail of the chain). A `budget` caps the
     entries each elimination pass may rewrite (LimitExceeded past it)."""
-    d = _divisor_chain([list(r) for r in dict.fromkeys(M._rows) if any(r)], M.cols, budget)
+    d = _divisor_chain([r for r in dict.fromkeys(M._rows) if any(r)], M.cols, budget)
     return tuple(d + [0] * (min(M.rows, M.cols) - len(d)))
 
 
 # -- modular rank and lattice predicates --------------------------------------
 
 def _distinct_mod(M: IntMat, r: int) -> list:
-    """The distinct nonzero rows of M reduced mod r, as fresh lists."""
-    return [list(row) for row in dict.fromkeys(tuple(x % r for x in row) for row in M._rows)
+    """The distinct nonzero rows of M reduced mod r."""
+    return [row for row in dict.fromkeys(tuple(x % r for x in row) for row in M._rows)
             if any(row)]
 
 
 def rank_mod_p(M: IntMat, p: int) -> int:
     """Rank of M over the field with p elements."""
     _require_prime(p)
-    return len(_echelon(_distinct_mod(M, p), M.cols, p))
+    return len(_echelon(_distinct_mod(M, p), M.cols, p)[1])
 
 
 def span_order_mod(M: IntMat, r: int) -> int:
@@ -304,15 +284,12 @@ def span_order_mod(M: IntMat, r: int) -> int:
     return _span_order(_distinct_mod(M, r), M.cols, r)
 
 
-def _span_order(rows: list, n: int, r: int, budget: Optional[int] = None) -> int:
-    """span_order_mod of the n-column rows, whose entries lie in [0, r),
-    which it eliminates in place. A `budget` caps the entries the
-    elimination may rewrite (LimitExceeded past it)."""
-    pivots = _echelon(rows, n, r, budget=budget)
-    order = 1
-    for i, c in enumerate(pivots):
-        order *= r // rows[i][c]
-    return order
+def _span_order(rows: Sequence, n: int, r: int, budget: Optional[int] = None) -> int:
+    """span_order_mod of the n-column rows, whose entries lie in [0, r). A
+    `budget` caps the entries the elimination may rewrite (LimitExceeded
+    past it)."""
+    rows, pivots = _echelon(rows, n, r, budget=budget)
+    return prod(r // rows[i][c] for i, c in enumerate(pivots))
 
 
 def lattice_index(M: IntMat, budget: Optional[int] = None) -> int:
@@ -320,19 +297,13 @@ def lattice_index(M: IntMat, budget: Optional[int] = None) -> int:
     pivots, or 0 when its rank is below cols. Skips duplicate and zero rows.
     A `budget` caps the entries the elimination may rewrite (LimitExceeded
     past it)."""
-    return _row_lattice_index([list(r) for r in dict.fromkeys(M._rows) if any(r)],
-                              M.cols, budget)
+    return _row_lattice_index([r for r in dict.fromkeys(M._rows) if any(r)], M.cols, budget)
 
 
-def _row_lattice_index(rows: list, n: int, budget: Optional[int] = None) -> int:
-    """lattice_index of the n-column rows, which it eliminates in place."""
-    pivots = _echelon(rows, n, budget=budget)
-    if len(pivots) < n:
-        return 0
-    index = 1
-    for i, c in enumerate(pivots):
-        index *= rows[i][c]
-    return index
+def _row_lattice_index(rows: Sequence, n: int, budget: Optional[int] = None) -> int:
+    """lattice_index of the n-column rows."""
+    rows, pivots = _echelon(rows, n, budget=budget)
+    return prod(rows[i][c] for i, c in enumerate(pivots)) if len(pivots) == n else 0
 
 
 # -- Diophantine solving ------------------------------------------------------
@@ -351,7 +322,8 @@ def row_solve(M: IntMat, target: Sequence[int], r: int = 0) -> tuple:
     rows = [list(row) + w for row, w in zip(M._rows, IntMat.identity(m).row_list())]
     if r:
         rows = [[x % r for x in row] for row in rows]
-    pivot_rows = dict(zip(_echelon(rows, n, r), rows))
+    rows, pivots = _echelon(rows, n, r)
+    pivot_rows = dict(zip(pivots, rows))
     # subtract pivot rows from [target | 0]; the witness part collects -c
     res = list(target) + [0] * m
     for j in range(n):
@@ -367,14 +339,5 @@ def row_solve(M: IntMat, target: Sequence[int], r: int = 0) -> tuple:
 
 def divisor_tuple_str(divisors: Sequence[int]) -> str:
     """Exponent-compressed rendering, e.g. (1^3, 3) or (1^4, 2, 0^3)."""
-    out = []
-    i = 0
-    divs = list(divisors)
-    while i < len(divs):
-        j = i
-        while j < len(divs) and divs[j] == divs[i]:
-            j += 1
-        run = j - i
-        out.append(f"{divs[i]}^{run}" if run > 1 else f"{divs[i]}")
-        i = j
-    return "(" + ", ".join(out) + ")"
+    runs = [(d, len(list(run))) for d, run in groupby(divisors)]
+    return "(" + ", ".join(f"{d}^{k}" if k > 1 else f"{d}" for d, k in runs) + ")"

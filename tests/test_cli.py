@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -491,6 +492,95 @@ def test_oversized_graphs_exit_capacity(capsys, tmp_path):
         assert code == 3 and out == "" and "cap" in err
     code, out, err = run(capsys, "graph", "gen", "hypercube", "30")
     assert code == 3 and out == ""
+
+
+_RA_GRA_CHILD = """
+import contextlib, io, json, resource, sys
+limit = int(sys.argv[1])
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from graphpower.cli import main
+results = []
+for spec in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["ra", "gra", "C4", "--group", spec])
+    except Exception as exc:
+        code = type(exc).__name__
+    results.append([spec, code, out.getvalue(), err.getvalue()])
+json.dump(results, sys.__stdout__)
+"""
+
+
+def _ra_gra_in_a_child(specs, timeout):
+    """[spec, exit code or the name of what main raised, stdout, stderr] of
+    `ra gra C4 --group spec` for each spec, run in turn in one child process
+    under a 1 GB address-space limit, so that a spec that allocates too much
+    fails there and not in the test runner."""
+    env = {k: v for k, v in os.environ.items() if k != "GRAPHPOWER_MAX_ORDER"}
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _RA_GRA_CHILD, str(1 << 30)], env=env,
+                          input=json.dumps(specs), capture_output=True, text=True, timeout=timeout)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return json.loads(proc.stdout)
+
+
+def test_oversized_groups_exit_capacity():
+    # each spec needs more than SCHREIER_SIMS_BUDGET entries for the
+    # transversals of its chain alone, and is refused before any of its
+    # permutations is allocated
+    degrees = {"S3000000": 3000000, "C3000000": 3000000, "D6000000": 3000000,
+               "A3000000": 3000000, "S100000000": 100000000, "C5794": 5794,
+               "C2xS3000000": 3000000, "x".join(["C2"] * 20000): 40000}
+    for spec, code, out, err in _ra_gra_in_a_child(list(degrees), timeout=60):
+        assert (code, out) == (3, ""), (spec[:20], code, err[-300:])
+        assert err == (f"capacity: Schreier-Sims on {degrees[spec]} points needs more than "
+                       f"{perm.SCHREIER_SIMS_BUDGET} permutation entries\n")
+
+
+def _fuzzed_group_specs(seed: int) -> list:
+    """About 200 group specs from one seed: one to three factors of C, D, S,
+    A, H or a junk letter, with an order of 0-12 or 10^6-10^12; some joins
+    malformed (a bare x, a doubled x, a trailing x); and three products of
+    thousands of C2 factors."""
+    rng = random.Random(seed)
+
+    def factor():
+        letter = rng.choice("CDSAH") if rng.random() < 0.85 else rng.choice("BZcq")
+        return letter + str(rng.randint(0, 12) if rng.random() < 0.7
+                            else rng.randint(10 ** 6, 10 ** 12))
+    specs = []
+    for _ in range(200):
+        spec = "x".join(factor() for _ in range(rng.randint(1, 3)))
+        roll = rng.random()
+        if roll < 0.04:
+            spec = "x"
+        elif roll < 0.08:
+            spec += "x"
+        elif roll < 0.12:
+            spec = spec.replace("x", "xx", 1) if "x" in spec else "xx" + spec
+        specs.append(spec)
+    return specs + ["x".join(["C2"] * k) for k in (5000, 12000, 20000)]
+
+
+def test_fuzzed_group_specs_keep_the_exit_code_contract():
+    # every spec answers (0), is refused as input (2) or as over a budget or
+    # the cap (3), with no traceback and nothing on stdout unless it answers.
+    # Orders of about 10^3-10^4 are left out only because they correctly take
+    # seconds: S2000 exits 3 on the Schreier-Sims budget in 4.7 s and C5000
+    # answers in 12.6 s. So are products of a few hundred to 4096 C2
+    # factors, which the budget does not stop: derived_subgroup forms a
+    # commutator for each pair of generators and the chain build rescans every
+    # level's generators, cubic in the factor count (300 factors take 5.5 s,
+    # 1000 more than two minutes)
+    for seed in (1, 2, 3):
+        results = _ra_gra_in_a_child(_fuzzed_group_specs(seed), timeout=120)
+        assert len(results) == 203
+        for spec, code, out, err in results:
+            assert code in (0, 2, 3), (spec[:40], code, err[-300:])
+            assert out == "" if code else json.loads(out)["group"] == spec, spec[:40]
+        assert {code for _, code, _, _ in results} == {0, 2, 3}
 
 
 def test_oversized_spec_numbers_are_input_errors(capsys):

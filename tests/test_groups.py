@@ -364,11 +364,38 @@ def test_parse_group_spec():
     assert parse_group_spec("A4").order() == 12
     prod = parse_group_spec("D8xC3")
     assert prod.order() == 24 and prod.name == "D8xC3"
-    with pytest.raises(SpecParseError) as exc:
-        parse_group_spec("D8xZ3")
-    assert "Z3" in str(exc.value)
+    # every token is read before a group is built: a malformed spec is bad
+    # input even when a factor before the bad token is over the budget
+    for spec in ("D8xZ3", "S3000000xZ3"):
+        with pytest.raises(SpecParseError) as exc:
+            parse_group_spec(spec)
+        assert "Z3" in str(exc.value)
     with pytest.raises(SpecParseError):
         parse_group_spec("H4")
+
+
+def test_a_group_spec_is_refused_exactly_when_its_transversals_pass_the_budget(monkeypatch):
+    # the refusal counts 2 (|O| - 1) D entries, D the degree, for one level
+    # per factor with O that factor's smallest orbit of more than one point
+    # (D4 has two orbits of 2): at that count the spec is built, one entry
+    # below it the spec is refused and a build of its generators stops too
+    floors = {"C7": 2 * 7 * 6, "D10": 2 * 5 * 4, "S5": 2 * 5 * 4, "A6": 2 * 6 * 5,
+              "D8xC3": 2 * 7 * (3 + 2), "D4xC5": 2 * 9 * (1 + 4), "S3xS3xC2": 2 * 8 * (2 + 2 + 1),
+              "C2xC2xC2": 2 * 6 * 3}
+    for spec, floor in floors.items():
+        group = parse_group_spec(spec)
+        gens, degree, order = group.generators, group.degree, group.known_order
+        monkeypatch.setattr(perm, "SCHREIER_SIMS_BUDGET", floor)
+        assert parse_group_spec(spec).name == spec
+        monkeypatch.setattr(perm, "SCHREIER_SIMS_BUDGET", floor - 1)
+        message = (f"Schreier-Sims on {degree} points needs more than {floor - 1} "
+                   f"permutation entries")
+        with pytest.raises(LimitExceeded, match=f"^{message}$"):
+            parse_group_spec(spec)
+        for known in (order, None):
+            with pytest.raises(LimitExceeded, match=f"^{message}$"):
+                PermGroup(degree, gens, max_order=None, order=known).order()
+        monkeypatch.undo()
 
 
 # every builder branch, and the products the tests and the benchmark decks name

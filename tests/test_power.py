@@ -219,7 +219,7 @@ def test_abelian_part_eliminates_once_per_distinct_invariant_factor(monkeypatch)
         seen.clear()
         ab = power._power_orders(group, graph)[2]
         act = activation_matrix(graph).row_list()
-        assert [r for rows, r in seen if rows == act] == [p]
+        assert [r for rows, r in seen if list(map(list, rows)) == act] == [p]
         assert ab == abelian_power_order_by_snf((p, p), act)
     seen.clear()
     assert abelian_power_order((2, 2), activation_matrix(cycle(4))) == 16 ** 2
@@ -624,6 +624,31 @@ def test_chain_builds_and_eliminates_each_row_set_once_off_the_closed_form(monke
     assert [rows for rows, r in seen if r == 12] == want
 
 
+def test_chain_hands_the_closure_the_rows_it_built(monkeypatch):
+    # S4 on Q3 is the closure path (all five orders 12^8): the u <= v rows
+    # are counted mod 12 and then closed, the u < v rows likewise, and each
+    # closure reads the very row objects _rows built, in their order, after
+    # the eliminations of the count
+    q3 = hypercube(3)
+    built, handed = {}, []
+    rows_of, closure = power._rows, power._comm_subgroup
+
+    def build(group, graph, include_equal):
+        built[include_equal] = rows_of(group, graph, include_equal)
+        return built[include_equal]
+
+    def close(group, n, rows, max_order):
+        handed.append(rows)
+        return closure(group, n, rows, max_order)
+    monkeypatch.setattr(power, "_rows", build)
+    monkeypatch.setattr(power, "_comm_subgroup", close)
+    assert chain_report(symmetric(4), q3, max_order=10 ** 15).orders() == (12 ** 8,) * 5
+    assert len(handed) == 2
+    for include_equal, rows in zip((True, False), handed):
+        assert rows == ra._distinct_rows(q3, include_equal)
+        assert list(map(id, rows)) == list(map(id, built[include_equal]))
+
+
 def _power_of_known_order(group, graph, order):
     """G^graph's clicks built as a PermGroup given its order."""
     gens = graph_power(group, graph, max_order=None).perm_group.generators
@@ -700,15 +725,15 @@ def test_full_power_projects_to_full_abelian():
 def test_basic_commutator_is_its_commutator_spread_over_the_intersection():
     # [g^u, h^v] = [g,h]^I with I the indicator of B(u) cap B(v)
     for group, graph in [(D8, cycle(4)), (symmetric(3), path(3))]:
-        act = activation_matrix(graph)
+        act = activation_matrix(graph).row_list()
         elems = group.elements()
         for u in range(graph.n):
             for v in range(u, graph.n):
-                both = [a * b for a, b in zip(act.row(u), act.row(v))]
+                both = [a * b for a, b in zip(act[u], act[v])]
                 for g in elems:
                     for h in elems:
-                        lhs = power_click(group, g, act.row(u)).as_perm().commutator(
-                            power_click(group, h, act.row(v)).as_perm())
+                        lhs = power_click(group, g, act[u]).as_perm().commutator(
+                            power_click(group, h, act[v]).as_perm())
                         assert lhs == power_click(group, g.commutator(h), both).as_perm()
 
 
@@ -755,7 +780,7 @@ def test_in_comm_membership():
     state = as_state(D8, r2, r2, e, e)
     assert in_comm(D8, c4, state)
     # a click generator with non-commutator coordinates does not
-    state2 = power_click(D8, R, activation_matrix(c4).row(0))
+    state2 = power_click(D8, R, activation_matrix(c4).row_list()[0])
     assert gp.contains(state2)
     assert not in_comm(D8, c4, state2)
     # C4 is RA over D8: all of [G,G]^4 lies inside

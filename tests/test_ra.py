@@ -83,8 +83,8 @@ def test_ra_matrix_fixtures():
     assert (1, 1, 0, 0) in rows         # adjacent pair
     assert (0, 1, 0, 1) in rows         # opposite pair through both commons
     # diagonal pairs reproduce the activation rows
-    diag = [C.row(_pair_index(4, v, v)) for v in range(4)]
-    assert diag == list(activation_matrix(cycle(4))._rows)
+    diag = [C.row_list()[_pair_index(4, v, v)] for v in range(4)]
+    assert diag == activation_matrix(cycle(4)).row_list()
 
 
 def _pair_index(n, u, v):

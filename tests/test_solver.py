@@ -178,8 +178,8 @@ def test_solutions_verify_by_construction(r, target):
     res = solve(cycle(4), (r,), [t % r for t in target])
     if isinstance(res, Solution):
         clicks = res.clicks[0]
-        A = activation_matrix(cycle(4))
-        reached = [sum(c * A[v, w] for v, c in enumerate(clicks)) % r
+        A = activation_matrix(cycle(4)).row_list()
+        reached = [sum(c * A[v][w] for v, c in enumerate(clicks)) % r
                    for w in range(4)]
         assert reached == [t % r for t in target]
 

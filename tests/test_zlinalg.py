@@ -3,11 +3,16 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from graphpower import power, solver
 from graphpower.errors import DimensionMismatch, LimitExceeded, NotPrime
-from graphpower.graphs import grid, relabel
+from graphpower.graphs import grid, petersen, relabel
 from graphpower.ra import activation_matrix
 from graphpower.zlinalg import (
     IntMat,
+    _divisor_chain,
+    _echelon,
+    _row_lattice_index,
+    _span_order,
     divisor_tuple_str,
     lattice_index,
     mat_vec,
@@ -290,7 +295,81 @@ def test_divisor_tuple_str():
     assert divisor_tuple_str((1,)) == "(1)"
 
 
-def test_intmat_json_roundtrip():
-    obj = A_C4.to_json()
-    assert IntMat.from_json(obj) == A_C4
 
+def _as_lists(echelon):
+    rows, pivots = echelon
+    return [list(row) for row in rows], pivots
+
+
+def _unchanged(given, readers):
+    """Run each reader on `given` and assert that neither the sequence nor
+    its rows changed, whatever the reader returned or raised."""
+    before, ids = [list(row) for row in given], list(map(id, given))
+    out = []
+    for reader in readers:
+        try:
+            out.append(reader(given))
+        except LimitExceeded as exc:
+            out.append(str(exc))
+        assert [list(row) for row in given] == before and list(map(id, given)) == ids
+    return out
+
+
+def test_the_kernel_and_its_readers_leave_the_given_rows_as_they_are():
+    # the echelon kernel takes rows as any sequences and works on a list of
+    # its own: a tuple of tuples and a list of lists give the same results,
+    # and neither is written into, not by the Howell rows mod 12, the column
+    # swaps of perm mode or an elimination that stops on its budget
+    rng = random.Random(22)
+    howell = 0
+    for _ in range(150):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
+        mod = {r: [[x % r for x in row] for row in rows] for r in (5, 12)}
+
+        def with_perm(given):
+            perm = list(range(n))
+            return _as_lists(_echelon(given, n, perm=perm)), perm
+        readers = [
+            lambda g: _as_lists(_echelon(g, n)),
+            lambda g: _as_lists(_echelon(g, n, budget=10 ** 6)),
+            lambda g: _as_lists(_echelon(g, n, budget=n)),
+            with_perm,
+            lambda g: _divisor_chain(g, n),
+            lambda g: _row_lattice_index(g, n),
+        ]
+        mod_readers = {r: [lambda g, r=r: _as_lists(_echelon(g, n, r)),
+                           lambda g, r=r: _span_order(g, n, r, budget=n)] for r in mod}
+        for given, use in [(rows, readers)] + [(mod[r], mod_readers[r]) for r in mod]:
+            listed = _unchanged([list(row) for row in given], use)
+            assert _unchanged(tuple(map(tuple, given)), use) == listed
+        howell += len(_echelon(mod[12], n, 12)[0]) > m
+        mat, chain = IntMat(rows), _divisor_chain(rows, n)
+        target = [rng.randint(-6, 6) for _ in range(n)]
+        assert _unchanged(mat._rows, [
+            lambda _: snf_divisors(mat),
+            lambda _: rank_mod_p(mat, 5),
+            lambda _: span_order_mod(mat, 12),
+            lambda _: lattice_index(mat),
+            lambda _: row_solve(mat, target),
+            lambda _: row_solve(mat, target, 12),
+        ]) == [tuple(chain + [0] * (min(m, n) - len(chain))),
+               len(_echelon(mod[5], n, 5)[1]), _span_order(mod[12], n, 12),
+               _row_lattice_index(rows, n), row_solve(IntMat(rows), target),
+               row_solve(IntMat(rows), target, 12)]
+    assert howell >= 20
+
+
+def test_abelian_spans_and_reachability_profiles_leave_the_activation_rows_as_they_are(monkeypatch):
+    for graph in (grid(3, 4), petersen()):
+        act = activation_matrix(graph)
+        listed = act.row_list()
+        spans = _unchanged(listed, [lambda g: power._span_product(g, graph.n, (2, 3, 6, 12))])
+        assert _unchanged(tuple(map(tuple, listed)),
+                          [lambda g: power._span_product(g, graph.n, (2, 3, 6, 12))]) == spans
+        perm = list(range(graph.n))
+        _, cols = _echelon(listed, graph.n, perm=perm)
+        monkeypatch.setattr(solver, "activation_matrix", lambda _: act)
+        profile = _unchanged(act._rows, [lambda _: solver.reachability_profile(graph)])[0]
+        assert profile.column_permutation == tuple(perm)
+        assert profile.free_count + len(profile.constrained) == len(cols)
