@@ -421,11 +421,6 @@ def reduce_indistinguishable(g: Graph) -> Graph:
                               for v in position])
 
 
-def relabel(g: Graph, perm: Sequence[int]) -> Graph:
-    """Relabel so that new vertex i is old vertex perm[i]."""
-    return Graph._from_masks(_permute_masks(g._masks, _inverse(perm)))
-
-
 def _inverse(perm: Sequence[int]) -> list:
     inv = [0] * len(perm)
     for i, v in enumerate(perm):
@@ -613,9 +608,9 @@ def canonical_form(g: Graph) -> tuple:
     equal certificates. The column code at position j packs the adjacency
     bits of the vertex placed there to positions 0..j-1, earliest position
     most significant, so comparing code sequences equals comparing the
-    packed upper-triangle bit string, and relabel(g, placement) has exactly
-    these codes. A graph whose own labeling already scores the minimum gets
-    the identity placement.
+    packed upper-triangle bit string, and the graph whose vertex i is g's
+    vertex placement[i] has exactly these codes. A graph whose own labeling
+    already scores the minimum gets the identity placement.
     """
     cert, placement, _ = _canonical_search(g.n, g._masks)
     if _column_codes(g._masks, range(g.n)) == cert[1]:

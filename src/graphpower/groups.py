@@ -140,14 +140,12 @@ def direct_product(*groups: PermGroup) -> PermGroup:
         return groups[0]
     degree = sum(g.degree for g in groups)
     _require_chain_fits(degree, [_least_orbit(g) for g in groups])
-    gens = []
-    offset = 0
+    identity, gens, offset = tuple(range(degree)), [], 0
     for g in groups:
-        for gen in g.generators:
-            image = list(range(offset)) + [offset + x for x in gen.image] \
-                + list(range(offset + g.degree, degree))
-            gens.append(Perm(image))
-        offset += g.degree
+        end = offset + g.degree
+        gens += [identity[:offset] + tuple(offset + x for x in gen) + identity[end:]
+                 for gen in g._gens]
+        offset = end
     name = "x".join(g.name for g in groups)
     orders = [g.known_order for g in groups]
     return PermGroup(degree, gens, max_order=None, name=name,

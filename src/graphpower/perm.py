@@ -258,16 +258,16 @@ class PermGroup:
             raise _budget_error(self.degree)
 
     def _extend_level(self, level: _Level, new_gen: tuple) -> None:
-        """Add a generator to a level and close its orbit. The new orbit
+        """Add a generator to a level and close its orbit, mapping the old
+        points (closed under the old generators) by the new one only. The new
         points are found first, so their transversal (each point's
         permutation and its inverse) is paid for before it is stored."""
         level.gens.append(new_gen)
-        for pt in list(level.orbit):
-            level.pairs.append((pt, new_gen))
+        level.pairs += [(pt, new_gen) for pt in level.orbit]
         found = {}  # new orbit point -> (the point it is reached from, generator)
-        queue = list(level.orbit)
-        for pt in queue:
-            for s in level.gens:
+        queue, old = list(level.orbit), len(level.orbit)
+        for i, pt in enumerate(queue):
+            for s in level.gens if i >= old else (new_gen,):
                 np = s[pt]
                 if np not in level.orbit and np not in found:
                     found[np] = (pt, s)
@@ -276,8 +276,7 @@ class PermGroup:
         for np, (pt, s) in found.items():
             level.orbit[np] = _compose(level.orbit[pt], s)
             level.inv[np] = _inverse(level.orbit[np], self._identity)
-            for s2 in level.gens:
-                level.pairs.append((np, s2))
+            level.pairs += [(np, s2) for s2 in level.gens]
 
     def _check_bound(self) -> None:
         """Record the chain product, a lower bound for |G|, and hold it to
@@ -373,39 +372,36 @@ class PermGroup:
         return f"PermGroup({label}degree={self.degree}, order={self.order()})"
 
 
-def normal_closure(degree: int, ambient_gens: Sequence, sub_gens: Sequence) -> PermGroup:
+def normal_closure(degree: int, ambient_gens: Sequence, sub_gens: Iterable) -> PermGroup:
     """Smallest subgroup containing sub_gens and closed under conjugation by
-    the ambient generators. No order cap: callers take it inside a group
-    already built."""
+    the ambient generators, grown from the trivial group: an element joins
+    only if the group lacks it, and only a joining element has its
+    conjugates queued. No order cap: callers take it inside a built group."""
     amb = [g.image if isinstance(g, Perm) else tuple(g) for g in ambient_gens]
-    sub = [g.image if isinstance(g, Perm) else tuple(g) for g in sub_gens]
-    group = PermGroup(degree, sub, max_order=None)
-    work = [g for g in sub if g != tuple(range(degree))]
-    wi = 0
-    while wi < len(work):
-        x = work[wi]
-        wi += 1
-        for a in amb:
-            conj = _compose(_compose(_inverse(a), x), a)
-            if not group.contains(conj):
-                group.add_generator(conj)
-                work.append(conj)
+    conjugators = [(_inverse(a), a) for a in amb]
+    group = PermGroup(degree, max_order=None)
+    for g in sub_gens:
+        work = [g.image if isinstance(g, Perm) else tuple(g)]
+        for x in work:
+            if not group.contains(x):
+                group.add_generator(x)
+                work.extend(_compose(_compose(ai, x), a) for ai, a in conjugators)
     return group
 
 
 def derived_subgroup(group: PermGroup) -> PermGroup:
-    """[H,H]: the normal closure of the commutators over unordered generator
-    pairs ([b,a] is the inverse of [a,b], so one of the two suffices). Built
-    once per group and kept on it, with no order cap, since |[H,H]| <= |H|
-    and H passed its own cap when it was built; SCHREIER_SIMS_BUDGET still
-    bounds the work."""
+    """[H,H]: the normal closure of the commutators of unordered generator
+    pairs ([b,a] = [a,b]^-1), each formed as the closure reads it; kept on H.
+    No order cap: |[H,H]| <= |H|, and H passed its cap when built. When the 3
+    products of each of the k(k-1)/2 commutators of k generators pass
+    SCHREIER_SIMS_BUDGET, LimitExceeded comes before any is formed."""
     if group._derived is None:
-        gens = group._gens
+        gens, degree, k = group._gens, group.degree, len(group._gens)
+        if 3 * degree * k * (k - 1) // 2 > SCHREIER_SIMS_BUDGET:
+            raise _budget_error(degree)
         invs = [_inverse(a) for a in gens]
-        comms = {}
-        for i, (a, ai) in enumerate(zip(gens, invs)):
-            for b, bi in zip(gens[i + 1:], invs[i + 1:]):
-                comms[_compose(_compose(_compose(a, b), ai), bi)] = None
-        comms.pop(group._identity, None)
-        group._derived = normal_closure(group.degree, gens, list(comms))
+        comms = (_compose(_compose(_compose(a, b), ai), bi)
+                 for i, (a, ai) in enumerate(zip(gens, invs))
+                 for b, bi in zip(gens[i + 1:], invs[i + 1:]))
+        group._derived = normal_closure(degree, gens, comms)
     return group._derived

@@ -182,10 +182,11 @@ def _span_product(rows: Sequence, n: int, factors: tuple, budget: Optional[int] 
 def _independent_set_bound(group: PermGroup, graph: Graph, max_order: Optional[int]) -> None:
     """Raise CapacityExceeded at the first vertex of a greedy independent set
     S where |G|^|S| passes max_order: clicking a vertex of S moves no other
-    coordinate of S, so G^graph projects onto G^S and |G^graph| >= |G|^|S|."""
+    coordinate of S, so G^graph projects onto G^S and |G^graph| >= |G|^|S|.
+    |G| is the group's known order when it has one, so no chain is built."""
     if max_order is None:
         return
-    bound, taken, order = 1, 0, group.order()
+    bound, taken, order = 1, 0, group.known_order or group.order()
     for v, m in enumerate(graph._masks):
         if not m & taken:
             taken |= 1 << v

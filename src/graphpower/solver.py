@@ -19,7 +19,7 @@ from typing import NamedTuple, Sequence, Union
 
 from .errors import ConsistencyError, DimensionMismatch, InvalidParameter
 from .graphs import Graph
-from .ra import activation_matrix
+from .ra import RA_TEST_BUDGET, activation_matrix
 from .zlinalg import _echelon, mat_vec, row_solve
 
 INTEGERS = "Z"
@@ -98,6 +98,9 @@ def solve(graph: Graph, moduli, target) -> Union[Solution, Unsolvable]:
 
     Factors solve independently. The result is a Solution with one click
     vector per factor, or an Unsolvable naming the first obstructed pivot.
+    Over Z, the elimination may rewrite at most ra.RA_TEST_BUDGET entries
+    (LimitExceeded past it), the budget of `is_ra` and `eldivs` on the same
+    rows; mod r, no budget applies.
     """
     if moduli == INTEGERS or moduli == [INTEGERS] or moduli == (INTEGERS,):
         moduli = (INTEGERS,)
@@ -113,7 +116,7 @@ def solve(graph: Graph, moduli, target) -> Union[Solution, Unsolvable]:
     for alpha, modulus in enumerate(moduli):
         r = 0 if modulus == INTEGERS else modulus  # Z is r = 0, as in row_solve
         tvec = [t % r for t in targets[alpha]] if r else targets[alpha]
-        clicks, bad = row_solve(A, tvec, r)
+        clicks, bad = row_solve(A, tvec, r, budget=None if r else RA_TEST_BUDGET)
         if clicks is None:
             detail = (f"factor {alpha} (mod {r}): pivot at vertex {bad} obstructed" if r
                       else f"no integer combination reaches vertex {bad}")

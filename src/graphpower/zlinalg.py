@@ -308,13 +308,15 @@ def _row_lattice_index(rows: Sequence, n: int, budget: Optional[int] = None) -> 
 
 # -- Diophantine solving ------------------------------------------------------
 
-def row_solve(M: IntMat, target: Sequence[int], r: int = 0) -> tuple:
+def row_solve(M: IntMat, target: Sequence[int], r: int = 0,
+              budget: Optional[int] = None) -> tuple:
     """Row vector c with c M == target (mod r when r > 0), by echelon form
     and back substitution.
 
     Returns (c, None), c reduced into [0, r) when r > 0, or (None, j) with j
     the first column such that no vector of the row lattice (plus r*Z^cols)
-    agrees with `target` on columns 0..j.
+    agrees with `target` on columns 0..j. A `budget` caps the entries the
+    elimination may rewrite (LimitExceeded past it).
     """
     if len(target) != M.cols:
         raise DimensionMismatch(f"target length {len(target)} != cols {M.cols}")
@@ -322,7 +324,7 @@ def row_solve(M: IntMat, target: Sequence[int], r: int = 0) -> tuple:
     rows = [list(row) + w for row, w in zip(M._rows, IntMat.identity(m).row_list())]
     if r:
         rows = [[x % r for x in row] for row in rows]
-    rows, pivots = _echelon(rows, n, r)
+    rows, pivots = _echelon(rows, n, r, budget=budget)
     pivot_rows = dict(zip(pivots, rows))
     # subtract pivot rows from [target | 0]; the witness part collects -c
     res = list(target) + [0] * m

@@ -656,20 +656,55 @@ def membership_sample(plain, rng, count: int = 50, tries: int = 2000) -> tuple:
     gens, degree = plain.generators, plain.degree
     if plain.order() == factorial(degree):
         tries = 0
-
-    def word():
-        x = plain.identity()
-        for _ in range(40 if gens else 0):
-            x = x * rng.choice(gens)
-        return x
-
-    members, non_members = [word() for _ in range(count)], []
+    members, non_members = random_words(gens, plain.identity(), rng, count), []
     for _ in range(tries):
-        x = word() * Perm.from_cycles(degree, tuple(rng.sample(range(degree), 2)))
+        x = random_words(gens, plain.identity(), rng, 1)[0] * \
+            Perm.from_cycles(degree, tuple(rng.sample(range(degree), 2)))
         (members if plain.contains(x) else non_members).append(x)
         if len(non_members) == count:
             break
     return members, non_members
+
+
+# -- normal closures by the batch build the worklist replaced ----------------------
+
+def normal_closure_by_batch(degree: int, ambient_gens, sub_gens):
+    """The normal closure of sub_gens under the ambient generators (all
+    Perms), built from all of sub_gens at once; then every element of the
+    queue, the non-identity sub generators first, is conjugated by every
+    ambient generator, and a conjugate the group lacks joins it and the
+    queue."""
+    from graphpower.perm import PermGroup
+
+    group = PermGroup(degree, sub_gens, max_order=None)
+    work = [g for g in sub_gens if not g.is_identity()]
+    for x in work:
+        for a in ambient_gens:
+            conj = x.conjugate(a)
+            if not group.contains(conj):
+                group.add_generator(conj)
+                work.append(conj)
+    return group
+
+
+def derived_subgroup_by_batch(group):
+    """[H,H]: the distinct non-identity commutators of unordered generator
+    pairs, collected in a dict, closed by normal_closure_by_batch."""
+    gens = group.generators
+    comms = {a.commutator(b): None for i, a in enumerate(gens) for b in gens[i + 1:]}
+    comms.pop(group.identity(), None)
+    return normal_closure_by_batch(group.degree, gens, list(comms))
+
+
+def random_words(gens, identity, rng, count: int = 50, length: int = 40) -> list:
+    """`count` products of `length` generators drawn with `rng`."""
+    out = []
+    for _ in range(count):
+        x = identity
+        for _ in range(length if gens else 0):
+            x = x * rng.choice(gens)
+        out.append(x)
+    return out
 
 
 # -- group powers by the routes the closed forms replaced --------------------------
@@ -812,6 +847,14 @@ def disjoint_union(a, b):
     from graphpower.graphs import Graph
 
     return Graph(a.n + b.n, list(a.edges) + [(u + a.n, v + a.n) for u, v in b.edges])
+
+
+def relabel(g, perm):
+    """The graph whose vertex i is g's vertex perm[i], from g's edge list."""
+    from graphpower.graphs import Graph
+
+    position = {v: i for i, v in enumerate(perm)}
+    return Graph(g.n, [(position[u], position[v]) for u, v in g.edges])
 
 
 def delete_vertex_by_edge_map(g, v: int):

@@ -494,7 +494,7 @@ def test_oversized_graphs_exit_capacity(capsys, tmp_path):
     assert code == 3 and out == ""
 
 
-_RA_GRA_CHILD = """
+_RA_CHILD = """
 import contextlib, io, json, resource, sys
 limit = int(sys.argv[1])
 resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
@@ -504,7 +504,7 @@ for spec in json.load(sys.stdin):
     out, err = io.StringIO(), io.StringIO()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["ra", "gra", "C4", "--group", spec])
+            code = main(["ra", sys.argv[2], "C4", "--group", spec])
     except Exception as exc:
         code = type(exc).__name__
     results.append([spec, code, out.getvalue(), err.getvalue()])
@@ -512,15 +512,15 @@ json.dump(results, sys.__stdout__)
 """
 
 
-def _ra_gra_in_a_child(specs, timeout):
+def _ra_in_a_child(specs, timeout, command="gra"):
     """[spec, exit code or the name of what main raised, stdout, stderr] of
-    `ra gra C4 --group spec` for each spec, run in turn in one child process
-    under a 1 GB address-space limit, so that a spec that allocates too much
-    fails there and not in the test runner."""
+    `ra <command> C4 --group spec` for each spec, run in turn in one child
+    process under a 1 GB address-space limit, so that a spec that allocates
+    too much fails there and not in the test runner."""
     env = {k: v for k, v in os.environ.items() if k != "GRAPHPOWER_MAX_ORDER"}
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _RA_GRA_CHILD, str(1 << 30)], env=env,
+    proc = subprocess.run([sys.executable, "-c", _RA_CHILD, str(1 << 30), command], env=env,
                           input=json.dumps(specs), capture_output=True, text=True, timeout=timeout)
     assert proc.returncode == 0, proc.stderr[-2000:]
     return json.loads(proc.stdout)
@@ -533,17 +533,39 @@ def test_oversized_groups_exit_capacity():
     degrees = {"S3000000": 3000000, "C3000000": 3000000, "D6000000": 3000000,
                "A3000000": 3000000, "S100000000": 100000000, "C5794": 5794,
                "C2xS3000000": 3000000, "x".join(["C2"] * 20000): 40000}
-    for spec, code, out, err in _ra_gra_in_a_child(list(degrees), timeout=60):
+    for spec, code, out, err in _ra_in_a_child(list(degrees), timeout=60):
         assert (code, out) == (3, ""), (spec[:20], code, err[-300:])
         assert err == (f"capacity: Schreier-Sims on {degrees[spec]} points needs more than "
                        f"{perm.SCHREIER_SIMS_BUDGET} permutation entries\n")
 
 
+def test_products_of_hundreds_of_c2_factors_exit_capacity_or_answer():
+    # ra gra forms a commutator of each pair of the k generators, three
+    # products of 2k entries each; from k = 283 on, those alone pass the
+    # Schreier-Sims budget, and none is formed. ra chain reads the known order
+    # 2^k and stops at the cap before it builds a chain. 200 factors answer.
+    counts = (200, 283, 1000, 4096)
+    specs = ["x".join(["C2"] * k) for k in counts]
+    gra = _ra_in_a_child(specs, timeout=120)
+    chain = _ra_in_a_child(specs, timeout=60, command="chain")
+    for k, (_, code, out, err), (_, chain_code, chain_out, chain_err) in zip(counts, gra, chain):
+        if k == 200:
+            assert code == 0 and json.loads(out)["orders"]["full_commutator_power"] == 1
+        else:
+            assert (code, out, err) == (3, "", f"capacity: Schreier-Sims on {2 * k} points needs "
+                                               f"more than {perm.SCHREIER_SIMS_BUDGET} "
+                                               f"permutation entries\n"), k
+        assert (chain_code, chain_out) == (3, ""), k
+        assert chain_err == f"capacity: predicted order at least {2 ** k} exceeds cap " \
+                            f"{perm.DEFAULT_MAX_ORDER}\n", k
+
+
 def _fuzzed_group_specs(seed: int) -> list:
     """About 200 group specs from one seed: one to three factors of C, D, S,
     A, H or a junk letter, with an order of 0-12 or 10^6-10^12; some joins
-    malformed (a bare x, a doubled x, a trailing x); and three products of
-    thousands of C2 factors."""
+    malformed (a bare x, a doubled x, a trailing x); and products of C2
+    factors: two of a seeded 283-4096 factors, one of 4096 (the most the
+    group-spec bound admits) and three of thousands more."""
     rng = random.Random(seed)
 
     def factor():
@@ -561,7 +583,8 @@ def _fuzzed_group_specs(seed: int) -> list:
         elif roll < 0.12:
             spec = spec.replace("x", "xx", 1) if "x" in spec else "xx" + spec
         specs.append(spec)
-    return specs + ["x".join(["C2"] * k) for k in (5000, 12000, 20000)]
+    counts = [rng.randint(283, 4096) for _ in range(2)] + [4096, 5000, 12000, 20000]
+    return specs + ["x".join(["C2"] * k) for k in counts]
 
 
 def test_fuzzed_group_specs_keep_the_exit_code_contract():
@@ -569,14 +592,10 @@ def test_fuzzed_group_specs_keep_the_exit_code_contract():
     # the cap (3), with no traceback and nothing on stdout unless it answers.
     # Orders of about 10^3-10^4 are left out only because they correctly take
     # seconds: S2000 exits 3 on the Schreier-Sims budget in 4.7 s and C5000
-    # answers in 12.6 s. So are products of a few hundred to 4096 C2
-    # factors, which the budget does not stop: derived_subgroup forms a
-    # commutator for each pair of generators and the chain build rescans every
-    # level's generators, cubic in the factor count (300 factors take 5.5 s,
-    # 1000 more than two minutes)
+    # answers in 12.6 s
     for seed in (1, 2, 3):
-        results = _ra_gra_in_a_child(_fuzzed_group_specs(seed), timeout=120)
-        assert len(results) == 203
+        results = _ra_in_a_child(_fuzzed_group_specs(seed), timeout=120)
+        assert len(results) == 206
         for spec, code, out, err in results:
             assert code in (0, 2, 3), (spec[:40], code, err[-300:])
             assert out == "" if code else json.loads(out)["group"] == spec, spec[:40]
@@ -592,7 +611,8 @@ def test_oversized_spec_numbers_are_input_errors(capsys):
 
 
 def test_solve_consistency_fault_exits_4(capsys, monkeypatch):
-    monkeypatch.setattr(solver, "row_solve", lambda M, target, r=0: ((0,) * M.rows, None))
+    monkeypatch.setattr(solver, "row_solve",
+                        lambda M, target, r=0, budget=None: ((0,) * M.rows, None))
     for moduli in ("Z", "3"):
         code, out, err = run(capsys, "solve", "C4", "--moduli", moduli, "--target", "1,1,1,0")
         assert code == 4 and out == "" and "consistency" in err

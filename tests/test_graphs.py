@@ -46,7 +46,6 @@ from graphpower.graphs import (
     path,
     petersen,
     reduce_indistinguishable,
-    relabel,
     star,
     tadpole,
     to_dot,
@@ -70,6 +69,7 @@ from oracles import (
     graph6_encode_by_pairs,
     pqr_criterion_by_distances,
     reduce_indistinguishable_by_sets,
+    relabel,
     square_completion_by_paths,
 )
 

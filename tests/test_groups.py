@@ -27,9 +27,12 @@ from oracles import (
     basic_commutator_order,
     closure_elements,
     closure_order,
+    derived_subgroup_by_batch,
     heisenberg_regular,
     membership_sample,
+    normal_closure_by_batch,
     plain_build,
+    random_words,
 )
 
 
@@ -160,6 +163,31 @@ def test_derived_subgroup_fixtures():
     assert derived_subgroup(cyclic(9)).order() == 1
     assert derived_subgroup(symmetric(4)).order() == 12
     assert derived_subgroup(symmetric(3)).order() == 3
+
+
+def test_derived_subgroups_match_the_batch_closure():
+    # the worklist closure of the streamed commutators against the batch
+    # build it replaced: equal orders, and equal membership of 50 seeded
+    # random elements of the group
+    rng = random.Random(20261020)
+    for spec in ("D8", "D10", "S3", "S4", "S5", "A4", "A5", "H3", "H5", "D8xC3", "H3xC2"):
+        group = parse_group_spec(spec)
+        new, old = derived_subgroup(group), derived_subgroup_by_batch(group)
+        assert new.order() == old.order(), spec
+        for x in random_words(group.generators, group.identity(), rng):
+            assert new.contains(x) == old.contains(x), spec
+
+
+def test_normal_closure_of_a_random_element_matches_the_batch_closure():
+    rng = random.Random(20261021)
+    for spec in ("S6", "A7"):
+        group = parse_group_spec(spec)
+        x = random_words(group.generators, group.identity(), rng, 1)[0]
+        new = perm.normal_closure(group.degree, group.generators, [x])
+        old = normal_closure_by_batch(group.degree, group.generators, [x])
+        assert new.order() == old.order() > 1, spec
+        for y in random_words(group.generators, group.identity(), rng):
+            assert new.contains(y) == old.contains(y), spec
 
 
 def test_derived_subgroup_follows_an_added_generator():

@@ -52,14 +52,25 @@ def _defined_names(node) -> set:
     return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
 
 
+PACKAGE_NAMES = {"graphpower"} | {p.stem for p in MODULES}
+
+
+def _names_a_module(node) -> bool:
+    """Whether an expression names a package module: `ra`, `graphpower.cli`."""
+    while isinstance(node, ast.Attribute) and node.attr in PACKAGE_NAMES:
+        node = node.value
+    return isinstance(node, ast.Name) and node.id in PACKAGE_NAMES
+
+
 def _read_names(node) -> set:
-    """Names a statement reads: plain names, attributes (`ra._orders`) and
-    the names it imports."""
+    """Names a statement reads: plain names, attributes of a package module
+    (`ra._indicator`, `graphpower.cli.main`; `self.comm_b` reads no
+    top-level name) and the names it imports."""
     out = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
             out.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
+        elif isinstance(sub, ast.Attribute) and _names_a_module(sub.value):
             out.add(sub.attr)
         elif isinstance(sub, ast.ImportFrom):
             out.update(alias.name for alias in sub.names)
@@ -125,14 +136,17 @@ def public_names_only_tests_read(sources: dict, outside: set) -> list:
                          lambda name: not name.startswith("_"), outside)
 
 
-# the public names that only tests read: the paper-facing API (the orders
-# and verdicts the paper defines, and the lattice index that decides RA) and
+# the public names that only tests read: the paper-facing API (the subgroups
+# Comm_b and Comm_d, the orders and verdicts the paper defines, and the
+# lattice index that decides RA) and
 # the JSON schemas of the CLI payloads
 TEST_READ_PUBLIC_NAMES = [
     ("graphs", "closed_neighborhood"),
     ("graphs", "is_isomorphic"),
     ("power", "abelian_power_order"),
+    ("power", "comm_b"),
     ("power", "comm_b_order"),
+    ("power", "comm_d"),
     ("power", "comm_d_order"),
     ("power", "is_g_ra"),
     ("schemas", "CLASSIFY_SCHEMA"),
@@ -150,6 +164,17 @@ def test_public_name_check_sees_a_name_only_tests_read():
                "a": "def helper():\n    return 1\n\n\ndef kept():\n    return helper()\n"
                     "\n\ndef shown():\n    return 2\n"}
     assert public_names_only_tests_read(sources, {"shown"}) == [("a", "kept")]
+
+
+def test_public_name_check_counts_only_attributes_of_package_modules():
+    sources = {"__init__": "", "ra": "def kept():\n    return 1\n",
+               "power": "class _Report:\n    def f(self, obj):\n"
+                        "        return self.kept, obj.kept\n"}
+    assert public_names_only_tests_read(sources, set()) == [("ra", "kept")]
+    sources["power"] = "from . import ra\nprint(ra.kept())\n"
+    assert public_names_only_tests_read(sources, set()) == []
+    assert _read_names(ast.parse("graphpower.ra.kept\nx.ra.other")) == \
+        {"graphpower", "ra", "kept", "x"}
 
 
 def test_public_names_only_tests_read_are_listed():

@@ -54,9 +54,11 @@ from oracles import (
     comm_order_by_closure,
     comm_order_by_spread_closure,
     derived_power_order_by_closure,
+    derived_subgroup_by_batch,
     gfp_rank,
     in_comm,
     membership_sample,
+    random_words,
     ra_matrix_by_sets,
     ra_rows_by_sets,
 )
@@ -121,6 +123,21 @@ def test_matrix_power_square_click():
     comm_members = [s for s in p.elements_as_states()
                     if all(der.contains(c) for c in s.components)]
     assert len(comm_members) == 2
+
+
+def test_derived_powers_match_the_batch_closure():
+    # [G^graph, G^graph] by the worklist closure against the batch build it
+    # replaced, on every connected graph to 5 vertices: equal orders, and
+    # equal membership of 50 seeded random elements of G^graph
+    rng = random.Random(20261022)
+    for spec in ("D8", "A4", "S4"):
+        for n in range(1, 6):
+            for g in enumerate_connected_graphs(n):
+                power_group = graph_power(parse_group_spec(spec), g, max_order=None).perm_group
+                new, old = derived_subgroup(power_group), derived_subgroup_by_batch(power_group)
+                assert new.order() == old.order(), (spec, g.edges)
+                for x in random_words(power_group.generators, power_group.identity(), rng):
+                    assert new.contains(x) == old.contains(x), (spec, g.edges)
 
 
 def test_derived_builds_one_normal_closure(monkeypatch):

@@ -43,6 +43,7 @@ from oracles import (
     prime_factors,
     ra_matrix_by_sets,
     rational_rank,
+    relabel,
 )
 
 
@@ -278,7 +279,7 @@ def test_census_eight_finds_the_cube():
     assert top.connected_classes == 11117
     # the cube lives here, so not everything at n = 8 is RA
     assert top.ra_count < top.distinguishable
-    from graphpower.graphs import canonical_form, graph6_encode, relabel
+    from graphpower.graphs import canonical_form, graph6_encode
     cube = hypercube(3)
     cube_g6 = graph6_encode(relabel(cube, canonical_form(cube)[1]))
     cube_rows = [r for r in report.rows if r.n == 8 and r.graph6 == cube_g6]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphpower import solver
-from graphpower.errors import ConsistencyError, DimensionMismatch, InvalidParameter
+from graphpower.errors import ConsistencyError, DimensionMismatch, InvalidParameter, LimitExceeded
 from graphpower.graphs import (
     complete,
     cycle,
@@ -185,10 +185,19 @@ def test_solutions_verify_by_construction(r, target):
 
 
 def test_solve_checks_its_clicks(monkeypatch):
-    monkeypatch.setattr(solver, "row_solve", lambda M, target, r=0: ((0,) * M.rows, None))
+    monkeypatch.setattr(solver, "row_solve",
+                        lambda M, target, r=0, budget=None: ((0,) * M.rows, None))
     for moduli, target in ((INTEGERS, [1, 1, 1, 0]), ((3,), [1, 0, 0, 0])):
         with pytest.raises(ConsistencyError):
             solve(cycle(4), moduli, target)
+
+
+def test_solve_over_z_stops_at_the_ra_test_budget(monkeypatch):
+    # over Z the elimination has the budget of the RA test; mod r none
+    monkeypatch.setattr(solver, "RA_TEST_BUDGET", 100)
+    with pytest.raises(LimitExceeded, match="budget of 100$"):
+        solve(grid(3, 3), INTEGERS, [1] * 9)
+    assert solve(grid(3, 3), (3,), [1] * 9)
 
 
 def test_lights_out_wrapper():

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from graphpower import power, solver
 from graphpower.errors import DimensionMismatch, LimitExceeded, NotPrime
-from graphpower.graphs import grid, petersen, relabel
+from graphpower.graphs import grid, petersen
 from graphpower.ra import activation_matrix
 from graphpower.zlinalg import (
     IntMat,
@@ -29,6 +29,7 @@ from oracles import (
     minors_divisors,
     modular_obstruction_bruteforce,
     reachable_mod,
+    relabel,
 )
 
 A_C4 = IntMat([[1, 1, 0, 1], [1, 1, 1, 0], [0, 1, 1, 1], [1, 0, 1, 1]])
@@ -280,6 +281,10 @@ def test_lattice_index_work_budget():
     assert snf_divisors(m, budget=9) == snf_divisors(m) == (1, 1, 1)
     with pytest.raises(LimitExceeded, match="budget of 8$"):
         snf_divisors(m, budget=8)
+    # row_solve carries four witness columns: three operations of 7 entries
+    assert row_solve(m, [1, 2, 3], budget=21) == row_solve(m, [1, 2, 3]) == ((3, -2, -1, 0), None)
+    with pytest.raises(LimitExceeded, match="budget of 20$"):
+        row_solve(m, [1, 2, 3], budget=20)
 
 
 def test_row_solve_mod_r_scales_pivot_rows_by_units():
