@@ -30,7 +30,7 @@ from .graphs import (
 )
 from .groups import parse_group_spec
 from .perm import DEFAULT_MAX_ORDER
-from .zlinalg import _divisor_chain, divisor_tuple_str, snf_divisors
+from .zlinalg import divisor_tuple_str, snf_divisors
 
 
 def _max_order() -> int:
@@ -82,11 +82,11 @@ def cmd_graph_classify(args) -> int:
 
 def cmd_eldivs(args) -> int:
     g = _graph_arg(args.graph, args.reduce)
-    if args.matrix == "activation":
-        divs = list(snf_divisors(ra.activation_matrix(g), budget=ra.RA_TEST_BUDGET))
-    else:  # the intersection matrix less its zero and repeated rows (they add only zeros)
-        divs = _divisor_chain(ra._distinct_rows(g, True), g.n, budget=ra.RA_TEST_BUDGET)
-    print(divisor_tuple_str(divs + [0] * (g.n - len(divs))))
+    # the intersection matrix less its zero and repeated rows, which add only
+    # zeros to the chain; it is padded with them to n
+    mat = ra.activation_matrix(g) if args.matrix == "activation" else ra._distinct_rows(g, True)
+    divs = snf_divisors(mat, budget=ra.RA_TEST_BUDGET)
+    print(divisor_tuple_str(divs + (0,) * (g.n - len(divs))))
     return 0
 
 
@@ -212,7 +212,9 @@ def _parse_target(raw: str, n: int):
                 break
         default = (0,) * k if k else 0
         return [t if t is not None else default for t in target]
-    parts = [p.strip() for p in text.split(",") if p.strip() != ""]
+    parts = [p.strip() for p in text.split(",")]
+    if "" in parts:
+        raise InputError(f"target {text!r} has an empty entry")
     if len(parts) != n:
         raise InputError(f"target has {len(parts)} entries, graph has {n} vertices")
     try:

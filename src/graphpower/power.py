@@ -36,7 +36,7 @@ from .graphs import Graph
 from .groups import AbelianInvariants, abelianization
 from .perm import DEFAULT_MAX_ORDER, Perm, PermGroup, derived_subgroup
 from . import ra
-from .zlinalg import IntMat, _span_order, span_order_mod
+from .zlinalg import IntMat, span_order_mod
 
 _ALL_ELEMENT_CLICK_BOUND = 512
 
@@ -147,14 +147,12 @@ def matrix_power(group: PermGroup, matrix, *,
     0/1 matrices click with G's generators only; general integer matrices
     click with every element of G (the coordinatewise product identity fails
     off 0/1 vectors, and generator clicks can generate a proper subgroup)."""
-    rows = matrix._rows if isinstance(matrix, IntMat) else tuple(tuple(r) for r in matrix)
-    if not rows:
+    mat = matrix if isinstance(matrix, IntMat) else IntMat(matrix)
+    if not mat.rows:
         raise DimensionMismatch("matrix with no rows")
-    n = len(rows[0])
-    zero_one = all(x in (0, 1) for row in rows for x in row)
-    clickers = group.generators if zero_one else group.elements(limit=_ALL_ELEMENT_CLICK_BOUND)
-    return _generated(group, n, [power_click(group, g, row)
-                                 for row in rows for g in clickers], max_order)
+    clickers = group.generators if mat._zero_one else group.elements(limit=_ALL_ELEMENT_CLICK_BOUND)
+    return _generated(group, mat.cols, [power_click(group, g, row)
+                                        for row in mat._rows for g in clickers], max_order)
 
 
 def graph_power(group: PermGroup, graph: Graph, *,
@@ -165,18 +163,13 @@ def graph_power(group: PermGroup, graph: Graph, *,
 
 # -- abelian side ---------------------------------------------------------------
 
-def abelian_power_order(invariants, matrix) -> int:
+def abelian_power_order(invariants, matrix, budget: Optional[int] = None) -> int:
     """|(Z_{r_1} x ... x Z_{r_k})^M|: each cyclic factor Z_r contributes the
-    size of the row span of M mod r, one elimination per distinct r."""
+    size of the row span of M mod r, one elimination per distinct r, each
+    under `budget` (LimitExceeded past it)."""
     factors = invariants.factors if isinstance(invariants, AbelianInvariants) else tuple(invariants)
     mat = matrix if isinstance(matrix, IntMat) else IntMat(matrix)
-    return prod(span_order_mod(mat, int(r)) ** factors.count(r) for r in set(factors))
-
-
-def _span_product(rows: Sequence, n: int, factors: tuple, budget: Optional[int] = None) -> int:
-    """abelian_power_order of the n-column 0/1 rows (factors >= 2): one
-    elimination of them per distinct factor, `budget` bounding each."""
-    return prod(_span_order(rows, n, r, budget) ** factors.count(r) for r in set(factors))
+    return prod(span_order_mod(mat, int(r), budget) ** factors.count(r) for r in set(factors))
 
 
 def _independent_set_bound(group: PermGroup, graph: Graph, max_order: Optional[int]) -> None:
@@ -195,8 +188,8 @@ def _independent_set_bound(group: PermGroup, graph: Graph, max_order: Optional[i
                 raise CapacityExceeded(bound, max_order)
 
 
-def _power_orders(group: PermGroup, graph: Graph,
-                  max_order: Optional[int] = DEFAULT_MAX_ORDER, rows: Optional[list] = None) -> tuple:
+def _power_orders(group: PermGroup, graph: Graph, max_order: Optional[int] = DEFAULT_MAX_ORDER,
+                  rows: Optional[IntMat] = None) -> tuple:
     """(G^graph or None, |Comm_b| or None, |(G^Ab)^graph|, |Comm(G, graph)|,
     |[G,G]|^n); |G^graph| is the product of the third and fourth.
 
@@ -206,11 +199,11 @@ def _power_orders(group: PermGroup, graph: Graph,
     caller has built the u <= v rows with _rows) is |[G,G]|^n, so is |Comm|
     >= |Comm_b|, and nothing is built: the closed form answers above
     max_order too. Otherwise G^graph is built under max_order, once
-    _independent_set_bound has passed. The abelian part, on the activation
-    rows as 0/1 tuples, comes last."""
+    _independent_set_bound has passed. The abelian part, on the 0/1
+    activation matrix, comes last."""
     full = derived_subgroup(group).order() ** graph.n
     try:
-        cb = _comm_count(group, _rows(group, graph, True) if rows is None else rows, graph.n,
+        cb = _comm_count(group, _rows(group, graph, True) if rows is None else rows,
                          ra.RA_TEST_BUDGET)
     except LimitExceeded:
         cb = None
@@ -218,8 +211,7 @@ def _power_orders(group: PermGroup, graph: Graph,
     if cb != full:
         _independent_set_bound(group, graph, max_order)
         power = graph_power(group, graph, max_order=max_order)
-    ab = _span_product([ra._indicator(m, graph.n) for m in ra._closed_masks(graph)],
-                       graph.n, abelianization(group).factors)
+    ab = abelian_power_order(abelianization(group), ra.activation_matrix(graph))
     if power is None:
         return None, cb, ab, full, full
     total = power.order()
@@ -234,15 +226,16 @@ def _power_orders(group: PermGroup, graph: Graph,
 
 # -- commutator subgroups ---------------------------------------------------------
 
-def _rows(group: PermGroup, graph: Graph, include_equal: bool) -> list:
-    """ra._distinct_rows (u <= v with include_equal, else u < v), or none
-    when [G,G] is trivial: its counts and closures read no rows, so no
-    budget stops them."""
-    return ra._distinct_rows(graph, include_equal) if derived_subgroup(group).order() > 1 else []
+def _rows(group: PermGroup, graph: Graph, include_equal: bool) -> IntMat:
+    """ra._distinct_rows (u <= v with include_equal, else u < v), or no rows
+    when [G,G] is trivial: its counts and closures read none, so no budget
+    stops them."""
+    if derived_subgroup(group).order() == 1:
+        return IntMat([], graph.n)
+    return ra._distinct_rows(graph, include_equal)
 
 
-def _comm_subgroup(group: PermGroup, n: int, rows: list,
-                   max_order: Optional[int]) -> PowerSubgroup:
+def _comm_subgroup(group: PermGroup, rows: IntMat, max_order: Optional[int]) -> PowerSubgroup:
     """Subgroup of G^n generated by the basic commutators [g^u, h^v] over
     the vertex pairs whose distinct intersection rows are `rows` (_rows).
 
@@ -252,26 +245,25 @@ def _comm_subgroup(group: PermGroup, n: int, rows: list,
     spreads of the generators of [G,G], so those suffice, once per distinct
     intersection row."""
     der = derived_subgroup(group).generators
-    return _generated(group, n, [power_click(group, d, row) for row in rows for d in der],
-                      max_order)
+    return _generated(group, rows.cols, [power_click(group, d, row)
+                                         for row in rows._rows for d in der], max_order)
 
 
 def comm_d(group: PermGroup, graph: Graph, *,
            max_order: Optional[int] = DEFAULT_MAX_ORDER) -> PowerSubgroup:
     """Subgroup generated by the basic commutators [g^u, h^v] with u != v.
     Past ra.RA_TEST_BUDGET distinct-row entries it raises LimitExceeded."""
-    return _comm_subgroup(group, graph.n, _rows(group, graph, False), max_order)
+    return _comm_subgroup(group, _rows(group, graph, False), max_order)
 
 
 def comm_b(group: PermGroup, graph: Graph, *,
            max_order: Optional[int] = DEFAULT_MAX_ORDER) -> PowerSubgroup:
     """Subgroup generated by all basic commutators [g^u, h^v], u = v allowed.
     Past ra.RA_TEST_BUDGET distinct-row entries it raises LimitExceeded."""
-    return _comm_subgroup(group, graph.n, _rows(group, graph, True), max_order)
+    return _comm_subgroup(group, _rows(group, graph, True), max_order)
 
 
-def _comm_count(group: PermGroup, rows: list, n: int,
-                budget: Optional[int] = None) -> Optional[int]:
+def _comm_count(group: PermGroup, rows: IntMat, budget: Optional[int] = None) -> Optional[int]:
     """|Comm_b| (`rows` the distinct rows B(u) cap B(v), u <= v) or |Comm_d|
     (u < v) of G^n from those rows (_rows), or None.
 
@@ -295,8 +287,8 @@ def _comm_count(group: PermGroup, rows: list, n: int,
     factors = abelianization(derived).factors if abelian else (derived.order(),)
     if not factors:
         return 1
-    count = _span_product(rows, n, factors, budget)
-    return count if abelian or count == factors[0] ** n else None
+    count = abelian_power_order(factors, rows, budget)
+    return count if abelian or count == factors[0] ** rows.cols else None
 
 
 def _comm_order(group: PermGroup, graph: Graph, include_equal: bool) -> int:
@@ -304,8 +296,8 @@ def _comm_order(group: PermGroup, graph: Graph, include_equal: bool) -> int:
     in G^graph, which chain_report bounds first), both on the same rows;
     LimitExceeded past ra.RA_TEST_BUDGET distinct-row entries."""
     rows = _rows(group, graph, include_equal)
-    count = _comm_count(group, rows, graph.n)
-    return _comm_subgroup(group, graph.n, rows, None).order() if count is None else count
+    count = _comm_count(group, rows)
+    return _comm_subgroup(group, rows, None).order() if count is None else count
 
 
 def comm_b_order(group: PermGroup, graph: Graph) -> int:
@@ -392,7 +384,7 @@ def chain_report(group: PermGroup, graph: Graph, *,
         derived_power = full
     else:
         if cb is None:
-            cb = _comm_subgroup(group, graph.n, rows, None).order()
+            cb = _comm_subgroup(group, rows, None).order()
         derived_power = comm if cb == comm else gp.derived().order()
     orders = (_comm_order(group, graph, False), cb, derived_power, comm, full)
     for a, b in zip(orders, orders[1:]):

@@ -27,26 +27,21 @@ from .graphs import (
     is_connected,
     is_neighborhood_distinguishable,
 )
-from .zlinalg import (IntMat, _require_prime, _row_lattice_index, _smallest_prime_factor,
-                      _span_order, snf_divisors)
+from .zlinalg import (IntMat, _require_prime, _smallest_prime_factor, lattice_index,
+                      snf_divisors, span_order_mod)
 
 # Every reader of the intersection rows (the RA test, heisenberg_ra, the
 # closed-form test and the Comm_b and Comm_d orders in `power`, `eldivs
-# --matrix ra`) builds the distinct nonzero rows with `_distinct_rows`, which
-# stops once they hold more than this many entries: Q9's 12032 rows hold 6.2
-# million and pass, Q10, Q12 and C4000 stop within a second. The RA test then
-# eliminates them over Z, and the closed-form test in `power` mod |[G,G]|;
-# each stops once its row operations have rewritten this many entries (Q9
-# either way, dense graphs of 80 vertices over Z through entry growth), so it
-# ends in LimitExceeded instead of exhausting time or memory.
+# --matrix ra`) takes them as the one 0/1 IntMat that `_distinct_rows` builds
+# from the masks, which stops once the distinct nonzero rows hold more than
+# this many entries: Q9's 12032 rows hold 6.2 million and pass, Q10, Q12 and
+# C4000 stop within a second. The RA test then takes their lattice index over
+# Z, the closed-form test in `power` their spans mod the factors of [G,G], and
+# `eldivs --matrix ra` their Smith divisors; each elimination stops once its
+# row operations have rewritten this many entries (Q9 either way, dense graphs
+# of 80 vertices over Z through entry growth), so it ends in LimitExceeded
+# instead of exhausting time or memory.
 RA_TEST_BUDGET = 1 << 24
-
-_BITS = bytes.maketrans(b"01", b"\0\1")
-
-
-def _indicator(mask: int, n: int) -> tuple:
-    """0/1 vector of length n whose entry w is bit w of mask."""
-    return tuple(format(mask, f"0{n}b")[::-1].encode().translate(_BITS))
 
 
 def _closed_masks(graph: Graph) -> list:
@@ -54,10 +49,10 @@ def _closed_masks(graph: Graph) -> list:
     return [m | 1 << v for v, m in enumerate(graph._masks)]
 
 
-def _distinct_rows(graph: Graph, include_equal: bool) -> list:
+def _distinct_rows(graph: Graph, include_equal: bool) -> IntMat:
     """The distinct nonzero rows B(u) cap B(v), u < v (u <= v with
-    include_equal), as 0/1 tuples in the order of their first pair: the rows
-    a lattice, a rank or a span depends on. Once the rows found up to
+    include_equal), as a 0/1 IntMat in the order of their first pair: the
+    rows a lattice, a rank or a span depends on. Once the rows found up to
     some vertex u hold more than RA_TEST_BUDGET entries it raises
     LimitExceeded instead."""
     b = _closed_masks(graph)
@@ -71,13 +66,13 @@ def _distinct_rows(graph: Graph, include_equal: bool) -> list:
                                 f"hold {rows * n} entries ({rows} rows of {n}), over the "
                                 f"budget of {RA_TEST_BUDGET}")
     masks.pop(0, None)
-    return [_indicator(m, n) for m in masks]
+    return IntMat.from_masks(masks, n)
 
 
 def activation_matrix(graph: Graph) -> IntMat:
     """Adjacency plus identity; row v is the indicator of the closed
     neighborhood of v."""
-    return IntMat([_indicator(m, graph.n) for m in _closed_masks(graph)], cols=graph.n)
+    return IntMat.from_masks(_closed_masks(graph), graph.n)
 
 
 class RAVerdict(NamedTuple):
@@ -105,7 +100,7 @@ def is_ra(graph: Graph) -> RAVerdict:
             "graph has neighborhood-indistinguishable vertices (reduce first)")
     rows = _distinct_rows(graph, True)
     try:
-        index = _row_lattice_index(rows, graph.n, budget=RA_TEST_BUDGET)
+        index = lattice_index(rows, budget=RA_TEST_BUDGET)
     except LimitExceeded as exc:
         raise LimitExceeded(f"RA test: {exc}") from None
     if index == 1:
@@ -122,7 +117,7 @@ def heisenberg_ra(graph: Graph, p: int) -> bool:
     intersection matrix modulo p. Past RA_TEST_BUDGET distinct-row entries
     it raises LimitExceeded instead of answering."""
     _require_prime(p)
-    return _span_order(_distinct_rows(graph, True), graph.n, p) == p ** graph.n
+    return span_order_mod(_distinct_rows(graph, True), p) == p ** graph.n
 
 
 def pqr_criterion(graph: Graph, p: int) -> bool:

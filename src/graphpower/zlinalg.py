@@ -13,6 +13,11 @@ alternates the kernel on a matrix and its transpose until it is diagonal
 and returns the divisor chain only, with no unimodular witnesses; rank mod
 p, the size of a row span mod r, the lattice index and the Diophantine
 solver read its pivots.
+
+Every operation takes its rows as an `IntMat`. `IntMat.from_masks` builds
+the 0/1 matrices of graphs from bitmasks with no validating copy, and every
+`IntMat` records whether it is 0/1, so those rows reach the kernel as the
+matrix's own tuples, unreduced mod r >= 2.
 """
 
 from __future__ import annotations
@@ -23,27 +28,38 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch, LimitExceeded, NotPrime
 
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
 
 class IntMat:
-    """Immutable integer matrix, row-major."""
+    """Immutable integer matrix, row-major. `_zero_one` records that every
+    entry is 0 or 1, so no reduction mod r >= 2 has to touch the rows."""
 
-    __slots__ = ("rows", "cols", "_rows")
+    __slots__ = ("rows", "cols", "_rows", "_zero_one")
 
     def __init__(self, rows: Iterable[Iterable[int]], cols: Optional[int] = None):
         data = tuple(tuple(map(int, row)) for row in rows)
-        if data:
-            width = len(data[0])
-            if any(len(row) != width for row in data):
-                raise DimensionMismatch("ragged rows")
-        else:
-            width = 0 if cols is None else cols
-        self._rows = data
-        self.rows = len(data)
-        self.cols = width if data else (cols or 0)
+        width = len(data[0]) if data else cols or 0
+        if any(len(row) != width for row in data):
+            raise DimensionMismatch("ragged rows")
+        if cols is not None and cols != width:
+            raise DimensionMismatch(f"rows of {width} entries, cols={cols}")
+        self._rows, self.rows, self.cols = data, len(data), width
+        self._zero_one = set().union(*data) <= {0, 1}
+
+    @classmethod
+    def from_masks(cls, masks: Iterable[int], n: int) -> "IntMat":
+        """The 0/1 matrix with n columns whose row i has entry w equal to bit
+        w of masks[i] (each mask below 2^n), built with no validating copy."""
+        self = object.__new__(cls)
+        self._rows = tuple(tuple(format(m, f"0{n}b")[::-1].encode().translate(_BITS))
+                           for m in masks)
+        self.rows, self.cols, self._zero_one = len(self._rows), n, True
+        return self
 
     @classmethod
     def identity(cls, n: int) -> "IntMat":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls.from_masks([1 << i for i in range(n)], n)
 
     def row_list(self) -> list:
         return [list(r) for r in self._rows]
@@ -246,28 +262,25 @@ def _smith_passes(a, n, budget=None) -> list:
         n, a = len(a), list(zip(*a))
 
 
-def _divisor_chain(rows: Sequence, n: int, budget: Optional[int] = None) -> list:
-    """The nonzero Smith divisors, as a chain, of the n-column rows;
-    `budget` as in snf_divisors."""
-    d = _smith_passes(rows, n, budget)
-    _smith_chain(d)
-    return d
-
-
 def snf_divisors(M: IntMat, budget: Optional[int] = None) -> tuple:
     """Smith normal form divisor chain of M; skips duplicate and zero rows
     (they only add zeros at the tail of the chain). A `budget` caps the
     entries each elimination pass may rewrite (LimitExceeded past it)."""
-    d = _divisor_chain([r for r in dict.fromkeys(M._rows) if any(r)], M.cols, budget)
+    d = _smith_passes(_distinct_mod(M, 0), M.cols, budget)
+    _smith_chain(d)
     return tuple(d + [0] * (min(M.rows, M.cols) - len(d)))
 
 
 # -- modular rank and lattice predicates --------------------------------------
 
 def _distinct_mod(M: IntMat, r: int) -> list:
-    """The distinct nonzero rows of M reduced mod r."""
-    return [row for row in dict.fromkeys(tuple(x % r for x in row) for row in M._rows)
-            if any(row)]
+    """The distinct nonzero rows of M, reduced mod r when r > 0. A 0/1 M
+    needs no reduction mod r >= 2, nor any over Z (r = 0), so the rows are
+    then M's own tuples."""
+    rows = M._rows
+    if r and (r == 1 or not M._zero_one):
+        rows = (tuple(x % r for x in row) for row in rows)
+    return [row for row in dict.fromkeys(rows) if any(row)]
 
 
 def rank_mod_p(M: IntMat, p: int) -> int:
@@ -276,19 +289,13 @@ def rank_mod_p(M: IntMat, p: int) -> int:
     return len(_echelon(_distinct_mod(M, p), M.cols, p)[1])
 
 
-def span_order_mod(M: IntMat, r: int) -> int:
+def span_order_mod(M: IntMat, r: int, budget: Optional[int] = None) -> int:
     """Number of vectors in the row span of M in (Z/r)^cols: the product of
-    r / pivot over the Howell form mod r, whose pivots divide r."""
+    r / pivot over the Howell form mod r, whose pivots divide r. A `budget`
+    caps the entries the elimination may rewrite (LimitExceeded past it)."""
     if r < 1:
         raise DimensionMismatch("moduli must be >= 1")
-    return _span_order(_distinct_mod(M, r), M.cols, r)
-
-
-def _span_order(rows: Sequence, n: int, r: int, budget: Optional[int] = None) -> int:
-    """span_order_mod of the n-column rows, whose entries lie in [0, r). A
-    `budget` caps the entries the elimination may rewrite (LimitExceeded
-    past it)."""
-    rows, pivots = _echelon(rows, n, r, budget=budget)
+    rows, pivots = _echelon(_distinct_mod(M, r), M.cols, r, budget=budget)
     return prod(r // rows[i][c] for i, c in enumerate(pivots))
 
 
@@ -297,13 +304,8 @@ def lattice_index(M: IntMat, budget: Optional[int] = None) -> int:
     pivots, or 0 when its rank is below cols. Skips duplicate and zero rows.
     A `budget` caps the entries the elimination may rewrite (LimitExceeded
     past it)."""
-    return _row_lattice_index([r for r in dict.fromkeys(M._rows) if any(r)], M.cols, budget)
-
-
-def _row_lattice_index(rows: Sequence, n: int, budget: Optional[int] = None) -> int:
-    """lattice_index of the n-column rows."""
-    rows, pivots = _echelon(rows, n, budget=budget)
-    return prod(rows[i][c] for i, c in enumerate(pivots)) if len(pivots) == n else 0
+    rows, pivots = _echelon(_distinct_mod(M, 0), M.cols, budget=budget)
+    return prod(rows[i][c] for i, c in enumerate(pivots)) if len(pivots) == M.cols else 0
 
 
 # -- Diophantine solving ------------------------------------------------------

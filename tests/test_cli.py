@@ -447,6 +447,13 @@ def test_solve_bad_target_length(capsys):
     assert code == 2 and "4 vertices" in err
 
 
+def test_solve_target_with_an_empty_entry_exits_2(capsys):
+    # five fields of which one is empty are not the four entries of C4
+    for target in ("1,,0,0,0", "1,0,0,0,", ",1,0,0,0", "1, ,0,0"):
+        code, out, err = run(capsys, "solve", "C4", "--moduli", "2", "--target", target)
+        assert code == 2 and out == "" and "empty entry" in err, target
+
+
 def test_bad_family_parameter(capsys):
     code, _, err = run(capsys, "graph", "gen", "cycle", "four")
     assert code == 2 and "integers" in err

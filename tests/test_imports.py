@@ -64,7 +64,7 @@ def _names_a_module(node) -> bool:
 
 def _read_names(node) -> set:
     """Names a statement reads: plain names, attributes of a package module
-    (`ra._indicator`, `graphpower.cli.main`; `self.comm_b` reads no
+    (`ra._closed_masks`, `graphpower.cli.main`; `self.comm_b` reads no
     top-level name) and the names it imports."""
     out = set()
     for sub in ast.walk(node):
@@ -137,13 +137,11 @@ def public_names_only_tests_read(sources: dict, outside: set) -> list:
 
 
 # the public names that only tests read: the paper-facing API (the subgroups
-# Comm_b and Comm_d, the orders and verdicts the paper defines, and the
-# lattice index that decides RA) and
-# the JSON schemas of the CLI payloads
+# Comm_b and Comm_d, and the orders and verdicts the paper defines) and the
+# JSON schemas of the CLI payloads
 TEST_READ_PUBLIC_NAMES = [
     ("graphs", "closed_neighborhood"),
     ("graphs", "is_isomorphic"),
-    ("power", "abelian_power_order"),
     ("power", "comm_b"),
     ("power", "comm_b_order"),
     ("power", "comm_d"),
@@ -154,7 +152,6 @@ TEST_READ_PUBLIC_NAMES = [
     ("schemas", "GROUP_REPORT_SCHEMA"),
     ("schemas", "RA_VERDICT_SCHEMA"),
     ("schemas", "SOLVE_SCHEMA"),
-    ("zlinalg", "lattice_index"),
     ("zlinalg", "rank_mod_p"),
 ]
 
@@ -183,6 +180,50 @@ def test_public_names_only_tests_read_are_listed():
     sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
     assert public_names_only_tests_read(sources, _names_read_in("demos", "perfbench")) == \
         TEST_READ_PUBLIC_NAMES
+
+
+def private_names_read_from(module: str, sources: dict) -> list:
+    """The private top-level names of `module` that the other modules of the
+    given {module: source} import from it or read as its attributes."""
+    private = set()
+    for node in ast.parse(sources[module]).body:
+        private |= {name for name in _defined_names(node)
+                    if name.startswith("_") and not name.startswith("__")}
+    read = set()
+    for other, source in sources.items():
+        if other == module:
+            continue
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == module:
+                read.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Attribute) and \
+                    ast.unparse(node.value).split(".")[-1] == module:
+                read.add(node.attr)
+    return sorted(private & read)
+
+
+def test_private_name_check_sees_a_twin_read_from_outside():
+    sources = {"zlinalg": "def _kernel():\n    pass\n\n\ndef _twin():\n    pass\n\n\n"
+                          "def _inner():\n    pass\n",
+               "ra": "from .zlinalg import _kernel\nfrom . import zlinalg\nzlinalg._twin()\n",
+               "cli": "import graphpower.zlinalg\ngraphpower.zlinalg._kernel()\n_inner = 1\n"}
+    assert private_names_read_from("zlinalg", sources) == ["_kernel", "_twin"]
+
+
+# the private zlinalg names that other modules read: the echelon kernel, for
+# solver's reachability profile, and the prime helpers of ra and groups;
+# every other reader hands an IntMat to a public zlinalg function, so no
+# (rows, n) twin of one may grow back
+ZLINALG_PRIVATE_NAMES_READ_OUTSIDE = [
+    "_echelon",
+    "_require_prime",
+    "_smallest_prime_factor",
+]
+
+
+def test_private_zlinalg_names_read_outside_zlinalg_are_listed():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert private_names_read_from("zlinalg", sources) == ZLINALG_PRIVATE_NAMES_READ_OUTSIDE
 
 
 def test_cli_import_loads_no_dataclasses():

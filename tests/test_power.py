@@ -312,7 +312,7 @@ def test_chain_meets_the_cap_on_an_independent_set_before_counting(monkeypatch):
     # before the abelian part or any span is counted, on the closed form too
     def refuse(*args, **kwargs):
         raise AssertionError("counted before the cap")
-    monkeypatch.setattr(power, "_span_product", refuse)
+    monkeypatch.setattr(power, "abelian_power_order", refuse)
     monkeypatch.setattr(ra, "_distinct_rows", refuse)
     with pytest.raises(CapacityExceeded, match=f"{2 ** 31} exceeds cap {2 ** 30}"):
         chain_report(cyclic(2), cycle(4000), max_order=2 ** 30)
@@ -350,8 +350,8 @@ def test_ra_gra_and_ra_chain_never_eliminate_over_z(monkeypatch, capsys):
             refuse()
         return echelon(rows, n, r, perm, budget)
 
-    monkeypatch.setattr(zlinalg, "_row_lattice_index", refuse)
-    monkeypatch.setattr(ra, "_row_lattice_index", refuse)
+    monkeypatch.setattr(zlinalg, "lattice_index", refuse)
+    monkeypatch.setattr(ra, "lattice_index", refuse)
     monkeypatch.setattr(zlinalg, "_echelon", echelon_mod_r)
     with pytest.raises(AssertionError, match="over Z"):
         main(["ra", "check", "Q3"])
@@ -377,7 +377,7 @@ def test_span_mod_k_is_full_exactly_when_the_index_is_prime_to_k():
             for k in (2, 3, 4, 5, 6, 12, 60):
                 for group in groups[k]:
                     assert derived_subgroup(group).order() == k
-                    count = power._comm_count(group, ra._distinct_rows(graph, include_equal), graph.n,
+                    count = power._comm_count(group, ra._distinct_rows(graph, include_equal),
                                               ra.RA_TEST_BUDGET)
                     assert (count == k ** graph.n) == (index != 0 and gcd(index, k) == 1), \
                         (graph.edges, include_equal, k, group.name)
@@ -608,7 +608,7 @@ def test_chain_builds_and_eliminates_the_u_le_v_rows_once(monkeypatch):
     # off the closed form (Q3 under D8) the chain reuses the Comm_b count of
     # the closed-form test
     q3 = hypercube(3)
-    want = ra._distinct_rows(q3, True)
+    want = list(ra._distinct_rows(q3, True)._rows)
     built = []
     rows_of = ra._distinct_rows
 
@@ -627,7 +627,7 @@ def test_chain_builds_and_eliminates_each_row_set_once_off_the_closed_form(monke
     # span mod 12 each; Q3's u <= v span mod 12 is not full, so G^graph is
     # built and Comm_b is the closure of the rows the count read
     q3 = hypercube(3)
-    want = [ra._distinct_rows(q3, include_equal) for include_equal in (True, False)]
+    want = [list(ra._distinct_rows(q3, include_equal)._rows) for include_equal in (True, False)]
     built = []
     rows_of = ra._distinct_rows
 
@@ -654,16 +654,17 @@ def test_chain_hands_the_closure_the_rows_it_built(monkeypatch):
         built[include_equal] = rows_of(group, graph, include_equal)
         return built[include_equal]
 
-    def close(group, n, rows, max_order):
+    def close(group, rows, max_order):
         handed.append(rows)
-        return closure(group, n, rows, max_order)
+        return closure(group, rows, max_order)
     monkeypatch.setattr(power, "_rows", build)
     monkeypatch.setattr(power, "_comm_subgroup", close)
     assert chain_report(symmetric(4), q3, max_order=10 ** 15).orders() == (12 ** 8,) * 5
     assert len(handed) == 2
     for include_equal, rows in zip((True, False), handed):
         assert rows == ra._distinct_rows(q3, include_equal)
-        assert list(map(id, rows)) == list(map(id, built[include_equal]))
+        assert rows is built[include_equal]
+        assert list(map(id, rows._rows)) == list(map(id, built[include_equal]._rows))
 
 
 def _power_of_known_order(group, graph, order):

@@ -69,9 +69,9 @@ def test_matrices_match_the_set_based_oracle():
         oracle = ra_matrix_by_sets(g)
         # the distinct nonzero rows every reader takes span the same lattice,
         # over Z and mod 2 and 6
-        rows = _distinct_rows(g, True)
-        assert sorted(map(tuple, rows)) == sorted(set(oracle._rows) - {(0,) * g.n})
-        distinct = IntMat(rows, cols=g.n)
+        distinct = _distinct_rows(g, True)
+        assert sorted(distinct._rows) == sorted(set(oracle._rows) - {(0,) * g.n})
+        assert distinct == IntMat(distinct.row_list(), cols=g.n)
         assert lattice_index(distinct) == lattice_index(oracle)
         assert [span_order_mod(distinct, r) for r in (2, 6)] == \
             [span_order_mod(oracle, r) for r in (2, 6)]

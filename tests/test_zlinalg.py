@@ -1,18 +1,16 @@
 import random
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphpower import power, solver
+from graphpower import power, ra, solver, zlinalg
 from graphpower.errors import DimensionMismatch, LimitExceeded, NotPrime
 from graphpower.graphs import grid, petersen
 from graphpower.ra import activation_matrix
 from graphpower.zlinalg import (
     IntMat,
-    _divisor_chain,
     _echelon,
-    _row_lattice_index,
-    _span_order,
     divisor_tuple_str,
     lattice_index,
     mat_vec,
@@ -294,6 +292,14 @@ def test_row_solve_mod_r_scales_pivot_rows_by_units():
     assert row_solve(IntMat([[8, 1]]), [8, 1], 20) == ((1,), None)
 
 
+def test_intmat_cols_must_match_the_rows():
+    assert IntMat([[1, 2]], cols=2).cols == 2 and IntMat([], cols=5).cols == 5
+    with pytest.raises(DimensionMismatch):
+        IntMat([[1, 2]], cols=5)
+    with pytest.raises(DimensionMismatch):
+        IntMat([[1, 2], [3]])
+
+
 def test_divisor_tuple_str():
     assert divisor_tuple_str((1, 1, 1, 3)) == "(1^3, 3)"
     assert divisor_tuple_str((1, 1, 1, 1, 2, 0, 0, 0)) == "(1^4, 2, 0^3)"
@@ -340,16 +346,16 @@ def test_the_kernel_and_its_readers_leave_the_given_rows_as_they_are():
             lambda g: _as_lists(_echelon(g, n, budget=10 ** 6)),
             lambda g: _as_lists(_echelon(g, n, budget=n)),
             with_perm,
-            lambda g: _divisor_chain(g, n),
-            lambda g: _row_lattice_index(g, n),
+            lambda g: snf_divisors(IntMat(g)),
+            lambda g: lattice_index(IntMat(g)),
         ]
         mod_readers = {r: [lambda g, r=r: _as_lists(_echelon(g, n, r)),
-                           lambda g, r=r: _span_order(g, n, r, budget=n)] for r in mod}
+                           lambda g, r=r: span_order_mod(IntMat(g), r, budget=n)] for r in mod}
         for given, use in [(rows, readers)] + [(mod[r], mod_readers[r]) for r in mod]:
             listed = _unchanged([list(row) for row in given], use)
             assert _unchanged(tuple(map(tuple, given)), use) == listed
         howell += len(_echelon(mod[12], n, 12)[0]) > m
-        mat, chain = IntMat(rows), _divisor_chain(rows, n)
+        mat, divs = IntMat(rows), minors_divisors(rows)
         target = [rng.randint(-6, 6) for _ in range(n)]
         assert _unchanged(mat._rows, [
             lambda _: snf_divisors(mat),
@@ -358,10 +364,9 @@ def test_the_kernel_and_its_readers_leave_the_given_rows_as_they_are():
             lambda _: lattice_index(mat),
             lambda _: row_solve(mat, target),
             lambda _: row_solve(mat, target, 12),
-        ]) == [tuple(chain + [0] * (min(m, n) - len(chain))),
-               len(_echelon(mod[5], n, 5)[1]), _span_order(mod[12], n, 12),
-               _row_lattice_index(rows, n), row_solve(IntMat(rows), target),
-               row_solve(IntMat(rows), target, 12)]
+        ]) == [divs, len(_echelon(mod[5], n, 5)[1]), span_order_mod(IntMat(mod[12]), 12),
+               prod(divs) if len(divs) == n and all(divs) else 0,
+               row_solve(IntMat(rows), target), row_solve(IntMat(rows), target, 12)]
     assert howell >= 20
 
 
@@ -369,12 +374,42 @@ def test_abelian_spans_and_reachability_profiles_leave_the_activation_rows_as_th
     for graph in (grid(3, 4), petersen()):
         act = activation_matrix(graph)
         listed = act.row_list()
-        spans = _unchanged(listed, [lambda g: power._span_product(g, graph.n, (2, 3, 6, 12))])
-        assert _unchanged(tuple(map(tuple, listed)),
-                          [lambda g: power._span_product(g, graph.n, (2, 3, 6, 12))]) == spans
+        spans = _unchanged(act._rows, [lambda _: power.abelian_power_order((2, 3, 6, 12), act)])
+        assert _unchanged(listed, [lambda g: power.abelian_power_order((2, 3, 6, 12), g)]) == spans
         perm = list(range(graph.n))
         _, cols = _echelon(listed, graph.n, perm=perm)
         monkeypatch.setattr(solver, "activation_matrix", lambda _: act)
         profile = _unchanged(act._rows, [lambda _: solver.reachability_profile(graph)])[0]
         assert profile.column_permutation == tuple(perm)
         assert profile.free_count + len(profile.constrained) == len(cols)
+
+
+def test_zero_one_rows_reach_the_kernel_as_the_matrix_tuples(monkeypatch):
+    # a 0/1 matrix, from a graph's masks or from the public constructor, is
+    # neither copied nor reduced on its way to the kernel: mod 2, 3 and 12
+    # and over Z the kernel reads the matrix's own row tuples
+    seen = []
+    echelon = zlinalg._echelon
+
+    def spy(rows, n, r=0, perm=None, budget=None):
+        seen.append((rows, r))
+        return echelon(rows, n, r, perm, budget)
+    monkeypatch.setattr(zlinalg, "_echelon", spy)
+    for graph in (grid(3, 4), petersen()):
+        for mat in (activation_matrix(graph), ra._distinct_rows(graph, True),
+                    IntMat(activation_matrix(graph).row_list())):
+            assert mat._zero_one
+            seen.clear()
+            rank_mod_p(mat, 2)
+            rank_mod_p(mat, 3)
+            span_order_mod(mat, 12)
+            lattice_index(mat)
+            snf_divisors(mat)
+            own = set(map(id, mat._rows))
+            assert [r for _, r in seen[:5]] == [2, 3, 12, 0, 0]
+            for rows, _ in seen[:5]:
+                assert rows and own >= set(map(id, rows))
+    # a matrix with an entry off 0/1 is reduced mod r
+    mat = IntMat([[1, 0], [2, 1]])
+    assert not mat._zero_one and rank_mod_p(mat, 2) == 2 and span_order_mod(mat, 12) == 144
+    assert seen[-2:] == [([(1, 0), (0, 1)], 2), ([(1, 0), (2, 1)], 12)]
