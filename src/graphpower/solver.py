@@ -100,7 +100,9 @@ def solve(graph: Graph, moduli, target) -> Union[Solution, Unsolvable]:
     vector per factor, or an Unsolvable naming the first obstructed pivot.
     Over Z, the elimination may rewrite at most ra.RA_TEST_BUDGET entries
     (LimitExceeded past it), the budget of `is_ra` and `eldivs` on the same
-    rows; mod r, no budget applies.
+    rows; mod r, no budget applies. Mod a prime r <= 13 row_solve works on
+    packed rows, with the click vectors and obstructed vertices of its list
+    elimination.
     """
     if moduli == INTEGERS or moduli == [INTEGERS] or moduli == (INTEGERS,):
         moduli = (INTEGERS,)

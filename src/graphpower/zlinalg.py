@@ -4,19 +4,26 @@ Everything here runs on native Python integers, so intermediate entries may
 grow past machine words without loss. Matrices are immutable; all operations
 return fresh values.
 
-One elimination kernel, `_echelon`, serves every operation: it puts a row
-lattice (optionally extended by r Z^n, i.e. working in Z/r) into echelon
-form and carries witness columns along. It takes rows as any sequences of
-ints, tuples included, and writes neither into them nor into the sequence
-holding them, so callers hand it the rows they hold. The Smith normal form
-alternates the kernel on a matrix and its transpose until it is diagonal
-and returns the divisor chain only, with no unimodular witnesses; rank mod
-p, the size of a row span mod r, the lattice index and the Diophantine
-solver read its pivots.
+The list elimination kernel, `_echelon`, puts a row lattice (optionally
+extended by r Z^n, i.e. working in Z/r) into echelon form and carries
+witness columns along. It takes rows as any sequences of ints, tuples
+included, and writes neither into them nor into the sequence holding them,
+so callers hand it the rows they hold. The Smith normal form alternates the
+kernel on a matrix and its transpose until it is diagonal and returns the
+divisor chain only, with no unimodular witnesses; rank mod p, the size of a
+row span mod r, the lattice index and the Diophantine solver read its
+pivots.
+
+At a prime p <= 13 rank_mod_p, span_order_mod and row_solve run
+`_prime_echelon` instead, on rows packed into ints (a bit per entry mod 2,
+a byte otherwise). It makes `_echelon`'s choices and charges the budget the
+same (the full row width per row operation), so pivots, echelon rows, click
+vectors and every LimitExceeded are the same. `_echelon` stays for Z,
+composite moduli and primes past 13.
 
 Every operation takes its rows as an `IntMat`. `IntMat.from_masks` builds
 the 0/1 matrices of graphs from bitmasks with no validating copy, and every
-`IntMat` records whether it is 0/1, so those rows reach the kernel as the
+`IntMat` records whether it is 0/1, so those rows reach either kernel as the
 matrix's own tuples, unreduced mod r >= 2.
 """
 
@@ -29,6 +36,10 @@ from typing import Iterable, Optional, Sequence
 from .errors import DimensionMismatch, LimitExceeded, NotPrime
 
 _BITS = bytes.maketrans(b"01", b"\0\1")
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+# the primes p with p (p - 1) < 256, which the packed kernel serves
+_PACKED_PRIMES = (2, 3, 5, 7, 11, 13)
+_MOD = {p: bytes(b % p for b in range(256)) for p in _PACKED_PRIMES[1:]}
 
 
 class IntMat:
@@ -221,8 +232,7 @@ def _echelon(rows, n, r=0, perm=None, budget=None):
                         if budget is not None:
                             spent += len(p)
                             if spent > budget:
-                                raise LimitExceeded(f"the elimination rewrites more entries "
-                                                    f"than its budget of {budget}")
+                                raise _over_budget(budget)
                         if r:
                             row = rows[k] = [(x - q * y) % r for x, y in zip(row, p)]
                         else:
@@ -232,6 +242,79 @@ def _echelon(rows, n, r=0, perm=None, budget=None):
             if done:
                 pivots.append(c)
                 break
+    return rows, pivots
+
+
+def _over_budget(budget: int) -> LimitExceeded:
+    return LimitExceeded(f"the elimination rewrites more entries than its budget of {budget}")
+
+
+# -- the packed prime-field kernel --------------------------------------------
+
+def _pack(rows, p: int, extra: int = 0) -> list:
+    """Each row, entries in [0, p), as one int followed by `extra` zero
+    entries: a bit per entry at p = 2, a byte per entry at 3 <= p <= 13, the
+    first entry most significant."""
+    if p == 2:
+        return [int(bytearray(row).translate(_DIGITS) or b"0", 2) << extra for row in rows]
+    return [int.from_bytes(bytearray(row), "big") << 8 * extra for row in rows]
+
+
+def _unpack(x: int, width: int, p: int) -> tuple:
+    """The entries of x, a row of `width` entries packed by `_pack`."""
+    if p == 2:
+        return tuple(format(x | 1 << width, "b")[1:].encode().translate(_BITS))
+    return tuple(x.to_bytes(width, "big"))
+
+
+def _reduce(x: int, width: int, p: int) -> int:
+    """A packed row of `width` byte entries, each reduced mod p."""
+    return int.from_bytes(x.to_bytes(width, "big").translate(_MOD[p]), "big")
+
+
+def _prime_echelon(rows, n, width, p, budget=None):
+    """`_echelon(rows, n, p, budget=budget)` for p in _PACKED_PRIMES on rows
+    of `width` entries packed by `_pack`, with its choices: the pivot is the
+    first row below the pivot rows so far nonzero in column c, swapped into
+    place and scaled to 1; it clears column c below itself only; each row
+    operation charges `width` entries. A row operation is one XOR at p = 2,
+    else x + (p - q) * pivot and one translate of the bytes mod p: no byte
+    of the sum passes p (p - 1) < 256, so none carries."""
+    bits = 1 if p == 2 else 8
+
+    def column(x):  # of x's first nonzero entry; width for x = 0
+        return width - 1 - (x.bit_length() - 1) // bits
+    rows = list(rows)
+    # the positions at or below the pivot rows so far, by the column of their
+    # first nonzero entry, which lies right of the pivot columns
+    starts = {}
+    for k, x in enumerate(rows):
+        starts.setdefault(column(x), set()).add(k)
+    pivots, spent = [], 0
+    for c in range(n):
+        below = starts.pop(c, None)
+        if not below:
+            continue
+        top, i = len(pivots), min(below)
+        below.remove(i)
+        if i != top:
+            moved = starts[column(rows[top])]
+            moved.remove(top)
+            moved.add(i)
+            rows[top], rows[i] = rows[i], rows[top]
+        shift = bits * (width - 1 - c)  # x >> shift is entry c of a row in `below`
+        pivot = rows[top]
+        if pivot >> shift != 1:
+            pivot = rows[top] = _reduce(pow(pivot >> shift, -1, p) * pivot, width, p)
+        if budget is not None:
+            spent += width * len(below)
+            if spent > budget:
+                raise _over_budget(budget)
+        for k in below:
+            x = rows[k]
+            x = rows[k] = x ^ pivot if p == 2 else _reduce(x + (p - (x >> shift)) * pivot, width, p)
+            starts.setdefault(column(x), set()).add(k)
+        pivots.append(c)
     return rows, pivots
 
 
@@ -273,28 +356,44 @@ def snf_divisors(M: IntMat, budget: Optional[int] = None) -> tuple:
 
 # -- modular rank and lattice predicates --------------------------------------
 
-def _distinct_mod(M: IntMat, r: int) -> list:
-    """The distinct nonzero rows of M, reduced mod r when r > 0. A 0/1 M
-    needs no reduction mod r >= 2, nor any over Z (r = 0), so the rows are
-    then M's own tuples."""
-    rows = M._rows
+def _mod_rows(M: IntMat, r: int):
+    """M's rows reduced mod r > 0. A 0/1 M needs no reduction mod r >= 2,
+    nor any over Z (r = 0), so the rows are then M's own tuples."""
     if r and (r == 1 or not M._zero_one):
-        rows = (tuple(x % r for x in row) for row in rows)
-    return [row for row in dict.fromkeys(rows) if any(row)]
+        return [tuple(x % r for x in row) for row in M._rows]
+    return M._rows
+
+
+def _distinct_mod(M: IntMat, r: int) -> list:
+    """The distinct nonzero rows of M, reduced mod r when r > 0."""
+    return [row for row in dict.fromkeys(_mod_rows(M, r)) if any(row)]
+
+
+def _packed_rank(M: IntMat, p: int, budget: Optional[int] = None) -> int:
+    """The rank of M mod p in _PACKED_PRIMES: the pivots of its distinct
+    nonzero rows mod p, packed, in order of first occurrence."""
+    rows = dict.fromkeys(_pack(_mod_rows(M, p), p))
+    rows.pop(0, None)
+    return len(_prime_echelon(rows, M.cols, M.cols, p, budget)[1])
 
 
 def rank_mod_p(M: IntMat, p: int) -> int:
     """Rank of M over the field with p elements."""
     _require_prime(p)
+    if p in _PACKED_PRIMES:
+        return _packed_rank(M, p)
     return len(_echelon(_distinct_mod(M, p), M.cols, p)[1])
 
 
 def span_order_mod(M: IntMat, r: int, budget: Optional[int] = None) -> int:
     """Number of vectors in the row span of M in (Z/r)^cols: the product of
-    r / pivot over the Howell form mod r, whose pivots divide r. A `budget`
-    caps the entries the elimination may rewrite (LimitExceeded past it)."""
+    r / pivot over the Howell form mod r, whose pivots divide r (all 1 for a
+    prime r). A `budget` caps the entries the elimination may rewrite
+    (LimitExceeded past it)."""
     if r < 1:
         raise DimensionMismatch("moduli must be >= 1")
+    if r in _PACKED_PRIMES:
+        return r ** _packed_rank(M, r, budget)
     rows, pivots = _echelon(_distinct_mod(M, r), M.cols, r, budget=budget)
     return prod(r // rows[i][c] for i, c in enumerate(pivots))
 
@@ -322,6 +421,8 @@ def row_solve(M: IntMat, target: Sequence[int], r: int = 0,
     """
     if len(target) != M.cols:
         raise DimensionMismatch(f"target length {len(target)} != cols {M.cols}")
+    if r in _PACKED_PRIMES:
+        return _prime_row_solve(M, target, r, budget)
     m, n = M.rows, M.cols
     rows = [list(row) + w for row, w in zip(M._rows, IntMat.identity(m).row_list())]
     if r:
@@ -339,6 +440,25 @@ def row_solve(M: IntMat, target: Sequence[int], r: int = 0,
         if y:
             res = [x - y * z for x, z in zip(res, p)]
     return tuple(-x % r if r else -x for x in res[n:]), None
+
+
+def _prime_row_solve(M: IntMat, target: Sequence[int], p: int, budget: Optional[int]) -> tuple:
+    """row_solve mod p in _PACKED_PRIMES on packed rows [row mod p | e_i],
+    with the back substitution on the packed target too."""
+    m, n = M.rows, M.cols
+    bits, width = 1 if p == 2 else 8, n + m
+    rows = [x | 1 << bits * (m - 1 - i) for i, x in enumerate(_pack(_mod_rows(M, p), p, m))]
+    rows, pivots = _prime_echelon(rows, n, width, p, budget)
+    pivot_rows = dict(zip(pivots, rows))
+    res = _pack([[x % p for x in target]], p, m)[0]
+    for j in range(n):
+        shift = bits * (width - 1 - j)
+        if res.bit_length() > shift:  # entry j, as res vanishes left of it
+            pivot = pivot_rows.get(j)
+            if pivot is None:
+                return None, j
+            res = res ^ pivot if p == 2 else _reduce(res + (p - (res >> shift)) * pivot, width, p)
+    return tuple(-x % p for x in _unpack(res & (1 << bits * m) - 1, m, p)), None
 
 
 def divisor_tuple_str(divisors: Sequence[int]) -> str:

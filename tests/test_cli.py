@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from graphpower import perm, power, ra, solver
+from graphpower import perm, power, ra, solver, zlinalg
 from graphpower.cli import build_parser, main
 from graphpower.graphs import (
     complete,
@@ -642,3 +642,21 @@ def test_ra_check_consistent_with_heisenberg_group_verdict(capsys):
         g_ra = json.loads(out)["g_ra"]
         if ra_true:
             assert g_ra
+
+
+@pytest.mark.slow
+def test_solve_prints_the_same_with_the_list_kernel_under_the_packed_one(capsys, monkeypatch):
+    # the packed kernel mod 2 against _echelon behind its signature: the same
+    # bytes for solvable targets on grid30x30 and Q10 and an obstructed one
+    argvs = [["solve", graph, "--moduli", "2", "--target", target]
+             for graph, n in (("grid30x30", 900), ("Q10", 1024))
+             for target in (",".join(["1"] * n), '{"0": 1}')]
+    want = [run(capsys, *argv) for argv in argvs]
+    assert [json.loads(out)["solvable"] for _, out, _ in want] == [True, False, True, True]
+
+    def via_lists(rows, n, width, p, budget=None):
+        rows, pivots = zlinalg._echelon([zlinalg._unpack(x, width, p) for x in rows], n, p,
+                                        budget=budget)
+        return zlinalg._pack(rows, p), pivots
+    monkeypatch.setattr(zlinalg, "_prime_echelon", via_lists)
+    assert [run(capsys, *argv) for argv in argvs] == want

@@ -218,14 +218,21 @@ def test_abelian_power_order_fixtures():
 
 
 def _spy_eliminations(monkeypatch) -> list:
-    """Record (rows, r) as each elimination starts."""
+    """Record (rows, r) as each elimination starts, in either kernel; the
+    packed kernel's rows (mod a prime p <= 13) are recorded unpacked."""
     seen = []
-    echelon = zlinalg._echelon
+    echelon, prime_echelon = zlinalg._echelon, zlinalg._prime_echelon
 
     def spy(rows, n, r=0, perm=None, budget=None):
         seen.append(([row[:] for row in rows], r))
         return echelon(rows, n, r, perm, budget)
+
+    def prime_spy(rows, n, width, p, budget=None):
+        rows = list(rows)
+        seen.append(([zlinalg._unpack(x, width, p) for x in rows], p))
+        return prime_echelon(rows, n, width, p, budget)
     monkeypatch.setattr(zlinalg, "_echelon", spy)
+    monkeypatch.setattr(zlinalg, "_prime_echelon", prime_spy)
     return seen
 
 
@@ -343,19 +350,29 @@ def test_ra_gra_and_ra_chain_never_eliminate_over_z(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("a lattice index over Z")
 
-    echelon = zlinalg._echelon
+    echelon, prime_echelon = zlinalg._echelon, zlinalg._prime_echelon
+    moduli = set()
 
     def echelon_mod_r(rows, n, r=0, perm=None, budget=None):
         if not r:
             refuse()
+        moduli.add(r)
         return echelon(rows, n, r, perm, budget)
+
+    def prime_echelon_mod_p(rows, n, width, p, budget=None):
+        moduli.add(p)
+        return prime_echelon(rows, n, width, p, budget)
 
     monkeypatch.setattr(zlinalg, "lattice_index", refuse)
     monkeypatch.setattr(ra, "lattice_index", refuse)
     monkeypatch.setattr(zlinalg, "_echelon", echelon_mod_r)
+    monkeypatch.setattr(zlinalg, "_prime_echelon", prime_echelon_mod_p)
     with pytest.raises(AssertionError, match="over Z"):
         main(["ra", "check", "Q3"])
     assert answers() == want
+    # the answers did eliminate: mod the primes of the groups' factors and
+    # mod 12, the span mod |A4| of S4's nonabelian [G,G]
+    assert moduli == {2, 3, 5, 7, 12}
 
 
 def test_span_mod_k_is_full_exactly_when_the_index_is_prime_to_k():

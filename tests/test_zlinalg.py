@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from graphpower import power, ra, solver, zlinalg
 from graphpower.errors import DimensionMismatch, LimitExceeded, NotPrime
-from graphpower.graphs import grid, petersen
+from graphpower.graphs import enumerate_connected_graphs, grid, petersen
 from graphpower.ra import activation_matrix
 from graphpower.zlinalg import (
     IntMat,
@@ -386,15 +386,21 @@ def test_abelian_spans_and_reachability_profiles_leave_the_activation_rows_as_th
 
 def test_zero_one_rows_reach_the_kernel_as_the_matrix_tuples(monkeypatch):
     # a 0/1 matrix, from a graph's masks or from the public constructor, is
-    # neither copied nor reduced on its way to the kernel: mod 2, 3 and 12
-    # and over Z the kernel reads the matrix's own row tuples
+    # neither copied nor reduced on its way to a kernel: mod 2 and 3 the
+    # packed rows are packed from the matrix's own row tuples, and mod 12
+    # and over Z the list kernel reads them
     seen = []
-    echelon = zlinalg._echelon
+    echelon, pack = zlinalg._echelon, zlinalg._pack
 
     def spy(rows, n, r=0, perm=None, budget=None):
         seen.append((rows, r))
         return echelon(rows, n, r, perm, budget)
+
+    def pack_spy(rows, p, extra=0):
+        seen.append((rows, p))
+        return pack(rows, p, extra)
     monkeypatch.setattr(zlinalg, "_echelon", spy)
+    monkeypatch.setattr(zlinalg, "_pack", pack_spy)
     for graph in (grid(3, 4), petersen()):
         for mat in (activation_matrix(graph), ra._distinct_rows(graph, True),
                     IntMat(activation_matrix(graph).row_list())):
@@ -407,9 +413,124 @@ def test_zero_one_rows_reach_the_kernel_as_the_matrix_tuples(monkeypatch):
             snf_divisors(mat)
             own = set(map(id, mat._rows))
             assert [r for _, r in seen[:5]] == [2, 3, 12, 0, 0]
-            for rows, _ in seen[:5]:
+            assert seen[0][0] is mat._rows and seen[1][0] is mat._rows
+            for rows, _ in seen[2:5]:
                 assert rows and own >= set(map(id, rows))
     # a matrix with an entry off 0/1 is reduced mod r
     mat = IntMat([[1, 0], [2, 1]])
     assert not mat._zero_one and rank_mod_p(mat, 2) == 2 and span_order_mod(mat, 12) == 144
     assert seen[-2:] == [([(1, 0), (0, 1)], 2), ([(1, 0), (2, 1)], 12)]
+
+
+# -- the packed prime-field kernel against the list kernel ---------------------
+
+PACKED_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+def _rewrites(eliminate) -> int:
+    """The smallest budget under which `eliminate(budget)` raises no
+    LimitExceeded: the entries its row operations rewrite."""
+    def passes(budget):
+        try:
+            eliminate(budget)
+        except LimitExceeded:
+            return False
+        return True
+    lo, hi = 0, 1
+    while not passes(hi):
+        lo, hi = hi + 1, 2 * hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if passes(mid) else (mid + 1, hi)
+    return lo
+
+
+def _list_row_solve(monkeypatch, mat, target, r, budget=None):
+    """row_solve by the list kernel, the packed path switched off."""
+    with monkeypatch.context() as m:
+        m.setattr(zlinalg, "_PACKED_PRIMES", ())
+        return row_solve(mat, target, r, budget)
+
+
+def _random_matrices(rng, count):
+    """Integer matrices with negative entries, entries off 0/1, duplicate
+    and zero rows, and often more rows than columns."""
+    for _ in range(count):
+        m, n = rng.randint(1, 9), rng.randint(1, 6)
+        rows = [[rng.randint(-20, 20) if rng.random() < 0.6 else rng.randint(0, 1)
+                 for _ in range(n)] for _ in range(m)]
+        rows += rng.sample(rows, rng.randint(0, m)) + [[0] * n] * rng.randint(0, 2)
+        rng.shuffle(rows)
+        yield IntMat(rows)
+
+
+def _assert_packed_matches_list_kernel(monkeypatch, mat, p, rng):
+    # the distinct rows mod p, as rank_mod_p and span_order_mod hand them on
+    rows, n = zlinalg._distinct_mod(mat, p), mat.cols
+    want_rows, want_pivots = _echelon(rows, n, p)
+    got_rows, got_pivots = zlinalg._prime_echelon(zlinalg._pack(rows, p), n, n, p)
+    assert got_pivots == want_pivots, (mat, p)
+    assert [zlinalg._unpack(x, n, p) for x in got_rows] == [tuple(row) for row in want_rows]
+    order = p ** len(want_pivots)
+    assert rank_mod_p(mat, p) == len(want_pivots) and span_order_mod(mat, p) == order
+    spent = _rewrites(lambda b: _echelon(rows, n, p, budget=b))
+    assert span_order_mod(mat, p, budget=spent) == order
+    if spent:
+        with pytest.raises(LimitExceeded, match=f"budget of {spent - 1}$"):
+            span_order_mod(mat, p, budget=spent - 1)
+    # a reachable target and a random one, with the identity witness columns;
+    # the elimination, and so its rewrites, do not depend on the target
+    reached = mat_vec([rng.randrange(p) for _ in range(mat.rows)], mat)
+    spent = _rewrites(lambda b: _list_row_solve(monkeypatch, mat, [0] * n, p, b))
+    for target in ([x % p for x in reached], [rng.randint(-3, 3) for _ in range(n)]):
+        want = _list_row_solve(monkeypatch, mat, target, p)
+        assert row_solve(mat, target, p) == want, (mat, target, p)
+        assert row_solve(mat, target, p, budget=spent) == want
+        if spent:
+            with pytest.raises(LimitExceeded, match=f"budget of {spent - 1}$"):
+                row_solve(mat, target, p, budget=spent - 1)
+
+
+def test_packed_kernel_repeats_the_list_kernel_on_graph_rows(monkeypatch):
+    # activation rows and both intersection row sets of every connected
+    # graph to 6 vertices: the same pivots, echelon rows, budget stops and
+    # solutions or obstructed columns as _echelon mod p
+    rng = random.Random(25)
+    for size in range(1, 7):
+        for graph in enumerate_connected_graphs(size):
+            for mat in (activation_matrix(graph), ra._distinct_rows(graph, False),
+                        ra._distinct_rows(graph, True)):
+                for p in PACKED_PRIMES:
+                    _assert_packed_matches_list_kernel(monkeypatch, mat, p, rng)
+
+
+def test_packed_kernel_repeats_the_list_kernel_on_random_integer_rows(monkeypatch):
+    rng = random.Random(2025)
+    for mat in _random_matrices(rng, 150):
+        for p in PACKED_PRIMES:
+            _assert_packed_matches_list_kernel(monkeypatch, mat, p, rng)
+
+
+def test_prime_moduli_to_13_never_reach_the_list_kernel(monkeypatch):
+    # the packed path must not fall back silently: row_solve, rank_mod_p and
+    # span_order_mod call _echelon at no p <= 13, and still do over Z, at
+    # composite moduli (Howell rows) and at primes past 13
+    calls = []
+    echelon = zlinalg._echelon
+
+    def spy(*args, **kwargs):
+        calls.append(args[2] if len(args) > 2 else kwargs.get("r", 0))
+        return echelon(*args, **kwargs)
+    monkeypatch.setattr(zlinalg, "_echelon", spy)
+    mat, target = activation_matrix(grid(3, 4)), [1] * 12
+    for p in PACKED_PRIMES:
+        row_solve(mat, target, p)
+        rank_mod_p(mat, p)
+        span_order_mod(mat, p)
+    assert calls == []
+    for r in (0, 4, 12, 17):
+        row_solve(mat, target, r)
+    for r in (4, 12, 17):
+        span_order_mod(mat, r)
+    rank_mod_p(mat, 17)
+    assert calls == [0, 4, 12, 17, 4, 12, 17, 17]
