@@ -205,11 +205,7 @@ def _parse_target(raw: str, n: int):
             if not 0 <= v < n:
                 raise InputError(f"target vertex {v} outside 0..{n - 1}")
             target[v] = val
-        k = None
-        for t in target:
-            if isinstance(t, tuple):
-                k = len(t)
-                break
+        k = next((len(t) for t in target if isinstance(t, tuple)), None)
         default = (0,) * k if k else 0
         return [t if t is not None else default for t in target]
     parts = [p.strip() for p in text.split(",")]
@@ -236,12 +232,9 @@ def cmd_solve(args) -> int:
     target = _parse_target(args.target, g.n)
     result = solver.solve(g, moduli, target)
     if isinstance(result, solver.Solution):
-        schedule = []
-        for alpha, clicks in enumerate(result.clicks):
-            mod = result.moduli[alpha]
-            for v, c in enumerate(clicks):
-                if c:
-                    schedule.append(f"factor {alpha} (mod {mod}): click vertex {v} x {c}")
+        schedule = [f"factor {alpha} (mod {mod}): click vertex {v} x {c}"
+                    for alpha, (mod, clicks) in enumerate(zip(result.moduli, result.clicks))
+                    for v, c in enumerate(clicks) if c]
         payload = {
             "solvable": True,
             "moduli": list(result.moduli),

@@ -32,15 +32,15 @@ from .zlinalg import (IntMat, _require_prime, _smallest_prime_factor, lattice_in
 
 # Every reader of the intersection rows (the RA test, heisenberg_ra, the
 # closed-form test and the Comm_b and Comm_d orders in `power`, `eldivs
-# --matrix ra`) takes them as the one 0/1 IntMat that `_distinct_rows` builds
-# from the masks, which stops once the distinct nonzero rows hold more than
-# this many entries: Q9's 12032 rows hold 6.2 million and pass, Q10, Q12 and
-# C4000 stop within a second. The RA test then takes their lattice index over
-# Z, the closed-form test in `power` their spans mod the factors of [G,G], and
-# `eldivs --matrix ra` their Smith divisors; each elimination stops once its
-# row operations have rewritten this many entries (Q9 either way, dense graphs
-# of 80 vertices over Z through entry growth), so it ends in LimitExceeded
-# instead of exhausting time or memory.
+# --matrix ra`) takes the one IntMat of their masks that `_distinct_rows`
+# builds, which stops once the distinct nonzero rows hold more than this many
+# entries: Q9's 12032 rows hold 6.2 million and pass, Q10, Q12 and C4000 stop
+# within a second. Spans mod p <= 13 read the masks; the lattice index over Z,
+# spans mod other factors of [G,G] and the Smith divisors unpack them into
+# entry tuples once. Each elimination stops once its row operations have
+# rewritten this many entries (Q9 either way, dense graphs of 80 vertices over
+# Z through entry growth), ending in LimitExceeded instead of exhausting time
+# or memory. Both bounds count entries, also of rows packed a bit per entry.
 RA_TEST_BUDGET = 1 << 24
 
 

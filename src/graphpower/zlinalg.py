@@ -21,10 +21,10 @@ same (the full row width per row operation), so pivots, echelon rows, click
 vectors and every LimitExceeded are the same. `_echelon` stays for Z,
 composite moduli and primes past 13.
 
-Every operation takes its rows as an `IntMat`. `IntMat.from_masks` builds
-the 0/1 matrices of graphs from bitmasks with no validating copy, and every
-`IntMat` records whether it is 0/1, so those rows reach either kernel as the
-matrix's own tuples, unreduced mod r >= 2.
+Every operation takes its rows as an `IntMat`. The 0/1 matrices of graphs
+keep the bitmasks `IntMat.from_masks` is given, so at p <= 13 their rows
+reach `_prime_echelon` with one format and reverse per mask, and only the
+list kernel unpacks them into entry tuples.
 """
 
 from __future__ import annotations
@@ -43,10 +43,11 @@ _MOD = {p: bytes(b % p for b in range(256)) for p in _PACKED_PRIMES[1:]}
 
 
 class IntMat:
-    """Immutable integer matrix, row-major. `_zero_one` records that every
-    entry is 0 or 1, so no reduction mod r >= 2 has to touch the rows."""
+    """Immutable integer matrix, row-major. One built by `from_masks` holds
+    its 0/1 rows as bitmasks, which the packed kernel and `mat_vec` read; its
+    entry tuples `_rows` are built on first read, for list readers only."""
 
-    __slots__ = ("rows", "cols", "_rows", "_zero_one")
+    __slots__ = ("rows", "cols", "_rows", "_row_masks")
 
     def __init__(self, rows: Iterable[Iterable[int]], cols: Optional[int] = None):
         data = tuple(tuple(map(int, row)) for row in rows)
@@ -55,18 +56,28 @@ class IntMat:
             raise DimensionMismatch("ragged rows")
         if cols is not None and cols != width:
             raise DimensionMismatch(f"rows of {width} entries, cols={cols}")
-        self._rows, self.rows, self.cols = data, len(data), width
-        self._zero_one = set().union(*data) <= {0, 1}
+        self._rows, self.rows, self.cols, self._row_masks = data, len(data), width, None
 
     @classmethod
     def from_masks(cls, masks: Iterable[int], n: int) -> "IntMat":
         """The 0/1 matrix with n columns whose row i has entry w equal to bit
-        w of masks[i] (each mask below 2^n), built with no validating copy."""
+        w of masks[i] (each mask below 2^n), holding the masks as given."""
         self = object.__new__(cls)
-        self._rows = tuple(tuple(format(m, f"0{n}b")[::-1].encode().translate(_BITS))
-                           for m in masks)
-        self.rows, self.cols, self._zero_one = len(self._rows), n, True
+        self._row_masks = tuple(masks)
+        self.rows, self.cols = len(self._row_masks), n
         return self
+
+    def __getattr__(self, name):  # reached for an unset slot: `_rows` of masks
+        if name != "_rows":
+            raise AttributeError(name)
+        self._rows = tuple(tuple(format(m, f"0{self.cols}b")[::-1].encode().translate(_BITS))
+                           for m in self._row_masks)
+        return self._rows
+
+    @property
+    def _zero_one(self) -> bool:
+        """Whether every entry is 0 or 1, as it is in a matrix of masks."""
+        return self._row_masks is not None or set().union(*self._rows) <= {0, 1}
 
     @classmethod
     def identity(cls, n: int) -> "IntMat":
@@ -76,22 +87,27 @@ class IntMat:
         return [list(r) for r in self._rows]
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, IntMat) and self._rows == other._rows \
-            and self.cols == other.cols
+        return isinstance(other, IntMat) and self.cols == other.cols and self._rows == other._rows
 
     def __repr__(self):
         return f"IntMat({[list(r) for r in self._rows]!r})"
 
 
 def mat_vec(vec: Sequence[int], mat: IntMat) -> tuple:
-    """Row vector times matrix."""
+    """Row vector times matrix, along the set bits of a matrix of masks."""
     if len(vec) != mat.rows:
         raise DimensionMismatch(f"{len(vec)} != {mat.rows}")
     out = [0] * mat.cols
-    for c, row in zip(vec, mat._rows):
-        if c:
-            for j, x in enumerate(row):
-                out[j] += c * x
+    if mat._row_masks is None:
+        for c, row in zip(vec, mat._rows):
+            if c:
+                for j, x in enumerate(row):
+                    out[j] += c * x
+    else:
+        for c, m in zip(vec, mat._row_masks):
+            while c and m:
+                out[(m & -m).bit_length() - 1] += c
+                m &= m - 1
     return tuple(out)
 
 
@@ -260,6 +276,16 @@ def _pack(rows, p: int, extra: int = 0) -> list:
     return [int.from_bytes(bytearray(row), "big") << 8 * extra for row in rows]
 
 
+def _packed(M: IntMat, p: int, extra: int = 0) -> list:
+    """M's rows mod p packed by `_pack`; a mask's reversed digits are its row mod 2."""
+    if M._row_masks is None:
+        return _pack([[x % p for x in row] for row in M._rows], p, extra)
+    rows = [format(m, f"0{M.cols}b")[::-1] for m in M._row_masks]
+    if p == 2:
+        return [int(row, 2) << extra for row in rows]
+    return _pack([row.encode().translate(_BITS) for row in rows], p, extra)
+
+
 def _unpack(x: int, width: int, p: int) -> tuple:
     """The entries of x, a row of `width` entries packed by `_pack`."""
     if p == 2:
@@ -356,23 +382,19 @@ def snf_divisors(M: IntMat, budget: Optional[int] = None) -> tuple:
 
 # -- modular rank and lattice predicates --------------------------------------
 
-def _mod_rows(M: IntMat, r: int):
-    """M's rows reduced mod r > 0. A 0/1 M needs no reduction mod r >= 2,
-    nor any over Z (r = 0), so the rows are then M's own tuples."""
-    if r and (r == 1 or not M._zero_one):
-        return [tuple(x % r for x in row) for row in M._rows]
-    return M._rows
-
-
 def _distinct_mod(M: IntMat, r: int) -> list:
-    """The distinct nonzero rows of M, reduced mod r when r > 0."""
-    return [row for row in dict.fromkeys(_mod_rows(M, r)) if any(row)]
+    """The distinct nonzero rows of M, reduced mod r when r > 0 unless M
+    holds masks and r >= 2; unreduced rows are M's own tuples."""
+    rows = M._rows
+    if r and (r == 1 or M._row_masks is None):
+        rows = (tuple(x % r for x in row) for row in rows)
+    return [row for row in dict.fromkeys(rows) if any(row)]
 
 
 def _packed_rank(M: IntMat, p: int, budget: Optional[int] = None) -> int:
     """The rank of M mod p in _PACKED_PRIMES: the pivots of its distinct
     nonzero rows mod p, packed, in order of first occurrence."""
-    rows = dict.fromkeys(_pack(_mod_rows(M, p), p))
+    rows = dict.fromkeys(_packed(M, p))
     rows.pop(0, None)
     return len(_prime_echelon(rows, M.cols, M.cols, p, budget)[1])
 
@@ -447,7 +469,7 @@ def _prime_row_solve(M: IntMat, target: Sequence[int], p: int, budget: Optional[
     with the back substitution on the packed target too."""
     m, n = M.rows, M.cols
     bits, width = 1 if p == 2 else 8, n + m
-    rows = [x | 1 << bits * (m - 1 - i) for i, x in enumerate(_pack(_mod_rows(M, p), p, m))]
+    rows = [x | 1 << bits * (m - 1 - i) for i, x in enumerate(_packed(M, p, m))]
     rows, pivots = _prime_echelon(rows, n, width, p, budget)
     pivot_rows = dict(zip(pivots, rows))
     res = _pack([[x % p for x in target]], p, m)[0]

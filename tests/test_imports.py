@@ -226,6 +226,28 @@ def test_private_zlinalg_names_read_outside_zlinalg_are_listed():
     assert private_names_read_from("zlinalg", sources) == ZLINALG_PRIVATE_NAMES_READ_OUTSIDE
 
 
+def modules_reading_attribute(attribute: str, sources: dict) -> list:
+    """The modules of the given {module: source} that read `attribute` of
+    any object."""
+    return sorted(module for module, source in sources.items()
+                  if any(isinstance(node, ast.Attribute) and node.attr == attribute
+                         for node in ast.walk(ast.parse(source))))
+
+
+def test_attribute_check_sees_a_reader():
+    sources = {"zlinalg": "x._row_masks = ()\n", "power": "y = mat._row_masks\n",
+               "ra": "_row_masks = 1\nz = graph._masks\n"}
+    assert modules_reading_attribute("_row_masks", sources) == ["power", "zlinalg"]
+
+
+def test_only_zlinalg_reads_the_masks_of_an_intmat():
+    # the bitmask rows of an IntMat are zlinalg's format: other modules build
+    # a matrix with IntMat.from_masks, ask it whether it is 0/1 (`_zero_one`)
+    # or read its entry tuples, so the format can change in one module
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert modules_reading_attribute("_row_masks", sources) == ["zlinalg"]
+
+
 def test_cli_import_loads_no_dataclasses():
     # -S keeps out whatever site would import, which could mask the result
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); import graphpower.cli; "

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from graphpower import power, ra, solver, zlinalg
 from graphpower.errors import DimensionMismatch, LimitExceeded, NotPrime
-from graphpower.graphs import enumerate_connected_graphs, grid, petersen
+from graphpower.graphs import Graph, enumerate_connected_graphs, grid, hypercube, petersen
+from graphpower.groups import symmetric
 from graphpower.ra import activation_matrix
 from graphpower.zlinalg import (
     IntMat,
@@ -384,44 +385,6 @@ def test_abelian_spans_and_reachability_profiles_leave_the_activation_rows_as_th
         assert profile.free_count + len(profile.constrained) == len(cols)
 
 
-def test_zero_one_rows_reach_the_kernel_as_the_matrix_tuples(monkeypatch):
-    # a 0/1 matrix, from a graph's masks or from the public constructor, is
-    # neither copied nor reduced on its way to a kernel: mod 2 and 3 the
-    # packed rows are packed from the matrix's own row tuples, and mod 12
-    # and over Z the list kernel reads them
-    seen = []
-    echelon, pack = zlinalg._echelon, zlinalg._pack
-
-    def spy(rows, n, r=0, perm=None, budget=None):
-        seen.append((rows, r))
-        return echelon(rows, n, r, perm, budget)
-
-    def pack_spy(rows, p, extra=0):
-        seen.append((rows, p))
-        return pack(rows, p, extra)
-    monkeypatch.setattr(zlinalg, "_echelon", spy)
-    monkeypatch.setattr(zlinalg, "_pack", pack_spy)
-    for graph in (grid(3, 4), petersen()):
-        for mat in (activation_matrix(graph), ra._distinct_rows(graph, True),
-                    IntMat(activation_matrix(graph).row_list())):
-            assert mat._zero_one
-            seen.clear()
-            rank_mod_p(mat, 2)
-            rank_mod_p(mat, 3)
-            span_order_mod(mat, 12)
-            lattice_index(mat)
-            snf_divisors(mat)
-            own = set(map(id, mat._rows))
-            assert [r for _, r in seen[:5]] == [2, 3, 12, 0, 0]
-            assert seen[0][0] is mat._rows and seen[1][0] is mat._rows
-            for rows, _ in seen[2:5]:
-                assert rows and own >= set(map(id, rows))
-    # a matrix with an entry off 0/1 is reduced mod r
-    mat = IntMat([[1, 0], [2, 1]])
-    assert not mat._zero_one and rank_mod_p(mat, 2) == 2 and span_order_mod(mat, 12) == 144
-    assert seen[-2:] == [([(1, 0), (0, 1)], 2), ([(1, 0), (2, 1)], 12)]
-
-
 # -- the packed prime-field kernel against the list kernel ---------------------
 
 PACKED_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -534,3 +497,124 @@ def test_prime_moduli_to_13_never_reach_the_list_kernel(monkeypatch):
         span_order_mod(mat, r)
     rank_mod_p(mat, 17)
     assert calls == [0, 4, 12, 17, 4, 12, 17, 17]
+
+
+# -- matrices of masks -------------------------------------------------------------
+
+def _tuple_builds(monkeypatch) -> list:
+    """Record each matrix of masks as its entry tuples are built, on the
+    first read of `_rows`."""
+    built = []
+    build = IntMat.__getattr__
+
+    def spy(self, name):
+        if name == "_rows":
+            built.append(self)
+        return build(self, name)
+    monkeypatch.setattr(IntMat, "__getattr__", spy)
+    return built
+
+
+def _graph_matrices(graph):
+    """Activation rows and both intersection row sets, each built from masks."""
+    return [activation_matrix(graph), ra._distinct_rows(graph, False),
+            ra._distinct_rows(graph, True)]
+
+
+def test_mask_rows_reach_the_packed_kernel_with_no_tuples(monkeypatch):
+    # at p <= 13 rank, span and row_solve read a matrix of masks from its
+    # masks, and mat_vec adds along their set bits: no entry tuple is built
+    built = _tuple_builds(monkeypatch)
+    for graph in (grid(3, 4), petersen(), hypercube(4)):
+        for mat in _graph_matrices(graph):
+            target = mat_vec(range(mat.rows), mat)
+            for p in PACKED_PRIMES:
+                rank_mod_p(mat, p)
+                span_order_mod(mat, p, budget=10 ** 6)
+                assert row_solve(mat, [x % p for x in target], p)[1] is None
+    assert built == []
+
+
+def test_list_readers_build_the_tuples_of_a_mask_matrix_once(monkeypatch):
+    # over Z, mod 12 and mod 17 the list kernel reads entry tuples: the
+    # first reader builds them and every later one reads the same tuples
+    built = _tuple_builds(monkeypatch)
+    graph = grid(3, 4)
+    target = [1] * graph.n
+    readers = {0: [lattice_index, snf_divisors, lambda m: row_solve(m, target)],
+               12: [lambda m: span_order_mod(m, 12), lambda m: row_solve(m, target, 12)],
+               17: [lambda m: rank_mod_p(m, 17), lambda m: span_order_mod(m, 17),
+                    lambda m: row_solve(m, target, 17)]}
+    for r, uses in readers.items():
+        for mat in _graph_matrices(graph):
+            built.clear()
+            for use in uses:
+                use(mat)
+            assert sum(m is mat for m in built) == 1, r
+    # a matrix of entries holds its tuples from the start
+    mat = IntMat(activation_matrix(graph).row_list())
+    built.clear()
+    lattice_index(mat)
+    span_order_mod(mat, 12)
+    assert built == []
+
+
+def test_a_matrix_of_entries_is_reduced_mod_r_and_asked_whether_it_is_zero_one():
+    # only a matrix of masks skips the reduction mod r; whether a matrix is
+    # 0/1 (so matrix_power clicks with generators only) is IntMat's answer
+    # for masks and entries alike
+    mat = IntMat([[1, 0], [2, 1]])
+    assert not mat._zero_one and rank_mod_p(mat, 2) == 2 and span_order_mod(mat, 12) == 144
+    assert rank_mod_p(IntMat([[3, 0], [0, 6]]), 3) == 0 == rank_mod_p(IntMat([[2, 4]]), 2)
+    assert rank_mod_p(IntMat([[17, 34]]), 17) == 0 and span_order_mod(IntMat([[13, -1]]), 12) == 12
+    assert row_solve(IntMat([[3, 1]]), [0, 1], 3) == ((1,), None)
+    assert IntMat([[1, 0], [1, 1]])._zero_one and activation_matrix(petersen())._zero_one
+    assert power.matrix_power(symmetric(7), [[1]]).order() == 5040
+    with pytest.raises(LimitExceeded):
+        power.matrix_power(symmetric(7), [[2]])
+
+
+def _outcomes(mat, targets):
+    """Rank, span, lattice index, Smith divisors, row solutions and mat_vec
+    of `mat`, each under a budget: an answer or the LimitExceeded message."""
+    def outcome(f):
+        try:
+            return f()
+        except LimitExceeded as exc:
+            return str(exc)
+    budget = 1 << 18
+    out = [outcome(lambda: rank_mod_p(mat, p)) for p in PACKED_PRIMES + (17,)]
+    out += [outcome(lambda: span_order_mod(mat, r, budget)) for r in (2, 3, 4, 12, 13, 17)]
+    out += [outcome(lambda: lattice_index(mat, budget)), outcome(lambda: snf_divisors(mat, budget))]
+    for coefficients, target in targets:
+        out.append(mat_vec(coefficients, mat))
+        out += [outcome(lambda: row_solve(mat, [x % r for x in target] if r else target, r,
+                                          budget)) for r in (0, 2, 3, 12, 13, 17)]
+    return out
+
+
+def _assert_masks_match_entries(build, rng):
+    # `build` makes a fresh matrix of masks; its entries, copied into a
+    # matrix of entries, take the list path through _pack and _echelon
+    mat = build()
+    reached = mat_vec([rng.randint(-2, 2) for _ in range(mat.rows)], mat)
+    targets = [([rng.randint(-3, 3) for _ in range(mat.rows)], target)
+               for target in (reached, [rng.randint(-3, 3) for _ in range(mat.cols)])]
+    assert _outcomes(mat, targets) == _outcomes(IntMat(build().row_list(), cols=mat.cols), targets)
+
+
+def test_matrices_of_masks_answer_as_their_entries_on_every_small_graph():
+    rng = random.Random(26)
+    for size in range(1, 7):
+        for graph in enumerate_connected_graphs(size):
+            for k in range(3):
+                _assert_masks_match_entries(lambda: _graph_matrices(graph)[k], rng)
+
+
+def test_matrices_of_masks_answer_as_their_entries_on_random_graphs():
+    rng = random.Random(2026)
+    for _ in range(6):
+        n, q = rng.randint(20, 60), rng.uniform(0.05, 0.3)
+        graph = Graph(n, [(u, v) for u in range(n) for v in range(u) if rng.random() < q])
+        for k in range(3):
+            _assert_masks_match_entries(lambda: _graph_matrices(graph)[k], rng)
