@@ -4,15 +4,13 @@ Everything here runs on native Python integers, so intermediate entries may
 grow past machine words without loss. Matrices are immutable; all operations
 return fresh values.
 
-The list elimination kernel, `_echelon`, puts a row lattice (optionally
-extended by r Z^n, i.e. working in Z/r) into echelon form and carries
-witness columns along. It takes rows as any sequences of ints, tuples
-included, and writes neither into them nor into the sequence holding them,
-so callers hand it the rows they hold. The Smith normal form alternates the
-kernel on a matrix and its transpose until it is diagonal and returns the
-divisor chain only, with no unimodular witnesses; rank mod p, the size of a
-row span mod r, the lattice index and the Diophantine solver read its
-pivots.
+The list elimination kernel, `_echelon`, puts a row lattice (in Z^n, or in Z/r
+by adding r Z^n) into echelon form and carries witness columns along. It
+copies a given row the first time it writes it, and a row operation rewrites
+only the pivot row's support. The Smith normal form alternates the kernel on a
+matrix and its transpose until it is diagonal and returns the divisor chain,
+with no unimodular witnesses; rank mod p, the size of a row span mod r, the
+lattice index and the Diophantine solver read its pivots.
 
 At a prime p <= 13 rank_mod_p, span_order_mod and row_solve run
 `_prime_echelon` instead, on rows packed into ints (a bit per entry mod 2,
@@ -176,7 +174,8 @@ def _smallest_gcd_column(rows, top, c, n):
 def _echelon(rows, n, r=0, perm=None, budget=None):
     """Row echelon form of the lattice spanned by `rows`, any sequences of
     ints, which it leaves as they are: it works on its own list of them and
-    replaces a row rather than write into it.
+    copies a row the first time it writes it. Each row operation charges the
+    budget the full row width but rewrites only the pivot row's support.
 
     Only the first n columns are eliminated; any later columns are witness
     columns that every row operation carries along. Returns (echelon rows,
@@ -187,11 +186,11 @@ def _echelon(rows, n, r=0, perm=None, budget=None):
 
     With r > 0 the lattice also contains r*Z^n. All entries, inputs included,
     lie in [0, r). Each pivot row is scaled by a unit mod r, chosen from the
-    extended gcd of the pivot and r, so the pivot divides r; for a pivot g
-    the row (r/g) * pivot row, which vanishes in the pivot column, joins the
-    rows below: the rows below each pivot then
-    span everything in the lattice that vanishes on the pivot columns so far
-    (the Howell property), which back substitution relies on.
+    extended gcd of the pivot and r, so the pivot divides r; for a pivot g the
+    row (r/g) * pivot row, which vanishes in the pivot column, joins the rows
+    below: the rows below each pivot then span everything in the lattice that
+    vanishes on the pivot columns so far (the Howell property), which back
+    substitution relies on.
 
     With `perm` a list, each step first moves the remaining column whose
     entries below the pivots have the smallest nonzero gcd into place and
@@ -203,6 +202,7 @@ def _echelon(rows, n, r=0, perm=None, budget=None):
     entries in all; the one that would pass it raises LimitExceeded.
     """
     rows = [list(row) for row in rows] if perm is not None else list(rows)
+    mine = [perm is not None] * len(rows)  # whether rows[k] is a list the kernel made
     pivots = []
     spent = 0
     for c in range(n):
@@ -222,7 +222,7 @@ def _echelon(rows, n, r=0, perm=None, budget=None):
             i = _pivot_row(rows, top, c, r)
             if i is None:
                 break
-            rows[top], rows[i] = rows[i], rows[top]
+            rows[top], rows[i], mine[top], mine[i] = rows[i], rows[top], mine[i], mine[top]
             p = rows[top]
             if r:
                 g, s, _ = _xgcd(p[c], r)
@@ -236,9 +236,13 @@ def _echelon(rows, n, r=0, perm=None, budget=None):
                     extra = [r // g * x % r for x in p]
                     if any(extra[c + 1:n]):
                         rows.append(extra)
+                        mine.append(True)
             elif p[c] < 0:
                 p = rows[top] = [-x for x in p]
-            a = p[c]
+            a, hi = p[c], len(p)
+            while not p[hi - 1]:
+                hi -= 1
+            span = p[c:hi]
             done = True
             for k in range(top + 1, len(rows)):
                 row = rows[k]
@@ -249,10 +253,15 @@ def _echelon(rows, n, r=0, perm=None, budget=None):
                             spent += len(p)
                             if spent > budget:
                                 raise _over_budget(budget)
-                        if r:
-                            row = rows[k] = [(x - q * y) % r for x, y in zip(row, p)]
+                        if not mine[k]:
+                            row = rows[k] = list(row)
+                            mine[k] = True
+                        if hi == c + 1:  # x - q * a is x % a, in [0, r) too
+                            row[c] %= a
+                        elif r:
+                            row[c:hi] = [(x - q * y) % r for x, y in zip(row[c:hi], span)]
                         else:
-                            row = rows[k] = [x - q * y for x, y in zip(row, p)]
+                            row[c:hi] = [x - q * y for x, y in zip(row[c:hi], span)]
                     if row[c]:
                         done = False
             if done:
@@ -347,9 +356,10 @@ def _prime_echelon(rows, n, width, p, budget=None):
 # -- Smith normal form --------------------------------------------------------
 
 def _smith_chain(d) -> None:
-    """Turn the positive diagonal d into a divisor chain in place: each pair
-    (a, b) becomes (gcd(a, b), lcm(a, b))."""
-    for i in range(len(d)):
+    """Turn the positive diagonal d into a divisor chain in place: the 1s go
+    first, each pair (a, b) of the rest becomes (gcd(a, b), lcm(a, b))."""
+    d.sort(key=(1).__ne__)
+    for i in range(d.count(1), len(d)):
         for j in range(i + 1, len(d)):
             a, b = d[i], d[j]
             if b % a:

@@ -1007,3 +1007,82 @@ def graph6_decode_by_pairs(text: str):
                 edges.append((i, j))
             k += 1
     return Graph(n, edges)
+
+
+# -- the list kernel with full-width row operations ------------------------------
+
+def echelon_full_rows(rows, n, r=0, perm=None, budget=None):
+    """`zlinalg._echelon` as it was before its row operations were cut to the
+    pivot row's support span: each operation builds a new row over the full
+    width. It shares the kernel's pivot and column choices on purpose, so
+    that comparing the two tests the row operations and the budget charge
+    alone."""
+    from graphpower.zlinalg import _over_budget, _pivot_row, _smallest_gcd_column, _xgcd
+    rows = [list(row) for row in rows] if perm is not None else list(rows)
+    pivots = []
+    spent = 0
+    for c in range(n):
+        top = len(pivots)
+        if top == len(rows):
+            break
+        if perm is not None:
+            k = _smallest_gcd_column(rows, top, c, n)
+            if k is None:
+                break
+            if k != c:
+                for row in rows:
+                    row[c], row[k] = row[k], row[c]
+                perm[c], perm[k] = perm[k], perm[c]
+        # gcd-collect column c into rows[top]
+        while True:
+            i = _pivot_row(rows, top, c, r)
+            if i is None:
+                break
+            rows[top], rows[i] = rows[i], rows[top]
+            p = rows[top]
+            if r:
+                g, s, _ = _xgcd(p[c], r)
+                # s is a unit mod r/g; shift it to a unit mod r so that
+                # scaling the row keeps the lattice
+                while gcd(s, r) != 1:
+                    s += r // g
+                if s != 1:
+                    p = rows[top] = [s * x % r for x in p]
+                if g > 1:
+                    extra = [r // g * x % r for x in p]
+                    if any(extra[c + 1:n]):
+                        rows.append(extra)
+            elif p[c] < 0:
+                p = rows[top] = [-x for x in p]
+            a = p[c]
+            done = True
+            for k in range(top + 1, len(rows)):
+                row = rows[k]
+                if row[c]:
+                    q = row[c] // a
+                    if q:
+                        if budget is not None:
+                            spent += len(p)
+                            if spent > budget:
+                                raise _over_budget(budget)
+                        if r:
+                            row = rows[k] = [(x - q * y) % r for x, y in zip(row, p)]
+                        else:
+                            row = rows[k] = [x - q * y for x, y in zip(row, p)]
+                    if row[c]:
+                        done = False
+            if done:
+                pivots.append(c)
+                break
+    return rows, pivots
+
+
+def smith_chain_pairwise(d) -> None:
+    """The divisor chain of the positive diagonal d, in place, comparing
+    every pair of entries: each pair (a, b) becomes (gcd(a, b), lcm(a, b))."""
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            a, b = d[i], d[j]
+            if b % a:
+                g = gcd(a, b)
+                d[i], d[j] = g, a // g * b

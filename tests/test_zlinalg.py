@@ -23,12 +23,14 @@ from graphpower.zlinalg import (
 
 from oracles import (
     det_exact,
+    echelon_full_rows,
     hnf,
     lattice_member_bruteforce,
     minors_divisors,
     modular_obstruction_bruteforce,
     reachable_mod,
     relabel,
+    smith_chain_pairwise,
 )
 
 A_C4 = IntMat([[1, 1, 0, 1], [1, 1, 1, 0], [0, 1, 1, 1], [1, 0, 1, 1]])
@@ -369,6 +371,25 @@ def test_the_kernel_and_its_readers_leave_the_given_rows_as_they_are():
                prod(divs) if len(divs) == n and all(divs) else 0,
                row_solve(IntMat(rows), target), row_solve(IntMat(rows), target, 12)]
     assert howell >= 20
+    # graph rows wide and sparse enough for support-span writes and copies
+    # on first write: the rows the kernel wrote are lists of its own, the
+    # rest are the given objects, and the given rows stay as they were
+    matrix_readers = {0: [snf_divisors, lattice_index], 12: [lambda m: span_order_mod(m, 12)]}
+    for graph in (grid(4, 4), hypercube(4)):
+        n = graph.n
+        for given in (mat._rows for mat in _graph_matrices(graph)):
+            for r, uses in matrix_readers.items():
+                out = _unchanged(given, [
+                    lambda g: _echelon(g, n, r),
+                    lambda g: _echelon(g, n, r, budget=10 * n),
+                    lambda g: _echelon(g, n, r, perm=list(range(n))),
+                ] + [lambda g, use=use: use(IntMat(g)) for use in uses])
+                rows = out[0][0]
+                assert _as_lists(out[0]) == _as_lists(echelon_full_rows(given, n, r)), (graph, r)
+                assert out[1] == str(zlinalg._over_budget(10 * n))
+                ids = set(map(id, given))
+                assert 0 < sum(id(row) in ids for row in rows) < len(rows), (graph, r)
+                assert all(type(row) is list for row in rows if id(row) not in ids)
 
 
 def test_abelian_spans_and_reachability_profiles_leave_the_activation_rows_as_they_are(monkeypatch):
@@ -497,6 +518,70 @@ def test_prime_moduli_to_13_never_reach_the_list_kernel(monkeypatch):
         span_order_mod(mat, r)
     rank_mod_p(mat, 17)
     assert calls == [0, 4, 12, 17, 4, 12, 17, 17]
+
+
+# -- support-span row operations against full-width ones ---------------------------
+
+def _echelon_outcome(kernel, rows, n, r, perm, budget=None):
+    """Echelon rows as lists, pivots and column permutation (None without
+    perm mode) of `kernel`, or the message of the LimitExceeded it raised."""
+    order = list(range(n)) if perm else None
+    try:
+        return _as_lists(kernel(rows, n, r, order, budget)), order
+    except LimitExceeded as exc:
+        return str(exc)
+
+
+def _assert_kernels_agree(mat):
+    # the rows as tuples, reduced mod r, so that writes copy them first
+    n = mat.cols
+    for r in (0, 4, 12, 17):
+        rows = [tuple(x % r for x in row) for row in mat._rows] if r else mat._rows
+        for perm in (False, True):
+            want = _echelon_outcome(echelon_full_rows, rows, n, r, perm)
+            assert _echelon_outcome(_echelon, rows, n, r, perm) == want, (mat, r, perm)
+            spent = _rewrites(lambda b: echelon_full_rows(rows, n, r, [*range(n)] if perm else None, b))
+            for budget in {spent, max(spent - 1, 0)}:
+                assert (_echelon_outcome(_echelon, rows, n, r, perm, budget)
+                        == _echelon_outcome(echelon_full_rows, rows, n, r, perm, budget))
+
+
+def test_support_span_kernel_repeats_the_full_width_kernel_on_graph_rows():
+    # activation rows and both intersection row sets of every connected
+    # graph to 6 vertices, over Z and mod 4, 12 and 17, with and without
+    # perm mode: the same echelon rows, pivots, permutation and budget stops
+    for size in range(1, 7):
+        for graph in enumerate_connected_graphs(size):
+            for mat in _graph_matrices(graph):
+                _assert_kernels_agree(mat)
+
+
+def test_support_span_kernel_repeats_the_full_width_kernel_on_random_integer_rows():
+    rng = random.Random(27)
+    for mat in _random_matrices(rng, 150):
+        _assert_kernels_agree(mat)
+
+
+def test_smith_chain_skips_the_units_and_repeats_the_pairwise_chain():
+    rng = random.Random(27)
+    for _ in range(400):
+        d = [rng.choice((1, 1, 1, 2, 3, 4, 6, 8, 9, 12, 25, 36, rng.randint(1, 10 ** 6)))
+             for _ in range(rng.randint(0, 16))]
+        want, got = list(d), list(d)
+        smith_chain_pairwise(want)
+        zlinalg._smith_chain(got)
+        assert got == want, d
+        assert all(b % a == 0 for a, b in zip(got, got[1:]))
+
+
+def test_the_largest_smith_pass_of_grid16x16_charges_what_full_width_rows_charged():
+    # each row operation charges the full row width, however few entries it
+    # writes, so RA_TEST_BUDGET stops where the full-width kernel stopped:
+    # grid16x16's largest Smith pass rewrote 1151232 entries with it
+    mat = activation_matrix(grid(16, 16))
+    assert snf_divisors(mat, budget=1151232) == snf_divisors(mat)
+    with pytest.raises(LimitExceeded, match="budget of 1151231$"):
+        snf_divisors(mat, budget=1151231)
 
 
 # -- matrices of masks -------------------------------------------------------------
