@@ -14,6 +14,7 @@ import csv
 import json
 import os
 import sys
+import warnings
 
 from . import power, ra, solver
 from .errors import CapacityError, ConsistencyError, GraphPowerError, InputError
@@ -133,7 +134,9 @@ def cmd_ra_chain(args) -> int:
 
 def cmd_ra_census(args) -> int:
     expected = _read_bfile(args.oeis) if args.oeis else None
-    report = ra.census(args.max_n)
+    with warnings.catch_warnings():  # the library's size warning, as one line
+        warnings.showwarning = lambda message, *_: print(f"note: {message}", file=sys.stderr)
+        report = ra.census(args.max_n)
     writer = csv.writer(sys.stdout)
     writer.writerow(["n", "graph6", "divisors", "ra", "method", "witness"])
     for row in report.rows:

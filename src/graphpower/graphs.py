@@ -421,21 +421,6 @@ def reduce_indistinguishable(g: Graph) -> Graph:
                               for v in position])
 
 
-def _inverse(perm: Sequence[int]) -> list:
-    inv = [0] * len(perm)
-    for i, v in enumerate(perm):
-        inv[v] = i
-    return inv
-
-
-def _permute_masks(masks: tuple, position: Sequence[int]) -> tuple:
-    """Neighbour masks after moving each vertex v to position[v]."""
-    out = [0] * len(masks)
-    for v, m in enumerate(masks):
-        out[position[v]] = sum(1 << position[w] for w in _vertices(m))
-    return tuple(out)
-
-
 def _vertices(mask: int) -> Iterator[int]:
     """The set bits of mask, lowest first."""
     while mask:
@@ -454,7 +439,8 @@ def _refine(masks: tuple, cells: list, stack: list, ncells: int) -> int:
     0 at the other positions of a cell; stack holds the start positions of
     the splitter cells. Each cell is split by the number of neighbours its
     vertices have in a splitter, pieces ordered by that count, so the result
-    does not depend on vertex labels.
+    does not depend on vertex labels: a singleton splitter splits a cell into
+    its non-neighbours, then its neighbours.
     """
     n = len(cells)
     queued = set(stack)
@@ -467,12 +453,18 @@ def _refine(masks: tuple, cells: list, stack: list, ncells: int) -> int:
         while s < n:
             x = cells[s]
             size = x.bit_count()
-            if size == 1:
-                s += 1
-                continue
             if single is not None:
-                pieces = [p for p in (x & ~single, x & single) if p]
-            else:
+                near = x & single
+                if near and near != x:
+                    k = size - near.bit_count()
+                    cells[s], cells[s + k] = x ^ near, near
+                    # a queued cell needs both pieces queued; otherwise the
+                    # larger one, the first on a tie, is implied (Hopcroft)
+                    pos = s + k if s in queued or 2 * k >= size else s
+                    stack.append(pos)
+                    queued.add(pos)
+                    ncells += 1
+            elif size > 1:
                 groups = {}
                 y = x
                 while y:
@@ -480,20 +472,19 @@ def _refine(masks: tuple, cells: list, stack: list, ncells: int) -> int:
                     k = (masks[b.bit_length() - 1] & w).bit_count()
                     groups[k] = groups.get(k, 0) | b
                     y ^= b
-                pieces = [groups[k] for k in sorted(groups)]
-            if len(pieces) > 1:
-                sizes = [p.bit_count() for p in pieces]
-                # a queued cell needs every piece queued; otherwise the
-                # largest piece is implied by the others (Hopcroft)
-                skip = 0 if s in queued else sizes.index(max(sizes))
-                pos = s
-                for i, p in enumerate(pieces):
-                    cells[pos] = p
-                    if i != skip and pos not in queued:
-                        stack.append(pos)
-                        queued.add(pos)
-                    pos += sizes[i]
-                ncells += len(pieces) - 1
+                if len(groups) > 1:
+                    pieces = [groups[k] for k in sorted(groups)]
+                    sizes = [p.bit_count() for p in pieces]
+                    # likewise every piece, or all but the largest
+                    skip = 0 if s in queued else sizes.index(max(sizes))
+                    pos = s
+                    for i, p in enumerate(pieces):
+                        cells[pos] = p
+                        if i != skip and pos not in queued:
+                            stack.append(pos)
+                            queued.add(pos)
+                        pos += sizes[i]
+                    ncells += len(pieces) - 1
             s += size
     return ncells
 
@@ -658,28 +649,39 @@ def _level(n: int) -> tuple:
     found = []
     last = n - 1
     for _, parent, parent_gens in _level(last):
+        parent_degree = [m.bit_count() for m in parent]
         for mask in _subset_orbit_representatives(last, parent_gens):
             child = tuple(m | 1 << last if mask >> u & 1 else m
                           for u, m in enumerate(parent)) + (mask,)
-            ties = _deletion_ties(child)
+            ties = _deletion_ties(child, [d + (mask >> u & 1) for u, d in enumerate(parent_degree)]
+                                  + [mask.bit_count()])
             if not ties:
                 continue
             cert, placement, gens = _canonical_search(n, child)
             first = next(v for v in placement if ties >> v & 1)
             if not _orbit(first, gens) >> last & 1:
                 continue
-            position = _inverse(placement)
-            found.append((cert, _permute_masks(child, position),
+            position = sorted(range(n), key=placement.__getitem__)
+            bit = [1 << i for i in position]
+            masks = []
+            for v in placement:  # the canonical masks, by position bits
+                m, x = child[v], 0
+                while m:
+                    b = m & -m
+                    x |= bit[b.bit_length() - 1]
+                    m ^= b
+                masks.append(x)
+            found.append((cert, tuple(masks),
                           tuple(tuple(position[a[v]] for v in placement) for a in gens)))
     return tuple(sorted(found))
 
 
-def _deletion_ties(masks: tuple) -> int:
+def _deletion_ties(masks: tuple, degree: list) -> int:
     """Bitmask of the non-cut vertices that tie with the last vertex, itself
-    non-cut, on (degree, sorted neighbour degrees), or 0 when one is less.
-    Neighbour degrees are read only for vertices tied on degree."""
+    non-cut, on (degree, sorted neighbour degrees), or 0 when one is less;
+    degree[v] is v's degree. Neighbour degrees are read only for vertices
+    tied on degree, and a vertex of degree 1 cuts no connected graph."""
     last = len(masks) - 1
-    degree = [m.bit_count() for m in masks]
     d, key, ties = degree[last], None, 1 << last
     for v in range(last):
         if degree[v] == d:
@@ -689,7 +691,7 @@ def _deletion_ties(masks: tuple) -> int:
         if degree[v] > d or degree[v] == d and other > key:
             continue
         rest = (2 << last) - 1 ^ 1 << v
-        if _closure(masks, rest & -rest, rest) == rest:  # v is not a cut vertex
+        if degree[v] == 1 or _closure(masks, rest & -rest, rest) == rest:  # v is not a cut vertex
             if degree[v] < d or other < key:
                 return 0
             ties |= 1 << v
@@ -710,10 +712,17 @@ def _orbit(v: int, gens) -> int:
 def _subset_orbit_representatives(m: int, gens: list) -> Iterator[int]:
     """The smallest bitmask of each orbit of the nonempty subsets of 0..m-1
     under the group generated by gens."""
-    images = [[1 << a[u] for u in range(m)] for a in gens]
-    if not images:
+    if not gens:
         yield from range(1, 1 << m)
         return
+    # images[x] is the image of the subset x, built up one element u at a time
+    tables = []
+    for a in gens:
+        images = [0]
+        for u in range(m):
+            img = 1 << a[u]
+            images += [y | img for y in images]
+        tables.append(images)
     seen = bytearray(1 << m)
     for mask in range(1, 1 << m):
         if seen[mask]:
@@ -723,12 +732,8 @@ def _subset_orbit_representatives(m: int, gens: list) -> Iterator[int]:
         stack = [mask]
         while stack:
             x = stack.pop()
-            for img in images:
-                y, z = 0, x
-                while z:
-                    b = z & -z
-                    y |= img[b.bit_length() - 1]
-                    z ^= b
+            for images in tables:
+                y = images[x]
                 if not seen[y]:
                     seen[y] = 1
                     stack.append(y)

@@ -12,16 +12,18 @@ matrix and its transpose until it is diagonal and returns the divisor chain,
 with no unimodular witnesses; rank mod p, the size of a row span mod r, the
 lattice index and the Diophantine solver read its pivots.
 
-At a prime p <= 13 rank_mod_p, span_order_mod and row_solve run
-`_prime_echelon` instead, on rows packed into ints (a bit per entry mod 2,
-a byte otherwise). It makes `_echelon`'s choices and charges the budget the
-same (the full row width per row operation), so pivots, echelon rows, click
-vectors and every LimitExceeded are the same. `_echelon` stays for Z,
-composite moduli and primes past 13.
+At a prime p <= 13 span_order_mod and row_solve run `_prime_echelon`
+instead, on rows packed into ints (a bit per entry mod 2, a byte otherwise).
+It makes `_echelon`'s choices and charges the budget the same (the full row
+width per row operation), so pivots, echelon rows, click vectors and every
+LimitExceeded are the same. rank_mod_p there runs `_basis_rank`, a basis
+keyed by the leading entry that stops at full rank, on the same packed rows
+(on the masks as given mod 2). `_echelon` stays for Z, composite moduli and
+primes past 13.
 
 Every operation takes its rows as an `IntMat`. The 0/1 matrices of graphs
 keep the bitmasks `IntMat.from_masks` is given, so at p <= 13 their rows
-reach `_prime_echelon` with one format and reverse per mask, and only the
+reach the packed kernels with one format and reverse per mask, and only the
 list kernel unpacks them into entry tuples.
 """
 
@@ -409,11 +411,30 @@ def _packed_rank(M: IntMat, p: int, budget: Optional[int] = None) -> int:
     return len(_prime_echelon(rows, M.cols, M.cols, p, budget)[1])
 
 
+def _basis_rank(rows, width: int, p: int) -> int:
+    """The rank mod p in _PACKED_PRIMES of rows of `width` entries packed by
+    `_pack` (or masks at p = 2): a basis keyed by the leading entry, scaled to
+    1, reduces each row until it vanishes or joins; it stops at rank width."""
+    bits, basis = 1 if p == 2 else 8, {}
+    for x in rows:
+        while x:
+            shift = (x.bit_length() - 1) // bits * bits
+            y = basis.get(shift)
+            if y is None:
+                basis[shift] = x if x >> shift == 1 else _reduce(pow(x >> shift, -1, p) * x, width, p)
+                break
+            x = x ^ y if p == 2 else _reduce(x + (p - (x >> shift)) * y, width, p)
+        if len(basis) == width:
+            break
+    return len(basis)
+
+
 def rank_mod_p(M: IntMat, p: int) -> int:
     """Rank of M over the field with p elements."""
     _require_prime(p)
     if p in _PACKED_PRIMES:
-        return _packed_rank(M, p)
+        rows = M._row_masks if p == 2 and M._row_masks is not None else _packed(M, p)
+        return _basis_rank(rows, M.cols, p)
     return len(_echelon(_distinct_mod(M, p), M.cols, p)[1])
 
 

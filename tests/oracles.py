@@ -1086,3 +1086,224 @@ def smith_chain_pairwise(d) -> None:
             if b % a:
                 g = gcd(a, b)
                 d[i], d[j] = g, a // g * b
+
+
+# -- canonical augmentation with piece lists and per-bit orbit images -------------
+
+def refine_by_piece_lists(masks: tuple, cells: list, stack: list, ncells: int) -> int:
+    """The equitable refinement of graphs._refine, as it was written with a
+    list of pieces per cell, sorted by neighbour count, for every splitter:
+    the same pieces in the same order and the same splitters queued."""
+    n = len(cells)
+    queued = set(stack)
+    while stack and ncells < n:
+        start = stack.pop()
+        queued.discard(start)
+        w = cells[start]
+        single = masks[w.bit_length() - 1] if not w & (w - 1) else None
+        s = 0
+        while s < n:
+            x = cells[s]
+            size = x.bit_count()
+            if size == 1:
+                s += 1
+                continue
+            if single is not None:
+                pieces = [p for p in (x & ~single, x & single) if p]
+            else:
+                groups = {}
+                y = x
+                while y:
+                    b = y & -y
+                    k = (masks[b.bit_length() - 1] & w).bit_count()
+                    groups[k] = groups.get(k, 0) | b
+                    y ^= b
+                pieces = [groups[k] for k in sorted(groups)]
+            if len(pieces) > 1:
+                sizes = [p.bit_count() for p in pieces]
+                skip = 0 if s in queued else sizes.index(max(sizes))
+                pos = s
+                for i, p in enumerate(pieces):
+                    cells[pos] = p
+                    if i != skip and pos not in queued:
+                        stack.append(pos)
+                        queued.add(pos)
+                    pos += sizes[i]
+                ncells += len(pieces) - 1
+            s += size
+    return ncells
+
+
+def canonical_search_by_piece_lists(n: int, masks: tuple) -> tuple:
+    """graphs._canonical_search on refine_by_piece_lists: (certificate,
+    placement, automorphism generators) by individualization-refinement with
+    the same tree, leaf order and pruning."""
+    from graphpower.graphs import _column_codes, _orbit
+
+    gens: list = []
+    first = best = None
+    individualized: list = []
+
+    def common_depth(other: list) -> int:
+        d = 0
+        for a, b in zip(individualized, other):
+            if a != b:
+                break
+            d += 1
+        return d
+
+    def leaf(cells: list) -> int:
+        nonlocal first, best
+        order = [c.bit_length() - 1 for c in cells]
+        codes = _column_codes(masks, order)
+        if first is None:
+            first = best = (codes, order, individualized.copy())
+            return n
+        jump = n
+        for codes0, order0, path0 in ((first,) if best is first else (first, best)):
+            if codes == codes0:
+                aut = [0] * n
+                for u, v in zip(order0, order):
+                    aut[u] = v
+                gens.append(tuple(aut))
+                jump = min(jump, common_depth(path0))
+        if codes < best[0]:
+            best = (codes, order, individualized.copy())
+        return jump
+
+    def search(cells: list, ncells: int) -> int:
+        if ncells == n:
+            return leaf(cells)
+        target, tsize, s = 0, n + 1, 0
+        while s < n:
+            size = cells[s].bit_count()
+            if 1 < size < tsize:
+                target, tsize = s, size
+            s += size
+        depth = len(individualized)
+        x = cells[target]
+        explored = 0
+        y = x
+        while y:
+            b = y & -y
+            y ^= b
+            v = b.bit_length() - 1
+            if explored:
+                fixing = [a for a in gens if all(a[u] == u for u in individualized)]
+                if _orbit(v, fixing) & explored:
+                    continue
+            explored |= b
+            child = cells.copy()
+            child[target] = b
+            child[target + 1] = x ^ b
+            individualized.append(v)
+            jump = search(child, refine_by_piece_lists(masks, child, [target], ncells + 1))
+            individualized.pop()
+            if jump < depth:
+                return jump
+        return depth
+
+    cells = [0] * n
+    cells[0] = (1 << n) - 1
+    search(cells, refine_by_piece_lists(masks, cells, [0], 1))
+    return (n, best[0]), best[1], gens
+
+
+def canonical_form_by_piece_lists(g) -> tuple:
+    """graphs.canonical_form on canonical_search_by_piece_lists."""
+    from graphpower.graphs import _column_codes
+
+    cert, placement, _ = canonical_search_by_piece_lists(g.n, g._masks)
+    if _column_codes(g._masks, range(g.n)) == cert[1]:
+        placement = list(range(g.n))
+    return cert, placement
+
+
+def permute_masks(masks: tuple, position) -> tuple:
+    """Neighbour masks after moving each vertex v to position[v]."""
+    from graphpower.graphs import _vertices
+
+    out = [0] * len(masks)
+    for v, m in enumerate(masks):
+        out[position[v]] = sum(1 << position[w] for w in _vertices(m))
+    return tuple(out)
+
+
+def deletion_ties_by_search(masks: tuple) -> int:
+    """The deletion ties of graphs._deletion_ties with the degrees counted
+    from the masks and every candidate's cut test a breadth-first search."""
+    from graphpower.graphs import _closure, _vertices
+
+    last = len(masks) - 1
+    degree = [m.bit_count() for m in masks]
+    d, key, ties = degree[last], None, 1 << last
+    for v in range(last):
+        if degree[v] == d:
+            if key is None:
+                key = sorted(degree[w] for w in _vertices(masks[last]))
+            other = sorted(degree[w] for w in _vertices(masks[v]))
+        if degree[v] > d or degree[v] == d and other > key:
+            continue
+        rest = (2 << last) - 1 ^ 1 << v
+        if _closure(masks, rest & -rest, rest) == rest:
+            if degree[v] < d or other < key:
+                return 0
+            ties |= 1 << v
+    return ties
+
+
+def subset_orbit_representatives_by_bits(m: int, gens: list):
+    """The smallest bitmask of each orbit of the nonempty subsets of 0..m-1,
+    each image built bit by bit from the images of the elements."""
+    images = [[1 << a[u] for u in range(m)] for a in gens]
+    if not images:
+        yield from range(1, 1 << m)
+        return
+    seen = bytearray(1 << m)
+    for mask in range(1, 1 << m):
+        if seen[mask]:
+            continue
+        yield mask
+        seen[mask] = 1
+        stack = [mask]
+        while stack:
+            x = stack.pop()
+            for img in images:
+                y, z = 0, x
+                while z:
+                    b = z & -z
+                    y |= img[b.bit_length() - 1]
+                    z ^= b
+                if not seen[y]:
+                    seen[y] = 1
+                    stack.append(y)
+
+
+@lru_cache(maxsize=None)
+def level_by_piece_lists(n: int) -> tuple:
+    """graphs._level from the helpers above: (certificate, canonical masks,
+    automorphism generators) per class of connected graphs on n vertices,
+    sorted, by the same canonical augmentation."""
+    from graphpower.graphs import _orbit
+
+    if n == 1:
+        return (((1, (0,)), (0,), ()),)
+    found = []
+    last = n - 1
+    for _, parent, parent_gens in level_by_piece_lists(last):
+        for mask in subset_orbit_representatives_by_bits(last, parent_gens):
+            child = tuple(m | 1 << last if mask >> u & 1 else m
+                          for u, m in enumerate(parent)) + (mask,)
+            ties = deletion_ties_by_search(child)
+            if not ties:
+                continue
+            cert, placement, gens = canonical_search_by_piece_lists(n, child)
+            first = next(v for v in placement if ties >> v & 1)
+            if not _orbit(first, gens) >> last & 1:
+                continue
+            position = [0] * n
+            for i, v in enumerate(placement):
+                position[v] = i
+            found.append((cert, permute_masks(child, position),
+                          tuple(tuple(position[a[v]] for v in placement) for a in gens)))
+    return tuple(sorted(found))

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -351,6 +352,28 @@ def test_census_csv_and_oeis(capsys, tmp_path):
     bad.write_text("1 1\n2 0\n3 1\n4 3\n5 12\n")
     code, _, err = run(capsys, "ra", "census", "--max-n", "5", "--oeis", str(bad))
     assert code == 4 and "MISMATCH" in err
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_census_stdout_is_pinned_to_seven_vertices(capsys):
+    code, out, err = run(capsys, "ra", "census", "--max-n", "7")
+    assert code == 0 and err == "full-lattice counts: 1,0,1,1,6,20,172\n"
+    assert _sha256(out) == "51320996cc457a6e5c3404a3581f803c52c775757a1058b8ccff85e89217c97b"
+
+
+@pytest.mark.slow
+def test_census_stdout_is_pinned_to_eight_vertices_with_a_one_line_note(capsys):
+    # the library's size warning reaches stderr as one note line, without the
+    # file, line number and source line of a printed UserWarning
+    code, out, err = run(capsys, "ra", "census", "--max-n", "8")
+    assert code == 0
+    assert _sha256(out) == "78cadbfdf29883ca85d80a0d86e99d56d909be9a1497bf3d13e5389df112a8e5"
+    note, counts = err.splitlines()
+    assert note.startswith("note: census at n = 8 enumerates 11117 graph classes; about ")
+    assert counts == "full-lattice counts: 1,0,1,1,6,20,172,1916"
 
 
 def test_census_rejects_a_bad_b_file_before_the_census(capsys, tmp_path):

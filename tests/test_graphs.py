@@ -59,6 +59,7 @@ from graphpower.perm import PermGroup
 from oracles import (
     augmented_classes_by_edge_lists,
     canonical_certificate_bruteforce,
+    canonical_form_by_piece_lists,
     complete_bipartition_by_colouring,
     components_by_search,
     connected_classes_bruteforce,
@@ -67,6 +68,7 @@ from oracles import (
     girth_per_edge,
     graph6_decode_by_pairs,
     graph6_encode_by_pairs,
+    level_by_piece_lists,
     pqr_criterion_by_distances,
     reduce_indistinguishable_by_sets,
     relabel,
@@ -360,6 +362,18 @@ def test_enumeration_matches_the_edge_list_oracle_at_eight_vertices():
     _assert_level_matches_the_edge_list_oracle(8)
 
 
+def test_levels_equal_the_piece_list_augmentation():
+    # in-place refinement, degrees from the parent, orbit image tables and
+    # canonical masks by position bits change no class, label or generator
+    for n in range(1, 8):
+        assert _level(n) == level_by_piece_lists(n), n
+
+
+@pytest.mark.slow
+def test_levels_equal_the_piece_list_augmentation_at_eight_vertices():
+    assert _level(8) == level_by_piece_lists(8)
+
+
 def test_enumeration_searches_about_once_per_class(monkeypatch):
     """Canonical augmentation rejects most duplicate children before their
     canonical search: levels 2..7 hold 995 classes, and search-then-dedupe
@@ -382,7 +396,10 @@ def _identity_codes(g):
     return tuple(sum(g.has_edge(i, j) << (j - 1 - i) for i in range(j)) for j in range(g.n))
 
 
-def test_canonical_form_matches_bruteforce_oracle():
+def _canonical_form_pool():
+    """Every connected graph to 6 vertices, three relabelings and one edge
+    flip of each, and 300 G(n, 1/2) graphs on 2 to 9 vertices with one
+    relabeling each."""
     rng = random.Random(11)
     pool = []
     for n in range(1, 7):
@@ -402,14 +419,23 @@ def test_canonical_form_matches_bruteforce_oracle():
         perm = list(range(n))
         rng.shuffle(perm)
         pool.extend([g, relabel(g, perm)])
+    return pool
+
+
+def test_canonical_form_matches_bruteforce_oracle():
     ours, theirs = {}, {}
-    for g in pool:
+    for g in _canonical_form_pool():
         cert, placement = canonical_form(g)
         oracle = canonical_certificate_bruteforce(g)
         # equal certificates exactly when the oracle's are equal
         assert ours.setdefault(cert, oracle) == oracle
         assert theirs.setdefault(oracle, cert) == cert
         assert cert == (g.n, _identity_codes(relabel(g, placement)))
+
+
+def test_canonical_form_equals_the_piece_list_search():
+    for g in _canonical_form_pool() + [complete(16)]:
+        assert canonical_form(g) == canonical_form_by_piece_lists(g), g
 
 
 def _cayley_z4z4(steps):

@@ -152,7 +152,6 @@ TEST_READ_PUBLIC_NAMES = [
     ("schemas", "GROUP_REPORT_SCHEMA"),
     ("schemas", "RA_VERDICT_SCHEMA"),
     ("schemas", "SOLVE_SCHEMA"),
-    ("zlinalg", "rank_mod_p"),
 ]
 
 

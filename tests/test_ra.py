@@ -264,6 +264,30 @@ def test_census_verdicts_match_is_ra_to_seven():
         assert (row.graph6, row.ra, row.method, row.witness) == is_ra(g)
 
 
+def test_census_verdict_routes_match_is_ra(monkeypatch):
+    # d_n > 0 takes ranks mod the primes of d_n, d_n = 0 is_ra over Z; every
+    # census graph to 8 vertices with d_n > 1 is RA, so FQ5 is the one input
+    # here that reaches the modular route's not-RA witness
+    z_calls = []
+    monkeypatch.setattr(ra, "is_ra", lambda g: z_calls.append(g) or is_ra(g))
+    modular = {"FQ5": folded_cube(5), "petersen": petersen(),
+               "K3,6": complete_bipartite(3, 6)}  # d_n = 17, past the packed primes
+    singular = {"Q3": hypercube(3), "Q5": hypercube(5), "FQ7": folded_cube(7)}
+    singular.update((g6, graph6_decode(g6)) for g6 in (r"HIQ\Tb~", "HK@YtUk", "H?LSf^~"))
+    divisors = {}
+    for name, g in {**modular, **singular}.items():
+        divisors[name] = divs = snf_divisors(activation_matrix(g))
+        z_calls.clear()
+        verdict = ra._census_verdict(g, divs)
+        assert tuple(verdict) == tuple(is_ra(g)), name
+        assert z_calls == ([g] if name in singular else []), name
+    assert divisor_tuple_str(divisors["FQ5"]) == "(1^6, 2^4, 4^5, 12)"
+    assert is_ra(modular["FQ5"])[1:] == (False, "full_lattice", "prime 2")
+    assert [divisors[name][-1] for name in modular] == [12, 8, 17]
+    assert all(divisors[name][-1] == 0 for name in singular)
+    assert [is_ra(g).ra for g in singular.values()] == [False] * 6
+
+
 def test_census_limits():
     with pytest.raises(LimitExceeded, match="261080"):
         census(9)
@@ -286,6 +310,12 @@ def test_census_eight_finds_the_cube():
     assert len(cube_rows) == 1 and not cube_rows[0].ra
     # smaller sizes unchanged
     assert report.full_lattice_counts()[:7] == (1, 0, 1, 1, 6, 20, 172)
+    # the verdicts from the activation divisors are is_ra's
+    graphs = [g for g in enumerate_connected_graphs(8) if eligible(g)]
+    rows = [r for r in report.rows if r.n == 8]
+    assert len(rows) == len(graphs) == 7442
+    for row, g in zip(rows, graphs):
+        assert (row.graph6, row.ra, row.method, row.witness) == is_ra(g)
 
 
 def test_divisor_primes_contained_in_activation_primes():

@@ -495,6 +495,40 @@ def test_packed_kernel_repeats_the_list_kernel_on_random_integer_rows(monkeypatc
             _assert_packed_matches_list_kernel(monkeypatch, mat, p, rng)
 
 
+def _assert_basis_rank_matches_the_kernels(mat, p):
+    want = len(_echelon(zlinalg._distinct_mod(mat, p), mat.cols, p)[1])
+    assert rank_mod_p(mat, p) == zlinalg._packed_rank(mat, p) == want, (mat, p)
+    # the basis reads masks as given mod 2, and packed rows too
+    assert zlinalg._basis_rank(zlinalg._packed(mat, p), mat.cols, p) == want
+
+
+def test_basis_rank_matches_both_kernels_on_graph_rows():
+    for size in range(1, 7):
+        for graph in enumerate_connected_graphs(size):
+            for mat in (activation_matrix(graph), ra._distinct_rows(graph, False),
+                        ra._distinct_rows(graph, True)):
+                for p in PACKED_PRIMES:
+                    _assert_basis_rank_matches_the_kernels(mat, p)
+
+
+def test_basis_rank_matches_both_kernels_on_random_rows():
+    # masks and entries, widths past 64, entries at and above p, negative
+    # entries, duplicate and zero rows, and more rows than columns
+    rng = random.Random(28)
+    for _ in range(120):
+        m, n = rng.randint(0, 12), rng.choice([1, 2, 5, 9, 63, 64, 65, 100])
+        masks = [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(m)]
+        masks += rng.sample(masks, rng.randint(0, m)) + [0] * rng.randint(0, 2)
+        entries = [[rng.choice([0, 1, rng.randint(-40, 40)]) for _ in range(n)] for _ in range(m)]
+        for mat in (IntMat.from_masks(masks, n), IntMat(entries, n)):
+            for p in PACKED_PRIMES:
+                _assert_basis_rank_matches_the_kernels(mat, p)
+    # the basis stops reading rows at full rank
+    for p in PACKED_PRIMES:
+        rows = iter(zlinalg._packed(IntMat([[1, 2, 0], [0, 1, 3], [0, 0, 1], [1, 1, 1]]), p))
+        assert zlinalg._basis_rank(rows, 3, p) == 3 and len(list(rows)) == 1
+
+
 def test_prime_moduli_to_13_never_reach_the_list_kernel(monkeypatch):
     # the packed path must not fall back silently: row_solve, rank_mod_p and
     # span_order_mod call _echelon at no p <= 13, and still do over Z, at
