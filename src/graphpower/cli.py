@@ -3,18 +3,24 @@
 Exit codes: 0 success, 2 bad input, 3 capacity limit, 4 internal consistency
 fault. Machine-readable payloads go to stdout, diagnostics to stderr.
 
+A well-formed command line is parsed from the command table `_COMMANDS`
+alone. argparse, whose first use costs a few milliseconds, is imported only
+for help and for the lines the table parse does not take (usage errors,
+abbreviations, '--'), so help text, usage errors and exit codes stay
+argparse's own.
+
 The capacity cap for subgroup computations can be overridden with the
 GRAPHPOWER_MAX_ORDER environment variable.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import json
 import os
 import sys
 import warnings
+from types import SimpleNamespace
 
 from . import power, ra, solver
 from .errors import CapacityError, ConsistencyError, GraphPowerError, InputError
@@ -297,11 +303,73 @@ _COMMANDS = {
 }
 
 
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The parser with every command registered; only the command argv names
-    (every command when argv is None) gets its arguments. Above the leaves
-    no option but -h is taken, so the words without a leading '-' name it."""
-    words = None if argv is None else [a for a in argv if not a.startswith("-")]
+def _typed(raw: str, kwargs: dict):
+    """`raw` converted by the argument's `type` and checked against its
+    `choices`, as argparse does; ValueError where argparse would refuse it."""
+    value = kwargs.get("type", str)(raw)
+    if value not in kwargs.get("choices", (value,)):
+        raise ValueError(f"invalid choice: {value!r}")
+    return value
+
+
+def _match(argv):
+    """The namespace argparse gives a well-formed command line, read from the
+    table alone: the command words, the leaf's positionals, then each option
+    once by its exact name, as `--name value`, `--name=value` or a flag. None
+    for anything else (help, abbreviations, '--', a separate value that
+    starts with '-', a usage error), which goes to argparse."""
+    path = tuple(argv[:2]) if tuple(argv[:2]) in _COMMANDS else tuple(argv[:1])
+    _, func, arguments = _COMMANDS.get(path, (None, None, ()))
+    if func is None:
+        return None
+    values = {"command": path[0], "func": func}
+    if len(path) == 2:
+        values[f"{path[0]}_command"] = path[1]
+    rest = list(argv[len(path):])
+    first = next((i for i, token in enumerate(rest) if token.startswith("-")), len(rest))
+    positionals, rest = rest[:first], rest[first:]
+    options = {}
+    try:
+        for (name,), kwargs in arguments:
+            dest = name.lstrip("-").replace("-", "_")
+            if name.startswith("-"):
+                options[name] = dest, kwargs
+                values[dest] = kwargs.get("default", False if "action" in kwargs else None)
+            elif kwargs.get("nargs") == "*":
+                values[dest] = [_typed(raw, kwargs) for raw in positionals]
+                positionals = []
+            elif positionals:
+                values[dest] = _typed(positionals.pop(0), kwargs)
+            else:
+                return None
+        while rest:
+            name, eq, raw = rest.pop(0).partition("=")
+            if name not in options:
+                return None
+            dest, kwargs = options.pop(name)
+            if "action" in kwargs:  # store_true, which takes no value
+                if eq:
+                    return None
+                values[dest] = True
+                continue
+            if not eq:
+                if not rest or rest[0].startswith("-"):
+                    return None
+                raw = rest.pop(0)
+            values[dest] = _typed(raw, kwargs)
+    except ValueError:
+        return None
+    if positionals or any(kwargs.get("required") for _, kwargs in options.values()):
+        return None
+    return SimpleNamespace(**values)
+
+
+def build_parser():
+    """The argparse parser with every command of the table. `main` reaches it
+    only for help and for the lines `_match` does not take: usage errors and
+    the forms argparse alone accepts, such as abbreviations."""
+    import argparse  # deferred: its first use costs more than most commands
+
     parser = argparse.ArgumentParser(
         prog="graphpower",
         description="Graph powers of groups: divisors, RA verdicts, and abelian solving.",
@@ -313,17 +381,15 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
             subs[path] = p.add_subparsers(dest=f"{path[0]}_command", required=True)
             continue
         p.set_defaults(func=func)
-        if words is None or tuple(words[:len(path)]) == path:
-            for args, kwargs in arguments:
-                p.add_argument(*args, **kwargs)
+        for args, kwargs in arguments:
+            p.add_argument(*args, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv)
+    args = _match(argv) or build_parser().parse_args(argv)
     try:
-        args = parser.parse_args(argv)
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from graphpower import perm, power, ra, solver, zlinalg
+from graphpower import cli, perm, power, ra, solver, zlinalg
 from graphpower.cli import build_parser, main
 from graphpower.graphs import (
     complete,
@@ -429,8 +430,8 @@ LEAVES = [["graph", "gen"], ["graph", "classify"], ["eldivs"], ["ra", "check"], 
     (["ra", "census"], 2),
 ], ids=lambda value: "_".join(value) if isinstance(value, list) else None)
 def test_help_and_usage_errors_match_the_full_parser(capsys, argv, code):
-    """main builds arguments only for the command argv names; its help and
-    usage errors equal those of the parser with every command built."""
+    """main parses none of these lines from the command table, so its help
+    and usage errors are those of the parser with every command built."""
     def exit_of(call):
         with pytest.raises(SystemExit) as exc:
             call()
@@ -440,6 +441,164 @@ def test_help_and_usage_errors_match_the_full_parser(capsys, argv, code):
     got = exit_of(lambda: main(argv))
     assert got[0] == code
     assert got == exit_of(lambda: build_parser().parse_args(argv))
+
+
+def _argparse_vars(parser, argv):
+    """vars() of the namespace argparse gives argv, or None when it exits."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return vars(parser.parse_args(argv))
+    except SystemExit:
+        return None
+
+
+def _sample_value(rng, kwargs):
+    """A value for an argument of the command table: mostly one it takes,
+    sometimes a bad choice or int, sometimes one that starts with '-'."""
+    if rng.random() < 0.1:
+        return rng.choice(["-1,0", "-3", "-", "--x", "-h"])
+    if "choices" in kwargs:
+        return rng.choice(list(kwargs["choices"]) + ["nope"])
+    if kwargs.get("type") is int:
+        return rng.choice(["7", "3", " 5", "x", "2.5"])
+    return rng.choice(["Q3", "C4", "4", "H3", "2,3", "Z", "1,0,0,0", "", "a=b", "g6:Cw",
+                       '{"0": [1, 2]}'])
+
+
+def _random_command_line(rng):
+    """A seeded command line built from the command table: the words of a
+    leaf, its positionals and options, and now and then an abbreviated,
+    repeated, missing or unknown option, the '=' form, a flag with a value,
+    an extra or moved positional, a wrong command word, '-h' or '--'."""
+    leaves = [(path, arguments) for path, (_, func, arguments) in cli._COMMANDS.items() if func]
+    path, arguments = rng.choice(leaves)
+    words, positionals, options = list(path), [], []
+    for (name,), kwargs in arguments:
+        if not name.startswith("-"):
+            count = rng.randint(0, 3) if kwargs.get("nargs") == "*" else 1
+            positionals += [_sample_value(rng, kwargs) for _ in range(count)]
+        elif "action" in kwargs:
+            if rng.random() < 0.5:
+                options.append([name + "=1" if rng.random() < 0.05 else name])
+        elif kwargs.get("required") or rng.random() < 0.5:
+            options.append([name, _sample_value(rng, kwargs)])
+    for option in options:
+        if rng.random() < 0.1:
+            option[0] = option[0][:rng.randint(3, len(option[0]) - 1)]
+        if len(option) == 2 and rng.random() < 0.3:
+            option[:] = ["=".join(option)]
+    if options and rng.random() < 0.1:
+        options.append(list(rng.choice(options)))
+    if options and rng.random() < 0.1:
+        options.remove(rng.choice(options))
+    if rng.random() < 0.05:
+        options.append(["--bogus"])
+    if rng.random() < 0.1:
+        positionals.append("Q3")
+    if rng.random() < 0.05:
+        words[-1] = rng.choice(["bogus", words[-1][:-1]]) if rng.random() < 0.5 else ""
+        words = [w for w in words if w]
+    rng.shuffle(options)
+    tail = [token for option in options for token in option]
+    argv = words + (tail + positionals if rng.random() < 0.1 else positionals + tail)
+    if rng.random() < 0.1:
+        argv.insert(rng.randint(0, len(argv)), rng.choice(["-h", "--help", "--"]))
+    return argv
+
+
+@pytest.mark.parametrize("argv, taken", [
+    (["ra", "gra", "Q3", "--group", "H3"], True),
+    (["ra", "gra", "Q3", "--reduce", "--group=H3"], True),
+    (["solve", "C4", "--moduli", "Z", "--target=-1,0,0,0"], True),
+    (["solve", "C4", "--target=", "--moduli", "3"], True),
+    (["graph", "gen", "grid", "3", "3", "--format", "dot"], True),
+    (["graph", "gen", "grid"], True),
+    (["ra", "census", "--max-n", "7", "--oeis", "a=b"], True),
+    (["eldivs", "", "--matrix=ra"], True),
+    (["ra", "gra", "Q3", "--gr", "H3"], False),  # an abbreviation
+    (["ra", "gra", "Q3", "--group", "H3", "--group", "D8"], False),  # repeated
+    (["solve", "C4", "--moduli", "Z", "--target", "-1,0,0,0"], False),  # value after '-'
+    (["ra", "gra", "Q3"], False),  # --group missing
+    (["ra", "check", "Q3", "Q5"], False),  # an extra positional
+    (["ra", "check", "--reduce", "Q3"], False),  # a positional after an option
+    (["ra", "check", "Q3", "--reduce=1"], False),  # a flag with a value
+    (["eldivs", "Q3", "--matrix", "bogus"], False),
+    (["graph", "gen", "cycle", "5", "--format", "svg"], False),
+    (["ra", "census", "--max-n", "seven"], False),
+    (["ra", "check", "Q3", "-h"], False),
+    (["ra", "check", "--", "Q3"], False),
+    (["graph", "gen", "grid", "--format", "dot", "3", "3"], False),  # params after --format
+    (["ra", "Q3"], False),
+    ([], False),
+], ids=lambda value: "_".join(value) or "empty" if isinstance(value, list) else None)
+def test_the_table_parse_takes_only_what_argparse_takes_alike(argv, taken):
+    got = cli._match(argv)
+    assert (got is not None) == taken
+    want = _argparse_vars(build_parser(), argv)
+    if got is not None:
+        assert vars(got) == want
+
+
+def test_the_table_parse_agrees_with_argparse_on_random_command_lines():
+    # argparse is the oracle: a line the table parse takes, argparse takes
+    # with the same namespace, and a line argparse refuses goes to argparse
+    parser, rng = build_parser(), random.Random(29)
+    taken = refused = 0
+    for _ in range(1500):
+        argv = _random_command_line(rng)
+        got, want = cli._match(argv), _argparse_vars(parser, argv)
+        if got is not None:
+            assert vars(got) == want, argv
+            taken += 1
+        refused += want is None
+    assert taken > 500 and refused > 300, (taken, refused)
+
+
+def test_every_timed_request_takes_the_table_parse(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+
+    parser = build_parser()
+    for seed in range(6):
+        for name, build in workloads.WORKLOADS.items():
+            for req in build(random.Random(seed), False):
+                got = cli._match(req.argv)
+                assert got is not None, (seed, name, req.argv)
+                assert vars(got) == _argparse_vars(parser, req.argv), (seed, name, req.argv)
+
+
+def _cli_in_a_child(*argv):
+    """(exit code, stdout, stderr without the import lines, the modules
+    imported) of `python -X importtime -m graphpower.cli argv`."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, COLUMNS="80")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "graphpower.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+    lines = proc.stderr.splitlines(keepends=True)
+    imported = {line.rsplit("|", 1)[1].strip() for line in lines if line.startswith("import time:")}
+    err = "".join(line for line in lines if not line.startswith("import time:"))
+    return proc.returncode, proc.stdout, err, imported
+
+
+def test_a_well_formed_command_never_imports_argparse(capsys, monkeypatch):
+    code, out, _, imported = _cli_in_a_child("ra", "gra", "Q3", "--group", "H3")
+    assert code == 0 and json.loads(out)["ra_index"] == 1
+    assert "argparse" not in imported and "graphpower.zlinalg" in imported
+    code, out, _, imported = _cli_in_a_child("solve", "C4", "--moduli", "Z",
+                                             "--target=-1,0,0,0")
+    assert code == 0 and json.loads(out)["solvable"] is False
+    assert "argparse" not in imported
+    # help and usage errors still come from the full parser
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err, imported = _cli_in_a_child("--help")
+    assert (code, out, err) == (0, build_parser().format_help(), "")
+    assert "argparse" in imported
+    code, out, err, _ = _cli_in_a_child("ra", "gra", "Q3")
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["ra", "gra", "Q3"])
+    assert exc.value.code == 2
+    assert (code, out, err) == (2, "", capsys.readouterr().err)
 
 
 def test_solve_solvable(capsys):
