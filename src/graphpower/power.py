@@ -279,8 +279,10 @@ def _comm_count(group: PermGroup, rows: IntMat, budget: Optional[int] = None) ->
     these generate [G,G]^n. The span mod k is full exactly when L has an
     index N != 0 prime to k, and then each span mod r_i is full too (the r_i
     have the primes of k): the count is |[G,G]|^n exactly then, and Comm_b =
-    [G^graph, G^graph] = Comm = [G,G]^n. An elimination past `budget`
-    raises LimitExceeded."""
+    [G^graph, G^graph] = Comm = [G,G]^n. `budget` caps the entries each
+    span may charge, the full row width per reduction of the basis mod a
+    prime r <= 13 and per row operation mod other r; past it the span raises
+    LimitExceeded."""
     derived = derived_subgroup(group)
     der = derived.generators
     abelian = all(a * b == b * a for i, a in enumerate(der) for b in der[i + 1:])

@@ -30,19 +30,21 @@ from .graphs import (
     is_neighborhood_distinguishable,
 )
 from .zlinalg import (IntMat, _require_prime, _smallest_prime_factor, lattice_index,
-                      rank_mod_p, snf_divisors, span_order_mod)
+                      rank_mod_p, snf_divisors)
 
 # Every reader of the intersection rows (the RA test, heisenberg_ra, the
 # closed-form test and the Comm_b and Comm_d orders in `power`, `eldivs
 # --matrix ra`) takes the one IntMat of their masks that `_distinct_rows`
 # builds, which stops once the distinct nonzero rows hold more than this many
 # entries: Q9's 12032 rows hold 6.2 million and pass, Q10, Q12 and C4000 stop
-# within a second. Spans mod p <= 13 read the masks; the lattice index over Z,
+# within a second. Ranks and spans mod p <= 13 read the masks (packed first
+# entry most significant, except a rank mod 2); the lattice index over Z,
 # spans mod other factors of [G,G] and the Smith divisors unpack them into
-# entry tuples once. Each elimination stops once its row operations have
-# rewritten this many entries (Q9 either way, dense graphs of 80 vertices over
-# Z through entry growth), ending in LimitExceeded instead of exhausting time
-# or memory. Both bounds count entries, also of rows packed a bit per entry.
+# entry tuples once. A budgeted elimination stops, with LimitExceeded instead
+# of exhausting time or memory, once it has charged this many entries: the
+# full row width per row reduction of a span's basis mod p <= 13, and per row
+# operation over Z or mod other r (Q9 over Z, dense graphs of 80 vertices
+# through entry growth). Both bounds count entries, also of packed rows.
 RA_TEST_BUDGET = 1 << 24
 
 
@@ -119,7 +121,7 @@ def heisenberg_ra(graph: Graph, p: int) -> bool:
     intersection matrix modulo p. Past RA_TEST_BUDGET distinct-row entries
     it raises LimitExceeded instead of answering."""
     _require_prime(p)
-    return span_order_mod(_distinct_rows(graph, True), p) == p ** graph.n
+    return rank_mod_p(_distinct_rows(graph, True), p) == graph.n
 
 
 def pqr_criterion(graph: Graph, p: int) -> bool:

@@ -1077,6 +1077,31 @@ def echelon_full_rows(rows, n, r=0, perm=None, budget=None):
     return rows, pivots
 
 
+def basis_rank_charge(rows, width: int, p: int) -> tuple:
+    """(rank mod p, entries charged) of `rows`, entry lists of `width`
+    entries read in the given order, by a basis keyed by the first nonzero
+    column: each row is reduced by the basis row of that column until it
+    vanishes or joins the basis, scaled to 1 there, and reading stops at
+    full rank. Every reduction charges the full width, the budget rule of
+    `zlinalg._basis_rank` on rows packed first entry most significant."""
+    basis, reductions = {}, 0
+    for row in rows:
+        x = [v % p for v in row]
+        while any(x):
+            c = next(j for j, v in enumerate(x) if v)
+            y = basis.get(c)
+            if y is None:
+                inverse = pow(x[c], -1, p)
+                basis[c] = [v * inverse % p for v in x]
+                break
+            reductions += 1
+            q = x[c]
+            x = [(a - q * b) % p for a, b in zip(x, y)]
+        if len(basis) == width:
+            break
+    return len(basis), reductions * width
+
+
 def smith_chain_pairwise(d) -> None:
     """The divisor chain of the positive diagonal d, in place, comparing
     every pair of entries: each pair (a, b) becomes (gcd(a, b), lcm(a, b))."""

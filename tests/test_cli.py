@@ -173,6 +173,27 @@ def test_ra_gra_answers_when_the_lattice_index_is_prime_to_the_commutator_order(
         assert payload["ra_index"] == 1 and payload["g_ra"] is True
 
 
+def test_ra_gra_answers_where_the_early_stop_basis_keeps_the_span_under_its_budget(capsys):
+    # each span mod |[G,G]| of the u <= v rows passed RA_TEST_BUDGET when it
+    # eliminated every row, so the closed form was lost and the request
+    # exited 3 on the cap; the basis stops at full rank and the closed form
+    # answers. The abelian part is checked by the list kernel mod p on the
+    # set-based activation rows, p^rank for each of the f factors Z_p of G^ab
+    for graph, group, p, f, k in [("Q9", "S3", 2, 1, 3), ("FQ10", "A4", 3, 1, 4),
+                                  ("K3,300", "H5", 5, 2, 5)]:
+        code, out, err = run(capsys, "ra", "gra", graph, "--group", group)
+        assert code == 0, (graph, err)
+        payload = json.loads(out)
+        validate(payload, GROUP_REPORT_SCHEMA)
+        g = parse_graph_spec(graph)
+        rows = [[x % p for x in row] for row in activation_rows_by_sets(g)]
+        span = p ** len(zlinalg._echelon(rows, g.n, p)[1])
+        assert payload["orders"] == {"comm": k ** g.n, "full_commutator_power": k ** g.n,
+                                     "abelian_power": span ** f,
+                                     "graph_power": span ** f * k ** g.n}
+        assert payload["ra_index"] == 1 and payload["g_ra"] is True
+
+
 def test_ra_gra_builds_the_group_power_when_a_prime_divides_index_and_commutator_order(capsys):
     # Q7's index 2 divides |[D8,D8]| = 2, so its rows do not span mod 2 and
     # the orders need D8^Q7, which cannot fit the cap (see below)

@@ -225,6 +225,33 @@ def test_private_zlinalg_names_read_outside_zlinalg_are_listed():
     assert private_names_read_from("zlinalg", sources) == ZLINALG_PRIVATE_NAMES_READ_OUTSIDE
 
 
+def functions_reading(name: str, source: str) -> list:
+    """The top-level functions of `source` that read `name`."""
+    return sorted(node.name for node in ast.parse(source).body
+                  if isinstance(node, ast.FunctionDef) and name in _read_names(node))
+
+
+def test_function_check_sees_a_reader():
+    source = ("def _kernel():\n    pass\n\n\ndef a():\n    return _kernel()\n"
+              "\n\ndef b(f=_kernel):\n    return f\n\n\ndef c():\n    return kernel()\n")
+    assert functions_reading("_kernel", source) == ["a", "b"]
+
+
+# the zlinalg functions that call each prime-field kernel: the echelon solves,
+# the early-stop basis takes every rank and span mod p <= 13, so a third
+# prime-field route cannot grow back unnoticed
+ZLINALG_PRIME_KERNEL_CALLERS = {
+    "_prime_echelon": ["_prime_row_solve"],
+    "_basis_rank": ["rank_mod_p", "span_order_mod"],
+}
+
+
+def test_prime_field_kernels_have_the_listed_callers():
+    source = (PACKAGE / "zlinalg.py").read_text()
+    assert {name: functions_reading(name, source) for name in ZLINALG_PRIME_KERNEL_CALLERS} \
+        == ZLINALG_PRIME_KERNEL_CALLERS
+
+
 def modules_reading_attribute(attribute: str, sources: dict) -> list:
     """The modules of the given {module: source} that read `attribute` of
     any object."""

@@ -218,21 +218,21 @@ def test_abelian_power_order_fixtures():
 
 
 def _spy_eliminations(monkeypatch) -> list:
-    """Record (rows, r) as each elimination starts, in either kernel; the
-    packed kernel's rows (mod a prime p <= 13) are recorded unpacked."""
+    """Record (rows, r) as each elimination starts, by the list kernel or the
+    span basis; the basis's rows (mod a prime p <= 13) are recorded unpacked."""
     seen = []
-    echelon, prime_echelon = zlinalg._echelon, zlinalg._prime_echelon
+    echelon, basis_rank = zlinalg._echelon, zlinalg._basis_rank
 
     def spy(rows, n, r=0, perm=None, budget=None):
         seen.append(([row[:] for row in rows], r))
         return echelon(rows, n, r, perm, budget)
 
-    def prime_spy(rows, n, width, p, budget=None):
+    def basis_spy(rows, width, p, budget=None):
         rows = list(rows)
         seen.append(([zlinalg._unpack(x, width, p) for x in rows], p))
-        return prime_echelon(rows, n, width, p, budget)
+        return basis_rank(rows, width, p, budget)
     monkeypatch.setattr(zlinalg, "_echelon", spy)
-    monkeypatch.setattr(zlinalg, "_prime_echelon", prime_spy)
+    monkeypatch.setattr(zlinalg, "_basis_rank", basis_spy)
     return seen
 
 
@@ -350,7 +350,7 @@ def test_ra_gra_and_ra_chain_never_eliminate_over_z(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("a lattice index over Z")
 
-    echelon, prime_echelon = zlinalg._echelon, zlinalg._prime_echelon
+    echelon, basis_rank = zlinalg._echelon, zlinalg._basis_rank
     moduli = set()
 
     def echelon_mod_r(rows, n, r=0, perm=None, budget=None):
@@ -359,14 +359,14 @@ def test_ra_gra_and_ra_chain_never_eliminate_over_z(monkeypatch, capsys):
         moduli.add(r)
         return echelon(rows, n, r, perm, budget)
 
-    def prime_echelon_mod_p(rows, n, width, p, budget=None):
+    def basis_rank_mod_p(rows, width, p, budget=None):
         moduli.add(p)
-        return prime_echelon(rows, n, width, p, budget)
+        return basis_rank(rows, width, p, budget)
 
     monkeypatch.setattr(zlinalg, "lattice_index", refuse)
     monkeypatch.setattr(ra, "lattice_index", refuse)
     monkeypatch.setattr(zlinalg, "_echelon", echelon_mod_r)
-    monkeypatch.setattr(zlinalg, "_prime_echelon", prime_echelon_mod_p)
+    monkeypatch.setattr(zlinalg, "_basis_rank", basis_rank_mod_p)
     with pytest.raises(AssertionError, match="over Z"):
         main(["ra", "check", "Q3"])
     assert answers() == want

@@ -148,6 +148,15 @@ def test_heisenberg_ra_fixtures():
     assert not heisenberg_ra(folded_cube(5), 2)
     assert heisenberg_ra(hypercube(4), 2)
     assert heisenberg_ra(cycle(5), 3)
+    # the paper's obstruction: Q_d and FQ_d of odd d lose rank mod 2 by the
+    # row-sum criterion, and every other cell has full rank
+    for graph, d in [(hypercube(d), d) for d in range(2, 10)] + \
+            [(folded_cube(d), d) for d in range(4, 11)]:
+        for p in (2, 3, 5, 7):
+            obstructed = p == 2 and d % 2 == 1
+            assert heisenberg_ra(graph, p) != obstructed, (graph.n, d, p)
+            if obstructed:
+                assert pqr_criterion(graph, 2)
     with pytest.raises(NotPrime):
         heisenberg_ra(cycle(4), 6)
 

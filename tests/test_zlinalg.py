@@ -22,6 +22,7 @@ from graphpower.zlinalg import (
 )
 
 from oracles import (
+    basis_rank_charge,
     det_exact,
     echelon_full_rows,
     hnf,
@@ -449,7 +450,7 @@ def _random_matrices(rng, count):
 
 
 def _assert_packed_matches_list_kernel(monkeypatch, mat, p, rng):
-    # the distinct rows mod p, as rank_mod_p and span_order_mod hand them on
+    # the distinct rows mod p, which the packed echelon must reduce as _echelon does
     rows, n = zlinalg._distinct_mod(mat, p), mat.cols
     want_rows, want_pivots = _echelon(rows, n, p)
     got_rows, got_pivots = zlinalg._prime_echelon(zlinalg._pack(rows, p), n, n, p)
@@ -457,7 +458,10 @@ def _assert_packed_matches_list_kernel(monkeypatch, mat, p, rng):
     assert [zlinalg._unpack(x, n, p) for x in got_rows] == [tuple(row) for row in want_rows]
     order = p ** len(want_pivots)
     assert rank_mod_p(mat, p) == len(want_pivots) and span_order_mod(mat, p) == order
-    spent = _rewrites(lambda b: _echelon(rows, n, p, budget=b))
+    # a span's basis reads all of M's rows mod p, first entry most significant,
+    # and charges the full width per reduction
+    rank, spent = basis_rank_charge(mat._rows, n, p)
+    assert rank == len(want_pivots)
     assert span_order_mod(mat, p, budget=spent) == order
     if spent:
         with pytest.raises(LimitExceeded, match=f"budget of {spent - 1}$"):
@@ -477,8 +481,9 @@ def _assert_packed_matches_list_kernel(monkeypatch, mat, p, rng):
 
 def test_packed_kernel_repeats_the_list_kernel_on_graph_rows(monkeypatch):
     # activation rows and both intersection row sets of every connected
-    # graph to 6 vertices: the same pivots, echelon rows, budget stops and
-    # solutions or obstructed columns as _echelon mod p
+    # graph to 6 vertices: the same pivots, echelon rows, solve budget stops
+    # and solutions or obstructed columns as _echelon mod p, and span budget
+    # stops where an independent basis puts them
     rng = random.Random(25)
     for size in range(1, 7):
         for graph in enumerate_connected_graphs(size):
@@ -497,7 +502,7 @@ def test_packed_kernel_repeats_the_list_kernel_on_random_integer_rows(monkeypatc
 
 def _assert_basis_rank_matches_the_kernels(mat, p):
     want = len(_echelon(zlinalg._distinct_mod(mat, p), mat.cols, p)[1])
-    assert rank_mod_p(mat, p) == zlinalg._packed_rank(mat, p) == want, (mat, p)
+    assert rank_mod_p(mat, p) == want and span_order_mod(mat, p) == p ** want, (mat, p)
     # the basis reads masks as given mod 2, and packed rows too
     assert zlinalg._basis_rank(zlinalg._packed(mat, p), mat.cols, p) == want
 
