@@ -18,7 +18,7 @@ prime p and exponent j.
 from __future__ import annotations
 
 from math import factorial, prod
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from .errors import SpecParseError, UnsupportedParameter
 from . import perm
@@ -223,3 +223,39 @@ def abelianization(group: PermGroup) -> AbelianInvariants:
             factors[t] *= p ** sum(1 for s in steps if s > bound)
             t, bound = t + 1, bound * p
     return AbelianInvariants(tuple(reversed(factors)))
+
+
+def central_lift(group: PermGroup, invariants: AbelianInvariants) -> Optional[tuple]:
+    """Elements e_1, ..., e_k of G, e_j of order exactly m_j, whose images
+    form a basis of G^ab = Z/m_1 x ... x Z/m_k (`invariants`, the group's
+    abelianization), when every generator of [G,G] commutes with every
+    generator of G; else None.
+
+    Elements e_j of order m_j that generate G together with [G,G] have such
+    images: the images generate G^ab, each has order dividing m_j, so Z/m_1 x
+    ... x Z/m_k maps onto G^ab, and both have order m_1 ... m_k. G's own
+    generators serve when their orders are the m_j. Otherwise, for |G| <=
+    512, the e_j are picked greedily, largest m_j first, from G's elements: e
+    of order m_j joins when none of e, ..., e^(m_j - 1) lies in the subgroup
+    S that [G,G] and the picks so far generate (normal, as it contains
+    [G,G]), so that S<e> has |S| m_j elements; after k picks S is G. When no
+    element fits some m_j it gives None, as for a larger G, although other
+    earlier picks might have fitted: the caller then only loses a shortcut."""
+    gens, derived = group.generators, derived_subgroup(group)
+    if any(d * g != g * d for d in derived.generators for g in gens):
+        return None
+    factors = sorted(invariants.factors, reverse=True)
+    if sorted((g.order() for g in gens), reverse=True) == factors:
+        return tuple(gens)
+    if group.order() > 512:
+        return None
+    elements, subgroup, lift = group.elements(), set(derived.elements()), []
+    for m in factors:
+        e = next((e for e in elements if e.order() == m
+                  and all(e ** a not in subgroup for a in range(1, m))), None)
+        if e is None:
+            return None
+        powers = [e ** a for a in range(m)]
+        subgroup = {s * x for s in subgroup for x in powers}
+        lift.append(e)
+    return tuple(lift)

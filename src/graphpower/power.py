@@ -14,10 +14,13 @@ with Comm = G^graph cap [G,G]^n, the abelian factor a row-span count mod
 each invariant factor of G^Ab. The chain Comm_b <= [G^graph, G^graph] <=
 Comm <= [G,G]^n collapses once |Comm_b| = |[G,G]|^n, which _comm_count
 reads off the u <= v intersection rows mod |[G,G]| (always on an RA graph);
-then no subgroup is built. No elimination here runs over Z. Only off that
-closed form (Q3 under D8 or A4), or past ra.RA_TEST_BUDGET, is G^graph
-built, by Schreier-Sims under the order cap, and only when |G|^|S|, S a
-greedy independent set, fits the cap.
+then no subgroup is built. Off that closed form, Comm = Comm_b when [G,G] is
+central and a basis of G^Ab lifts to elements of the same orders (Q3
+under D8 or H2; the proof is _power_orders's), and again nothing is built. No
+elimination here runs over Z. Only off both (Q3 under A4 or the quaternion
+group), or past ra.RA_TEST_BUDGET, is G^graph built, by Schreier-Sims under
+the order cap, and only when |G|^|S|, S a greedy independent set, fits the
+cap.
 
 For 0/1 matrices, clicking with G's generators suffices: components multiply
 coordinatewise there, so a click by an arbitrary g is the product of clicks
@@ -33,7 +36,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import CapacityExceeded, ConsistencyError, DimensionMismatch, LimitExceeded
 from .graphs import Graph
-from .groups import AbelianInvariants, abelianization
+from .groups import AbelianInvariants, abelianization, central_lift
 from .perm import DEFAULT_MAX_ORDER, Perm, PermGroup, derived_subgroup
 from . import ra
 from .zlinalg import IntMat, span_order_mod
@@ -195,25 +198,47 @@ def _power_orders(group: PermGroup, graph: Graph, max_order: Optional[int] = DEF
 
     Comm is the kernel of the projection of G^graph onto the abelianized
     power, and its order divides |[G,G]|^n with the RA index as quotient.
-    When |Comm_b| (_comm_count under ra.RA_TEST_BUDGET, on `rows` when the
-    caller has built the u <= v rows with _rows) is |[G,G]|^n, so is |Comm|
-    >= |Comm_b|, and nothing is built: the closed form answers above
-    max_order too. Otherwise G^graph is built under max_order, once
-    _independent_set_bound has passed. The abelian part, on the 0/1
-    activation matrix, comes last."""
+    |Comm_b| is _comm_count under ra.RA_TEST_BUDGET, on `rows` when the
+    caller has built the u <= v rows with _rows. When it is |[G,G]|^n, so
+    is |Comm| >= |Comm_b|, and nothing is built: the closed form answers
+    above max_order too.
+
+    Otherwise Comm = Comm_b when [G,G] is central and a basis of G^Ab =
+    Z/m_1 x ... x Z/m_k lifts to elements e_j of G of order exactly m_j
+    (groups.central_lift). Proof: Comm_b lies in [G,G]^n, central in G^n, so
+    the commutator [g^B(u), h^B(v)] of two clicks, a basic commutator, is
+    central and clicks commute modulo Comm_b. A click by c in [G,G] is c
+    spread over B(v) = B(v) cap B(v), so it lies in Comm_b. Every g in G is
+    a product of powers of the e_j and an element of [G,G], and a click by g
+    is the coordinatewise product of the clicks by those factors. So any x
+    in G^graph is prod_j e_j^(y_j) b, with each y_j in the row lattice of
+    A+I and b in Comm_b. If x is in [G,G]^n, then at each vertex w, prod_j
+    e_j^(y_j(w)) lies in [G,G], so its image sum_j y_j(w) e_j in G^Ab is 0,
+    and m_j divides y_j(w) for each j, as the images of the e_j form a
+    basis. Then e_j^(y_j(w)) = 1, as e_j has order m_j, and x = b. So Comm
+    = Comm_b. On that route nothing is built either, but, as on the build
+    route, once _independent_set_bound has passed, |G^graph| = |(G^Ab)^graph|
+    |Comm_b| meets max_order, so both routes stop the same requests. Any
+    other case (a count past the budget, [G,G] not central, no lift) builds
+    G^graph under max_order once _independent_set_bound has passed. The
+    abelian part, on the 0/1 activation matrix, comes last."""
     full = derived_subgroup(group).order() ** graph.n
     try:
         cb = _comm_count(group, _rows(group, graph, True) if rows is None else rows,
                          ra.RA_TEST_BUDGET)
     except LimitExceeded:
         cb = None
+    invariants = abelianization(group)
     power = None
     if cb != full:
         _independent_set_bound(group, graph, max_order)
-        power = graph_power(group, graph, max_order=max_order)
-    ab = abelian_power_order(abelianization(group), ra.activation_matrix(graph))
+        if cb is None or central_lift(group, invariants) is None:
+            power = graph_power(group, graph, max_order=max_order)
+    ab = abelian_power_order(invariants, ra.activation_matrix(graph))
     if power is None:
-        return None, cb, ab, full, full
+        if cb != full and max_order is not None and ab * cb > max_order:
+            raise CapacityExceeded(ab * cb, max_order)
+        return None, cb, ab, cb, full
     total = power.order()
     if total % ab:
         raise ConsistencyError(
@@ -368,22 +393,24 @@ def chain_report(group: PermGroup, graph: Graph, *,
     First |G^graph| >= |G|^|S| (_independent_set_bound) meets max_order;
     then the u <= v rows are built once, and past ra.RA_TEST_BUDGET entries
     LimitExceeded ends the chain. The count and the closure read the same
-    rows, which no elimination writes into. On the closed form, |Comm_b| =
-    |[G,G]|^n (_comm_count), nothing is built but |G^graph| = |[G,G]|^n
-    |(G^Ab)^graph| still meets max_order, so the cap stops the same requests
-    either way. Otherwise G^graph is built under max_order, Comm_b is the
-    count _power_orders took on those rows (or their closure), and Comm_b <=
-    [G^graph, G^graph] <= Comm is read as a sandwich: when |Comm_b| = |Comm|
-    the derived power is not built (Q3 under D8), else it is the normal
-    closure in G^graph (Q3 under A4: 2^14 and 2^16). Comm_d is counted on
-    the u < v rows (or is their closure)."""
+    rows, which no elimination writes into. Comm_b <= [G^graph, G^graph] <=
+    Comm is read as a sandwich. On the closed form, |Comm_b| = |[G,G]|^n
+    (_comm_count), and where _power_orders proves Comm = Comm_b ([G,G]
+    central and G^Ab lifting: Q3 under D8), nothing is built, the derived
+    power is |Comm|, and |G^graph| = |Comm| |(G^Ab)^graph| still meets
+    max_order, so the cap stops the same requests as a build would.
+    Otherwise G^graph is built under max_order, Comm_b is the count
+    _power_orders took on those rows (or their closure), and the derived
+    power is |Comm| when |Comm_b| = |Comm|, else the normal closure in
+    G^graph (Q3 under A4: 2^14 and 2^16). Comm_d is counted on the u < v
+    rows (or is their closure)."""
     _independent_set_bound(group, graph, max_order)
     rows = _rows(group, graph, True)
     gp, cb, ab, comm, full = _power_orders(group, graph, max_order, rows)
     if gp is None:
-        if max_order is not None and ab * full > max_order:
-            raise CapacityExceeded(ab * full, max_order)
-        derived_power = full
+        if max_order is not None and ab * comm > max_order:
+            raise CapacityExceeded(ab * comm, max_order)
+        derived_power = comm
     else:
         if cb is None:
             cb = _comm_subgroup(group, rows, None).order()

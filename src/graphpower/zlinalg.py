@@ -15,10 +15,12 @@ lattice index and the Diophantine solver read its pivots.
 At a prime p <= 13 rank_mod_p and span_order_mod run `_basis_rank`, a basis
 keyed by the leading entry that stops at full rank, on rows packed into ints
 (a bit per entry mod 2, a byte otherwise), first entry most significant; a
-rank mod 2 reads a matrix of masks as given. row_solve runs `_prime_echelon`,
+rank mod 2 reads a matrix of masks as given. A span mod a composite r is the
+product of the spans mod its prime powers. row_solve runs `_prime_echelon`,
 which makes `_echelon`'s choices: the same pivots, click vectors and
 LimitExceeded. Both charge a budget the full row width per row reduction or
-row operation. `_echelon` stays for Z, composite moduli and primes past 13.
+row operation. `_echelon` stays for Z, prime powers p^k with k >= 2, primes
+past 13, and row_solve mod a composite.
 
 Every operation takes its rows as an `IntMat`. The 0/1 matrices of graphs
 keep the bitmasks `IntMat.from_masks` is given, so at p <= 13 their rows
@@ -436,19 +438,29 @@ def rank_mod_p(M: IntMat, p: int) -> int:
 
 
 def span_order_mod(M: IntMat, r: int, budget: Optional[int] = None) -> int:
-    """Number of vectors in the row span of M in (Z/r)^cols: r^rank at a
-    prime r <= 13, else the product of r / pivot over the Howell form mod r,
-    whose pivots divide r. A `budget` caps the entries the basis or the
-    elimination may rewrite (LimitExceeded past it)."""
+    """Number of vectors in the row span of M in (Z/r)^cols. By the Chinese
+    remainder theorem (Z/r)^cols is the product of the (Z/q)^cols over the
+    prime powers q of r, and the span the product of its images, so the
+    count is the product of the spans mod each q: q^rank at a prime q <= 13,
+    else the product of q / pivot over the Howell form mod q, whose pivots
+    divide q. A `budget` caps the entries the basis or the elimination may
+    rewrite for each q (LimitExceeded past it)."""
     if r < 1:
         raise DimensionMismatch("moduli must be >= 1")
-    if r in _PACKED_PRIMES:
-        # first entry most significant, mod 2 too: a mask's last entry first
-        # charged 20-40x more on long sparse rows (grid30x30's u <= v rows
-        # 478M entries against 11M, C500's 83M against 1.6M)
-        return r ** _basis_rank(_packed(M, r), M.cols, r, budget)
-    rows, pivots = _echelon(_distinct_mod(M, r), M.cols, r, budget=budget)
-    return prod(r // rows[i][c] for i, c in enumerate(pivots))
+    count = 1
+    while r > 1:
+        p, q = _smallest_prime_factor(r), 1
+        while r % p == 0:
+            r, q = r // p, q * p
+        if q in _PACKED_PRIMES:
+            # first entry most significant, mod 2 too: a mask's last entry
+            # first charged 20-40x more on long sparse rows (grid30x30's u <= v
+            # rows 478M entries against 11M, C500's 83M against 1.6M)
+            count *= q ** _basis_rank(_packed(M, q), M.cols, q, budget)
+        else:
+            rows, pivots = _echelon(_distinct_mod(M, q), M.cols, q, budget=budget)
+            count *= prod(q // rows[i][c] for i, c in enumerate(pivots))
+    return count
 
 
 def lattice_index(M: IntMat, budget: Optional[int] = None) -> int:

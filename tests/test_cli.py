@@ -112,6 +112,24 @@ def test_ra_gra_fixture(capsys):
     assert payload["ra_index"] == 1 and payload["g_ra"] is True
 
 
+def test_ra_gra_and_ra_chain_count_comm_b_without_building_the_group_power(capsys, monkeypatch):
+    # Q3 (index 2) is off the closed form under D8 and H2 (|[G,G]| = 2), but
+    # their [G,G] is central and G^ab lifts, so Comm = Comm_b is counted
+    def refuse(*args, **kwargs):
+        raise AssertionError("G^graph built")
+    monkeypatch.setattr(power, "graph_power", refuse)
+    for command, group in [("gra", "D8"), ("chain", "D8"), ("gra", "H2")]:
+        code, out, err = run(capsys, "ra", command, "Q3", "--group", group)
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["ra_index"] == 2 and payload["orders"]["comm"] == 128
+    # the counted |D8^Q3| = 2^7 |(D8^ab)^Q3| = 2^15 meets the cap as the
+    # build did, in `ra gra` too
+    monkeypatch.setenv("GRAPHPOWER_MAX_ORDER", "32767")
+    code, out, err = run(capsys, "ra", "gra", "Q3", "--group", "D8")
+    assert code == 3 and out == "" and "32768 exceeds cap 32767" in err
+
+
 def test_ra_chain(capsys):
     code, out, _ = run(capsys, "ra", "chain", "C4", "--group", "D8")
     assert code == 0
@@ -196,7 +214,9 @@ def test_ra_gra_answers_where_the_early_stop_basis_keeps_the_span_under_its_budg
 
 def test_ra_gra_builds_the_group_power_when_a_prime_divides_index_and_commutator_order(capsys):
     # Q7's index 2 divides |[D8,D8]| = 2, so its rows do not span mod 2 and
-    # the orders need D8^Q7, which cannot fit the cap (see below)
+    # the closed form fails. Comm = Comm_b is counted without D8^Q7 ([D8,D8]
+    # is central and D8^ab lifts), but that route keeps the build's cap rule,
+    # and a greedy independent set shows |D8^Q7| >= 8^11 > 2^30 (see below)
     code, out, err = run(capsys, "ra", "gra", "Q7", "--group", "D8")
     assert code == 3 and out == "" and "exceeds cap" in err
 

@@ -8,6 +8,7 @@ from graphpower.errors import (CapacityExceeded, ConsistencyError, DomainMismatc
 from graphpower.groups import (
     abelianization,
     alternating,
+    central_lift,
     cyclic,
     derived_subgroup,
     dihedral,
@@ -228,6 +229,27 @@ def test_abelianization_order_and_coset_oracle():
         assert factors == abelianization_by_cosets(group), group.name
         assert all(f >= 2 for f in factors)
         assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+
+
+def test_central_lift_finds_a_basis_of_the_abelianization_or_refuses():
+    # D8, D8xC2, D8xC3 and D8xC4 by the search (D8's generators have orders
+    # 4 and 2, D8^ab = Z/2 x Z/2), the others by their own generators; every
+    # lift has the orders of the invariant factors and
+    # generates G with [G,G], which is central. A4, S4 and D16 have [G,G]
+    # not central, and Q8's only involution, -1, lies in [G,G], so no lift of
+    # Z/2 x Z/2 exists
+    for spec in ("C1", "C6", "C2xC4", "D4", "D8", "H2", "H3", "D8xC2", "D8xC3", "D8xC4",
+                 "H5xC5"):
+        group = parse_group_spec(spec)
+        invariants = abelianization(group)
+        lift = central_lift(group, invariants)
+        der = derived_subgroup(group)
+        elements = group.elements()
+        assert all(d * g == g * d for d in der.elements() for g in elements), spec
+        assert sorted(e.order() for e in lift) == sorted(invariants.factors), spec
+        assert closure_order(group.degree, list(lift) + der.generators) == group.order(), spec
+    for group in (alternating(4), symmetric(4), dihedral(16), quaternion_group()):
+        assert central_lift(group, abelianization(group)) is None, group.name
 
 
 def test_commutator_set_fixtures():

@@ -297,12 +297,40 @@ def test_closed_form_builds_no_subgroup(monkeypatch):
     assert chain_report(dihedral(10), hypercube(3)).orders() == (5 ** 8,) * 5
     assert chain_report(symmetric(4), cycle(5)).orders() == (12 ** 5,) * 5
     assert chain_report(heisenberg(5), folded_cube(5), max_order=None).orders() == (5 ** 16,) * 5
-    # a prime divides both the index and |[G,G]|: 2 on Q3 under D8 and A4
-    for group in (D8, alternating(4)):
-        with pytest.raises(AssertionError):
-            power._power_orders(group, hypercube(3))
-        with pytest.raises(AssertionError):
-            chain_report(group, hypercube(3))
+    # a prime divides both the index and |[G,G]|: 2 on Q3 under D8 and A4.
+    # D8's [G,G] is central and its G^ab lifts, so Comm = Comm_b is counted;
+    # A4's [G,G] = V4 is not central, so A4^Q3 is built (|Comm_b| = 2^14 and
+    # |Comm| = 2^16 there: test_chain_report_matches_the_derived_power_closure)
+    assert power._power_orders(D8, hypercube(3)) == (None, 128, 256, 128, 256)
+    assert chain_report(D8, hypercube(3)).orders() == (128, 128, 128, 128, 256)
+    with pytest.raises(AssertionError):
+        power._power_orders(alternating(4), hypercube(3))
+    with pytest.raises(AssertionError):
+        chain_report(alternating(4), hypercube(3))
+
+
+def test_central_lift_route_matches_the_closure_and_the_build(monkeypatch):
+    # off the closed form, a central [G,G] and a lift of a basis of G^ab give
+    # Comm = Comm_b with nothing built (the proof is _power_orders's): those
+    # orders equal the uncapped closure and the build path, which the same
+    # call takes when the gate refuses, on every connected graph to 6
+    # vertices and on Q3 and FQ5
+    graphs = [g for n in range(1, 7) for g in enumerate_connected_graphs(n)]
+    gated = 0
+    for spec in ("D8", "H2", "H3", "D8xC2", "D8xC3"):
+        group = parse_group_spec(spec)
+        for graph in graphs + [hypercube(3), folded_cube(5)]:
+            orders = power._power_orders(group, graph, max_order=None)
+            gp, cb, _, comm, full = orders
+            assert gp is None and cb == comm
+            if comm != full:
+                gated += 1
+                with monkeypatch.context() as m:
+                    m.setattr(power, "central_lift", lambda *args: None)
+                    built = power._power_orders(group, graph, max_order=None)
+                assert built[0] is not None and built[1:] == orders[1:], (spec, graph.edges)
+            assert comm == comm_order_by_closure(group, graph), (spec, graph.edges)
+    assert gated >= 300
 
 
 def test_closed_form_chain_meets_the_cap_it_does_not_build_under():
@@ -334,9 +362,10 @@ def test_chain_meets_the_cap_on_an_independent_set_before_counting(monkeypatch):
 def test_ra_gra_and_ra_chain_never_eliminate_over_z(monkeypatch, capsys):
     # the closed-form test, the Comm_b and Comm_d spans and the abelian part
     # all work mod r; only the RA verdict takes a lattice index over Z. The
-    # cases take the closed form, build G^graph (Q3 under D8 and A4), take a
-    # Comm_d closure (C4 under S4) or exit 3 on the cap (C5 under H7, Q7
-    # under D8), and answer the same with every elimination over Z refused
+    # cases take the closed form, count Comm = Comm_b (Q3 under D8), build
+    # G^graph (Q3 under A4), take a Comm_d closure (C4 under S4) or exit 3 on
+    # the cap (C5 under H7, Q7 under D8), and answer the same with every
+    # elimination over Z refused
     argvs = [["ra", command, graph, "--group", group]
              for graph, group in [("Q3", "D8"), ("Q3", "D10"), ("Q3", "A4"), ("C4", "S4"),
                                   ("petersen", "S3"), ("FQ5", "H3"), ("C5", "H7"), ("Q7", "D8")]
@@ -371,8 +400,9 @@ def test_ra_gra_and_ra_chain_never_eliminate_over_z(monkeypatch, capsys):
         main(["ra", "check", "Q3"])
     assert answers() == want
     # the answers did eliminate: mod the primes of the groups' factors and
-    # mod 12, the span mod |A4| of S4's nonabelian [G,G]
-    assert moduli == {2, 3, 5, 7, 12}
+    # mod 4 and 3, the prime powers of 12 = |A4|, whose product is the span
+    # mod |A4| of S4's nonabelian [G,G]
+    assert moduli == {2, 3, 4, 5, 7}
 
 
 def test_span_mod_k_is_full_exactly_when_the_index_is_prime_to_k():
@@ -641,8 +671,9 @@ def test_chain_builds_and_eliminates_the_u_le_v_rows_once(monkeypatch):
 
 def test_chain_builds_and_eliminates_each_row_set_once_off_the_closed_form(monkeypatch):
     # [S4,S4] = A4 is nonabelian, so Comm_b and Comm_d are counted by one
-    # span mod 12 each; Q3's u <= v span mod 12 is not full, so G^graph is
-    # built and Comm_b is the closure of the rows the count read
+    # span mod 12 each, the product of one span mod 4 and one mod 3; Q3's
+    # u <= v span mod 12 is not full, so G^graph is built and Comm_b is the
+    # closure of the rows the count read
     q3 = hypercube(3)
     want = [list(ra._distinct_rows(q3, include_equal)._rows) for include_equal in (True, False)]
     built = []
@@ -655,7 +686,7 @@ def test_chain_builds_and_eliminates_each_row_set_once_off_the_closed_form(monke
     seen = _spy_eliminations(monkeypatch)
     assert chain_report(symmetric(4), q3, max_order=10 ** 15).orders() == (12 ** 8,) * 5
     assert built == [True, False]
-    assert [rows for rows, r in seen if r == 12] == want
+    assert [rows for rows, r in seen if r == 4] == [rows for rows, r in seen if r == 3] == want
 
 
 def test_chain_hands_the_closure_the_rows_it_built(monkeypatch):

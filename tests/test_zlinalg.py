@@ -537,7 +537,8 @@ def test_basis_rank_matches_both_kernels_on_random_rows():
 def test_prime_moduli_to_13_never_reach_the_list_kernel(monkeypatch):
     # the packed path must not fall back silently: row_solve, rank_mod_p and
     # span_order_mod call _echelon at no p <= 13, and still do over Z, at
-    # composite moduli (Howell rows) and at primes past 13
+    # primes past 13 and with Howell rows: row_solve at composite moduli,
+    # span_order_mod at prime powers p^k, k >= 2 (mod 4 alone for 12 = 4 * 3)
     calls = []
     echelon = zlinalg._echelon
 
@@ -556,7 +557,7 @@ def test_prime_moduli_to_13_never_reach_the_list_kernel(monkeypatch):
     for r in (4, 12, 17):
         span_order_mod(mat, r)
     rank_mod_p(mat, 17)
-    assert calls == [0, 4, 12, 17, 4, 12, 17, 17]
+    assert calls == [0, 4, 12, 17, 4, 4, 17, 17]
 
 
 # -- support-span row operations against full-width ones ---------------------------
@@ -637,6 +638,19 @@ def _tuple_builds(monkeypatch) -> list:
         return build(self, name)
     monkeypatch.setattr(IntMat, "__getattr__", spy)
     return built
+
+
+def test_span_mod_a_composite_is_the_product_of_the_spans_mod_its_prime_powers():
+    # by the CRT, span_order_mod reads the spans mod 2, 3, 4 and 5 (the
+    # packed basis at 2, 3 and 5); the Howell form mod r itself, the route
+    # it replaced, is the oracle
+    for n in range(1, 7):
+        for graph in enumerate_connected_graphs(n):
+            for mat in _graph_matrices(graph):
+                for r in (6, 10, 12, 15, 30):
+                    rows, pivots = _echelon([[x % r for x in row] for row in mat._rows], n, r)
+                    assert span_order_mod(mat, r) == \
+                        prod(r // rows[i][c] for i, c in enumerate(pivots)), (graph.edges, r)
 
 
 def _graph_matrices(graph):
