@@ -39,7 +39,7 @@ from .graphs import Graph
 from .groups import AbelianInvariants, abelianization, central_lift
 from .perm import DEFAULT_MAX_ORDER, Perm, PermGroup, derived_subgroup
 from . import ra
-from .zlinalg import IntMat, span_order_mod
+from .zlinalg import IntMat, _smallest_prime_factor, span_order_mod
 
 _ALL_ELEMENT_CLICK_BOUND = 512
 
@@ -304,18 +304,25 @@ def _comm_count(group: PermGroup, rows: IntMat, budget: Optional[int] = None) ->
     these generate [G,G]^n. The span mod k is full exactly when L has an
     index N != 0 prime to k, and then each span mod r_i is full too (the r_i
     have the primes of k): the count is |[G,G]|^n exactly then, and Comm_b =
-    [G^graph, G^graph] = Comm = [G,G]^n. `budget` caps the entries each
-    span may charge, the full row width per reduction of the basis mod a
-    prime r <= 13 and per row operation mod other r; past it the span raises
-    LimitExceeded."""
+    [G^graph, G^graph] = Comm = [G,G]^n. As N is prime to k exactly when it
+    is prime to rad(k), the product of k's primes, a nonabelian [G,G] asks
+    only whether the span mod rad(k) is full: one basis per prime, which
+    stops at full rank. `budget` caps the entries each span may charge, the
+    full row width per reduction of the basis mod a prime r <= 13 and per
+    row operation mod other r; past it the span raises LimitExceeded."""
     derived = derived_subgroup(group)
     der = derived.generators
-    abelian = all(a * b == b * a for i, a in enumerate(der) for b in der[i + 1:])
-    factors = abelianization(derived).factors if abelian else (derived.order(),)
-    if not factors:
-        return 1
-    count = abelian_power_order(factors, rows, budget)
-    return count if abelian or count == factors[0] ** rows.cols else None
+    if all(a * b == b * a for i, a in enumerate(der) for b in der[i + 1:]):
+        return abelian_power_order(abelianization(derived).factors, rows, budget)
+    k = rest = derived.order()
+    rad = 1
+    while rest > 1:
+        p = _smallest_prime_factor(rest)
+        rad *= p
+        while rest % p == 0:
+            rest //= p
+    full = abelian_power_order((rad,), rows, budget) == rad ** rows.cols
+    return k ** rows.cols if full else None
 
 
 def _comm_order(group: PermGroup, graph: Graph, include_equal: bool) -> int:

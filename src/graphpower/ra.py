@@ -38,13 +38,18 @@ from .zlinalg import (IntMat, _require_prime, _smallest_prime_factor, lattice_in
 # builds, which stops once the distinct nonzero rows hold more than this many
 # entries: Q9's 12032 rows hold 6.2 million and pass, Q10, Q12 and C4000 stop
 # within a second. Ranks and spans mod p <= 13 read the masks (packed first
-# entry most significant, except a rank mod 2); the lattice index over Z,
-# spans mod other factors of [G,G] and the Smith divisors unpack them into
-# entry tuples once. A budgeted elimination stops, with LimitExceeded instead
-# of exhausting time or memory, once it has charged this many entries: the
-# full row width per row reduction of a span's basis mod p <= 13, and per row
-# operation over Z or mod other r (Q9 over Z, dense graphs of 80 vertices
-# through entry growth). Both bounds count entries, also of packed rows.
+# entry most significant, except a rank mod 2), and so does the unit-pivot
+# pre-pass of the lattice index and the Smith divisors over Z; spans mod
+# other factors of [G,G] and the dense remainder after the pre-pass take
+# entry tuples. A budgeted elimination stops, with LimitExceeded instead of
+# exhausting time or memory, once it has charged this many entries: the
+# pivot row's support per row operation of the pre-pass, and the full row
+# width per row reduction of a span's basis mod p <= 13 and per row
+# operation of the list kernel over Z or mod other r. The pre-pass of Q9's
+# lattice index writes 55188 entries and leaves one column; the Smith
+# divisors of Q8's A+I, whose dense remainder has 128 rows, and dense graphs
+# of 120 vertices and more, through entry growth, still stop. Both bounds
+# count entries, also of packed rows.
 RA_TEST_BUDGET = 1 << 24
 
 

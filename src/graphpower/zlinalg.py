@@ -12,6 +12,15 @@ matrix and its transpose until it is diagonal and returns the divisor chain,
 with no unimodular witnesses; rank mod p, the size of a row span mod r, the
 lattice index and the Diophantine solver read its pivots.
 
+The Smith form and the lattice index do not depend on the column order, so
+both first run `_unit_pivots`, a sparse pre-pass after Dumas, Saunders and
+Villard (J. Symbolic Comput. 32, 2001): it takes +-1 pivots with few entries
+in their column and row while it finds them, each one a divisor 1 that keeps
+the index, and leaves `_echelon` only the dense remainder. A 0/1 matrix of a
+sparse graph then fills in far less than under a sweep of its columns from
+left to right. row_solve keeps the column order, which decides its click
+vectors.
+
 At a prime p <= 13 rank_mod_p and span_order_mod run `_basis_rank`, a basis
 keyed by the leading entry that stops at full rank, on rows packed into ints
 (a bit per entry mod 2, a byte otherwise), first entry most significant; a
@@ -20,12 +29,13 @@ product of the spans mod its prime powers. row_solve runs `_prime_echelon`,
 which makes `_echelon`'s choices: the same pivots, click vectors and
 LimitExceeded. Both charge a budget the full row width per row reduction or
 row operation. `_echelon` stays for Z, prime powers p^k with k >= 2, primes
-past 13, and row_solve mod a composite.
+past 13, and row_solve mod a composite. The pre-pass charges what it writes,
+the pivot row's support per row operation.
 
 Every operation takes its rows as an `IntMat`. The 0/1 matrices of graphs
 keep the bitmasks `IntMat.from_masks` is given, so at p <= 13 their rows
-reach the packed kernels with one format and reverse per mask, and only the
-list kernel unpacks them into entry tuples.
+reach the packed kernels with one format and reverse per mask, the pre-pass
+reads the set bits, and only the list kernel unpacks them into entry tuples.
 """
 
 from __future__ import annotations
@@ -356,6 +366,89 @@ def _prime_echelon(rows, n, width, p, budget=None):
     return rows, pivots
 
 
+# -- the unit-pivot pre-pass --------------------------------------------------
+
+def _unit_pivots(M: IntMat, budget: Optional[int] = None) -> tuple:
+    """(k, rest, width): the number k of +-1 pivots taken from M's distinct
+    rows in sparse form, and the dense remainder `rest` over the `width`
+    columns left with entries.
+
+    The rows are {column: entry} dicts, read off M's masks when it has
+    them. Each step takes, among the columns with the fewest entries that
+    hold a +-1, the first; in it, the lightest row with a +-1 there, the
+    first such (Markowitz). It clears that column from the other rows and
+    drops the pivot row and column. A unit pivot splits off a Smith divisor
+    1 and keeps the index of the row lattice, so the remainder has M's Smith
+    form less k divisors 1, and M's index. A row operation writes the pivot
+    row's support, and `budget` caps those entries (LimitExceeded past
+    it). The remainder lists its distinct nonzero rows lightest first,
+    over its columns fewest entries first, which keeps entry growth in
+    `_echelon` low."""
+    from heapq import heapify, heappop, heappush  # deferred: most commands never get here
+    if M._row_masks is None:
+        rows = [{j: x for j, x in enumerate(row) if x} for row in dict.fromkeys(M._rows)]
+    else:
+        rows = []
+        for m in dict.fromkeys(M._row_masks):
+            row = {}
+            while m:
+                row[(m & -m).bit_length() - 1] = 1
+                m &= m - 1
+            rows.append(row)
+    cols = {}
+    for i, row in enumerate(rows):
+        for j in row:
+            cols.setdefault(j, set()).add(i)
+    # (entries, column), pushed again whenever a pivot row meets the column:
+    # only then can its count change or a unit appear in it, so a popped
+    # entry with a stale count is skipped, and a column without a unit waits
+    heap = [(len(col), j) for j, col in cols.items()]
+    heapify(heap)
+    k = spent = 0
+    while heap:
+        count, c = heappop(heap)
+        col = cols.get(c)
+        if col is None or len(col) != count:
+            continue
+        best = min(((len(rows[i]), i) for i in col if rows[i][c] in (1, -1)), default=None)
+        if best is None:
+            continue
+        top = best[1]
+        pivot, rows[top] = rows[top], None
+        unit = pivot.pop(c)
+        del cols[c]
+        for j in pivot:
+            cols[j].discard(top)
+        for i in col:
+            if i == top:
+                continue
+            row = rows[i]
+            f = row.pop(c) * unit
+            if budget is not None:
+                spent += len(pivot) + 1  # the pivot column and the rest of the support
+                if spent > budget:
+                    raise _over_budget(budget)
+            for j, y in pivot.items():
+                x = row.get(j, 0) - f * y
+                if x:
+                    if j not in row:
+                        cols[j].add(i)
+                    row[j] = x
+                else:
+                    del row[j]
+                    cols[j].discard(i)
+        for j in pivot:
+            if cols[j]:
+                heappush(heap, (len(cols[j]), j))
+            else:
+                del cols[j]
+        k += 1
+    order = sorted(cols, key=lambda j: (len(cols[j]), j))
+    rest = dict.fromkeys(tuple(row.get(j, 0) for j in order)
+                         for row in sorted(filter(None, rows), key=len))
+    return k, list(rest), len(order)
+
+
 # -- Smith normal form --------------------------------------------------------
 
 def _smith_chain(d) -> None:
@@ -385,10 +478,13 @@ def _smith_passes(a, n, budget=None) -> list:
 
 
 def snf_divisors(M: IntMat, budget: Optional[int] = None) -> tuple:
-    """Smith normal form divisor chain of M; skips duplicate and zero rows
-    (they only add zeros at the tail of the chain). A `budget` caps the
-    entries each elimination pass may rewrite (LimitExceeded past it)."""
-    d = _smith_passes(_distinct_mod(M, 0), M.cols, budget)
+    """Smith normal form divisor chain of M: a divisor 1 for each unit pivot
+    of `_unit_pivots`, then the echelon passes of `_smith_passes` on the
+    dense remainder. Duplicate and zero rows only add zeros at the tail of
+    the chain, so neither reads them. A `budget` caps the entries the
+    pre-pass and each later pass may rewrite (LimitExceeded past it)."""
+    k, rest, width = _unit_pivots(M, budget)
+    d = [1] * k + _smith_passes(rest, width, budget)
     _smith_chain(d)
     return tuple(d + [0] * (min(M.rows, M.cols) - len(d)))
 
@@ -396,10 +492,10 @@ def snf_divisors(M: IntMat, budget: Optional[int] = None) -> tuple:
 # -- modular rank and lattice predicates --------------------------------------
 
 def _distinct_mod(M: IntMat, r: int) -> list:
-    """The distinct nonzero rows of M, reduced mod r when r > 0 unless M
-    holds masks and r >= 2; unreduced rows are M's own tuples."""
+    """The distinct nonzero rows of M reduced mod r >= 2; the rows of a
+    matrix of masks are 0/1 already, and stay M's own tuples."""
     rows = M._rows
-    if r and (r == 1 or M._row_masks is None):
+    if M._row_masks is None:
         rows = (tuple(x % r for x in row) for row in rows)
     return [row for row in dict.fromkeys(rows) if any(row)]
 
@@ -464,12 +560,17 @@ def span_order_mod(M: IntMat, r: int, budget: Optional[int] = None) -> int:
 
 
 def lattice_index(M: IntMat, budget: Optional[int] = None) -> int:
-    """Index of the row lattice of M in Z^cols: the product of its echelon
-    pivots, or 0 when its rank is below cols. Skips duplicate and zero rows.
-    A `budget` caps the entries the elimination may rewrite (LimitExceeded
+    """Index of the row lattice of M in Z^cols, or 0 when its rank is below
+    cols: the unit pivots of `_unit_pivots` keep the index, so it is the
+    product of the echelon pivots of the dense remainder, which must reach
+    rank cols with them. Skips duplicate and zero rows. A `budget` caps the
+    entries the pre-pass and the elimination may each rewrite (LimitExceeded
     past it)."""
-    rows, pivots = _echelon(_distinct_mod(M, 0), M.cols, budget=budget)
-    return prod(rows[i][c] for i, c in enumerate(pivots)) if len(pivots) == M.cols else 0
+    k, rest, width = _unit_pivots(M, budget)
+    if k + width < M.cols:
+        return 0
+    rows, pivots = _echelon(rest, width, budget=budget)
+    return prod(rows[i][c] for i, c in enumerate(pivots)) if len(pivots) == width else 0
 
 
 # -- Diophantine solving ------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import gcd, factorial
+from math import factorial, gcd, prod
 
 
 # -- determinants and gcd-of-minors divisors -----------------------------------
@@ -1111,6 +1111,30 @@ def smith_chain_pairwise(d) -> None:
             if b % a:
                 g = gcd(a, b)
                 d[i], d[j] = g, a // g * b
+
+
+# -- the Smith form and the lattice index without the unit-pivot pre-pass --------
+
+def _distinct_nonzero_rows(M) -> list:
+    return [row for row in dict.fromkeys(M._rows) if any(row)]
+
+
+def snf_divisors_by_passes(M, budget=None) -> tuple:
+    """`zlinalg.snf_divisors` before its unit-pivot pre-pass: the echelon
+    passes of `_smith_passes` on all distinct nonzero rows of M."""
+    from graphpower.zlinalg import _smith_chain, _smith_passes
+    d = _smith_passes(_distinct_nonzero_rows(M), M.cols, budget)
+    _smith_chain(d)
+    return tuple(d + [0] * (min(M.rows, M.cols) - len(d)))
+
+
+def lattice_index_by_echelon(M, budget=None) -> int:
+    """`zlinalg.lattice_index` before its unit-pivot pre-pass: the product of
+    the echelon pivots of all distinct nonzero rows of M, or 0 when they
+    fall short of rank cols."""
+    from graphpower.zlinalg import _echelon
+    rows, pivots = _echelon(_distinct_nonzero_rows(M), M.cols, budget=budget)
+    return prod(rows[i][c] for i, c in enumerate(pivots)) if len(pivots) == M.cols else 0
 
 
 # -- canonical augmentation with piece lists and per-bit orbit images -------------

@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from graphpower import ra
 from graphpower.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -37,3 +38,24 @@ def test_every_timed_request_passes_in_process(capsys, monkeypatch):
                 out = capsys.readouterr().out
                 assert rc == req.expect_rc, (seed, name, req.label, rc)
                 assert req.check(out) is None, (seed, name, req.label, req.check(out))
+
+
+def test_the_known_defect_relabelings_answer_in_process(capsys, monkeypatch):
+    # the two relabelings the verdicts deck keeps out of its timed runs, on
+    # which the Smith form of eldivs grid16x16 blew up and eldivs Q7 ran 3x
+    # slower, through cli.main and the deck's own checks. Their largest
+    # Smith passes charge 159549 and 24320 entries (3757312 and 692571 with
+    # no unit-pivot pre-pass), so a budget of 2^18 catches a pivot order
+    # that lets the labeling decide the work again
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    monkeypatch.setattr(ra, "RA_TEST_BUDGET", 1 << 18)
+    import workloads
+
+    for graph, seed in [("grid16x16", workloads.BLOWUP_RELABELING_SEED),
+                        ("Q7", workloads.SLOW_Q7_RELABELING_SEED)]:
+        n = workloads.oracle.family(graph)[0]
+        perm = workloads.random_permutation(n, random.Random(seed))
+        req = workloads.verdict_request("eldivs", graph, perm)
+        assert main(list(req.argv)) == req.expect_rc == 0, graph
+        out = capsys.readouterr().out
+        assert req.check(out) is None, (graph, out)

@@ -399,10 +399,10 @@ def test_ra_gra_and_ra_chain_never_eliminate_over_z(monkeypatch, capsys):
     with pytest.raises(AssertionError, match="over Z"):
         main(["ra", "check", "Q3"])
     assert answers() == want
-    # the answers did eliminate: mod the primes of the groups' factors and
-    # mod 4 and 3, the prime powers of 12 = |A4|, whose product is the span
-    # mod |A4| of S4's nonabelian [G,G]
-    assert moduli == {2, 3, 4, 5, 7}
+    # the answers did eliminate: mod the primes of the groups' factors, and
+    # mod 2 and 3, the primes of 12 = |A4|: S4's nonabelian [G,G] asks only
+    # whether the span mod 6 is full
+    assert moduli == {2, 3, 5, 7}
 
 
 def test_span_mod_k_is_full_exactly_when_the_index_is_prime_to_k():
@@ -670,12 +670,14 @@ def test_chain_builds_and_eliminates_the_u_le_v_rows_once(monkeypatch):
 
 
 def test_chain_builds_and_eliminates_each_row_set_once_off_the_closed_form(monkeypatch):
-    # [S4,S4] = A4 is nonabelian, so Comm_b and Comm_d are counted by one
-    # span mod 12 each, the product of one span mod 4 and one mod 3; Q3's
-    # u <= v span mod 12 is not full, so G^graph is built and Comm_b is the
-    # closure of the rows the count read
+    # [S4,S4] = A4 is nonabelian, so Comm_b and Comm_d each ask whether the
+    # span mod 6 = rad(12) is full: one basis mod 2 and one mod 3, between
+    # them the abelian part's span of the activation rows mod 2 = |S4^ab|;
+    # Q3's u <= v span mod 2 is not full, so G^graph is built and Comm_b is
+    # the closure of the rows the count read
     q3 = hypercube(3)
     want = [list(ra._distinct_rows(q3, include_equal)._rows) for include_equal in (True, False)]
+    act = list(activation_matrix(q3)._rows)
     built = []
     rows_of = ra._distinct_rows
 
@@ -686,7 +688,7 @@ def test_chain_builds_and_eliminates_each_row_set_once_off_the_closed_form(monke
     seen = _spy_eliminations(monkeypatch)
     assert chain_report(symmetric(4), q3, max_order=10 ** 15).orders() == (12 ** 8,) * 5
     assert built == [True, False]
-    assert [rows for rows, r in seen if r == 4] == [rows for rows, r in seen if r == 3] == want
+    assert seen == [(want[0], 2), (want[0], 3), (act, 2), (want[1], 2), (want[1], 3)]
 
 
 def test_chain_hands_the_closure_the_rows_it_built(monkeypatch):

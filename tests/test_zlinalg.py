@@ -1,12 +1,13 @@
 import random
-from math import prod
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphpower import power, ra, solver, zlinalg
 from graphpower.errors import DimensionMismatch, LimitExceeded, NotPrime
-from graphpower.graphs import Graph, enumerate_connected_graphs, grid, hypercube, petersen
+from graphpower.graphs import (Graph, enumerate_connected_graphs, folded_cube, grid, hypercube,
+                               petersen)
 from graphpower.groups import symmetric
 from graphpower.ra import activation_matrix
 from graphpower.zlinalg import (
@@ -26,12 +27,14 @@ from oracles import (
     det_exact,
     echelon_full_rows,
     hnf,
+    lattice_index_by_echelon,
     lattice_member_bruteforce,
     minors_divisors,
     modular_obstruction_bruteforce,
     reachable_mod,
     relabel,
     smith_chain_pairwise,
+    snf_divisors_by_passes,
 )
 
 A_C4 = IntMat([[1, 1, 0, 1], [1, 1, 1, 0], [0, 1, 1, 1], [1, 0, 1, 1]])
@@ -273,16 +276,18 @@ def test_span_order_mod_matches_enumeration():
 
 
 def test_lattice_index_work_budget():
-    # one row operation rewrites the three entries of (1, 1, 1)
+    # the unit-pivot pre-pass takes the rows e_1, e_2 and e_3 as pivots, the
+    # lightest with a unit in each column; each clears its column from
+    # (1, 1, 1) by one row operation that writes its support, one entry
     m = IntMat([[1, 1, 1], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert lattice_index(m) == 1
-    assert lattice_index(m, budget=100) == 1
+    assert lattice_index(m, budget=3) == 1
     with pytest.raises(LimitExceeded, match="budget of 2$"):
         lattice_index(m, budget=2)
-    # the Smith form's elimination rewrites nine entries
-    assert snf_divisors(m, budget=9) == snf_divisors(m) == (1, 1, 1)
-    with pytest.raises(LimitExceeded, match="budget of 8$"):
-        snf_divisors(m, budget=8)
+    # the Smith form runs the same pre-pass, which leaves no remainder
+    assert snf_divisors(m, budget=3) == snf_divisors(m) == (1, 1, 1)
+    with pytest.raises(LimitExceeded, match="budget of 2$"):
+        snf_divisors(m, budget=2)
     # row_solve carries four witness columns: three operations of 7 entries
     assert row_solve(m, [1, 2, 3], budget=21) == row_solve(m, [1, 2, 3]) == ((3, -2, -1, 0), None)
     with pytest.raises(LimitExceeded, match="budget of 20$"):
@@ -615,13 +620,92 @@ def test_smith_chain_skips_the_units_and_repeats_the_pairwise_chain():
 
 
 def test_the_largest_smith_pass_of_grid16x16_charges_what_full_width_rows_charged():
-    # each row operation charges the full row width, however few entries it
-    # writes, so RA_TEST_BUDGET stops where the full-width kernel stopped:
-    # grid16x16's largest Smith pass rewrote 1151232 entries with it
+    # the unit-pivot pre-pass takes 229 pivots and writes 21005 entries; the
+    # echelon passes on the 27 x 27 remainder still charge the full row
+    # width per row operation, however few entries it writes, and the first
+    # of them is the largest pass: 46494 entries
     mat = activation_matrix(grid(16, 16))
-    assert snf_divisors(mat, budget=1151232) == snf_divisors(mat)
-    with pytest.raises(LimitExceeded, match="budget of 1151231$"):
-        snf_divisors(mat, budget=1151231)
+    assert snf_divisors(mat, budget=46494) == snf_divisors(mat)
+    with pytest.raises(LimitExceeded, match="budget of 46493$"):
+        snf_divisors(mat, budget=46493)
+
+
+# -- the unit-pivot pre-pass against the echelon passes alone -----------------------
+
+def _assert_prepass_matches_the_passes(mat):
+    assert snf_divisors(mat) == snf_divisors_by_passes(mat), mat
+    assert lattice_index(mat) == lattice_index_by_echelon(mat), mat
+
+
+def test_unit_pivot_prepass_repeats_the_echelon_passes_on_graph_rows():
+    # the activation rows and both intersection row sets of every connected
+    # graph to 6 vertices, the pre-pass reading them from their masks
+    for n in range(1, 7):
+        for graph in enumerate_connected_graphs(n):
+            for mat in _graph_matrices(graph):
+                _assert_prepass_matches_the_passes(mat)
+
+
+def test_unit_pivot_prepass_repeats_the_echelon_passes_on_random_integer_rows():
+    # negative entries, zero and duplicate rows and m != n, and products
+    # through fewer columns, which lose rank; the small ones against the gcd
+    # of minors as well
+    rng = random.Random(32)
+    mats = list(_random_matrices(rng, 300))
+    for _ in range(200):
+        m, k, n = rng.randint(1, 7), rng.randint(1, 4), rng.randint(1, 7)
+        left = [[rng.choice((-3, -1, 0, 0, 1, 2)) for _ in range(k)] for _ in range(m)]
+        right = [[rng.choice((-1, 0, 1, 1, 3)) for _ in range(n)] for _ in range(k)]
+        mats.append(IntMat([[sum(a * b for a, b in zip(row, col)) for col in zip(*right)]
+                            for row in left]))
+    deficient = 0
+    for mat in mats:
+        _assert_prepass_matches_the_passes(mat)
+        deficient += mat.rows >= mat.cols and lattice_index(mat) == 0
+        if mat.rows <= 4 and mat.cols <= 4:
+            assert snf_divisors(mat) == minors_divisors(mat.row_list()), mat
+    assert deficient >= 50
+
+
+def test_the_unit_pivot_prepass_charges_the_budget_before_any_echelon_pass(monkeypatch):
+    # grid16x16's pre-pass writes 21005 entries; a budget below that stops
+    # it before any echelon pass runs
+    mat = activation_matrix(grid(16, 16))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an echelon pass")
+    with monkeypatch.context() as m:
+        m.setattr(zlinalg, "_echelon", refuse)
+        for reader in (snf_divisors, lattice_index):
+            with pytest.raises(LimitExceeded, match="budget of 21004$"):
+                reader(mat, budget=21004)
+            with pytest.raises(AssertionError, match="an echelon pass"):
+                reader(mat, budget=21005)
+    # past the pre-pass, each elimination of the remainder has the budget
+    # to itself, and the largest charge decides where the reader stops
+    _, rest, width = zlinalg._unit_pivots(mat)
+    assert _rewrites(lambda b: lattice_index(mat, b)) == \
+        max(21005, _rewrites(lambda b: _echelon(rest, width, budget=b))) == 46494
+
+
+def test_cube_divisors_match_the_spectrum_and_the_ranks_mod_p():
+    # Q_d has the eigenvalues d - 2i, C(d, i) times, and the folded cube
+    # FQ_d d - 4i, C(d, 2i) times, so |det(A + I)| is the product of the
+    # shifted eigenvalues: the product of the divisors, 0 when A + I is
+    # singular. Over each prime p the divisors that p divides are the
+    # elementary divisors of the matrix mod p that vanish: n - rank mod p
+    for d in range(1, 8):
+        cases = [(hypercube(d), [(d + 1 - 2 * i, comb(d, i)) for i in range(d + 1)])]
+        if d >= 3:
+            cases.append((folded_cube(d), [(d + 1 - 4 * i, comb(d, 2 * i))
+                                           for i in range(d // 2 + 1)]))
+        for graph, spectrum in cases:
+            mat = activation_matrix(graph)
+            divs = snf_divisors(mat)
+            assert sum(k for _, k in spectrum) == graph.n == len(divs)
+            assert prod(divs) == abs(prod(x ** k for x, k in spectrum)), (graph.n, d)
+            for p in PACKED_PRIMES:
+                assert sum(x % p == 0 for x in divs) == graph.n - rank_mod_p(mat, p), (d, p)
 
 
 # -- matrices of masks -------------------------------------------------------------
